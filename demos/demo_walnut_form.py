@@ -42,7 +42,7 @@ print("  S f / f =", np.round((direct.samples / f.samples).real, 12))
 W = walnut_coefficients(g, lat)
 print("\nmultiplier form: factor =", W.factor)
 for r in signed_range(lat.b):
-    print(f"  G_{r} =", W.entries[r].values.real)
+    print(f"  G_{r} =", W.table[r].real)
 
 walnut = frame_operator_walnut(W, f)
 print("\nmax |walnut - direct| =",

@@ -33,6 +33,7 @@ from .core import (
 from .diagnostics import (
     IdentityResidual,
     SummabilityReport,
+    bracket_series,
     build_counterexample,
     conjecture_probe,
     convo_identity_residual,
@@ -75,7 +76,6 @@ from .frame_op import (
 from .invert import (
     FrameBounds,
     SolverReport,
-    apply_inverse,
     dual_window,
     frame_bounds,
     inverse_solve,

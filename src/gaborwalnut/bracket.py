@@ -40,14 +40,6 @@ class PeriodicVector:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    def tiled(self, length: int) -> np.ndarray:
-        """Periodic extension to ``length`` samples (``period`` must divide it)."""
-        if length % self.period != 0:
-            raise DivisibilityError(
-                f"period {self.period} does not divide target length {length}"
-            )
-        return np.tile(self.values, length // self.period)
-
     @property
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -5,20 +5,9 @@ Exit codes: 0 success, 2 configuration or validation error, 3 not a frame,
 4 contract violation, 5 convergence failure.
 """
 
-import os
-
-# Honor the thread cap before numpy binds its BLAS thread pools.
-if "GW_THREADS" in os.environ:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, os.environ["GW_THREADS"])
-
 import argparse
 import configparser
+import math
 import sys
 import time
 import warnings
@@ -29,7 +18,6 @@ import numpy as np
 
 from . import reports
 from .amalgam import amalgam_norm, embedding_check
-from .bracket import bracket_product, correlation_G
 from .core import (
     GaborLattice,
     Grid,
@@ -39,12 +27,10 @@ from .core import (
     build_grid,
     build_window,
     norm_l2,
-    signed_range,
-    tf_shift,
 )
 from .diagnostics import (
+    bracket_series,
     build_counterexample,
-    conjecture_probe,
     convo_identity_residual,
     counterexample_report,
     dual_summability_report,
@@ -141,16 +127,18 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         window = build_window(_build_window_spec(parser["window"]), grid)
         weight = _build_weight(parser["weight"]) if parser.has_section("weight") \
             else Weight.constant()
+        opts = parser["options"] if parser.has_section("options") else {}
+        tol = overrides.tol if overrides.tol is not None else float(
+            opts.get("tol", 1e-10))
+        seed = overrides.seed if overrides.seed is not None else int(
+            opts.get("seed", 0))
+        trials = int(opts.get("trials", 20))
     except (configparser.Error, ValueError) as exc:
         raise ParseError(f"bad configuration: {exc}") from exc
-    opts = parser["options"] if parser.has_section("options") else {}
-    tol = overrides.tol if overrides.tol is not None else float(
-        opts.get("tol", 1e-10))
-    seed = overrides.seed if overrides.seed is not None else int(
-        opts.get("seed", 0))
-    trials = int(opts.get("trials", 20))
     out = Path(overrides.out) if overrides.out is not None else Path(
         opts.get("out", "gw-out"))
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     return RunConfig(grid=grid, window=window, lattice=lattice, weight=weight,
@@ -168,8 +156,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     lat = cfg.lattice
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotAFrameWarning)
-        method = "dense" if cfg.grid.L <= 1024 else "power_iteration"
-        bounds = frame_bounds(cfg.window, lat, method=method, tol=cfg.tol)
+        bounds = frame_bounds(cfg.window, lat, tol=cfg.tol)
     W = walnut_coefficients(cfg.window, lat)
     reports.write_bounds_csv(bounds, out / "bounds.csv")
     reports.write_walnut_csv(W, out / "walnut_coeffs.csv")
@@ -201,27 +188,28 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def _dual_like(cfg: RunConfig, which: str) -> int:
+    default = "cg" if which == "dual" else "contour"
+    method = default
+    if cfg.raw.has_section(which):
+        method = cfg.raw[which].get("method", default).strip()
+    if method not in (default, "dense"):
+        raise ParseError(f"unknown {which} method {method!r}")
     out = _prepare_out(cfg)
     lat = cfg.lattice
-    method = None
-    if cfg.raw.has_section(which):
-        method = cfg.raw[which].get("method", fallback=None)
     if which == "dual":
         gd, solver = inverse_solve(cfg.window, lat, cfg.window,
-                                   method=method or "cg", tol=cfg.tol)
+                                   method=method, tol=cfg.tol)
         reports.write_solver_csv(solver, out / "solver.csv")
         name = "dual_window.txt"
     else:
-        gd = tight_window(cfg.window, lat, method=method or "contour",
-                          tol=cfg.tol)
+        gd = tight_window(cfg.window, lat, method=method, tol=cfg.tol)
         name = "tight_window.txt"
     reports.write_window_file(gd, out / name)
     residual = verify_reconstruction(cfg.window, gd, lat, trials=cfg.trials,
                                      seed=cfg.seed) if which == "dual" else \
         verify_reconstruction(gd, gd, lat, trials=cfg.trials, seed=cfg.seed)
     summ = dual_summability_report(cfg.window, lat, cfg.weight,
-                                   tol=min(cfg.tol, 1e-12),
-                                   cross_check=cfg.grid.L <= 1024)
+                                   tol=min(cfg.tol, 1e-12))
     reports.write_summability_csv(summ, out / "summability.csv")
     reports.write_summability_json(summ, out / "summability.json")
     reports.write_json(
@@ -331,17 +319,12 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
     lat = cfg.lattice
     gd = dual_window(cfg.window, lat, method="cg", tol=min(cfg.tol, 1e-12))
-    sum_alpha, sum_invbeta = conjecture_probe(gd, lat, cfg.weight)
     alpha_seq = np.cumsum([
-        correlation_G(gd, lat, r).sup * float(cfg.weight(r))
-        for r in signed_range(lat.b)
+        sup * float(cfg.weight(r))
+        for r, sup in walnut_coefficients(gd, lat).sup_norms().items()
     ])
-    invbeta_seq = np.cumsum([
-        float(np.max(np.abs(
-            bracket_product(gd, tf_shift(gd, n * lat.a, 0), lat.M).values)))
-        * float(cfg.weight(n))
-        for n in signed_range(lat.N)
-    ])
+    invbeta_seq = bracket_series(gd, gd, lat, cfg.weight)
+    sum_alpha, sum_invbeta = float(alpha_seq[-1]), float(invbeta_seq[-1])
     reports.write_svg_lines(
         out / "bracket_sums.svg",
         {

@@ -143,11 +143,6 @@ class GaborLattice:
         return self.grid.L // self.a
 
     @property
-    def mods(self) -> int:
-        """Number of distinct modulations."""
-        return self.grid.L // self.b
-
-    @property
     def alpha(self) -> float:
         """Time step in unit lengths."""
         return self.a / self.grid.s
@@ -192,7 +187,8 @@ class WindowSpec:
 def read_window_file(path: str, grid: Grid) -> Signal:
     """Read a window from a plain text file, one ``re im`` pair per line.
 
-    The line count must equal ``grid.L``; blank lines are not allowed.
+    The line count must equal ``grid.L``; blank lines and non-finite
+    samples are not allowed.
     """
     values = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -201,9 +197,12 @@ def read_window_file(path: str, grid: Grid) -> Signal:
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 're im', got {line!r}")
             try:
-                values.append(complex(float(parts[0]), float(parts[1])))
+                re, im = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ParseError(f"{path}:{lineno}: non-finite sample {line!r}")
+            values.append(complex(re, im))
     if len(values) != grid.L:
         raise ParseError(
             f"{path}: expected {grid.L} sample lines, found {len(values)}"

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .amalgam import AmalgamProfile, amalgam_norm, amalgam_profile
-from .bracket import PeriodicVector, bracket_product, correlation_G
+from .bracket import PeriodicVector, bracket_product
 from .core import (
     GaborLattice,
     Grid,
@@ -33,7 +33,13 @@ from .errors import (
     LatticeError,
     SizeError,
 )
-from .frame_op import WalnutCoeffs, walnut_coefficients, walnut_weighted_sum
+from .frame_op import (
+    WalnutCoeffs,
+    dense_frame_matrix,
+    frame_operator_walnut,
+    walnut_coefficients,
+    walnut_weighted_sum,
+)
 from .invert import DENSE_LIMIT, dual_window
 
 __all__ = [
@@ -44,6 +50,7 @@ __all__ = [
     "dual_summability_report",
     "mixed_bracket",
     "convo_identity_residual",
+    "bracket_series",
     "estimate_convest",
     "conjecture_probe",
     "build_counterexample",
@@ -116,7 +123,8 @@ def extract_walnut_from_matrix(
     if Mmat.shape != (L, L):
         raise DimensionError(f"expected a {L}x{L} matrix, got {Mmat.shape}")
     rows = np.arange(L)
-    entries: dict[int, PeriodicVector] = {}
+    factor = lat.M / lat.grid.s
+    table = np.zeros((lat.b, lat.a), dtype=complex)
     structure = np.zeros((L, L), dtype=bool)
     off_mass = 0.0
     for r in signed_range(lat.b):
@@ -126,10 +134,9 @@ def extract_walnut_from_matrix(
         per = diag.reshape(L // lat.a, lat.a)
         mean = per.mean(axis=0)
         off_mass += float(np.max(np.abs(per - mean[None, :]), initial=0.0))
-        entries[r] = PeriodicVector(lat.a, mean / (lat.M / lat.grid.s))
+        table[r] = mean / factor
     off_mass += float(np.sum(np.abs(Mmat[~structure])))
-    W = WalnutCoeffs(lat=lat, entries=entries, factor=lat.M / lat.grid.s)
-    return W, off_mass
+    return WalnutCoeffs(lat=lat, table=table, factor=factor), off_mass
 
 
 def dual_summability_report(
@@ -148,27 +155,20 @@ def dual_summability_report(
     the frame operator of the dual are the same map.
     """
     gd = dual_window(g, lat, method="cg", tol=tol)
-    order = signed_range(lat.b)
-    mult = {r: correlation_G(gd, lat, r) for r in order}
+    Wd = walnut_coefficients(gd, lat)
     per_r = []
     partial = []
     total = 0.0
-    for r in order:
-        sup = mult[r].sup
+    for r, sup in Wd.sup_norms().items():
         nu = float(w(r))
         total += sup * nu
         per_r.append((r, sup, nu, sup * nu))
         partial.append(total)
     err = None
     if cross_check and lat.grid.L <= DENSE_LIMIT:
-        from .frame_op import dense_frame_matrix
-
         Sinv = np.linalg.inv(dense_frame_matrix(g, lat))
         extracted, _ = extract_walnut_from_matrix(Sinv, lat)
-        err = max(
-            float(np.max(np.abs(extracted.entries[r].values - mult[r].values)))
-            for r in order
-        )
+        err = float(np.max(np.abs(extracted.table - Wd.table)))
     return SummabilityReport(
         lattice=lat,
         weight=w.describe(),
@@ -199,6 +199,16 @@ def _bracket_table(f: Signal, h: Signal, lat: GaborLattice) -> np.ndarray:
             for n in range(lat.N)
         ]
     )
+
+
+def bracket_series(f: Signal, h: Signal, lat: GaborLattice, w: Weight) -> np.ndarray:
+    """Running sums of ``sup|[f, T_{n*a} h]_M| * nu(n)`` over signed ``n``.
+
+    The last entry is the weighted sup-norm series itself.
+    """
+    sups = np.abs(_bracket_table(f, h, lat)).max(axis=1)
+    order = signed_range(lat.N)
+    return np.cumsum([float(sups[n]) * float(w(n)) for n in order])
 
 
 def convo_identity_residual(g: Signal, gd: Signal, lat: GaborLattice) -> IdentityResidual:
@@ -243,26 +253,10 @@ def estimate_convest(
     """
     if g.grid != gd.grid or g.grid != lat.grid:
         raise GridMismatchError("windows and lattice must share one grid")
-    order = signed_range(lat.N)
-    lhs = sum(
-        float(
-            np.max(np.abs(bracket_product(gd, tf_shift(g, k * lat.a, 0), lat.M).values))
-        )
-        * float(w(k))
-        for k in order
-    )
-    sum_g = sum(
-        float(np.max(np.abs(bracket_product(g, tf_shift(g, n * lat.a, 0), lat.M).values)))
-        * float(w(n))
-        for n in order
-    )
-    sum_gd = sum(
-        float(np.max(np.abs(bracket_product(gd, tf_shift(gd, n * lat.a, 0), lat.M).values)))
-        * float(w(n))
-        for n in order
-    )
-    rhs = (lat.M / lat.grid.s) * sum_g * sum_gd
-    return lhs, rhs
+    lhs = float(bracket_series(gd, g, lat, w)[-1])
+    sum_g = float(bracket_series(g, g, lat, w)[-1])
+    sum_gd = float(bracket_series(gd, gd, lat, w)[-1])
+    return lhs, (lat.M / lat.grid.s) * sum_g * sum_gd
 
 
 def conjecture_probe(gd: Signal, lat: GaborLattice, w: Weight) -> tuple[float, float]:
@@ -272,15 +266,8 @@ def conjecture_probe(gd: Signal, lat: GaborLattice, w: Weight) -> tuple[float, f
     translates at period M)`` side by side.  Whether finiteness of the first
     forces finiteness of the second is open, so nothing is asserted here.
     """
-    sum_alpha = sum(
-        correlation_G(gd, lat, r).sup * float(w(r)) for r in signed_range(lat.b)
-    )
-    sum_invbeta = sum(
-        float(np.max(np.abs(bracket_product(gd, tf_shift(gd, n * lat.a, 0), lat.M).values)))
-        * float(w(n))
-        for n in signed_range(lat.N)
-    )
-    return float(sum_alpha), float(sum_invbeta)
+    sum_alpha = walnut_weighted_sum(walnut_coefficients(gd, lat), w)
+    return sum_alpha, float(bracket_series(gd, gd, lat, w)[-1])
 
 
 def build_counterexample(a_rule, grid: Grid) -> Signal:
@@ -359,8 +346,7 @@ def forbound_slack(W: WalnutCoeffs, w: Weight) -> float:
     nblocks = lat.grid.L // lat.a
     plain = 0.0
     aligned = 0.0
-    for r in signed_range(lat.b):
-        sup = W.entries[r].sup
+    for r, sup in W.sup_norms().items():
         q, rem = divmod(r * lat.M, lat.a)
         c_r = float(w(signed_rep(q, nblocks)))
         if rem != 0:
@@ -386,8 +372,6 @@ def forbound_check(
     block-``a`` weighted sup norm.  The ratio never exceeds
     ``1 + forbound_slack(...)`` for even submultiplicative weights.
     """
-    from .frame_op import frame_operator_walnut
-
     W = walnut_coefficients(g, lat)
     denom_const = walnut_weighted_sum(W, w) * W.factor
     if denom_const == 0.0:

@@ -6,18 +6,16 @@ collapses the modulation sum into ``b`` strided multiplier terms,
 
     ``S f(j) = (M/s) * sum_r G_r(j) * f(j - r*M)``,
 
-dropping the cost per application from ``O(L * mods * N)`` to ``O(L * b)``.
+dropping the cost per application from ``O(L * M * N)`` to ``O(L * b)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
-from .bracket import PeriodicVector, correlation_G
+from .bracket import correlation_G
 from .core import GaborLattice, Signal, Weight, signed_range
 from .errors import DimensionError, GridMismatchError, LatticeError
 from .amalgam import amalgam_norm
@@ -44,9 +42,9 @@ class Coeffs:
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=complex)
-        if arr.shape != (self.lat.mods, self.lat.N):
+        if arr.shape != (self.lat.M, self.lat.N):
             raise DimensionError(
-                f"expected shape {(self.lat.mods, self.lat.N)}, got {arr.shape}"
+                f"expected shape {(self.lat.M, self.lat.N)}, got {arr.shape}"
             )
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -54,40 +52,52 @@ class Coeffs:
 
 @dataclass(frozen=True, eq=False)
 class WalnutCoeffs:
-    """Multiplier family of a frame operator: one period-``a`` vector per signed ``r``.
+    """Multiplier family of a frame operator as one read-only ``(b, a)`` table.
 
-    ``factor`` is the collapsed modulation count per sample, ``M/s`` (the
-    discrete inverse frequency step).  Multipliers are stored over a single
-    period and tiled at application time.
+    Row ``r mod b`` holds one period of ``G_r``, so a signed ``r`` indexes its
+    row directly.  ``factor`` is the collapsed modulation count per sample,
+    ``M/s`` (the discrete inverse frequency step).
     """
 
     lat: GaborLattice
-    entries: Mapping[int, PeriodicVector]
+    table: np.ndarray
     factor: float
 
     def __post_init__(self):
-        expected = set(signed_range(self.lat.b))
-        if set(self.entries.keys()) != expected:
+        arr = np.array(self.table, dtype=complex)
+        if arr.shape != (self.lat.b, self.lat.a):
             raise LatticeError(
-                f"multiplier indices {sorted(self.entries)} do not match the "
-                f"signed range of b={self.lat.b}"
+                f"multiplier table has shape {arr.shape}, expected "
+                f"{(self.lat.b, self.lat.a)}"
             )
-        for r, pv in self.entries.items():
-            if pv.period != self.lat.a:
-                raise LatticeError(
-                    f"multiplier {r} has period {pv.period}, expected {self.lat.a}"
-                )
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        arr.flags.writeable = False
+        object.__setattr__(self, "table", arr)
 
     def sup_norms(self) -> dict[int, float]:
         """Sup norm of each multiplier, keyed by signed index."""
-        return {r: self.entries[r].sup for r in signed_range(self.lat.b)}
+        sups = np.abs(self.table).max(axis=1)
+        return {r: float(sups[r]) for r in signed_range(self.lat.b)}
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """``factor * sum_r G_r * T_{r*M} v`` on a length-``L`` array.
+
+        Summation runs over signed ``r`` in the fixed ``0, 1, -1, ...`` order;
+        ``T_{r*M} v`` is read as a window of ``v`` concatenated with itself.
+        """
+        lat = self.lat
+        L = lat.grid.L
+        vv = np.concatenate([v, v])
+        out = np.zeros((L // lat.a, lat.a), dtype=complex)
+        for r in signed_range(lat.b):
+            s = (r * lat.M) % L
+            out += self.table[r] * vv[L - s:2 * L - s].reshape(-1, lat.a)
+        return self.factor * out.reshape(L)
 
 
 def _phases(lat: GaborLattice) -> np.ndarray:
     L = lat.grid.L
     j = np.arange(L)
-    return np.exp(-2j * np.pi * np.outer(np.arange(lat.mods) * lat.b, j) / L)
+    return np.exp(-2j * np.pi * np.outer(np.arange(lat.M) * lat.b, j) / L)
 
 
 def _shift_table(g: Signal, lat: GaborLattice) -> np.ndarray:
@@ -125,28 +135,20 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     """Multiplier family of the frame operator of ``g`` on ``lat``."""
     if g.grid != lat.grid:
         raise GridMismatchError("window and lattice must share one grid")
-    entries = {r: correlation_G(g, lat, r) for r in signed_range(lat.b)}
-    return WalnutCoeffs(lat=lat, entries=entries, factor=lat.M / lat.grid.s)
+    table = [correlation_G(g, lat, r).values for r in range(lat.b)]
+    return WalnutCoeffs(lat=lat, table=table, factor=lat.M / lat.grid.s)
 
 
 def frame_operator_walnut(W: WalnutCoeffs, f: Signal) -> Signal:
-    """Apply the frame operator in multiplier form: ``factor * sum_r G_r * T_{r*M} f``.
-
-    Summation runs over signed ``r`` in the fixed ``0, 1, -1, ...`` order.
-    """
-    lat = W.lat
-    if f.grid != lat.grid:
+    """Apply the frame operator in multiplier form (see :meth:`WalnutCoeffs.apply`)."""
+    if f.grid != W.lat.grid:
         raise GridMismatchError("signal grid does not match the operator grid")
-    L = lat.grid.L
-    out = np.zeros(L, dtype=complex)
-    for r in signed_range(lat.b):
-        out += W.entries[r].tiled(L) * np.roll(f.samples, (r * lat.M) % L)
-    return Signal(f.grid, W.factor * out)
+    return Signal(f.grid, W.apply(f.samples))
 
 
 def walnut_weighted_sum(W: WalnutCoeffs, w: Weight) -> float:
     """Weighted multiplier sum ``sum_r sup|G_r| * nu(r)`` over signed ``r``."""
-    return float(sum(W.entries[r].sup * w(r) for r in signed_range(W.lat.b)))
+    return float(sum(sup * w(r) for r, sup in W.sup_norms().items()))
 
 
 def dense_frame_matrix(g: Signal, lat: GaborLattice) -> np.ndarray:
@@ -157,7 +159,7 @@ def dense_frame_matrix(g: Signal, lat: GaborLattice) -> np.ndarray:
     rows = np.arange(L)
     for r in signed_range(lat.b):
         cols = (rows - r * lat.M) % L
-        S[rows, cols] += W.factor * W.entries[r].tiled(L)
+        S[rows, cols] += W.factor * W.table[r][rows % lat.a]
     return S
 
 

@@ -1,8 +1,8 @@
 """Frame bounds, canonical dual and tight windows, inverse application.
 
 The dense eigendecomposition is the oracle; matrix-free paths (power
-iteration, conjugate gradients, Richardson, contour quadrature) use only the
-fast multiplier application and are cross-checked against it in the tests.
+iteration, conjugate gradients, contour quadrature) use only the multiplier
+table's ``apply`` and are cross-checked against it in the tests.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .core import GaborLattice, Signal, signed_range
 from .errors import (
     BranchError,
     ConvergenceError,
+    DomainError,
     GridMismatchError,
     NotAFrameError,
     NotAFrameWarning,
@@ -36,7 +37,6 @@ __all__ = [
     "frame_bounds",
     "inverse_solve",
     "dual_window",
-    "apply_inverse",
     "tight_window",
     "inverse_sqrt_matrix_contour",
     "verify_reconstruction",
@@ -75,27 +75,9 @@ class SolverReport:
     converged: bool
 
 
-def _walnut_apply(W: WalnutCoeffs):
-    lat = W.lat
-    L = lat.grid.L
-    tiles = [W.entries[r].tiled(L) for r in signed_range(lat.b)]
-    shifts = [(r * lat.M) % L for r in signed_range(lat.b)]
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(L, dtype=complex)
-        for t, sh in zip(tiles, shifts):
-            out += t * np.roll(v, sh)
-        return W.factor * out
-
-    return apply
-
-
 def _gershgorin_upper(W: WalnutCoeffs) -> float:
     """Row-sum bound on the spectral radius of the multiplier-form operator."""
-    L = W.lat.grid.L
-    rowsum = np.zeros(L)
-    for r in signed_range(W.lat.b):
-        rowsum += np.abs(W.entries[r].tiled(L))
+    rowsum = sum(np.abs(W.table[r]) for r in signed_range(W.lat.b))
     return float(W.factor * rowsum.max())
 
 
@@ -133,17 +115,20 @@ def _power_extreme(apply_op, L: int, tol: float, max_iter: int, seed: int = 0) -
 def frame_bounds(
     g: Signal,
     lat: GaborLattice,
-    method: str = "dense",
+    method: str | None = None,
     tol: float = 1e-10,
     max_iter: int = 400_000,
     seed: int = 0,
 ) -> FrameBounds:
     """Lower and upper frame bounds of the system generated by ``g`` on ``lat``.
 
-    ``dense`` diagonalizes the full matrix (grid length at most 1024);
-    ``power_iteration`` runs matrix-free on the operator and on its reflection
-    below a row-sum upper estimate.
+    ``dense`` diagonalizes the full matrix (grid length at most
+    ``DENSE_LIMIT``); ``power_iteration`` runs matrix-free on the operator and
+    on its reflection below a row-sum upper estimate.  Without a method the
+    size picks: ``dense`` up to ``DENSE_LIMIT``, ``power_iteration`` above.
     """
+    if method is None:
+        method = "dense" if lat.grid.L <= DENSE_LIMIT else "power_iteration"
     if method == "dense":
         L = lat.grid.L
         if L > DENSE_LIMIT:
@@ -153,13 +138,12 @@ def frame_bounds(
         A, B = float(ev[0]), float(ev[-1])
     elif method == "power_iteration":
         W = walnut_coefficients(g, lat)
-        apply_op = _walnut_apply(W)
         L = lat.grid.L
-        B = _power_extreme(apply_op, L, tol, max_iter, seed=seed)
+        B = _power_extreme(W.apply, L, tol, max_iter, seed=seed)
         mu = _gershgorin_upper(W)
 
         def shifted(v):
-            return mu * v - apply_op(v)
+            return mu * v - W.apply(v)
 
         A = mu - _power_extreme(shifted, L, tol, max_iter, seed=seed + 1)
     else:
@@ -205,32 +189,15 @@ def _cg_hermitian(apply_op, rhs: np.ndarray, tol: float, max_iter: int):
     return x, np.array(history), math.sqrt(rs) / nrhs <= tol
 
 
-def _richardson(apply_op, rhs: np.ndarray, A: float, B: float, tol: float,
-                max_iter: int):
-    """Damped iteration ``x <- x + 2/(A+B) (rhs - S x)``; contracts when A > 0."""
-    relax = 2.0 / (A + B)
-    x = np.zeros_like(rhs)
-    nrhs = float(np.linalg.norm(rhs))
-    if nrhs == 0.0:
-        return x, np.zeros(0), True
-    history = []
-    for _ in range(max_iter):
-        r = rhs - apply_op(x)
-        rel = float(np.linalg.norm(r)) / nrhs
-        history.append(rel)
-        if rel <= tol:
-            return x, np.array(history), True
-        x = x + relax * r
-    return x, np.array(history), False
-
-
 def _frame_or_raise(g: Signal, lat: GaborLattice, bounds: FrameBounds | None,
                     tol: float) -> FrameBounds:
+    """Check ``tol``, compute the bounds when none are given, refuse non-frames."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
     if bounds is None:
-        method = "dense" if lat.grid.L <= DENSE_LIMIT else "power_iteration"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotAFrameWarning)
-            bounds = frame_bounds(g, lat, method=method, tol=min(tol, 1e-10))
+            bounds = frame_bounds(g, lat, tol=min(tol, 1e-10))
     if bounds.not_a_frame:
         raise NotAFrameError(
             f"system is not a frame (A={bounds.A:.3e}, B={bounds.B:.3e})"
@@ -249,11 +216,12 @@ def inverse_solve(
 ) -> tuple[Signal, SolverReport]:
     """Solve ``S x = rhs`` for the frame operator of ``g``; returns the report too.
 
-    ``cg`` and ``richardson`` are matrix-free on the multiplier form; ``dense``
-    factors the full matrix.  Raises ``NotAFrameError`` when the lower frame
-    bound vanishes and ``ConvergenceError`` on an exhausted iteration budget.
+    ``cg`` is matrix-free on the multiplier table; ``dense`` factors the full
+    matrix.  Raises ``DomainError`` for a tolerance that is not finite and
+    positive, ``NotAFrameError`` when the lower frame bound vanishes and
+    ``ConvergenceError`` on an exhausted iteration budget.
     """
-    bounds = _frame_or_raise(g, lat, bounds, tol)
+    _frame_or_raise(g, lat, bounds, tol)
     L = lat.grid.L
     if max_iter is None:
         max_iter = max(1000, 10 * L)
@@ -267,15 +235,10 @@ def inverse_solve(
             / max(np.linalg.norm(rhs.samples), 1e-300)
         )
         return Signal(lat.grid, x), SolverReport("dense", 1, np.array([rel]), True)
-    W = walnut_coefficients(g, lat)
-    apply_op = _walnut_apply(W)
-    if method == "cg":
-        x, hist, ok = _cg_hermitian(apply_op, rhs.samples, tol, max_iter)
-    elif method == "richardson":
-        x, hist, ok = _richardson(apply_op, rhs.samples, bounds.A, bounds.B, tol,
-                                  max_iter)
-    else:
+    if method != "cg":
         raise ValueError(f"unknown method {method!r}")
+    W = walnut_coefficients(g, lat)
+    x, hist, ok = _cg_hermitian(W.apply, rhs.samples, tol, max_iter)
     if not ok:
         raise ConvergenceError(
             f"{method} stalled at relative residual {hist[-1]:.3e} "
@@ -288,12 +251,6 @@ def dual_window(g: Signal, lat: GaborLattice, method: str = "cg",
                 tol: float = 1e-10) -> Signal:
     """Canonical dual window: the solution of ``S gd = g``."""
     return inverse_solve(g, lat, g, method=method, tol=tol)[0]
-
-
-def apply_inverse(g: Signal, lat: GaborLattice, f: Signal, method: str = "cg",
-                  tol: float = 1e-10) -> Signal:
-    """Apply the inverse frame operator to ``f`` with the selected solver."""
-    return inverse_solve(g, lat, f, method=method, tol=tol)[0]
 
 
 def _contour_nodes(A: float, B: float, n: int):
@@ -347,7 +304,8 @@ def tight_window(g: Signal, lat: GaborLattice, method: str = "contour",
     square root (the oracle).  ``contour`` evaluates the same function as a
     circle integral around the spectrum with the trapezoid rule, doubling the
     node count from 16 until two successive levels agree to ``tol`` (cap
-    4096); every node needs one shifted solve, done matrix-free.
+    4096); every node needs one shifted solve, done matrix-free.  A
+    tolerance that is not finite and positive raises ``DomainError``.
     """
     bounds = _frame_or_raise(g, lat, None, tol)
     L = lat.grid.L
@@ -361,7 +319,6 @@ def tight_window(g: Signal, lat: GaborLattice, method: str = "contour",
     if method != "contour":
         raise ValueError(f"unknown method {method!r}")
     W = walnut_coefficients(g, lat)
-    apply_op = _walnut_apply(W)
     inner_tol = max(tol * 1e-2, 1e-13)
     max_iter = max(2000, 20 * L)
     prev = None
@@ -370,7 +327,7 @@ def tight_window(g: Signal, lat: GaborLattice, method: str = "contour",
         lam, dweight = _contour_nodes(bounds.A, bounds.B, n)
         acc = np.zeros(L, dtype=complex)
         for lm, wgt in zip(lam, dweight):
-            x = _resolvent_cgnr(apply_op, lm, g.samples, inner_tol, max_iter)
+            x = _resolvent_cgnr(W.apply, lm, g.samples, inner_tol, max_iter)
             acc += wgt * lm ** -0.5 * x
         if prev is not None:
             delta = np.linalg.norm(acc - prev) / max(np.linalg.norm(acc), 1e-300)

@@ -70,7 +70,7 @@ def write_walnut_csv(W: WalnutCoeffs, path) -> None:
         wr.writerow([repr(float(W.factor)), lat.a, lat.b, lat.M, lat.grid.L])
         wr.writerow(["r", "x", "re", "im"])
         for r in signed_range(lat.b):
-            vals = W.entries[r].values
+            vals = W.table[r]
             for x in range(lat.a):
                 wr.writerow([r, x, repr(float(vals[x].real)),
                              repr(float(vals[x].imag))])

@@ -203,10 +203,7 @@ def test_criterion_09_operator_structure(corpus):
             mask[rows, (rows - r * lat.M) % lat.grid.L] = True
         off_mass = float(np.abs(S[~mask]).sum())
         W2, off_extract = extract_walnut_from_matrix(S, lat)
-        round_trip = max(
-            np.max(np.abs(W2.entries[r].values - W.entries[r].values))
-            for r in signed_range(lat.b)
-        )
+        round_trip = np.max(np.abs(W2.table - W.table))
         if off_mass >= 1e-14 or off_extract >= 1e-12 or round_trip >= 1e-12:
             ok = False
     _verdict(9, "strided operator structure and extraction round-trip", ok)

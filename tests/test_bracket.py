@@ -155,12 +155,3 @@ class TestCorrelation:
         # r and r +/- b address the same cyclic translation
         assert np.array_equal(correlation_G(chi, lat, 1).values,
                               correlation_G(chi, lat, 1 - lat.b).values)
-
-    def test_tiled_output_translation_invariant(self):
-        grid = build_grid(32, 4)
-        lat = GaborLattice(grid, 4, 2)
-        rng = np.random.default_rng(9)
-        g = Signal(grid, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-        pv = correlation_G(g, lat, 1)
-        tiled = pv.tiled(grid.L)
-        assert np.allclose(tiled, np.roll(tiled, lat.a))

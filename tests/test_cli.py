@@ -104,16 +104,19 @@ def test_dual_not_a_frame_exits_3(tmp_path, capsys):
     assert "NotAFrameError" in capsys.readouterr().err
 
 
-def test_dual_method_override_and_convergence_exit_5(tmp_path, capsys):
+def test_dual_method_override_and_convergence_exit_5(tmp_path, capsys,
+                                                     monkeypatch):
+    from gaborwalnut import invert
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.cfg", L=64, s=8, a=4, b=4,
                        window="gaussian", window_extra="width = 1.0", out=out,
-                       extra="[dual]\nmethod = richardson")
+                       extra="[dual]\nmethod = dense")
     assert main(["dual", "--config", cfg]) == 0
-    cfg2 = write_config(tmp_path / "run2.cfg", L=64, s=8, a=4, b=4,
-                        window="gaussian", window_extra="width = 1.0", out=out,
-                        tol="1e-30", extra="[dual]\nmethod = richardson")
-    assert main(["dual", "--config", cfg2]) == 5
+    rows = list(csv.DictReader((out / "solver.csv").open()))
+    assert len(rows) == 1  # the dense solve reports a single residual
+    # one quadrature level can never agree with a previous one
+    monkeypatch.setattr(invert, "CONTOUR_NODES_MAX", invert.CONTOUR_NODES_START)
+    assert main(["tight", "--config", cfg]) == 5
     assert "ConvergenceError" in capsys.readouterr().err
 
 
@@ -217,3 +220,37 @@ def test_seed_override(tmp_path):
     assert main(["analyze", "--config", cfg, "--seed", "42"]) == 0
     payload = json.loads((out / "analyze.json").read_text())
     assert payload["seed"] == 42
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+def test_non_finite_window_file_exits_2(tmp_path, capsys, command):
+    window = tmp_path / "window.txt"
+    lines = ["1.0 0.0"] * 8
+    lines[2] = "nan 0.0"
+    window.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path / "run.cfg", window="file",
+                       window_extra=f"path = {window}", out=tmp_path / "out")
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "window.txt:3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_tolerance_exits_2(tmp_path, capsys, tol):
+    cfg = write_config(tmp_path / "run.cfg", out=tmp_path / "out", tol=tol)
+    assert main(["dual", "--config", cfg]) == 2
+    assert "DomainError" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "run2.cfg", out=tmp_path / "out")
+    assert main(["dual", "--config", cfg, "--tol", tol]) == 2
+    assert "DomainError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,method", [("dual", "richardson"),
+                                            ("dual", "contour"),
+                                            ("tight", "cg")])
+def test_unknown_method_exits_2(tmp_path, capsys, command, method):
+    cfg = write_config(tmp_path / "run.cfg", out=tmp_path / "out",
+                       extra=f"[{command}]\nmethod = {method}")
+    assert main([command, "--config", cfg]) == 2
+    assert "ParseError" in capsys.readouterr().err

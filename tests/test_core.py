@@ -51,7 +51,7 @@ class TestGrid:
 class TestLattice:
     def test_derived_quantities(self):
         lat = GaborLattice(build_grid(8, 4), 2, 2)
-        assert (lat.M, lat.N, lat.mods) == (4, 4, 4)
+        assert (lat.M, lat.N) == (4, 4)
         assert lat.alpha == 0.5 and lat.beta == 1.0
         assert lat.redundancy == 2.0
 

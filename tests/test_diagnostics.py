@@ -27,7 +27,6 @@ from gaborwalnut import (
     forbound_slack,
     frame_operator_walnut,
     mixed_bracket,
-    signed_range,
     tf_shift,
     walnut_coefficients,
     walnut_weighted_sum,
@@ -74,15 +73,15 @@ class TestExtraction:
         S = dense_frame_matrix(g, lat)
         W, off = extract_walnut_from_matrix(S, lat)
         assert off < 1e-14
-        assert np.allclose(W.entries[0].values, [2, 2])
-        assert np.allclose(W.entries[1].values, [0, 0])
+        assert np.allclose(W.table[0], [2, 2])
+        assert np.allclose(W.table[1], [0, 0])
 
     def test_identity_matrix(self, chi_lat):
         _, lat = chi_lat
         W, off = extract_walnut_from_matrix(np.eye(8, dtype=complex), lat)
         assert off == 0.0
-        assert np.allclose(W.entries[0].values, 1.0 / W.factor)
-        assert np.allclose(W.entries[1].values, 0.0)
+        assert np.allclose(W.table[0], 1.0 / W.factor)
+        assert np.allclose(W.table[1], 0.0)
 
     def test_random_matrix_off_structure(self, chi_lat):
         _, lat = chi_lat
@@ -106,9 +105,7 @@ class TestExtraction:
         W2, off = extract_walnut_from_matrix(S, lat)
         assert off < 1e-12
         assert W2.factor == pytest.approx(W.factor)
-        for r in signed_range(lat.b):
-            assert np.max(np.abs(W2.entries[r].values - W.entries[r].values)) \
-                < 1e-12
+        assert np.max(np.abs(W2.table - W.table)) < 1e-12
 
 
 class TestDualSummability:

@@ -6,7 +6,6 @@ from gaborwalnut import (
     DimensionError,
     GaborLattice,
     GridMismatchError,
-    PeriodicVector,
     Signal,
     WalnutCoeffs,
     Weight,
@@ -49,7 +48,7 @@ class TestAnalysisSynthesis:
         g, lat = chi_lat
         zero = Signal(g.grid, np.zeros(8))
         assert np.array_equal(analysis(g, lat, zero).values,
-                              np.zeros((lat.mods, lat.N)))
+                              np.zeros((lat.M, lat.N)))
 
     def test_diagonal_pickup(self, chi_lat):
         g, lat = chi_lat
@@ -59,7 +58,7 @@ class TestAnalysisSynthesis:
 
     def test_synthesis_of_unit_coefficient(self, chi_lat):
         g, lat = chi_lat
-        c = np.zeros((lat.mods, lat.N), dtype=complex)
+        c = np.zeros((lat.M, lat.N), dtype=complex)
         c[0, 0] = 1.0
         assert np.allclose(synthesis(g, lat, Coeffs(lat, c)).samples, g.samples)
         c[:] = 0
@@ -111,8 +110,8 @@ class TestWalnut:
         g, lat = chi_lat
         W = walnut_coefficients(g, lat)
         assert W.factor == pytest.approx(1.0)
-        assert np.array_equal(W.entries[0].values, np.array([2, 2], dtype=complex))
-        assert np.array_equal(W.entries[1].values, np.zeros(2, dtype=complex))
+        assert np.array_equal(W.table[0], np.array([2, 2], dtype=complex))
+        assert np.array_equal(W.table[1], np.zeros(2, dtype=complex))
 
     def test_delta_window_single_entry(self):
         grid = build_grid(8, 4)
@@ -120,15 +119,14 @@ class TestWalnut:
         d = np.zeros(8, dtype=complex)
         d[0] = 1.0
         W = walnut_coefficients(Signal(grid, d), lat)
-        assert W.entries[1].sup == 0.0
-        assert W.entries[0].sup == 1.0
+        assert W.sup_norms() == {0: 1.0, 1: 0.0}
 
     def test_gaussian_sup_decay(self):
         grid = build_grid(256, 16)
         lat = GaborLattice(grid, 8, 8)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
         W = walnut_coefficients(g, lat)
-        sups = [W.entries[r].sup for r in range(0, lat.b // 2 + 1)]
+        sups = [W.sup_norms()[r] for r in range(0, lat.b // 2 + 1)]
         assert all(sups[i] > sups[i + 1] for i in range(len(sups) - 1))
 
     def test_matches_oracle_chi(self, chi_lat):
@@ -143,7 +141,7 @@ class TestWalnut:
     def test_identity_multiplier(self):
         grid = build_grid(8, 4)
         lat = GaborLattice(grid, 2, 1)  # b = 1: a single multiplier index
-        W = WalnutCoeffs(lat, {0: PeriodicVector(2, np.ones(2))}, factor=1.0)
+        W = WalnutCoeffs(lat, np.ones((1, 2)), factor=1.0)
         f = rand_signal(grid, 4)
         assert np.allclose(frame_operator_walnut(W, f).samples, f.samples)
 
@@ -162,11 +160,25 @@ class TestWalnut:
                     np.linalg.norm(d_out.samples)
                 assert rel < 1e-10, f"a={a} b={b} rel={rel}"
 
+    @pytest.mark.parametrize("L,s,a,b", [(64, 8, 4, 4), (24, 4, 2, 3),
+                                         (36, 6, 9, 6), (48, 4, 16, 48)])
+    def test_apply_equals_roll_loop_exactly(self, L, s, a, b):
+        # same products summed in the same signed order as a loop of tiled
+        # multipliers times rolled signals, so the results agree bit for bit
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        W = walnut_coefficients(rand_signal(grid, L), lat)
+        f = rand_signal(grid, L + 1)
+        ref = np.zeros(L, dtype=complex)
+        for r in signed_range(b):
+            ref += np.tile(W.table[r], L // a) * np.roll(f.samples, r * lat.M)
+        assert np.array_equal(W.apply(f.samples), W.factor * ref)
+
     def test_entry_count_enforced(self, chi_lat):
         from gaborwalnut.errors import LatticeError
         _, lat = chi_lat
         with pytest.raises(LatticeError):
-            WalnutCoeffs(lat, {0: PeriodicVector(2, np.ones(2))}, factor=1.0)
+            WalnutCoeffs(lat, np.ones((1, 2)), factor=1.0)
 
 
 class TestWeightedSum:
