@@ -27,7 +27,7 @@ from gaborwalnut import (
 grid = build_grid(256, 16)
 lat = GaborLattice(grid, 8, 8)
 g = build_window(WindowSpec.gaussian(width=1.0), grid)
-gd = dual_window(g, lat, method="cg", tol=1e-12)
+gd = dual_window(g, lat, tol=1e-12)
 
 res = convo_identity_residual(g, gd, lat)
 print(f"identity residual with the canonical dual: {res.max_abs_error:.2e} "

@@ -50,7 +50,7 @@ for K in (8, 16, 32, 64):
 grid = build_grid(16 * s, s)
 lat = GaborLattice(grid, s // 2, 16)
 g = build_window(WindowSpec.characteristic(1.0), grid)
-gd = dual_window(g, lat, method="cg", tol=1e-12)
+gd = dual_window(g, lat, tol=1e-12)
 h = build_counterexample("harmonic", grid)
 perturbed = Signal(grid, gd.samples + h.samples)
 print(f"\nreconstruction residual with canonical dual:  "

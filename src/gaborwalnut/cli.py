@@ -68,6 +68,9 @@ EXIT_CONVERGENCE = 5
 
 COMMANDS = ("analyze", "dual", "tight", "verify", "counterexample",
             "conjecture", "bench")
+# Library methods each command accepts in its config section.
+METHODS = {"dual": ("fiber", "cg", "dense"),
+           "tight": ("fiber", "contour", "dense")}
 
 
 @dataclass
@@ -188,12 +191,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def _dual_like(cfg: RunConfig, which: str) -> int:
-    default = "cg" if which == "dual" else "contour"
-    method = default
-    if cfg.raw.has_section(which):
-        method = cfg.raw[which].get("method", default).strip()
-    if method not in (default, "dense"):
-        raise ParseError(f"unknown {which} method {method!r}")
+    method = cfg.raw.get(which, "method", fallback=None)
+    if method is not None:
+        method = method.strip()
+        if method not in METHODS[which]:
+            raise ParseError(f"unknown {which} method {method!r}")
     out = _prepare_out(cfg)
     lat = cfg.lattice
     if which == "dual":
@@ -244,7 +246,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.raw.has_section("verify"):
         mode = cfg.raw["verify"].get("dual", "canonical").strip()
     if mode == "canonical":
-        gd = dual_window(cfg.window, lat, method="cg", tol=min(cfg.tol, 1e-12))
+        gd = dual_window(cfg.window, lat, tol=min(cfg.tol, 1e-12))
     elif mode == "generator":
         gd = cfg.window  # deliberate negative control
     elif mode == "file":
@@ -318,7 +320,7 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     """Probe both block geometries of the dual window's multiplier sums."""
     out = _prepare_out(cfg)
     lat = cfg.lattice
-    gd = dual_window(cfg.window, lat, method="cg", tol=min(cfg.tol, 1e-12))
+    gd = dual_window(cfg.window, lat, tol=min(cfg.tol, 1e-12))
     alpha_seq = np.cumsum([
         sup * float(cfg.weight(r))
         for r, sup in walnut_coefficients(gd, lat).sup_norms().items()

@@ -154,7 +154,7 @@ def dual_summability_report(
     frame matrix, which must agree since inverting the operator and taking
     the frame operator of the dual are the same map.
     """
-    gd = dual_window(g, lat, method="cg", tol=tol)
+    gd = dual_window(g, lat, tol=tol)
     Wd = walnut_coefficients(gd, lat)
     per_r = []
     partial = []

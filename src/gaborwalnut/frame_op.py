@@ -7,6 +7,8 @@ collapses the modulation sum into ``b`` strided multiplier terms,
     ``S f(j) = (M/s) * sum_r G_r(j) * f(j - r*M)``,
 
 dropping the cost per application from ``O(L * M * N)`` to ``O(L * b)``.
+Restricted to one coset of ``M*Z_L`` the same form is a ``b x b`` matrix, so
+the operator splits into ``M`` independent Hermitian blocks (its fibers).
 """
 
 from __future__ import annotations
@@ -92,6 +94,21 @@ class WalnutCoeffs:
             s = (r * lat.M) % L
             out += self.table[r] * vv[L - s:2 * L - s].reshape(-1, lat.a)
         return self.factor * out.reshape(L)
+
+    def fibers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The operator as ``M`` independent Hermitian ``b x b`` blocks.
+
+        On the coset ``j0 + M*Z_L`` the Walnut form acts as the matrix
+        ``C[k, k'] = factor * G_{k-k'}((j0 + k*M) mod a)``.  Returns the
+        ``(M, b, b)`` stack of those matrices and the ``(M, b)`` map
+        ``J[j0, k] = j0 + k*M`` from block coordinates to samples, so that
+        ``(S v)[J] = blocks @ v[J]`` blockwise.  Holds ``L*b`` entries.
+        """
+        lat = self.lat
+        k = np.arange(lat.b)
+        J = np.arange(lat.M)[:, None] + lat.M * k
+        rows = (k[:, None] - k) % lat.b
+        return (self.factor * self.table)[rows, (J % lat.a)[:, :, None]], J
 
 
 def _phases(lat: GaborLattice) -> np.ndarray:

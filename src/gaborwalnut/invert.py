@@ -1,8 +1,12 @@
 """Frame bounds, canonical dual and tight windows, inverse application.
 
-The dense eigendecomposition is the oracle; matrix-free paths (power
-iteration, conjugate gradients, contour quadrature) use only the multiplier
-table's ``apply`` and are cross-checked against it in the tests.
+The default engine is ``fiber``: the frame operator splits into ``M``
+Hermitian ``b x b`` blocks (:meth:`WalnutCoeffs.fibers`), so its bounds,
+inverse and inverse square root are exact batched eigen- and linear-algebra
+at ``O(L * b**2)``.  The dense eigendecomposition is the oracle; the
+matrix-free paths (power iteration, conjugate gradients, contour quadrature)
+use only the multiplier table's ``apply``.  Both kinds stay as explicit
+methods to cross-check the fibers with.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 1024
+# Entries of the fiber block stack, L*b: 2**22 complex values are 64 MiB.
+FIBER_LIMIT = 2**22
 # A lower bound this far below B (relatively) is treated as zero.
 NOT_A_FRAME_RTOL = 1e-12
 
@@ -73,6 +79,29 @@ class SolverReport:
     iterations: int
     residuals: np.ndarray
     converged: bool
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
+
+
+def _method_for(method: str | None, lat: GaborLattice, matrix_free: str) -> str:
+    """Resolve ``method`` and refuse a size its storage cannot hold.
+
+    Without a method, ``fiber`` is picked while its block stack fits
+    ``FIBER_LIMIT`` and ``matrix_free`` above that.
+    """
+    L, b = lat.grid.L, lat.b
+    if method is None:
+        method = "fiber" if L * b <= FIBER_LIMIT else matrix_free
+    if method not in ("fiber", "dense", matrix_free):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "fiber" and L * b > FIBER_LIMIT:
+        raise SizeError(f"fiber blocks limited to L*b <= {FIBER_LIMIT}, got {L * b}")
+    if method == "dense" and L > DENSE_LIMIT:
+        raise SizeError(f"dense path limited to L <= {DENSE_LIMIT}, got {L}")
+    return method
 
 
 def _gershgorin_upper(W: WalnutCoeffs) -> float:
@@ -122,21 +151,24 @@ def frame_bounds(
 ) -> FrameBounds:
     """Lower and upper frame bounds of the system generated by ``g`` on ``lat``.
 
-    ``dense`` diagonalizes the full matrix (grid length at most
+    ``fiber`` (the default) takes the extreme eigenvalues of the fiber
+    blocks; ``dense`` diagonalizes the full matrix (grid length at most
     ``DENSE_LIMIT``); ``power_iteration`` runs matrix-free on the operator and
-    on its reflection below a row-sum upper estimate.  Without a method the
-    size picks: ``dense`` up to ``DENSE_LIMIT``, ``power_iteration`` above.
+    on its reflection below a row-sum upper estimate, and is the default
+    above ``FIBER_LIMIT``.  A tolerance that is not finite and positive
+    raises ``DomainError``.
     """
-    if method is None:
-        method = "dense" if lat.grid.L <= DENSE_LIMIT else "power_iteration"
-    if method == "dense":
-        L = lat.grid.L
-        if L > DENSE_LIMIT:
-            raise SizeError(f"dense bounds limited to L <= {DENSE_LIMIT}, got {L}")
+    _check_tol(tol)
+    method = _method_for(method, lat, "power_iteration")
+    if method == "fiber":
+        blocks, _ = walnut_coefficients(g, lat).fibers()
+        ev = np.linalg.eigvalsh(blocks)
+        A, B = float(ev.min()), float(ev.max())
+    elif method == "dense":
         S = dense_frame_matrix(g, lat)
         ev = np.linalg.eigvalsh(S)
         A, B = float(ev[0]), float(ev[-1])
-    elif method == "power_iteration":
+    else:
         W = walnut_coefficients(g, lat)
         L = lat.grid.L
         B = _power_extreme(W.apply, L, tol, max_iter, seed=seed)
@@ -146,8 +178,6 @@ def frame_bounds(
             return mu * v - W.apply(v)
 
         A = mu - _power_extreme(shifted, L, tol, max_iter, seed=seed + 1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     A = max(A, 0.0)
     B = max(B, A)
     not_frame = A <= NOT_A_FRAME_RTOL * B
@@ -192,8 +222,7 @@ def _cg_hermitian(apply_op, rhs: np.ndarray, tol: float, max_iter: int):
 def _frame_or_raise(g: Signal, lat: GaborLattice, bounds: FrameBounds | None,
                     tol: float) -> FrameBounds:
     """Check ``tol``, compute the bounds when none are given, refuse non-frames."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
+    _check_tol(tol)
     if bounds is None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotAFrameWarning)
@@ -209,25 +238,34 @@ def inverse_solve(
     g: Signal,
     lat: GaborLattice,
     rhs: Signal,
-    method: str = "cg",
+    method: str | None = None,
     tol: float = 1e-10,
     max_iter: int | None = None,
     bounds: FrameBounds | None = None,
 ) -> tuple[Signal, SolverReport]:
     """Solve ``S x = rhs`` for the frame operator of ``g``; returns the report too.
 
-    ``cg`` is matrix-free on the multiplier table; ``dense`` factors the full
+    ``fiber`` (the default) solves each fiber block and reports the residual
+    of the full operator's ``apply``; ``cg`` is matrix-free on the multiplier
+    table and the default above ``FIBER_LIMIT``; ``dense`` factors the full
     matrix.  Raises ``DomainError`` for a tolerance that is not finite and
     positive, ``NotAFrameError`` when the lower frame bound vanishes and
     ``ConvergenceError`` on an exhausted iteration budget.
     """
+    method = _method_for(method, lat, "cg")
     _frame_or_raise(g, lat, bounds, tol)
     L = lat.grid.L
-    if max_iter is None:
-        max_iter = max(1000, 10 * L)
+    if method == "fiber":
+        W = walnut_coefficients(g, lat)
+        blocks, J = W.fibers()
+        x = np.empty(L, dtype=complex)
+        x[J] = np.linalg.solve(blocks, rhs.samples[J][..., None])[..., 0]
+        rel = float(
+            np.linalg.norm(W.apply(x) - rhs.samples)
+            / max(np.linalg.norm(rhs.samples), 1e-300)
+        )
+        return Signal(lat.grid, x), SolverReport("fiber", 1, np.array([rel]), True)
     if method == "dense":
-        if L > DENSE_LIMIT:
-            raise SizeError(f"dense solve limited to L <= {DENSE_LIMIT}, got {L}")
         S = dense_frame_matrix(g, lat)
         x = np.linalg.solve(S, rhs.samples)
         rel = float(
@@ -235,8 +273,8 @@ def inverse_solve(
             / max(np.linalg.norm(rhs.samples), 1e-300)
         )
         return Signal(lat.grid, x), SolverReport("dense", 1, np.array([rel]), True)
-    if method != "cg":
-        raise ValueError(f"unknown method {method!r}")
+    if max_iter is None:
+        max_iter = max(1000, 10 * L)
     W = walnut_coefficients(g, lat)
     x, hist, ok = _cg_hermitian(W.apply, rhs.samples, tol, max_iter)
     if not ok:
@@ -247,7 +285,7 @@ def inverse_solve(
     return Signal(lat.grid, x), SolverReport(method, len(hist), hist, True)
 
 
-def dual_window(g: Signal, lat: GaborLattice, method: str = "cg",
+def dual_window(g: Signal, lat: GaborLattice, method: str | None = None,
                 tol: float = 1e-10) -> Signal:
     """Canonical dual window: the solution of ``S gd = g``."""
     return inverse_solve(g, lat, g, method=method, tol=tol)[0]
@@ -295,49 +333,68 @@ CONTOUR_NODES_START = 16
 CONTOUR_NODES_MAX = 4096
 
 
-def tight_window(g: Signal, lat: GaborLattice, method: str = "contour",
+def _contour_inverse_sqrt(A: float, B: float, tol: float, resolvent):
+    """Contour quadrature of ``S^{-1/2} X`` for a spectrum inside ``[A, B]``.
+
+    ``resolvent(lam)`` returns ``(lam I - S)^{-1} X``.  Trapezoid rule on the
+    circle around ``[A, B]``, doubling the node count from
+    ``CONTOUR_NODES_START`` until two successive levels agree to ``tol``
+    (cap ``CONTOUR_NODES_MAX``).
+    """
+    prev = None
+    n = CONTOUR_NODES_START
+    while n <= CONTOUR_NODES_MAX:
+        lam, dweight = _contour_nodes(A, B, n)
+        acc = sum(wgt * lm ** -0.5 * resolvent(lm)
+                  for lm, wgt in zip(lam, dweight))
+        if prev is not None:
+            delta = np.linalg.norm(acc - prev) / max(np.linalg.norm(acc), 1e-300)
+            if delta < tol:
+                return acc
+        prev = acc
+        n *= 2
+    raise ConvergenceError(
+        f"contour quadrature did not settle within {n // 2} nodes "
+        f"(B/A = {B / A:.3g}, tol {tol:.1e})"
+    )
+
+
+def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
                  tol: float = 1e-10) -> Signal:
     """Canonical tight window: the inverse square root of the frame operator
     applied to ``g``.
 
-    ``dense`` diagonalizes and maps eigenvalues through the principal inverse
-    square root (the oracle).  ``contour`` evaluates the same function as a
-    circle integral around the spectrum with the trapezoid rule, doubling the
-    node count from 16 until two successive levels agree to ``tol`` (cap
-    4096); every node needs one shifted solve, done matrix-free.  A
-    tolerance that is not finite and positive raises ``DomainError``.
+    ``fiber`` (the default) diagonalizes each fiber block and maps its
+    eigenvalues through ``ev**-0.5``; ``dense`` does the same on the full
+    matrix (the oracle).  ``contour``, the default above ``FIBER_LIMIT``,
+    evaluates the same function as a circle integral around the spectrum
+    with the trapezoid rule (see :func:`_contour_inverse_sqrt`); every node
+    needs one shifted solve, done matrix-free.  A tolerance that is not
+    finite and positive raises ``DomainError``.
     """
+    method = _method_for(method, lat, "contour")
     bounds = _frame_or_raise(g, lat, None, tol)
     L = lat.grid.L
+    if method == "fiber":
+        blocks, J = walnut_coefficients(g, lat).fibers()
+        ev, V = np.linalg.eigh(blocks)
+        c = (V.conj().swapaxes(1, 2) @ g.samples[J][..., None])[..., 0]
+        y = np.empty(L, dtype=complex)
+        y[J] = (V @ (c / np.sqrt(ev))[..., None])[..., 0]
+        return Signal(lat.grid, y)
     if method == "dense":
-        if L > DENSE_LIMIT:
-            raise SizeError(f"dense tight window limited to L <= {DENSE_LIMIT}")
         S = dense_frame_matrix(g, lat)
         ev, V = np.linalg.eigh(S)
         y = V @ ((V.conj().T @ g.samples) / np.sqrt(ev))
         return Signal(lat.grid, y)
-    if method != "contour":
-        raise ValueError(f"unknown method {method!r}")
     W = walnut_coefficients(g, lat)
     inner_tol = max(tol * 1e-2, 1e-13)
     max_iter = max(2000, 20 * L)
-    prev = None
-    n = CONTOUR_NODES_START
-    while n <= CONTOUR_NODES_MAX:
-        lam, dweight = _contour_nodes(bounds.A, bounds.B, n)
-        acc = np.zeros(L, dtype=complex)
-        for lm, wgt in zip(lam, dweight):
-            x = _resolvent_cgnr(W.apply, lm, g.samples, inner_tol, max_iter)
-            acc += wgt * lm ** -0.5 * x
-        if prev is not None:
-            delta = np.linalg.norm(acc - prev) / max(np.linalg.norm(acc), 1e-300)
-            if delta < tol:
-                return Signal(lat.grid, acc)
-        prev = acc
-        n *= 2
-    raise ConvergenceError(
-        f"contour quadrature did not settle within {CONTOUR_NODES_MAX} nodes"
+    y = _contour_inverse_sqrt(
+        bounds.A, bounds.B, tol,
+        lambda lm: _resolvent_cgnr(W.apply, lm, g.samples, inner_tol, max_iter),
     )
+    return Signal(lat.grid, y)
 
 
 def inverse_sqrt_matrix_contour(S: np.ndarray, A: float, B: float,
@@ -347,26 +404,11 @@ def inverse_sqrt_matrix_contour(S: np.ndarray, A: float, B: float,
     Resolvents are dense solves here; used to check the quadrature against
     the eigendecomposition at matrix level.
     """
-    L = S.shape[0]
     if A <= 0.0:
         raise NotAFrameError("inverse square root needs a positive lower bound")
-    eye = np.eye(L, dtype=complex)
-    prev = None
-    n = CONTOUR_NODES_START
-    while n <= CONTOUR_NODES_MAX:
-        lam, dweight = _contour_nodes(A, B, n)
-        acc = np.zeros((L, L), dtype=complex)
-        for lm, wgt in zip(lam, dweight):
-            acc += wgt * lm ** -0.5 * np.linalg.solve(lm * eye - S, eye)
-        if prev is not None:
-            delta = np.linalg.norm(acc - prev) / max(np.linalg.norm(acc), 1e-300)
-            if delta < tol:
-                return acc
-        prev = acc
-        n *= 2
-    raise ConvergenceError(
-        f"contour quadrature did not settle within {CONTOUR_NODES_MAX} nodes"
-    )
+    eye = np.eye(S.shape[0], dtype=complex)
+    return _contour_inverse_sqrt(
+        A, B, tol, lambda lm: np.linalg.solve(lm * eye - S, eye))
 
 
 def verify_reconstruction(g: Signal, gd: Signal, lat: GaborLattice,

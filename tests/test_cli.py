@@ -110,14 +110,15 @@ def test_dual_method_override_and_convergence_exit_5(tmp_path, capsys,
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.cfg", L=64, s=8, a=4, b=4,
                        window="gaussian", window_extra="width = 1.0", out=out,
-                       extra="[dual]\nmethod = dense")
+                       extra="[dual]\nmethod = dense\n\n[tight]\nmethod = contour")
     assert main(["dual", "--config", cfg]) == 0
     rows = list(csv.DictReader((out / "solver.csv").open()))
     assert len(rows) == 1  # the dense solve reports a single residual
     # one quadrature level can never agree with a previous one
     monkeypatch.setattr(invert, "CONTOUR_NODES_MAX", invert.CONTOUR_NODES_START)
     assert main(["tight", "--config", cfg]) == 5
-    assert "ConvergenceError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ConvergenceError" in err and "B/A" in err
 
 
 def test_tight_scalar_instance(tmp_path):
@@ -254,3 +255,34 @@ def test_unknown_method_exits_2(tmp_path, capsys, command, method):
                        extra=f"[{command}]\nmethod = {method}")
     assert main([command, "--config", cfg]) == 2
     assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,method", [("dual", "fiber"), ("dual", "cg"),
+                                            ("dual", "dense"), ("tight", "fiber"),
+                                            ("tight", "contour"),
+                                            ("tight", "dense")])
+def test_each_library_method_accepted(tmp_path, command, method):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", out=out,
+                       extra=f"[{command}]\nmethod = {method}")
+    assert main([command, "--config", cfg]) == 0
+    payload = json.loads((out / f"{command}.json").read_text())
+    assert payload["reconstruction_residual"] < 1e-8
+
+
+def test_tight_not_a_frame_above_dense_limit_exits_3(tmp_path, capsys):
+    # redundancy 1/2 at L = 2048: the fiber bounds see the rank deficit
+    cfg = write_config(tmp_path / "run.cfg", L=2048, s=16, a=64, b=64,
+                       window="gaussian", window_extra="width = 1.0",
+                       out=tmp_path / "out")
+    assert main(["tight", "--config", cfg]) == 3
+    assert "NotAFrameError" in capsys.readouterr().err
+
+
+def test_fiber_above_its_limit_exits_2(tmp_path, capsys, monkeypatch):
+    from gaborwalnut import invert
+    monkeypatch.setattr(invert, "FIBER_LIMIT", 16)  # the instance has L*b = 32
+    cfg = write_config(tmp_path / "run.cfg", L=16, out=tmp_path / "out",
+                       extra="[dual]\nmethod = fiber")
+    assert main(["dual", "--config", cfg]) == 2
+    assert "SizeError" in capsys.readouterr().err

@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gaborwalnut import invert
 from gaborwalnut import (
     ConvergenceError,
     DomainError,
@@ -186,6 +191,9 @@ class TestApplyInverse:
             inverse_solve(g, lat, g, tol=tol)
         with pytest.raises(DomainError):
             tight_window(g, lat, tol=tol)
+        for method in (None, "fiber", "dense", "power_iteration"):
+            with pytest.raises(DomainError):
+                frame_bounds(g, lat, method=method, tol=tol)
 
 
 class TestTightWindow:
@@ -193,6 +201,8 @@ class TestTightWindow:
         g, lat = chi_lat
         gt = tight_window(g, lat, method="contour", tol=1e-10)
         assert np.max(np.abs(gt.samples - g.samples / np.sqrt(2))) < 1e-10
+        gt_fiber = tight_window(g, lat)
+        assert np.max(np.abs(gt_fiber.samples - g.samples / np.sqrt(2))) < 1e-12
         gt_dense = tight_window(g, lat, method="dense")
         assert np.max(np.abs(gt_dense.samples - g.samples / np.sqrt(2))) < 1e-12
 
@@ -214,6 +224,14 @@ class TestTightWindow:
         g = build_window(WindowSpec.characteristic(1.0), grid)
         with pytest.raises(NotAFrameError):
             tight_window(g, GaborLattice(grid, 4, 4))
+
+    def test_contour_error_names_conditioning_and_nodes(self, gauss64,
+                                                        monkeypatch):
+        g, lat = gauss64
+        monkeypatch.setattr(invert, "CONTOUR_NODES_MAX",
+                            invert.CONTOUR_NODES_START)
+        with pytest.raises(ConvergenceError, match=r"within 16 nodes \(B/A = "):
+            tight_window(g, lat, method="contour")
 
     def test_spectral_mapping(self):
         # matrix-level quadrature: eigenvalues map through the inverse root
@@ -248,17 +266,137 @@ class TestReconstruction:
 
 
 class TestAboveDenseLimit:
-    def test_power_bounds_cg_dual_and_reconstruction(self):
-        # L = 2048 > DENSE_LIMIT: the default bounds method is power
-        # iteration and no dense matrix is ever formed
+    def test_default_bounds_cg_dual_and_reconstruction(self):
+        # L = 2048 > DENSE_LIMIT: the default bounds method is fiber and no
+        # dense matrix is ever formed
         grid = build_grid(2048, 16)
         lat = GaborLattice(grid, 16, 16)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
         fb = frame_bounds(g, lat)
-        assert fb.method == "power_iteration"
+        assert fb.method == "fiber"
         assert 0 < fb.A <= fb.B
         gd, report = inverse_solve(g, lat, g, method="cg", bounds=fb)
         Sgd = frame_operator_walnut(walnut_coefficients(g, lat), gd)
         assert np.linalg.norm(Sgd.samples - g.samples) / \
             np.linalg.norm(g.samples) <= 1e-9
         assert verify_reconstruction(g, gd, lat, trials=1) <= 1e-8
+
+    def test_fiber_against_matrix_free_paths(self):
+        # L = 2048, alpha = 2, beta = 1/8: B/A is about 268
+        grid = build_grid(2048, 16)
+        lat = GaborLattice(grid, 32, 16)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        fb = frame_bounds(g, lat)
+        fp = frame_bounds(g, lat, method="power_iteration")
+        assert fb.method == "fiber" and fb.B / fb.A > 200
+        assert fb.A == pytest.approx(fp.A, rel=1e-8)
+        assert fb.B == pytest.approx(fp.B, rel=1e-8)
+        gd, report = inverse_solve(g, lat, g, bounds=fb)
+        assert report.method == "fiber" and report.residuals[-1] <= 1e-12
+        gc = inverse_solve(g, lat, g, method="cg", bounds=fb)[0]
+        assert np.linalg.norm(gd.samples - gc.samples) / \
+            np.linalg.norm(gc.samples) <= 1e-9
+        gt = tight_window(g, lat)
+        assert verify_reconstruction(gt, gt, lat, trials=1) <= 1e-8
+        ft = frame_bounds(gt, lat)
+        assert abs(ft.A - 1) <= 1e-12 and abs(ft.B - 1) <= 1e-12
+
+    def test_north_star_size_invariants(self):
+        # L = 16384, b = 64: S gd = g through the Walnut apply, and the
+        # tight window has bounds 1
+        grid = build_grid(16384, 16)
+        lat = GaborLattice(grid, 32, 64)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        gd = inverse_solve(g, lat, g)[0]
+        Sgd = walnut_coefficients(g, lat).apply(gd.samples)
+        assert np.linalg.norm(Sgd - g.samples) / np.linalg.norm(g.samples) <= 1e-12
+        ft = frame_bounds(tight_window(g, lat), lat)
+        assert ft.method == "fiber"
+        assert abs(ft.A - 1) <= 1e-12 and abs(ft.B - 1) <= 1e-12
+
+    def test_undersampled_is_not_a_frame(self):
+        # redundancy 1/2: S has rank L/2, so every solve is refused
+        grid = build_grid(2048, 16)
+        lat = GaborLattice(grid, 64, 64)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        with pytest.raises(NotAFrameError):
+            tight_window(g, lat)
+        with pytest.raises(NotAFrameError):
+            inverse_solve(g, lat, g)
+
+
+class TestFiberLimit:
+    def test_explicit_fiber_refused_default_falls_back(self, gauss64,
+                                                      monkeypatch):
+        g, lat = gauss64  # L*b = 256
+        monkeypatch.setattr(invert, "FIBER_LIMIT", 128)
+        with pytest.raises(SizeError):
+            frame_bounds(g, lat, method="fiber")
+        with pytest.raises(SizeError):
+            inverse_solve(g, lat, g, method="fiber")
+        with pytest.raises(SizeError):
+            tight_window(g, lat, method="fiber")
+        assert frame_bounds(g, lat).method == "power_iteration"
+        assert inverse_solve(g, lat, g)[1].method == "cg"
+
+
+def _oracle_windows(grid, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        "chi": build_window(WindowSpec.characteristic(1.0), grid),
+        "gaussian": build_window(WindowSpec.gaussian(width=1.0), grid),
+        "hat": build_window(WindowSpec.hat(), grid),
+        "random": Signal(grid, rng.standard_normal(grid.L)
+                         + 1j * rng.standard_normal(grid.L)),
+    }
+
+
+def _fiber_vs_dense(g, lat):
+    """Worst disagreement of fiber with the dense oracle, as a multiple of
+    its tolerance (so at most 1 passes).
+
+    Bounds count against ``B``.  Dual and tight windows count relative to
+    the dense ones and against ``max(1e-12, eps * B/A)``: on a frame with
+    condition number ``B/A`` both computations carry a forward error of
+    order ``eps * B/A``, so neither is closer to the truth than that.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotAFrameWarning)
+        fd = frame_bounds(g, lat, method="dense")
+        ff = frame_bounds(g, lat, method="fiber")
+    assert ff.not_a_frame == fd.not_a_frame
+    worst = max(abs(ff.A - fd.A), abs(ff.B - fd.B)) / max(fd.B, 1e-300) / 1e-12
+    if fd.not_a_frame:
+        return worst
+    scale = max(1e-12, np.finfo(float).eps * fd.B / fd.A)
+    for solve in (lambda m: inverse_solve(g, lat, g, method=m)[0],
+                  lambda m: tight_window(g, lat, method=m)):
+        x, ref = solve("fiber").samples, solve("dense").samples
+        worst = max(worst,
+                    np.linalg.norm(x - ref) / np.linalg.norm(ref) / scale)
+    return worst
+
+
+class TestFiberOracle:
+    @pytest.mark.parametrize("L,s", [(48, 4), (64, 8)])
+    def test_every_divisor_lattice(self, L, s):
+        grid = build_grid(L, s)
+        divisors = [d for d in range(1, L + 1) if L % d == 0]
+        worst = 0.0
+        for g in _oracle_windows(grid, seed=L).values():
+            for a in divisors:
+                for b in divisors:
+                    worst = max(worst, _fiber_vs_dense(g, GaborLattice(grid, a, b)))
+        assert worst <= 1.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(L=st.sampled_from([96, 128, 240, 256, 512, 1024]),
+           data=st.data(), seed=st.integers(0, 2**16))
+    def test_divisor_lattice_sweep(self, L, data, seed):
+        divisors = [d for d in range(1, L + 1) if L % d == 0]
+        a = data.draw(st.sampled_from(divisors))
+        b = data.draw(st.sampled_from(divisors))
+        grid = build_grid(L, 16)
+        rng = np.random.default_rng(seed)
+        g = Signal(grid, rng.standard_normal(L) + 1j * rng.standard_normal(L))
+        assert _fiber_vs_dense(g, GaborLattice(grid, a, b)) <= 1.0
