@@ -198,11 +198,13 @@ def _dual_like(cfg: RunConfig, which: str) -> int:
             raise ParseError(f"unknown {which} method {method!r}")
     out = _prepare_out(cfg)
     lat = cfg.lattice
+    extra = {}
     if which == "dual":
         gd, solver = inverse_solve(cfg.window, lat, cfg.window,
                                    method=method, tol=cfg.tol)
         reports.write_solver_csv(solver, out / "solver.csv")
         name = "dual_window.txt"
+        extra["solver_converged"] = solver.converged
     else:
         gd = tight_window(cfg.window, lat, method=method, tol=cfg.tol)
         name = "tight_window.txt"
@@ -221,6 +223,7 @@ def _dual_like(cfg: RunConfig, which: str) -> int:
             "amalgam_norm": amalgam_norm(gd, lat.a, cfg.weight),
             "l2_norm": norm_l2(gd),
             "seed": cfg.seed,
+            **extra,
         },
         out / f"{which}.json",
     )

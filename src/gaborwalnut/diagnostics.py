@@ -21,7 +21,6 @@ from .core import (
     Grid,
     Signal,
     Weight,
-    inner_product,
     signed_range,
     signed_rep,
     tf_shift,
@@ -192,13 +191,22 @@ def mixed_bracket(g: Signal, gd: Signal, lat: GaborLattice, k: int) -> PeriodicV
 
 
 def _bracket_table(f: Signal, h: Signal, lat: GaborLattice) -> np.ndarray:
-    """Rows ``n = 0..N-1`` of ``[f, T_{n*a} h]`` at period ``M``."""
-    return np.stack(
-        [
-            bracket_product(f, tf_shift(h, n * lat.a, 0), lat.M).values
-            for n in range(lat.N)
-        ]
-    )
+    """Rows ``n = 0..N-1`` of ``[f, T_{n*a} h]`` at period ``M``.
+
+    ``T_{n*a} h`` is read as the window of ``conj(h)`` concatenated with
+    itself at offset ``L - n*a``; rows are formed and folded in chunks of
+    about ``2**16`` entries, so no ``N x L`` array is held.
+    """
+    L, M, a, N = lat.grid.L, lat.M, lat.a, lat.N
+    hh = np.conj(np.concatenate([h.samples, h.samples]))
+    windows = np.lib.stride_tricks.sliding_window_view(hh, L)
+    step = max(1, 2**16 // L)
+    out = np.empty((N, M), dtype=complex)
+    for n0 in range(0, N, step):
+        n = np.arange(n0, min(n0 + step, N))
+        prod = f.samples * windows[L - n * a]
+        out[n0:n0 + len(n)] = prod.reshape(len(n), L // M, M).sum(axis=1)
+    return out
 
 
 def bracket_series(f: Signal, h: Signal, lat: GaborLattice, w: Weight) -> np.ndarray:
@@ -218,22 +226,29 @@ def convo_identity_residual(g: Signal, gd: Signal, lat: GaborLattice) -> Identit
     compares ``[gd, T_{k*a} g](x)`` with
     ``(M/s) * sum_n conj([g, T_{n*a} g])(x - k*a) * [gd, T_{(k+n)*a} gd](x)``.
     Exact (to rounding) when ``gd`` is the canonical dual of ``g``.
+
+    Costs ``N**2 * M`` products.  Only the three bracket tables of ``N x M``
+    entries (``L`` times the redundancy) are held, each beside a copy
+    concatenated with itself whose slices give the shifted terms.
     """
     if g.grid != gd.grid or g.grid != lat.grid:
         raise GridMismatchError("windows and lattice must share one grid")
     M, N = lat.M, lat.N
-    Bg = _bracket_table(g, g, lat)
+    mixed = _bracket_table(gd, g, lat)
+    cBg = np.conj(_bracket_table(g, g, lat))
+    cBg2 = np.concatenate([cBg, cBg], axis=1)
     Bgd = _bracket_table(gd, gd, lat)
+    Bgd2 = np.concatenate([Bgd, Bgd])
     worst = -1.0
     worst_k = worst_x = 0
     for k in sorted(signed_range(N)):
-        lhs = bracket_product(gd, tf_shift(g, k * lat.a, 0), M).values
+        # columns x - k*a of conj(Bg) and rows k + n of Bgd, for every n
         shift = (k * lat.a) % M
-        rows = np.stack([Bgd[(k + n) % N] for n in range(N)])
+        n0 = k % N
         rhs = (lat.M / lat.grid.s) * np.sum(
-            np.roll(np.conj(Bg), shift, axis=1) * rows, axis=0
+            cBg2[:, M - shift:2 * M - shift] * Bgd2[n0:n0 + N], axis=0
         )
-        err = np.abs(lhs - rhs)
+        err = np.abs(mixed[n0] - rhs)
         x = int(np.argmax(err))
         if float(err[x]) > worst:
             worst = float(err[x])
@@ -308,7 +323,8 @@ def counterexample_report(
     ``h`` against the adjoint-lattice shifts of ``g`` (integer-unit
     translations, even-unit-frequency modulations) together with the
     half-unit block profile of ``h``.  The inner products vanish by exact
-    geometric cancellation whenever ``s`` is even.
+    geometric cancellation whenever ``s`` is even.  They are direct sums:
+    one ``(s/2) x L`` matrix-vector product per integer-unit translate.
     """
     grid = lat.grid
     K, s = grid.units, grid.s
@@ -321,13 +337,16 @@ def counterexample_report(
         )
     if h.grid != grid or g.grid != grid:
         raise GridMismatchError("signals and lattice must share one grid")
-    j = np.arange(grid.L)
+    L = grid.L
+    j = np.arange(L)
+    m = np.arange(s // 2)[:, None]
+    # row m: h times the conjugate of the modulation by 2*m*K bins
+    hm = np.exp(-2j * np.pi * (2 * m * K % L) * j / L) * h.samples
+    gg = np.conj(np.concatenate([g.samples, g.samples]))
     max_inner = 0.0
-    for m in range(s // 2):
-        mod = np.exp(2j * np.pi * (2 * m * K % grid.L) * j / grid.L)
-        for n in range(K):
-            shifted = Signal(grid, mod * np.roll(g.samples, n * s))
-            max_inner = max(max_inner, abs(inner_product(h, shifted)))
+    for n in range(K):
+        inner = hm @ gg[L - n * s:2 * L - n * s] / s
+        max_inner = max(max_inner, float(np.abs(inner).max()))
     profile = amalgam_profile(h, s // 2, w)
     return max_inner, profile
 

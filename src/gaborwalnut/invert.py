@@ -141,6 +141,14 @@ def _power_extreme(apply_op, L: int, tol: float, max_iter: int, seed: int = 0) -
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
 
 
+def _bounds(A: float, B: float, method: str) -> FrameBounds:
+    """Bounds from extreme eigenvalue estimates, with the not-a-frame rule."""
+    A = max(A, 0.0)
+    B = max(B, A)
+    return FrameBounds(A=A, B=B, method=method,
+                       not_a_frame=A <= NOT_A_FRAME_RTOL * B)
+
+
 def frame_bounds(
     g: Signal,
     lat: GaborLattice,
@@ -178,16 +186,15 @@ def frame_bounds(
             return mu * v - W.apply(v)
 
         A = mu - _power_extreme(shifted, L, tol, max_iter, seed=seed + 1)
-    A = max(A, 0.0)
-    B = max(B, A)
-    not_frame = A <= NOT_A_FRAME_RTOL * B
-    if not_frame:
+    bounds = _bounds(A, B, method)
+    if bounds.not_a_frame:
         warnings.warn(
-            f"lower frame bound {A:.3e} vanishes relative to upper {B:.3e}",
+            f"lower frame bound {bounds.A:.3e} vanishes relative to upper "
+            f"{bounds.B:.3e}",
             NotAFrameWarning,
             stacklevel=2,
         )
-    return FrameBounds(A=A, B=B, method=method, not_a_frame=not_frame)
+    return bounds
 
 
 def _cg_hermitian(apply_op, rhs: np.ndarray, tol: float, max_iter: int):
@@ -221,8 +228,7 @@ def _cg_hermitian(apply_op, rhs: np.ndarray, tol: float, max_iter: int):
 
 def _frame_or_raise(g: Signal, lat: GaborLattice, bounds: FrameBounds | None,
                     tol: float) -> FrameBounds:
-    """Check ``tol``, compute the bounds when none are given, refuse non-frames."""
-    _check_tol(tol)
+    """Compute the bounds when none are given and refuse non-frames."""
     if bounds is None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotAFrameWarning)
@@ -246,25 +252,33 @@ def inverse_solve(
     """Solve ``S x = rhs`` for the frame operator of ``g``; returns the report too.
 
     ``fiber`` (the default) solves each fiber block and reports the residual
-    of the full operator's ``apply``; ``cg`` is matrix-free on the multiplier
-    table and the default above ``FIBER_LIMIT``; ``dense`` factors the full
-    matrix.  Raises ``DomainError`` for a tolerance that is not finite and
-    positive, ``NotAFrameError`` when the lower frame bound vanishes and
-    ``ConvergenceError`` on an exhausted iteration budget.
+    of the full operator's ``apply``; without ``bounds`` it takes them from
+    the same blocks.  ``cg`` is matrix-free on the multiplier table and the
+    default above ``FIBER_LIMIT``; ``dense`` factors the full matrix.  For
+    the direct methods the report's ``converged`` says whether that residual
+    is at most ``tol``.  Raises ``DomainError`` for a tolerance that is not
+    finite and positive, ``NotAFrameError`` when the lower frame bound
+    vanishes and ``ConvergenceError`` on an exhausted iteration budget.
     """
     method = _method_for(method, lat, "cg")
-    _frame_or_raise(g, lat, bounds, tol)
+    _check_tol(tol)
     L = lat.grid.L
     if method == "fiber":
         W = walnut_coefficients(g, lat)
         blocks, J = W.fibers()
+        if bounds is None:
+            ev = np.linalg.eigvalsh(blocks)
+            bounds = _bounds(float(ev.min()), float(ev.max()), "fiber")
+        _frame_or_raise(g, lat, bounds, tol)
         x = np.empty(L, dtype=complex)
         x[J] = np.linalg.solve(blocks, rhs.samples[J][..., None])[..., 0]
         rel = float(
             np.linalg.norm(W.apply(x) - rhs.samples)
             / max(np.linalg.norm(rhs.samples), 1e-300)
         )
-        return Signal(lat.grid, x), SolverReport("fiber", 1, np.array([rel]), True)
+        return Signal(lat.grid, x), SolverReport("fiber", 1, np.array([rel]),
+                                                 bool(rel <= tol))
+    _frame_or_raise(g, lat, bounds, tol)
     if method == "dense":
         S = dense_frame_matrix(g, lat)
         x = np.linalg.solve(S, rhs.samples)
@@ -272,7 +286,8 @@ def inverse_solve(
             np.linalg.norm(S @ x - rhs.samples)
             / max(np.linalg.norm(rhs.samples), 1e-300)
         )
-        return Signal(lat.grid, x), SolverReport("dense", 1, np.array([rel]), True)
+        return Signal(lat.grid, x), SolverReport("dense", 1, np.array([rel]),
+                                                 bool(rel <= tol))
     if max_iter is None:
         max_iter = max(1000, 10 * L)
     W = walnut_coefficients(g, lat)
@@ -364,24 +379,28 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     """Canonical tight window: the inverse square root of the frame operator
     applied to ``g``.
 
-    ``fiber`` (the default) diagonalizes each fiber block and maps its
-    eigenvalues through ``ev**-0.5``; ``dense`` does the same on the full
-    matrix (the oracle).  ``contour``, the default above ``FIBER_LIMIT``,
-    evaluates the same function as a circle integral around the spectrum
-    with the trapezoid rule (see :func:`_contour_inverse_sqrt`); every node
-    needs one shifted solve, done matrix-free.  A tolerance that is not
+    ``fiber`` (the default) diagonalizes each fiber block, takes the frame
+    bounds from those eigenvalues and maps them through ``ev**-0.5``;
+    ``dense`` does the same on the full matrix (the oracle).  ``contour``,
+    the default above ``FIBER_LIMIT``, evaluates the same function as a
+    circle integral around the spectrum with the trapezoid rule (see
+    :func:`_contour_inverse_sqrt`); every node needs one shifted solve, done
+    matrix-free.  A tolerance that is not
     finite and positive raises ``DomainError``.
     """
     method = _method_for(method, lat, "contour")
-    bounds = _frame_or_raise(g, lat, None, tol)
+    _check_tol(tol)
     L = lat.grid.L
     if method == "fiber":
         blocks, J = walnut_coefficients(g, lat).fibers()
         ev, V = np.linalg.eigh(blocks)
+        _frame_or_raise(g, lat, _bounds(float(ev.min()), float(ev.max()),
+                                        "fiber"), tol)
         c = (V.conj().swapaxes(1, 2) @ g.samples[J][..., None])[..., 0]
         y = np.empty(L, dtype=complex)
         y[J] = (V @ (c / np.sqrt(ev))[..., None])[..., 0]
         return Signal(lat.grid, y)
+    bounds = _frame_or_raise(g, lat, None, tol)
     if method == "dense":
         S = dense_frame_matrix(g, lat)
         ev, V = np.linalg.eigh(S)

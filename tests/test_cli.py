@@ -94,6 +94,7 @@ def test_dual_scalar_instance(tmp_path):
     assert np.max(np.abs(gd.samples - expect)) < 1e-12
     payload = json.loads((out / "dual.json").read_text())
     assert payload["reconstruction_residual"] < 1e-10
+    assert payload["solver_converged"] is True
     assert (out / "summability.json").exists()
     assert (out / "solver.csv").exists()
 
@@ -164,6 +165,24 @@ def test_verify_corrupted_dual_exits_4(tmp_path, capsys):
     assert "ContractViolationError" in capsys.readouterr().err
     payload = json.loads((out / "verify.json").read_text())
     assert payload["passed"] is False
+
+
+@pytest.mark.parametrize("mode,code", [("canonical", 0), ("generator", 4)])
+def test_verify_above_dense_limit(tmp_path, mode, code):
+    # L = 4096 (a = 16, b = 32): the identity over N = 256 time shifts
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=4096, s=16, a=16, b=32,
+                       window="gaussian", window_extra="width = 1.0",
+                       weight="polynomial", weight_extra="t = 2", out=out,
+                       tol=1e-10, extra=f"[verify]\ndual = {mode}")
+    assert main(["verify", "--config", cfg]) == code
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["passed"] is (code == 0)
+    assert payload["norm_estimate_lhs"] <= payload["norm_estimate_rhs"]
+    if code == 0:
+        assert payload["max_abs_error"] < 1e-12
+    else:
+        assert payload["max_abs_error"] > 1e-2
 
 
 def test_counterexample(tmp_path):

@@ -26,11 +26,15 @@ from gaborwalnut import (
     forbound_check,
     forbound_slack,
     frame_operator_walnut,
+    inner_product,
     mixed_bracket,
+    signed_range,
     tf_shift,
     walnut_coefficients,
     walnut_weighted_sum,
 )
+from gaborwalnut.bracket import bracket_product
+from gaborwalnut.diagnostics import IdentityResidual, _bracket_table
 
 
 @pytest.fixture
@@ -204,6 +208,100 @@ class TestConvoIdentity:
                     gd = dual_window(g, lat, method="dense")
                     res = convo_identity_residual(g, gd, lat)
                     assert res.max_abs_error < 1e-9, (L, s, a, b)
+
+
+# Per-index loop versions of the bracket diagnostics, kept as references for
+# the sliced array code in the package.
+
+def _loop_bracket_table(f, h, lat):
+    return np.stack([
+        bracket_product(f, tf_shift(h, n * lat.a, 0), lat.M).values
+        for n in range(lat.N)
+    ])
+
+
+def _loop_convo_identity_residual(g, gd, lat):
+    M, N = lat.M, lat.N
+    Bg = _loop_bracket_table(g, g, lat)
+    Bgd = _loop_bracket_table(gd, gd, lat)
+    worst = -1.0
+    worst_k = worst_x = 0
+    for k in sorted(signed_range(N)):
+        lhs = bracket_product(gd, tf_shift(g, k * lat.a, 0), M).values
+        shift = (k * lat.a) % M
+        rows = np.stack([Bgd[(k + n) % N] for n in range(N)])
+        rhs = (lat.M / lat.grid.s) * np.sum(
+            np.roll(np.conj(Bg), shift, axis=1) * rows, axis=0
+        )
+        err = np.abs(lhs - rhs)
+        x = int(np.argmax(err))
+        if float(err[x]) > worst:
+            worst = float(err[x])
+            worst_k, worst_x = k, x
+    return IdentityResidual(max_abs_error=worst, worst_k=worst_k, worst_x=worst_x)
+
+
+def _loop_counterexample_inner(h, g, lat):
+    grid = lat.grid
+    K, s = grid.units, grid.s
+    j = np.arange(grid.L)
+    max_inner = 0.0
+    for m in range(s // 2):
+        mod = np.exp(2j * np.pi * (2 * m * K % grid.L) * j / grid.L)
+        for n in range(K):
+            shifted = Signal(grid, mod * np.roll(g.samples, n * s))
+            max_inner = max(max_inner, abs(inner_product(h, shifted)))
+    return max_inner
+
+
+class TestLoopEquivalence:
+    def test_tables_and_residual_bit_for_bit(self):
+        # the divisor-lattice sweep of TestConvoIdentity, a not dividing M
+        # included, with the canonical dual and an unrelated second window
+        rng = np.random.default_rng(21)
+        checked = 0
+        for L, s in ((24, 4), (36, 6), (32, 8)):
+            grid = build_grid(L, s)
+            divisors = [d for d in range(1, L + 1) if L % d == 0]
+            for a in divisors:
+                for b in divisors:
+                    if L // (a * b) < 1:
+                        continue
+                    g = rand_signal(grid, int(rng.integers(2**31)))
+                    lat = GaborLattice(grid, a, b)
+                    gd = dual_window(g, lat, method="dense")
+                    h = rand_signal(grid, int(rng.integers(2**31)))
+                    for f, k in ((g, g), (gd, gd), (gd, g), (h, g)):
+                        assert np.array_equal(_bracket_table(f, k, lat),
+                                              _loop_bracket_table(f, k, lat)), \
+                            (L, s, a, b)
+                    for other in (gd, h):
+                        assert convo_identity_residual(g, other, lat) == \
+                            _loop_convo_identity_residual(g, other, lat), \
+                            (L, s, a, b)
+                    checked += 1
+        assert checked > 40
+
+    @pytest.mark.parametrize("L,a,b", [(4096, 16, 32), (6000, 16, 24)])
+    def test_chunked_table_above_one_chunk(self, L, a, b):
+        # rows are folded 2**16 // L at a time: 16 chunks of 16 rows at
+        # L = 4096, and 37 chunks of 10 rows plus one of 5 at L = 6000
+        grid = build_grid(L, 16)
+        lat = GaborLattice(grid, a, b)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        h = rand_signal(grid, 5)
+        assert np.array_equal(_bracket_table(h, g, lat),
+                              _loop_bracket_table(h, g, lat))
+
+    @pytest.mark.parametrize("L,s", [(16, 4), (64, 8), (128, 8), (256, 16)])
+    def test_counterexample_inner_products(self, L, s):
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, s // 2, grid.units)
+        g = build_window(WindowSpec.characteristic(1.0), grid)
+        for h in (build_counterexample("harmonic", grid), g,
+                  rand_signal(grid, L)):
+            new, _ = counterexample_report(h, g, lat, Weight.constant())
+            assert abs(new - _loop_counterexample_inner(h, g, lat)) <= 1e-14
 
 
 class TestConvest:

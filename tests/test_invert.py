@@ -377,6 +377,89 @@ def _fiber_vs_dense(g, lat):
     return worst
 
 
+class TestFiberOnce:
+    """The fiber paths build the block stack once and take the bounds from it."""
+
+    @pytest.fixture
+    def fiber_calls(self, monkeypatch):
+        calls = []
+        fibers = invert.WalnutCoeffs.fibers
+
+        def counted(self):
+            calls.append(1)
+            return fibers(self)
+
+        monkeypatch.setattr(invert.WalnutCoeffs, "fibers", counted)
+        return calls
+
+    def test_inverse_solve_builds_one_stack(self, gauss64, fiber_calls):
+        g, lat = gauss64
+        f = rand_signal(lat.grid, 3)
+        x, rep = inverse_solve(g, lat, f)
+        assert len(fiber_calls) == 1 and rep.method == "fiber"
+        # the bounds come from the same blocks that are solved
+        blocks, J = walnut_coefficients(g, lat).fibers()
+        ref = np.empty(lat.grid.L, dtype=complex)
+        ref[J] = np.linalg.solve(blocks, f.samples[J][..., None])[..., 0]
+        assert np.array_equal(x.samples, ref)
+        fiber_calls.clear()
+        dual_window(g, lat)
+        assert len(fiber_calls) == 1
+
+    def test_tight_window_builds_one_stack(self, gauss64, fiber_calls):
+        g, lat = gauss64
+        gt = tight_window(g, lat)
+        assert len(fiber_calls) == 1
+        blocks, J = walnut_coefficients(g, lat).fibers()
+        ev, V = np.linalg.eigh(blocks)
+        c = (V.conj().swapaxes(1, 2) @ g.samples[J][..., None])[..., 0]
+        ref = np.empty(lat.grid.L, dtype=complex)
+        ref[J] = (V @ (c / np.sqrt(ev))[..., None])[..., 0]
+        assert np.array_equal(gt.samples, ref)
+
+    def test_supplied_bounds_skip_the_eigenvalues(self, gauss64, fiber_calls):
+        g, lat = gauss64
+        fb = frame_bounds(g, lat)
+        fiber_calls.clear()
+        x = inverse_solve(g, lat, g, bounds=fb)[0]
+        assert len(fiber_calls) == 1
+        assert np.array_equal(x.samples, inverse_solve(g, lat, g)[0].samples)
+
+    def test_non_frames_and_bad_tol_still_refused(self, fiber_calls):
+        grid = build_grid(8, 4)
+        g = build_window(WindowSpec.characteristic(1.0), grid)
+        lat = GaborLattice(grid, 4, 4)
+        with pytest.raises(NotAFrameError):
+            inverse_solve(g, lat, g, method="fiber")
+        with pytest.raises(NotAFrameError):
+            tight_window(g, lat, method="fiber")
+        fiber_calls.clear()
+        with pytest.raises(DomainError):
+            inverse_solve(g, lat, g, method="fiber", tol=float("nan"))
+        with pytest.raises(DomainError):
+            tight_window(g, lat, method="fiber", tol=-1.0)
+        assert fiber_calls == []
+
+
+class TestDirectSolveConverged:
+    """``converged`` of a fiber or dense solve is ``residual <= tol``."""
+
+    @pytest.mark.parametrize("method", ["fiber", "dense"])
+    def test_flag_follows_the_residual(self, method):
+        # the Gaussian at L = 48, a = 16, b = 2 of TestFiberOracle, B/A ~ 4e10
+        grid = build_grid(48, 4)
+        lat = GaborLattice(grid, 16, 2)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        fb = frame_bounds(g, lat)
+        assert fb.B / fb.A > 1e10
+        _, rep = inverse_solve(g, lat, g, method=method, tol=1e-12)
+        rel = rep.residuals[-1]
+        assert rep.converged is bool(rel <= 1e-12)
+        # a tolerance below the residual reached is reported as missed
+        _, rep = inverse_solve(g, lat, g, method=method, tol=rel / 2)
+        assert rep.residuals[-1] == rel and rep.converged is False
+
+
 class TestFiberOracle:
     @pytest.mark.parametrize("L,s", [(48, 4), (64, 8)])
     def test_every_divisor_lattice(self, L, s):
