@@ -78,6 +78,35 @@ def bracket_fourier_coeffs(f: Signal, h: Signal, p: int) -> np.ndarray:
     return np.fft.fft(pv.values) / p
 
 
+def _translates(h: np.ndarray, lat: GaborLattice):
+    """``T_{n*a} h`` for ``n = 0..N-1``, in chunks of about ``2**16`` entries.
+
+    Yields ``(n, rows)``: the row indices of one chunk and the
+    ``(len(n), L)`` translates, read as windows of ``h`` concatenated with
+    itself at offset ``L - n*a``, so no ``N x L`` array is held.
+    """
+    L = lat.grid.L
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([h, h]), L)
+    step = max(1, 2**16 // L)
+    for n0 in range(0, lat.N, step):
+        n = np.arange(n0, min(n0 + step, lat.N))
+        yield n, windows[L - n * lat.a]
+
+
+def _bracket_table(f: Signal, h: Signal, lat: GaborLattice) -> np.ndarray:
+    """Rows ``n = 0..N-1`` of ``[f, T_{n*a} h]`` at period ``M``.
+
+    The one builder of bracket tables: the Gabor coefficients are the DFTs of
+    its rows (``frame_op.analysis``) and the diagnostics read their
+    identities off it.  Rows are formed and folded chunk by chunk.
+    """
+    L, M = lat.grid.L, lat.M
+    out = np.empty((lat.N, M), dtype=complex)
+    for n, rows in _translates(np.conj(h.samples), lat):
+        out[n] = (f.samples * rows).reshape(len(n), L // M, M).sum(axis=1)
+    return out
+
+
 def correlation_G(g: Signal, lat: GaborLattice, r: int) -> PeriodicVector:
     """Window correlation multiplier ``G_r = [g, T_{r*M} g]_a`` for signed ``r``.
 

@@ -29,12 +29,13 @@ from .core import (
     norm_l2,
 )
 from .diagnostics import (
+    _convest,
+    _identity_residual,
+    _verify_tables,
     bracket_series,
     build_counterexample,
-    convo_identity_residual,
     counterexample_report,
     dual_summability_report,
-    estimate_convest,
 )
 from .errors import (
     ContractViolationError,
@@ -257,8 +258,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         gd = build_window(spec, cfg.grid)
     else:
         raise ParseError(f"unknown verify dual mode {mode!r}")
-    ident = convo_identity_residual(cfg.window, gd, lat)
-    lhs, rhs = estimate_convest(cfg.window, gd, lat, cfg.weight)
+    tables = _verify_tables(cfg.window, gd, lat)
+    ident = _identity_residual(lat, *tables)
+    lhs, rhs = _convest(lat, cfg.weight, *tables)
     ok = ident.max_abs_error < cfg.tol and lhs <= rhs
     reports.write_json(
         {

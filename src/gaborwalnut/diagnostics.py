@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .amalgam import AmalgamProfile, amalgam_norm, amalgam_profile
-from .bracket import PeriodicVector, bracket_product
+from .bracket import PeriodicVector, _bracket_table, bracket_product
 from .core import (
     GaborLattice,
     Grid,
@@ -190,33 +190,31 @@ def mixed_bracket(g: Signal, gd: Signal, lat: GaborLattice, k: int) -> PeriodicV
     return PeriodicVector(lat.M, (lat.M / lat.grid.s) * pv.values)
 
 
-def _bracket_table(f: Signal, h: Signal, lat: GaborLattice) -> np.ndarray:
-    """Rows ``n = 0..N-1`` of ``[f, T_{n*a} h]`` at period ``M``.
-
-    ``T_{n*a} h`` is read as the window of ``conj(h)`` concatenated with
-    itself at offset ``L - n*a``; rows are formed and folded in chunks of
-    about ``2**16`` entries, so no ``N x L`` array is held.
-    """
-    L, M, a, N = lat.grid.L, lat.M, lat.a, lat.N
-    hh = np.conj(np.concatenate([h.samples, h.samples]))
-    windows = np.lib.stride_tricks.sliding_window_view(hh, L)
-    step = max(1, 2**16 // L)
-    out = np.empty((N, M), dtype=complex)
-    for n0 in range(0, N, step):
-        n = np.arange(n0, min(n0 + step, N))
-        prod = f.samples * windows[L - n * a]
-        out[n0:n0 + len(n)] = prod.reshape(len(n), L // M, M).sum(axis=1)
-    return out
-
-
 def bracket_series(f: Signal, h: Signal, lat: GaborLattice, w: Weight) -> np.ndarray:
     """Running sums of ``sup|[f, T_{n*a} h]_M| * nu(n)`` over signed ``n``.
 
     The last entry is the weighted sup-norm series itself.
     """
-    sups = np.abs(_bracket_table(f, h, lat)).max(axis=1)
-    order = signed_range(lat.N)
-    return np.cumsum([float(sups[n]) * float(w(n)) for n in order])
+    return _series(_bracket_table(f, h, lat), lat, w)
+
+
+def _series(table: np.ndarray, lat: GaborLattice, w: Weight) -> np.ndarray:
+    sups = np.abs(table).max(axis=1)
+    return np.cumsum([float(sups[n]) * float(w(n)) for n in signed_range(lat.N)])
+
+
+def _verify_tables(
+    g: Signal, gd: Signal, lat: GaborLattice
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bracket tables ``[gd, T g]``, ``[g, T g]`` and ``[gd, T gd]``.
+
+    Both the convolution identity and the norm estimate read these three;
+    ``cli`` builds them once for both.
+    """
+    if g.grid != gd.grid or g.grid != lat.grid:
+        raise GridMismatchError("windows and lattice must share one grid")
+    return (_bracket_table(gd, g, lat), _bracket_table(g, g, lat),
+            _bracket_table(gd, gd, lat))
 
 
 def convo_identity_residual(g: Signal, gd: Signal, lat: GaborLattice) -> IdentityResidual:
@@ -231,13 +229,14 @@ def convo_identity_residual(g: Signal, gd: Signal, lat: GaborLattice) -> Identit
     entries (``L`` times the redundancy) are held, each beside a copy
     concatenated with itself whose slices give the shifted terms.
     """
-    if g.grid != gd.grid or g.grid != lat.grid:
-        raise GridMismatchError("windows and lattice must share one grid")
+    return _identity_residual(lat, *_verify_tables(g, gd, lat))
+
+
+def _identity_residual(lat: GaborLattice, mixed: np.ndarray, Bg: np.ndarray,
+                       Bgd: np.ndarray) -> IdentityResidual:
     M, N = lat.M, lat.N
-    mixed = _bracket_table(gd, g, lat)
-    cBg = np.conj(_bracket_table(g, g, lat))
+    cBg = np.conj(Bg)
     cBg2 = np.concatenate([cBg, cBg], axis=1)
-    Bgd = _bracket_table(gd, gd, lat)
     Bgd2 = np.concatenate([Bgd, Bgd])
     worst = -1.0
     worst_k = worst_x = 0
@@ -266,11 +265,14 @@ def estimate_convest(
     and ``gd``.  The contract ``lhs <= rhs`` holds for every even
     submultiplicative weight.
     """
-    if g.grid != gd.grid or g.grid != lat.grid:
-        raise GridMismatchError("windows and lattice must share one grid")
-    lhs = float(bracket_series(gd, g, lat, w)[-1])
-    sum_g = float(bracket_series(g, g, lat, w)[-1])
-    sum_gd = float(bracket_series(gd, gd, lat, w)[-1])
+    return _convest(lat, w, *_verify_tables(g, gd, lat))
+
+
+def _convest(lat: GaborLattice, w: Weight, mixed: np.ndarray, Bg: np.ndarray,
+             Bgd: np.ndarray) -> tuple[float, float]:
+    lhs = float(_series(mixed, lat, w)[-1])
+    sum_g = float(_series(Bg, lat, w)[-1])
+    sum_gd = float(_series(Bgd, lat, w)[-1])
     return lhs, (lat.M / lat.grid.s) * sum_g * sum_gd
 
 

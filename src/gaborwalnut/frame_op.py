@@ -1,8 +1,10 @@
 """Gabor analysis/synthesis, the frame operator, and its Walnut form.
 
-``frame_operator_direct`` evaluates the double sum over all lattice points
-and is the oracle every faster path is judged against.  The Walnut form
-collapses the modulation sum into ``b`` strided multiplier terms,
+``analysis`` and ``synthesis`` are length-``M`` DFTs of bracket tables at
+``O(N * L)`` cost.  ``frame_operator_direct`` evaluates the dense double sum
+over all lattice points and is the oracle every faster path is judged
+against.  The Walnut form collapses the modulation sum into ``b`` strided
+multiplier terms,
 
     ``S f(j) = (M/s) * sum_r G_r(j) * f(j - r*M)``,
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import correlation_G
+from .bracket import _bracket_table, _translates, correlation_G
 from .core import GaborLattice, Signal, Weight, signed_range
 from .errors import DimensionError, GridMismatchError, LatticeError
 from .amalgam import amalgam_norm
@@ -111,6 +113,40 @@ class WalnutCoeffs:
         return (self.factor * self.table)[rows, (J % lat.a)[:, :, None]], J
 
 
+def analysis(g: Signal, lat: GaborLattice, f: Signal) -> Coeffs:
+    """Gabor coefficients ``<f, M_{m*b} T_{n*a} g>`` for all lattice points.
+
+    Column ``n`` is the length-``M`` DFT of the bracket ``[f, T_{n*a} g]_M``
+    divided by ``s``, the identity of :func:`bracket_fourier_coeffs`.  The
+    bracket table costs ``O(N*L)`` products and the DFTs ``O(N*M*log M)``;
+    no ``M x L`` phase matrix is built.
+    """
+    if g.grid != f.grid or g.grid != lat.grid:
+        raise GridMismatchError("window, signal and lattice must share one grid")
+    table = _bracket_table(f, g, lat)
+    return Coeffs(lat, np.fft.fft(table, axis=1).T / lat.grid.s)
+
+
+def synthesis(g: Signal, lat: GaborLattice, c: Coeffs) -> Signal:
+    """Superposition ``sum_{m,n} c[m,n] * M_{m*b} T_{n*a} g``.
+
+    The reverse of :func:`analysis`: ``M * ifft(c[:, n])`` is one period of
+    the ``M``-periodic factor ``sum_m c[m,n] * exp(2*pi*i*m*j/M)`` that
+    multiplies ``T_{n*a} g``, and the products are folded over ``n`` chunk
+    by chunk.  Costs ``O(N*L + N*M*log M)``.
+    """
+    if g.grid != lat.grid:
+        raise GridMismatchError("window and lattice must share one grid")
+    if c.lat != lat:
+        raise DimensionError("coefficient matrix belongs to a different lattice")
+    L, M = lat.grid.L, lat.M
+    periods = M * np.fft.ifft(c.values, axis=0).T
+    out = np.zeros((L // M, M), dtype=complex)
+    for n, rows in _translates(g.samples, lat):
+        out += np.einsum("nkx,nx->kx", rows.reshape(len(n), L // M, M), periods[n])
+    return Signal(g.grid, out.reshape(L))
+
+
 def _phases(lat: GaborLattice) -> np.ndarray:
     L = lat.grid.L
     j = np.arange(L)
@@ -121,31 +157,21 @@ def _shift_table(g: Signal, lat: GaborLattice) -> np.ndarray:
     return np.stack([np.roll(g.samples, n * lat.a) for n in range(lat.N)])
 
 
-def analysis(g: Signal, lat: GaborLattice, f: Signal) -> Coeffs:
-    """Gabor coefficients ``<f, M_{m*b} T_{n*a} g>`` for all lattice points."""
+def frame_operator_direct(g: Signal, lat: GaborLattice, f: Signal) -> Signal:
+    """Frame operator by the full double sum; the oracle for all fast paths.
+
+    Multiplies the ``M x L`` phase matrix and the ``N x L`` table of
+    translates densely, ``O(M*N*L)``, and shares no code with
+    :func:`analysis` or :func:`synthesis`.
+    """
     if g.grid != f.grid or g.grid != lat.grid:
         raise GridMismatchError("window, signal and lattice must share one grid")
     E = _phases(lat)
     W = _shift_table(g, lat)
-    vals = (E * f.samples[None, :]) @ np.conj(W).T / lat.grid.s
-    return Coeffs(lat, vals)
-
-
-def synthesis(g: Signal, lat: GaborLattice, c: Coeffs) -> Signal:
-    """Superposition ``sum_{m,n} c[m,n] * M_{m*b} T_{n*a} g``."""
-    if g.grid != lat.grid:
-        raise GridMismatchError("window and lattice must share one grid")
-    if c.lat != lat:
-        raise DimensionError("coefficient matrix belongs to a different lattice")
-    E = _phases(lat)
-    W = _shift_table(g, lat)
-    P = np.conj(E).T @ c.values
+    c = (E * f.samples[None, :]) @ np.conj(W).T / lat.grid.s
+    P = np.conj(E).T @ c
+    del E  # lowers the peak memory of the last (L, N) pass by the phase matrix
     return Signal(g.grid, np.einsum("jn,nj->j", P, W))
-
-
-def frame_operator_direct(g: Signal, lat: GaborLattice, f: Signal) -> Signal:
-    """Frame operator by the full double sum; the oracle for all fast paths."""
-    return synthesis(g, lat, analysis(g, lat, f))
 
 
 def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:

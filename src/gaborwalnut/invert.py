@@ -437,9 +437,12 @@ def verify_reconstruction(g: Signal, gd: Signal, lat: GaborLattice,
     Checks both pairings: analyze with ``gd`` and synthesize with ``g``, and
     the reverse.  Returns the max of the two relative residuals over all
     trials; near zero exactly when the windows are dual to each other.
+    Needs at least one trial: with none there is nothing to check.
     """
     if g.grid != gd.grid or g.grid != lat.grid:
         raise GridMismatchError("windows and lattice must share one grid")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     L = lat.grid.L
     worst = 0.0

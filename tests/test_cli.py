@@ -185,6 +185,40 @@ def test_verify_above_dense_limit(tmp_path, mode, code):
         assert payload["max_abs_error"] > 1e-2
 
 
+def test_verify_builds_each_bracket_table_once(tmp_path, monkeypatch):
+    # the identity and the norm estimate share the three tables; the written
+    # numbers are those of the two public functions
+    import argparse
+
+    from gaborwalnut import convo_identity_residual, diagnostics, estimate_convest
+    from gaborwalnut.cli import load_config
+
+    real = diagnostics._bracket_table
+    builds = []
+
+    def counting(f, h, lat):
+        builds.append((f, h))
+        return real(f, h, lat)
+
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
+                       window="gaussian", window_extra="width = 1.0",
+                       weight="polynomial", weight_extra="t = 2", out=out,
+                       tol=1e-10, extra="[verify]\ndual = generator")
+    monkeypatch.setattr(diagnostics, "_bracket_table", counting)
+    assert main(["verify", "--config", cfg]) == 4
+    assert len(builds) == 3
+    monkeypatch.setattr(diagnostics, "_bracket_table", real)
+    run = load_config(cfg, argparse.Namespace(out=None, seed=None, tol=None))
+    g, lat = run.window, run.lattice
+    ident = convo_identity_residual(g, g, lat)
+    lhs, rhs = estimate_convest(g, g, lat, run.weight)
+    payload = json.loads((out / "verify.json").read_text())
+    assert (payload["max_abs_error"], payload["worst_k"], payload["worst_x"]) \
+        == (ident.max_abs_error, ident.worst_k, ident.worst_x)
+    assert (payload["norm_estimate_lhs"], payload["norm_estimate_rhs"]) == (lhs, rhs)
+
+
 def test_counterexample(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.cfg", L=128, s=8, a=4, b=16, out=out)

@@ -33,8 +33,8 @@ from gaborwalnut import (
     walnut_coefficients,
     walnut_weighted_sum,
 )
-from gaborwalnut.bracket import bracket_product
-from gaborwalnut.diagnostics import IdentityResidual, _bracket_table
+from gaborwalnut.bracket import _bracket_table, bracket_product
+from gaborwalnut.diagnostics import IdentityResidual
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from gaborwalnut import (
     build_grid,
     build_window,
     dense_frame_matrix,
+    dual_window,
     empirical_multiplier_ratio,
     frame_operator_direct,
     frame_operator_walnut,
@@ -21,6 +22,7 @@ from gaborwalnut import (
     signed_range,
     synthesis,
     tf_shift,
+    verify_reconstruction,
     walnut_coefficients,
     walnut_weighted_sum,
 )
@@ -77,6 +79,85 @@ class TestAnalysisSynthesis:
         other = rand_signal(build_grid(8, 2), 0)
         with pytest.raises(GridMismatchError):
             analysis(g, lat, other)
+
+
+def _dense_analysis(g, lat, f):
+    # <f, M_{m*b} T_{n*a} g> term by term from the M x L phase matrix
+    L = lat.grid.L
+    j = np.arange(L)
+    E = np.exp(-2j * np.pi * np.outer(np.arange(lat.M) * lat.b, j) / L)
+    W = np.stack([np.roll(g.samples, n * lat.a) for n in range(lat.N)])
+    return (E * f.samples) @ np.conj(W).T / lat.grid.s
+
+
+def _dense_synthesis(g, lat, c):
+    L = lat.grid.L
+    j = np.arange(L)
+    E = np.exp(2j * np.pi * np.outer(np.arange(lat.M) * lat.b, j) / L)
+    W = np.stack([np.roll(g.samples, n * lat.a) for n in range(lat.N)])
+    return np.einsum("mj,mn,nj->j", E, c, W)
+
+
+def _oversampled_lattices(grid):
+    divisors = [d for d in range(1, grid.L + 1) if grid.L % d == 0]
+    return [GaborLattice(grid, a, b) for a in divisors for b in divisors
+            if a * b <= grid.L]
+
+
+class TestFFTMaps:
+    @pytest.mark.parametrize("L,s", [(48, 4), (64, 8)])
+    def test_match_dense_phase_matrix(self, L, s):
+        # at L = 48 the sweep includes lattices with a not dividing M
+        grid = build_grid(L, s)
+        g, f = rand_signal(grid, L), rand_signal(grid, L + 1)
+        lats = _oversampled_lattices(grid)
+        assert L == 64 or any(lat.M % lat.a for lat in lats)
+        for lat in lats:
+            c = analysis(g, lat, f).values
+            ref = _dense_analysis(g, lat, f)
+            assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref), \
+                (lat.a, lat.b)
+            y = synthesis(g, lat, Coeffs(lat, ref)).samples
+            ref_y = _dense_synthesis(g, lat, ref)
+            assert np.linalg.norm(y - ref_y) <= 1e-12 * np.linalg.norm(ref_y), \
+                (lat.a, lat.b)
+
+    @pytest.mark.parametrize("L,s,a,b", [(48, 4, 16, 2), (64, 8, 4, 4),
+                                         (240, 16, 12, 10)])
+    def test_adjoint(self, L, s, a, b):
+        # sum_{m,n} analysis(f)[m,n] conj(c[m,n]) = (1/s) sum_j f conj(synthesis(c))
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        g, f = rand_signal(grid, 1), rand_signal(grid, 2)
+        rng = np.random.default_rng(3)
+        c = Coeffs(lat, rng.standard_normal((lat.M, lat.N))
+                   + 1j * rng.standard_normal((lat.M, lat.N)))
+        lhs = np.vdot(c.values, analysis(g, lat, f).values)
+        rhs = np.vdot(synthesis(g, lat, c).samples, f.samples) / s
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+    def test_direct_operator_uses_neither_map(self, monkeypatch):
+        import gaborwalnut.frame_op as frame_op
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not call the FFT maps")
+
+        grid = build_grid(64, 8)
+        lat = GaborLattice(grid, 4, 4)
+        g, f = rand_signal(grid, 5), rand_signal(grid, 6)
+        expect = _dense_synthesis(g, lat, _dense_analysis(g, lat, f))
+        monkeypatch.setattr(frame_op, "analysis", refuse)
+        monkeypatch.setattr(frame_op, "synthesis", refuse)
+        out = frame_operator_direct(g, lat, f).samples
+        assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_reconstruction_above_dense_reach(self):
+        # L = 16384, M = 256: a dense phase matrix would take 64 MiB
+        grid = build_grid(16384, 16)
+        lat = GaborLattice(grid, 32, 64)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        gd = dual_window(g, lat, method="fiber")
+        assert verify_reconstruction(g, gd, lat, trials=1) <= 1e-10
 
 
 class TestDirectOperator:

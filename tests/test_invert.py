@@ -259,6 +259,17 @@ class TestReconstruction:
         residual = verify_reconstruction(g, g, lat, trials=4, seed=2)
         assert residual > 1e-2
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_refused(self, trials):
+        # with g as its own dual the true residual is about 1.8; no trial
+        # must not read as a perfect 0
+        grid = build_grid(256, 16)
+        lat = GaborLattice(grid, 8, 8)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        assert verify_reconstruction(g, g, lat, trials=1) > 1.0
+        with pytest.raises(DomainError):
+            verify_reconstruction(g, g, lat, trials=trials)
+
     def test_tight_window_self_dual(self, gauss64):
         g, lat = gauss64
         gt = tight_window(g, lat, method="contour", tol=1e-10)
