@@ -31,6 +31,7 @@ from .core import (
 from .diagnostics import (
     _convest,
     _identity_residual,
+    _summability_report,
     _verify_tables,
     bracket_series,
     build_counterexample,
@@ -204,17 +205,19 @@ def _dual_like(cfg: RunConfig, which: str) -> int:
         gd, solver = inverse_solve(cfg.window, lat, cfg.window,
                                    method=method, tol=cfg.tol)
         reports.write_solver_csv(solver, out / "solver.csv")
-        name = "dual_window.txt"
         extra["solver_converged"] = solver.converged
+        residual = verify_reconstruction(cfg.window, gd, lat,
+                                         trials=cfg.trials, seed=cfg.seed)
+        # the summability report describes the dual just solved
+        summ = _summability_report(cfg.window, gd, lat, cfg.weight)
     else:
         gd = tight_window(cfg.window, lat, method=method, tol=cfg.tol)
-        name = "tight_window.txt"
+        residual = verify_reconstruction(gd, gd, lat, trials=cfg.trials,
+                                         seed=cfg.seed)
+        summ = dual_summability_report(cfg.window, lat, cfg.weight,
+                                       tol=min(cfg.tol, 1e-12))
+    name = f"{which}_window.txt"
     reports.write_window_file(gd, out / name)
-    residual = verify_reconstruction(cfg.window, gd, lat, trials=cfg.trials,
-                                     seed=cfg.seed) if which == "dual" else \
-        verify_reconstruction(gd, gd, lat, trials=cfg.trials, seed=cfg.seed)
-    summ = dual_summability_report(cfg.window, lat, cfg.weight,
-                                   tol=min(cfg.tol, 1e-12))
     reports.write_summability_csv(summ, out / "summability.csv")
     reports.write_summability_json(summ, out / "summability.json")
     reports.write_json(
@@ -254,8 +257,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     elif mode == "generator":
         gd = cfg.window  # deliberate negative control
     elif mode == "file":
-        spec = WindowSpec.from_file(cfg.raw["verify"]["path"])
-        gd = build_window(spec, cfg.grid)
+        path = cfg.raw["verify"].get("path", fallback=None)
+        if path is None:
+            raise ParseError("verify dual 'file' needs a 'path' key")
+        gd = build_window(WindowSpec.from_file(path), cfg.grid)
     else:
         raise ParseError(f"unknown verify dual mode {mode!r}")
     tables = _verify_tables(cfg.window, gd, lat)
@@ -362,10 +367,13 @@ def _bench_cases(cfg: RunConfig):
                                                              fallback=None):
         cases = []
         for chunk in cfg.raw["bench"]["cases"].split(","):
-            parts = chunk.strip().split(":")
-            if len(parts) != 4:
+            try:
+                case = tuple(int(p) for p in chunk.strip().split(":"))
+            except ValueError:
+                case = ()
+            if len(case) != 4:
                 raise ParseError(f"bench case {chunk!r} is not L:s:a:b")
-            cases.append(tuple(int(p) for p in parts))
+            cases.append(case)
         return cases
     lat = cfg.lattice
     return [(cfg.grid.L, cfg.grid.s, lat.a, lat.b)]
@@ -376,7 +384,10 @@ def cmd_bench(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
     reps = 3
     if cfg.raw.has_section("bench"):
-        reps = cfg.raw["bench"].getint("reps", 3)
+        try:
+            reps = cfg.raw["bench"].getint("reps", 3)
+        except ValueError as exc:
+            raise ParseError(f"bad bench reps: {exc}") from exc
     if reps < 3:
         raise DomainError(f"benchmark needs at least 3 repetitions, got {reps}")
     rng = np.random.default_rng(cfg.seed)

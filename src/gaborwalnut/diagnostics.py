@@ -9,6 +9,7 @@ of the non-summable dual perturbation with its exact orthogonality check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -153,7 +154,13 @@ def dual_summability_report(
     frame matrix, which must agree since inverting the operator and taking
     the frame operator of the dual are the same map.
     """
-    gd = dual_window(g, lat, tol=tol)
+    return _summability_report(g, dual_window(g, lat, tol=tol), lat, w,
+                               cross_check)
+
+
+def _summability_report(g: Signal, gd: Signal, lat: GaborLattice, w: Weight,
+                        cross_check: bool = True) -> SummabilityReport:
+    """The report of ``dual_summability_report`` for a dual solved already."""
     Wd = walnut_coefficients(gd, lat)
     per_r = []
     partial = []
@@ -225,9 +232,13 @@ def convo_identity_residual(g: Signal, gd: Signal, lat: GaborLattice) -> Identit
     ``(M/s) * sum_n conj([g, T_{n*a} g])(x - k*a) * [gd, T_{(k+n)*a} gd](x)``.
     Exact (to rounding) when ``gd`` is the canonical dual of ``g``.
 
-    Costs ``N**2 * M`` products.  Only the three bracket tables of ``N x M``
-    entries (``L`` times the redundancy) are held, each beside a copy
-    concatenated with itself whose slices give the shifted terms.
+    For each residue class of ``k`` modulo ``P = M / gcd(a, M)`` the column
+    shift ``k*a mod M`` is fixed, so the sum over ``n`` is a cyclic
+    correlation along the rows of the tables: one elementwise product of
+    their length-``N`` FFTs, folded to length ``N / P`` and inverted there.
+    That costs ``O(P*N*M + N*M*log N)`` against ``N**2 * M`` for the direct
+    sum, and holds a few ``N x M`` arrays.  Ties go to the first maximum in
+    sorted signed ``k``, then in ``x``.
     """
     return _identity_residual(lat, *_verify_tables(g, gd, lat))
 
@@ -235,24 +246,32 @@ def convo_identity_residual(g: Signal, gd: Signal, lat: GaborLattice) -> Identit
 def _identity_residual(lat: GaborLattice, mixed: np.ndarray, Bg: np.ndarray,
                        Bgd: np.ndarray) -> IdentityResidual:
     M, N = lat.M, lat.N
-    cBg = np.conj(Bg)
-    cBg2 = np.concatenate([cBg, cBg], axis=1)
-    Bgd2 = np.concatenate([Bgd, Bgd])
-    worst = -1.0
-    worst_k = worst_x = 0
-    for k in sorted(signed_range(N)):
-        # columns x - k*a of conj(Bg) and rows k + n of Bgd, for every n
-        shift = (k * lat.a) % M
-        n0 = k % N
-        rhs = (lat.M / lat.grid.s) * np.sum(
-            cBg2[:, M - shift:2 * M - shift] * Bgd2[n0:n0 + N], axis=0
-        )
-        err = np.abs(mixed[n0] - rhs)
-        x = int(np.argmax(err))
-        if float(err[x]) > worst:
-            worst = float(err[x])
-            worst_k, worst_x = k, x
-    return IdentityResidual(max_abs_error=worst, worst_k=worst_k, worst_x=worst_x)
+    P = M // math.gcd(lat.a, M)  # k*a mod M depends on k mod P, and P | N
+    Q = N // P
+    Fg = np.fft.fft(Bg, axis=0)
+    np.conj(Fg, out=Fg)
+    Fgd = np.fft.fft(Bgd, axis=0)
+    prod = np.empty((N, M), dtype=complex)
+    # rows in sorted signed-k order: row k mod N sits at position k + half
+    half = (N - 1) // 2
+    err = np.empty((N, M))
+    q = np.arange(P)
+    j0 = np.arange(Q)
+    for c in range(P):
+        # spectra of column x - c*a of conj(Bg) and column x of Bgd
+        shift = (c * lat.a) % M
+        np.multiply(Fg[:, :M - shift], Fgd[:, shift:], out=prod[:, shift:])
+        np.multiply(Fg[:, M - shift:], Fgd[:, :shift], out=prod[:, :shift])
+        # rows c::P of the length-N inverse FFT, as a length-Q one of the
+        # spectrum folded over j = j0 + q*Q with the twiddles of row c
+        fold = np.exp(2j * np.pi * (c * q % P) / P) * (M / lat.grid.s / P)
+        z = (fold @ prod.reshape(P, Q * M)).reshape(Q, M)
+        z *= np.exp(2j * np.pi * (c * j0) / N)[:, None]
+        rows = np.arange(c, N, P)
+        err[(rows + half) % N] = np.abs(mixed[c::P] - np.fft.ifft(z, axis=0))
+    worst_p, worst_x = divmod(int(np.argmax(err)), M)
+    return IdentityResidual(max_abs_error=float(err[worst_p, worst_x]),
+                            worst_k=worst_p - half, worst_x=worst_x)
 
 
 def estimate_convest(

@@ -99,6 +99,43 @@ def test_dual_scalar_instance(tmp_path):
     assert (out / "solver.csv").exists()
 
 
+@pytest.mark.parametrize("method", [None, "cg"])
+def test_dual_solves_once(tmp_path, monkeypatch, method):
+    # the summability report reads the dual that dual_window.txt holds
+    from gaborwalnut import (GaborLattice, Weight, WindowSpec, build_window, cli,
+                             dual_summability_report, invert, reports)
+    from gaborwalnut.diagnostics import _summability_report
+
+    real = invert.inverse_solve
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(kwargs.get("method"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invert, "inverse_solve", counting)
+    monkeypatch.setattr(cli, "inverse_solve", counting)
+    out = tmp_path / "out"
+    extra = "" if method is None else f"[dual]\nmethod = {method}"
+    cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
+                       window="gaussian", window_extra="width = 1.0",
+                       weight="polynomial", weight_extra="t = 2", out=out,
+                       extra=extra)
+    assert main(["dual", "--config", cfg]) == 0
+    assert solves == [method]
+    monkeypatch.setattr(invert, "inverse_solve", real)
+    grid = build_grid(256, 16)
+    g = build_window(WindowSpec.gaussian(width=1.0), grid)
+    lat = GaborLattice(grid, 8, 8)
+    w = Weight.polynomial(2.0)
+    gd = read_window_file(str(out / "dual_window.txt"), grid)
+    expect = _summability_report(g, gd, lat, w) if method else \
+        dual_summability_report(g, lat, w, tol=1e-12)
+    reports.write_summability_json(expect, tmp_path / "expect.json")
+    assert (out / "summability.json").read_bytes() == \
+        (tmp_path / "expect.json").read_bytes()
+
+
 def test_dual_not_a_frame_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", a=4, b=4, out=tmp_path / "out")
     assert main(["dual", "--config", cfg]) == 3
@@ -155,6 +192,15 @@ def test_verify_dual_from_file(tmp_path):
     payload = json.loads((tmp_path / "out2" / "verify.json").read_text())
     assert payload["dual_mode"] == "file"
     assert payload["max_abs_error"] < 1e-10
+
+
+def test_verify_file_dual_without_path_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", L=64, s=8, a=4, b=4,
+                       window="gaussian", window_extra="width = 1.0",
+                       out=tmp_path / "out", extra="[verify]\ndual = file")
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "'path'" in err
 
 
 def test_verify_corrupted_dual_exits_4(tmp_path, capsys):
@@ -266,6 +312,17 @@ def test_bench_rejects_too_few_reps(tmp_path, capsys):
                        out=tmp_path / "out", extra="[bench]\nreps = 2")
     assert main(["bench", "--config", cfg]) == 2
     assert "DomainError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["cases = 64:8:x:4", "cases = 64:8:4",
+                                   "reps = three"])
+def test_bench_bad_field_exits_2(tmp_path, capsys, field):
+    cfg = write_config(tmp_path / "run.cfg", L=64, s=8, a=4, b=4,
+                       window="gaussian", window_extra="width = 1.0",
+                       out=tmp_path / "out", extra=f"[bench]\n{field}")
+    assert main(["bench", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "Traceback" not in err
 
 
 def test_seed_override(tmp_path):

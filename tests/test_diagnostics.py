@@ -34,7 +34,7 @@ from gaborwalnut import (
     walnut_weighted_sum,
 )
 from gaborwalnut.bracket import _bracket_table, bracket_product
-from gaborwalnut.diagnostics import IdentityResidual
+from gaborwalnut.diagnostics import IdentityResidual, _identity_residual
 
 
 @pytest.fixture
@@ -191,6 +191,18 @@ class TestConvoIdentity:
         res = convo_identity_residual(g, g, lat)
         assert res.max_abs_error > 1e-2
 
+    def test_tie_rule(self):
+        # with [g, T g] = 0 the right side is exactly 0, so the residual is
+        # |mixed|: ties go to the first signed k in sorted order, then first x
+        lat = GaborLattice(build_grid(24, 4), 2, 3)  # N = 12, M = 8, P = 4
+        rng = np.random.default_rng(3)
+        Bgd = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
+        mixed = np.zeros((12, 8), dtype=complex)
+        for k, x in ((3, 1), (-2, 5), (-2, 2), (6, 0)):
+            mixed[k % 12, x] = 1.0
+        res = _identity_residual(lat, mixed, np.zeros((12, 8), dtype=complex), Bgd)
+        assert res == IdentityResidual(max_abs_error=1.0, worst_k=-2, worst_x=2)
+
     def test_random_geometry_sweep(self):
         # exact identity on every random frame, including lattices where the
         # time step does not divide the multiplier period
@@ -275,10 +287,23 @@ class TestLoopEquivalence:
                         assert np.array_equal(_bracket_table(f, k, lat),
                                               _loop_bracket_table(f, k, lat)), \
                             (L, s, a, b)
+                    # the residual sums by FFT correlation, so it matches the
+                    # loop to rounding of the terms' scale, not bit for bit
                     for other in (gd, h):
-                        assert convo_identity_residual(g, other, lat) == \
-                            _loop_convo_identity_residual(g, other, lat), \
-                            (L, s, a, b)
+                        new = convo_identity_residual(g, other, lat)
+                        ref = _loop_convo_identity_residual(g, other, lat)
+                        Bg = _loop_bracket_table(g, g, lat)
+                        Bo = _loop_bracket_table(other, other, lat)
+                        mixed = _loop_bracket_table(other, g, lat)
+                        scale = (lat.M / s) * lat.N * np.abs(Bg).max() \
+                            * np.abs(Bo).max() + np.abs(mixed).max()
+                        assert abs(new.max_abs_error - ref.max_abs_error) \
+                            <= 1e-13 * scale, (L, s, a, b)
+                        if other is h:
+                            # an O(1) residual, far above rounding: the tie
+                            # rule must pick the loop's point
+                            assert (new.worst_k, new.worst_x) == \
+                                (ref.worst_k, ref.worst_x), (L, s, a, b)
                     checked += 1
         assert checked > 40
 
