@@ -112,7 +112,9 @@ def correlation_G(g: Signal, lat: GaborLattice, r: int) -> PeriodicVector:
 
     ``r`` is reduced to its signed representative modulo ``b``; translations
     by ``r*M`` and ``(r±b)*M`` coincide on the cyclic grid, so the reduction
-    is exact.
+    is exact.  One row at a time, by its own roll: the reference that the
+    half-table build of :func:`frame_op.walnut_coefficients` is checked
+    against.
     """
     r = signed_rep(r, lat.b)
     shifted = np.roll(g.samples, (r * lat.M) % lat.grid.L)

@@ -48,6 +48,7 @@ from .errors import (
     ParseError,
 )
 from .frame_op import (
+    _block_size,
     empirical_multiplier_ratio,
     frame_operator_direct,
     frame_operator_walnut,
@@ -146,6 +147,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     return RunConfig(grid=grid, window=window, lattice=lattice, weight=weight,
                      tol=tol, trials=trials, seed=seed, out=out, raw=parser)
 
@@ -179,6 +182,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "A": bounds.A,
             "B": bounds.B,
             "not_a_frame": bounds.not_a_frame,
+            "cond": None if bounds.not_a_frame else bounds.B / bounds.A,
+            "bounds_method": bounds.method,
+            "block_size": _block_size(lat),
             "redundancy": lat.redundancy,
             "weighted_multiplier_sum": walnut_weighted_sum(W, cfg.weight),
             "window_amalgam_norm": am,

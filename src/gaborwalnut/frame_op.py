@@ -6,20 +6,28 @@ over all lattice points and is the oracle every faster path is judged
 against.  The Walnut form collapses the modulation sum into ``b`` strided
 multiplier terms,
 
-    ``S f(j) = (M/s) * sum_r G_r(j) * f(j - r*M)``,
+    ``S f(j) = (M/s) * sum_r G_r(j) * f(j - r*M)``.
 
-dropping the cost per application from ``O(L * M * N)`` to ``O(L * b)``.
-Restricted to one coset of ``M*Z_L`` the same form is a ``b x b`` matrix, so
-the operator splits into ``M`` independent Hermitian blocks (its fibers).
+Restricted to one coset ``j0 + M*Z_L`` this is a ``b x b`` matrix whose
+row ``k`` reads the multipliers at ``(j0 + k*M) mod a``, which repeat with
+period ``p = a / gcd(a, M)`` in ``k``; ``p`` divides ``b``.  A length-``b``
+DFT along each coset (the Zak domain) therefore splits the operator into
+``L/p`` Hermitian ``p x p`` blocks, ``L*p`` entries in all (Zibulski &
+Zeevi, ACHA 4, 1997).  With ``a | M`` the blocks are ``1 x 1``: the
+spectrum is the DFT of the multiplier table along ``r``.  The same blocks
+apply the operator in ``O(L*p + L*log b)`` and give its bounds, inverse and
+inverse square root (``invert``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bracket import _bracket_table, _translates, correlation_G
+from .bracket import _bracket_table, _translates
 from .core import GaborLattice, Signal, Weight, signed_range
 from .errors import DimensionError, GridMismatchError, LatticeError
 from .amalgam import amalgam_norm
@@ -54,13 +62,56 @@ class Coeffs:
         object.__setattr__(self, "values", arr)
 
 
+def _block_size(lat: GaborLattice) -> int:
+    """``p = a / gcd(a, M)``: the period in ``k`` of ``(j0 + k*M) mod a``."""
+    return lat.a // math.gcd(lat.a, lat.M)
+
+
+def _to_zak(v: np.ndarray, lat: GaborLattice) -> np.ndarray:
+    """Samples to ``(L/p, p)`` block coordinates.
+
+    A length-``b`` DFT along each coset ``j0 + M*Z_L``; frequency
+    ``nu0 + t*b/p`` of coset ``j0`` is entry ``t`` of block ``(nu0, j0)``.
+    """
+    p = _block_size(lat)
+    z = np.fft.fft(v.reshape(lat.b, lat.M), axis=0)
+    return z.reshape(p, lat.b // p, lat.M).transpose(1, 2, 0).reshape(-1, p)
+
+
+def _from_zak(z: np.ndarray, lat: GaborLattice) -> np.ndarray:
+    """Inverse of :func:`_to_zak`."""
+    p = z.shape[-1]
+    y = z.reshape(lat.b // p, lat.M, p).transpose(2, 0, 1).reshape(lat.b, lat.M)
+    return np.fft.ifft(y, axis=0).reshape(lat.grid.L)
+
+
+def _zak_blocks(table: np.ndarray, lat: GaborLattice, factor: float) -> np.ndarray:
+    """The operator of a ``(b, a)`` multiplier table as ``(L/p, p, p)`` blocks.
+
+    In the coordinates of :func:`_to_zak`, block ``(nu0, j0)`` has entry
+    ``[t, t'] = D[nu0 + t'*b/p, (t - t') mod p, j0]``, where ``D`` is the
+    DFT of the table along ``r`` read at the ``p`` columns
+    ``(j0 + rho*M) mod a`` and then along ``rho``, scaled by ``factor/p``.
+    """
+    b, M = lat.b, lat.M
+    p = _block_size(lat)
+    cols = (np.arange(M) + M * np.arange(p)[:, None]) % lat.a
+    D = np.fft.fft(np.fft.fft(table, axis=0)[:, cols], axis=1) * (factor / p)
+    t = np.arange(p)
+    D = D.reshape(p, b // p, p, M)[t, :, (t[:, None] - t) % p]
+    return D.transpose(2, 3, 0, 1).reshape(-1, p, p)
+
+
 @dataclass(frozen=True, eq=False)
 class WalnutCoeffs:
     """Multiplier family of a frame operator as one read-only ``(b, a)`` table.
 
     Row ``r mod b`` holds one period of ``G_r``, so a signed ``r`` indexes its
     row directly.  ``factor`` is the collapsed modulation count per sample,
-    ``M/s`` (the discrete inverse frequency step).
+    ``M/s`` (the discrete inverse frequency step).  The table is the one
+    representation of the operator: :meth:`apply` and :meth:`fibers` both
+    read it through its ``p x p`` Zak-domain blocks (see the module
+    docstring).
     """
 
     lat: GaborLattice
@@ -82,35 +133,55 @@ class WalnutCoeffs:
         sups = np.abs(self.table).max(axis=1)
         return {r: float(sups[r]) for r in signed_range(self.lat.b)}
 
+    @cached_property
+    def _split(self) -> tuple[np.ndarray, np.ndarray]:
+        off = self.table.copy()
+        off[0] = 0.0
+        if _block_size(self.lat) == 1:
+            # the 1 x 1 block of coset j0 depends on j0 mod a only
+            blocks = self.factor * np.fft.fft(off, axis=0)
+        else:
+            blocks = _zak_blocks(off, self.lat, self.factor)
+        return self.factor * self.table[0], blocks
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``factor * sum_r G_r * T_{r*M} v`` on a length-``L`` array.
 
-        Summation runs over signed ``r`` in the fixed ``0, 1, -1, ...`` order;
-        ``T_{r*M} v`` is read as a window of ``v`` concatenated with itself.
+        The ``r = 0`` term is the time-domain product ``factor * G_0 * v``.
+        The terms ``r != 0`` go through the Zak domain: one length-``b`` FFT
+        along each coset, the ``p x p`` blocks of the table with row 0
+        zeroed, one inverse FFT.  The blocks are cached on first use; at
+        ``p = 1`` (``a | M``) they are the ``(b, a)`` DFT of that table
+        along ``r``, read at ``j0 mod a``, so the cache is no larger than
+        the table.  Keeping ``r = 0`` out of the FFT makes a painless
+        operator (``G_r = 0`` for all ``r != 0``, window support at most
+        ``M``) exact: its blocks are exact zeros and ``apply`` returns
+        ``factor * G_0 * v`` bit for bit.
         """
         lat = self.lat
-        L = lat.grid.L
-        vv = np.concatenate([v, v])
-        out = np.zeros((L // lat.a, lat.a), dtype=complex)
-        for r in signed_range(lat.b):
-            s = (r * lat.M) % L
-            out += self.table[r] * vv[L - s:2 * L - s].reshape(-1, lat.a)
-        return self.factor * out.reshape(L)
+        a = lat.a
+        diag, blocks = self._split
+        z = _to_zak(v, lat)
+        if blocks.ndim == 2:
+            zz = z.reshape(lat.b, -1, a)
+            zz *= blocks[:, None, :]
+        else:
+            z = np.einsum("nij,nj->ni", blocks, z)
+        out = _from_zak(z, lat).reshape(-1, a)
+        z = z.reshape(-1, a)  # reused for the r = 0 term
+        np.multiply(diag, v.reshape(-1, a), out=z)
+        out += z
+        return out.reshape(lat.grid.L)
 
-    def fibers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The operator as ``M`` independent Hermitian ``b x b`` blocks.
+    def fibers(self) -> np.ndarray:
+        """The operator as ``L/p`` independent Hermitian ``p x p`` blocks.
 
-        On the coset ``j0 + M*Z_L`` the Walnut form acts as the matrix
-        ``C[k, k'] = factor * G_{k-k'}((j0 + k*M) mod a)``.  Returns the
-        ``(M, b, b)`` stack of those matrices and the ``(M, b)`` map
-        ``J[j0, k] = j0 + k*M`` from block coordinates to samples, so that
-        ``(S v)[J] = blocks @ v[J]`` blockwise.  Holds ``L*b`` entries.
+        Returns the ``(L/p, p, p)`` stack, ``L*p`` entries, with
+        ``p = a / gcd(a, M)``; in the coordinates of ``_to_zak`` the operator
+        acts block by block, so ``S v = _from_zak(blocks @ _to_zak(v))``.
+        The eigenvalues of the stack are the spectrum of the operator.
         """
-        lat = self.lat
-        k = np.arange(lat.b)
-        J = np.arange(lat.M)[:, None] + lat.M * k
-        rows = (k[:, None] - k) % lat.b
-        return (self.factor * self.table)[rows, (J % lat.a)[:, :, None]], J
+        return _zak_blocks(self.table, self.lat, self.factor)
 
 
 def analysis(g: Signal, lat: GaborLattice, f: Signal) -> Coeffs:
@@ -153,33 +224,51 @@ def _phases(lat: GaborLattice) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(np.arange(lat.M) * lat.b, j) / L)
 
 
-def _shift_table(g: Signal, lat: GaborLattice) -> np.ndarray:
-    return np.stack([np.roll(g.samples, n * lat.a) for n in range(lat.N)])
-
-
 def frame_operator_direct(g: Signal, lat: GaborLattice, f: Signal) -> Signal:
     """Frame operator by the full double sum; the oracle for all fast paths.
 
-    Multiplies the ``M x L`` phase matrix and the ``N x L`` table of
-    translates densely, ``O(M*N*L)``, and shares no code with
-    :func:`analysis` or :func:`synthesis`.
+    Multiplies the ``M x L`` phase matrix and the translates of ``g``
+    densely, ``O(M*N*L)``, and shares no code with :func:`analysis` or
+    :func:`synthesis`.  The translates are formed ``2**16 // L`` at a time,
+    so apart from two phase matrices no array holds more than about
+    ``2**16`` entries.
     """
     if g.grid != f.grid or g.grid != lat.grid:
         raise GridMismatchError("window, signal and lattice must share one grid")
+    L = lat.grid.L
     E = _phases(lat)
-    W = _shift_table(g, lat)
-    c = (E * f.samples[None, :]) @ np.conj(W).T / lat.grid.s
-    P = np.conj(E).T @ c
-    del E  # lowers the peak memory of the last (L, N) pass by the phase matrix
-    return Signal(g.grid, np.einsum("jn,nj->j", P, W))
+    Ec = np.conj(E).T
+    E *= f.samples / lat.grid.s  # so E @ conj(W).T holds the coefficients
+    out = np.zeros(L, dtype=complex)
+    step = max(1, 2**16 // L)
+    for n0 in range(0, lat.N, step):
+        W = np.stack([np.roll(g.samples, n * lat.a)
+                      for n in range(n0, min(n0 + step, lat.N))])
+        out += np.einsum("jn,nj->j", Ec @ (E @ np.conj(W).T), W)
+    return Signal(g.grid, out)
 
 
 def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
-    """Multiplier family of the frame operator of ``g`` on ``lat``."""
+    """Multiplier family of the frame operator of ``g`` on ``lat``.
+
+    Rows ``r = 0..b/2`` are direct products ``g * T_{r*M} conj(g)`` folded
+    to period ``a``, each translate read as a slice of ``conj(g)``
+    concatenated with itself.  The other rows follow from
+    ``G_{-r}(x) = conj(G_r((x + r*M) mod a))``.  Every row is a sum of
+    products, so a multiplier that vanishes is an exact zero.
+    """
     if g.grid != lat.grid:
         raise GridMismatchError("window and lattice must share one grid")
-    table = [correlation_G(g, lat, r).values for r in range(lat.b)]
-    return WalnutCoeffs(lat=lat, table=table, factor=lat.M / lat.grid.s)
+    L, a, b, M = lat.grid.L, lat.a, lat.b, lat.M
+    table = np.empty((b, a), dtype=complex)
+    gg = g.samples.reshape(L // a, a)
+    cc = np.conj(np.concatenate([g.samples, g.samples]))
+    for r in range(b // 2 + 1):
+        shifted = cc[L - r * M:2 * L - r * M].reshape(L // a, a)
+        table[r] = np.einsum("kx,kx->x", gg, shifted)
+    r = np.arange(1, (b + 1) // 2)
+    table[b - r] = np.conj(table[r[:, None], (np.arange(a) + M * r[:, None]) % a])
+    return WalnutCoeffs(lat=lat, table=table, factor=M / lat.grid.s)
 
 
 def frame_operator_walnut(W: WalnutCoeffs, f: Signal) -> Signal:

@@ -1,12 +1,16 @@
 """Frame bounds, canonical dual and tight windows, inverse application.
 
-The default engine is ``fiber``: the frame operator splits into ``M``
-Hermitian ``b x b`` blocks (:meth:`WalnutCoeffs.fibers`), so its bounds,
-inverse and inverse square root are exact batched eigen- and linear-algebra
-at ``O(L * b**2)``.  The dense eigendecomposition is the oracle; the
-matrix-free paths (power iteration, conjugate gradients, contour quadrature)
-use only the multiplier table's ``apply``.  Both kinds stay as explicit
-methods to cross-check the fibers with.
+The default engine is ``fiber``: in the Zak domain the frame operator splits
+into ``L/p`` Hermitian ``p x p`` blocks with ``p = a / gcd(a, M)``
+(:meth:`WalnutCoeffs.fibers`), so its bounds, inverse and inverse square
+root are exact batched eigen- and linear-algebra at ``O(L * p**2)``, plus
+one length-``b`` FFT per coset on the way in and out.  A lattice with
+``a | M`` (every power-of-two frame) has ``p = 1``: the blocks are scalars.
+The stack holds ``L*p`` entries, capped by ``FIBER_LIMIT``.  The dense
+eigendecomposition is the oracle; the matrix-free paths (power iteration,
+conjugate gradients, contour quadrature) use only the multiplier table's
+``apply``.  Both kinds stay as explicit methods to cross-check the blocks
+with.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from .errors import (
 )
 from .frame_op import (
     WalnutCoeffs,
+    _block_size,
+    _from_zak,
+    _to_zak,
     analysis,
     dense_frame_matrix,
     synthesis,
@@ -47,7 +54,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 1024
-# Entries of the fiber block stack, L*b: 2**22 complex values are 64 MiB.
+# Entries of the fiber block stack, L*p: 2**22 complex values are 64 MiB.
 FIBER_LIMIT = 2**22
 # A lower bound this far below B (relatively) is treated as zero.
 NOT_A_FRAME_RTOL = 1e-12
@@ -92,13 +99,14 @@ def _method_for(method: str | None, lat: GaborLattice, matrix_free: str) -> str:
     Without a method, ``fiber`` is picked while its block stack fits
     ``FIBER_LIMIT`` and ``matrix_free`` above that.
     """
-    L, b = lat.grid.L, lat.b
+    L = lat.grid.L
+    entries = L * _block_size(lat)
     if method is None:
-        method = "fiber" if L * b <= FIBER_LIMIT else matrix_free
+        method = "fiber" if entries <= FIBER_LIMIT else matrix_free
     if method not in ("fiber", "dense", matrix_free):
         raise ValueError(f"unknown method {method!r}")
-    if method == "fiber" and L * b > FIBER_LIMIT:
-        raise SizeError(f"fiber blocks limited to L*b <= {FIBER_LIMIT}, got {L * b}")
+    if method == "fiber" and entries > FIBER_LIMIT:
+        raise SizeError(f"fiber blocks limited to L*p <= {FIBER_LIMIT}, got {entries}")
     if method == "dense" and L > DENSE_LIMIT:
         raise SizeError(f"dense path limited to L <= {DENSE_LIMIT}, got {L}")
     return method
@@ -169,8 +177,7 @@ def frame_bounds(
     _check_tol(tol)
     method = _method_for(method, lat, "power_iteration")
     if method == "fiber":
-        blocks, _ = walnut_coefficients(g, lat).fibers()
-        ev = np.linalg.eigvalsh(blocks)
+        ev = np.linalg.eigvalsh(walnut_coefficients(g, lat).fibers())
         A, B = float(ev.min()), float(ev.max())
     elif method == "dense":
         S = dense_frame_matrix(g, lat)
@@ -265,13 +272,13 @@ def inverse_solve(
     L = lat.grid.L
     if method == "fiber":
         W = walnut_coefficients(g, lat)
-        blocks, J = W.fibers()
+        blocks = W.fibers()
         if bounds is None:
             ev = np.linalg.eigvalsh(blocks)
             bounds = _bounds(float(ev.min()), float(ev.max()), "fiber")
         _frame_or_raise(g, lat, bounds, tol)
-        x = np.empty(L, dtype=complex)
-        x[J] = np.linalg.solve(blocks, rhs.samples[J][..., None])[..., 0]
+        z = np.linalg.solve(blocks, _to_zak(rhs.samples, lat)[..., None])
+        x = _from_zak(z[..., 0], lat)
         rel = float(
             np.linalg.norm(W.apply(x) - rhs.samples)
             / max(np.linalg.norm(rhs.samples), 1e-300)
@@ -392,14 +399,12 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     _check_tol(tol)
     L = lat.grid.L
     if method == "fiber":
-        blocks, J = walnut_coefficients(g, lat).fibers()
-        ev, V = np.linalg.eigh(blocks)
+        ev, V = np.linalg.eigh(walnut_coefficients(g, lat).fibers())
         _frame_or_raise(g, lat, _bounds(float(ev.min()), float(ev.max()),
                                         "fiber"), tol)
-        c = (V.conj().swapaxes(1, 2) @ g.samples[J][..., None])[..., 0]
-        y = np.empty(L, dtype=complex)
-        y[J] = (V @ (c / np.sqrt(ev))[..., None])[..., 0]
-        return Signal(lat.grid, y)
+        c = V.conj().swapaxes(1, 2) @ _to_zak(g.samples, lat)[..., None]
+        y = V @ (c / np.sqrt(ev)[..., None])
+        return Signal(lat.grid, _from_zak(y[..., 0], lat))
     bounds = _frame_or_raise(g, lat, None, tol)
     if method == "dense":
         S = dense_frame_matrix(g, lat)

@@ -52,6 +52,9 @@ def test_analyze_scalar_instance(tmp_path, capsys):
     assert len(walnut_rows) == 2  # one row per signed multiplier index
     payload = json.loads((tmp_path / "out" / "analyze.json").read_text())
     assert payload["seed"] == 1234
+    assert payload["bounds_method"] == "fiber"
+    assert payload["block_size"] == 1
+    assert payload["cond"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_analyze_gaussian_decaying_sups(tmp_path):
@@ -71,6 +74,8 @@ def test_analyze_reports_non_frame_without_failing(tmp_path):
     assert main(["analyze", "--config", cfg]) == 0
     rows = list(csv.DictReader((out / "bounds.csv").open()))
     assert rows[0]["not_a_frame"] == "1"
+    text = (out / "analyze.json").read_text()
+    assert "Infinity" not in text and json.loads(text)["cond"] is None
 
 
 def test_invalid_lattice_exits_2(tmp_path, capsys):
@@ -333,6 +338,21 @@ def test_seed_override(tmp_path):
     assert payload["seed"] == 42
 
 
+@pytest.mark.parametrize("command", ["dual", "tight", "bench"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "run.cfg", L=64, s=8, a=4, b=4,
+                       window="gaussian", window_extra="width = 1.0",
+                       out=tmp_path / "out", seed=-3)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "DomainError" in err and "Traceback" not in err
+    cfg = write_config(tmp_path / "run2.cfg", L=64, s=8, a=4, b=4,
+                       window="gaussian", window_extra="width = 1.0",
+                       out=tmp_path / "out")
+    assert main([command, "--config", cfg, "--seed", "-3"]) == 2
+    assert "DomainError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["analyze", "dual"])
 def test_non_finite_window_file_exits_2(tmp_path, capsys, command):
     window = tmp_path / "window.txt"
@@ -391,7 +411,7 @@ def test_tight_not_a_frame_above_dense_limit_exits_3(tmp_path, capsys):
 
 def test_fiber_above_its_limit_exits_2(tmp_path, capsys, monkeypatch):
     from gaborwalnut import invert
-    monkeypatch.setattr(invert, "FIBER_LIMIT", 16)  # the instance has L*b = 32
+    monkeypatch.setattr(invert, "FIBER_LIMIT", 8)  # the instance has L*p = 16
     cfg = write_config(tmp_path / "run.cfg", L=16, out=tmp_path / "out",
                        extra="[dual]\nmethod = fiber")
     assert main(["dual", "--config", cfg]) == 2

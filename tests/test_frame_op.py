@@ -13,6 +13,7 @@ from gaborwalnut import (
     analysis,
     build_grid,
     build_window,
+    correlation_G,
     dense_frame_matrix,
     dual_window,
     empirical_multiplier_ratio,
@@ -241,19 +242,69 @@ class TestWalnut:
                     np.linalg.norm(d_out.samples)
                 assert rel < 1e-10, f"a={a} b={b} rel={rel}"
 
+    @pytest.mark.parametrize("L,s,a,b,p", [(60, 6, 12, 20, 4),
+                                           (240, 16, 16, 10, 2)])
+    def test_table_and_apply_on_divisor_lattices(self, L, s, a, b, p):
+        # every divisor lattice, odd b and a not dividing M included: the
+        # half-table rows equal the rolled correlations to rounding and keep
+        # their exact zeros, and apply agrees with the double sum
+        from gaborwalnut.frame_op import _block_size
+        grid = build_grid(L, s)
+        assert _block_size(GaborLattice(grid, a, b)) == p
+        divisors = [d for d in range(1, L + 1) if L % d == 0]
+        lats = [GaborLattice(grid, a, b) for a in divisors for b in divisors]
+        assert any(lat.b % 2 for lat in lats)
+        f = rand_signal(grid, L + 1)
+        for g in (rand_signal(grid, L), build_window(WindowSpec.hat(), grid)):
+            for lat in lats:
+                W = walnut_coefficients(g, lat)
+                ref = np.array([correlation_G(g, lat, r).values
+                                for r in range(lat.b)])
+                assert np.all(W.table[ref == 0] == 0), (lat.a, lat.b)
+                assert np.abs(W.table - ref).max() <= \
+                    1e-14 * np.abs(ref).max(), (lat.a, lat.b)
+                d = frame_operator_direct(g, lat, f).samples
+                assert np.linalg.norm(W.apply(f.samples) - d) <= \
+                    1e-12 * np.linalg.norm(d), (lat.a, lat.b)
+
     @pytest.mark.parametrize("L,s,a,b", [(64, 8, 4, 4), (24, 4, 2, 3),
                                          (36, 6, 9, 6), (48, 4, 16, 48)])
     def test_apply_equals_roll_loop_exactly(self, L, s, a, b):
-        # same products summed in the same signed order as a loop of tiled
-        # multipliers times rolled signals, so the results agree bit for bit
+        # the FFT apply sums in another order than a loop of tiled
+        # multipliers times rolled signals; they agree to rounding relative
+        # to the sum of the absolute terms (p = 1, 1, 3 and 16 here)
         grid = build_grid(L, s)
         lat = GaborLattice(grid, a, b)
         W = walnut_coefficients(rand_signal(grid, L), lat)
         f = rand_signal(grid, L + 1)
         ref = np.zeros(L, dtype=complex)
+        scale = np.zeros(L)
         for r in signed_range(b):
-            ref += np.tile(W.table[r], L // a) * np.roll(f.samples, r * lat.M)
-        assert np.array_equal(W.apply(f.samples), W.factor * ref)
+            term = np.tile(W.table[r], L // a) * np.roll(f.samples, r * lat.M)
+            ref += term
+            scale += np.abs(term)
+        err = np.linalg.norm(W.apply(f.samples) - W.factor * ref)
+        assert err <= 1e-13 * W.factor * np.linalg.norm(scale)
+
+    @pytest.mark.parametrize("L,s,a,b,kind", [(8, 4, 2, 2, "box"),
+                                              (1024, 16, 8, 64, "box"),
+                                              (240, 24, 16, 10, "random")])
+    def test_painless_apply_is_exact(self, L, s, a, b, kind):
+        # support on M samples: G_r = 0 for every r != 0, so apply is the
+        # r = 0 product bit for bit.  The boxes are chi8 and an S = 2I
+        # instance at b = 64; the random window has p = 2.
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        g = rand_signal(grid, L).samples.copy() if kind == "random" \
+            else np.ones(L, dtype=complex)
+        g[lat.M:] = 0.0
+        W = walnut_coefficients(Signal(grid, g), lat)
+        assert not np.any(W.table[1:])
+        f = rand_signal(grid, L + 1).samples
+        out = W.apply(f)
+        assert np.array_equal(out, W.factor * np.tile(W.table[0], L // a) * f)
+        if kind == "box":
+            assert np.array_equal(out, 2 * f)
 
     def test_entry_count_enforced(self, chi_lat):
         from gaborwalnut.errors import LatticeError

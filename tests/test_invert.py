@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaborwalnut import invert
+from gaborwalnut.frame_op import _from_zak, _to_zak
 from gaborwalnut import (
     ConvergenceError,
     DomainError,
@@ -325,6 +326,26 @@ class TestAboveDenseLimit:
         assert ft.method == "fiber"
         assert abs(ft.A - 1) <= 1e-12 and abs(ft.B - 1) <= 1e-12
 
+    def test_c268_beyond_the_old_fiber_cap(self):
+        # alpha = 2, beta = 1/8 (B/A about 268) at L = 65536, b = 512:
+        # L*b = 2**25 is above the cap, L*p = L is not (p = 1)
+        def c268(L):
+            grid = build_grid(L, 16)
+            return (build_window(WindowSpec.gaussian(width=1.0), grid),
+                    GaborLattice(grid, 32, L // 128))
+
+        g, lat = c268(65536)
+        assert lat.grid.L * lat.b > invert.FIBER_LIMIT
+        fb, ref = frame_bounds(g, lat), frame_bounds(*c268(4096))
+        assert fb.method == "fiber" and fb.B / fb.A > 200
+        assert fb.A == pytest.approx(ref.A, rel=1e-10)
+        assert fb.B == pytest.approx(ref.B, rel=1e-10)
+        gd = dual_window(g, lat)
+        Sgd = walnut_coefficients(g, lat).apply(gd.samples)
+        assert np.linalg.norm(Sgd - g.samples) / np.linalg.norm(g.samples) <= 1e-10
+        ft = frame_bounds(tight_window(g, lat), lat)
+        assert abs(ft.A - 1) <= 1e-10 and abs(ft.B - 1) <= 1e-10
+
     def test_undersampled_is_not_a_frame(self):
         # redundancy 1/2: S has rank L/2, so every solve is refused
         grid = build_grid(2048, 16)
@@ -339,8 +360,8 @@ class TestAboveDenseLimit:
 class TestFiberLimit:
     def test_explicit_fiber_refused_default_falls_back(self, gauss64,
                                                       monkeypatch):
-        g, lat = gauss64  # L*b = 256
-        monkeypatch.setattr(invert, "FIBER_LIMIT", 128)
+        g, lat = gauss64  # p = 1, L*p = 64
+        monkeypatch.setattr(invert, "FIBER_LIMIT", 32)
         with pytest.raises(SizeError):
             frame_bounds(g, lat, method="fiber")
         with pytest.raises(SizeError):
@@ -349,6 +370,21 @@ class TestFiberLimit:
             tight_window(g, lat, method="fiber")
         assert frame_bounds(g, lat).method == "power_iteration"
         assert inverse_solve(g, lat, g)[1].method == "cg"
+
+    def test_cap_counts_block_entries(self, monkeypatch):
+        # a cap of exactly L*p admits the blocks though L*b is above it
+        for L, s, a, b, p in ((48, 4, 4, 8, 2), (160, 16, 16, 8, 4),
+                              (144, 8, 9, 12, 3)):
+            grid = build_grid(L, s)
+            lat = GaborLattice(grid, a, b)
+            g = build_window(WindowSpec.gaussian(width=1.0), grid)
+            assert invert._block_size(lat) == p and b > p
+            monkeypatch.setattr(invert, "FIBER_LIMIT", L * p)
+            assert frame_bounds(g, lat).method == "fiber"
+            assert inverse_solve(g, lat, g)[1].method == "fiber"
+            monkeypatch.setattr(invert, "FIBER_LIMIT", L * p - 1)
+            with pytest.raises(SizeError):
+                tight_window(g, lat, method="fiber")
 
 
 def _oracle_windows(grid, seed):
@@ -409,10 +445,10 @@ class TestFiberOnce:
         x, rep = inverse_solve(g, lat, f)
         assert len(fiber_calls) == 1 and rep.method == "fiber"
         # the bounds come from the same blocks that are solved
-        blocks, J = walnut_coefficients(g, lat).fibers()
-        ref = np.empty(lat.grid.L, dtype=complex)
-        ref[J] = np.linalg.solve(blocks, f.samples[J][..., None])[..., 0]
-        assert np.array_equal(x.samples, ref)
+        blocks = walnut_coefficients(g, lat).fibers()
+        assert blocks.shape == (64, 1, 1)  # a | M: p = 1
+        z = np.linalg.solve(blocks, _to_zak(f.samples, lat)[..., None])
+        assert np.array_equal(x.samples, _from_zak(z[..., 0], lat))
         fiber_calls.clear()
         dual_window(g, lat)
         assert len(fiber_calls) == 1
@@ -421,12 +457,25 @@ class TestFiberOnce:
         g, lat = gauss64
         gt = tight_window(g, lat)
         assert len(fiber_calls) == 1
-        blocks, J = walnut_coefficients(g, lat).fibers()
-        ev, V = np.linalg.eigh(blocks)
-        c = (V.conj().swapaxes(1, 2) @ g.samples[J][..., None])[..., 0]
-        ref = np.empty(lat.grid.L, dtype=complex)
-        ref[J] = (V @ (c / np.sqrt(ev))[..., None])[..., 0]
-        assert np.array_equal(gt.samples, ref)
+        ev, V = np.linalg.eigh(walnut_coefficients(g, lat).fibers())
+        c = V.conj().swapaxes(1, 2) @ _to_zak(g.samples, lat)[..., None]
+        y = V @ (c / np.sqrt(ev)[..., None])
+        assert np.array_equal(gt.samples, _from_zak(y[..., 0], lat))
+
+    def test_one_stack_of_two_by_two_blocks(self, fiber_calls):
+        # L = 48, a = 4, b = 8: M = 6, so p = 2 and 24 blocks
+        grid = build_grid(48, 4)
+        lat = GaborLattice(grid, 4, 8)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        blocks = walnut_coefficients(g, lat).fibers()
+        assert blocks.shape == (24, 2, 2)
+        assert np.allclose(blocks, blocks.conj().swapaxes(1, 2), atol=1e-15)
+        fiber_calls.clear()
+        _, rep = inverse_solve(g, lat, g)
+        assert len(fiber_calls) == 1 and rep.residuals[-1] <= 1e-14
+        fiber_calls.clear()
+        tight_window(g, lat)
+        assert len(fiber_calls) == 1
 
     def test_supplied_bounds_skip_the_eigenvalues(self, gauss64, fiber_calls):
         g, lat = gauss64
