@@ -4,6 +4,9 @@ The grid is tiled by half-open blocks of ``block_len`` samples starting at
 sample 0; the norm is the weighted sum of per-block sup values, with blocks
 indexed by their signed representatives.  Partial sums of that series double
 as a divergence diagnostic for signals designed to fall outside the space.
+``_profile`` is the package's one evaluator of weighted sup series: the block
+norm, the multiplier sums ``sum_r sup|G_r| * nu(r)`` and the bracket series
+all read the rows of their tables through it.
 """
 
 from __future__ import annotations
@@ -38,31 +41,30 @@ class AmalgamProfile:
         return float(self.weighted_cumsums[-1])
 
 
-def _block_sups(f: Signal, block_len: int) -> np.ndarray:
+def _profile(rows: np.ndarray, w: Weight) -> AmalgamProfile:
+    """Weighted sup series of the rows of a table, row ``n mod len(rows)``
+    being block ``n``, summed cumulatively in :func:`signed_range` order."""
+    nblocks = rows.shape[0]
+    indices = np.array(signed_range(nblocks), dtype=int)
+    sups = np.abs(rows).max(axis=1)[indices % nblocks]
+    weights = w(indices)
+    return AmalgamProfile(
+        block_len=rows.shape[1],
+        indices=indices,
+        block_sups=sups,
+        weights=weights,
+        weighted_cumsums=np.cumsum(sups * weights),
+    )
+
+
+def amalgam_profile(f: Signal, block_len: int, w: Weight) -> AmalgamProfile:
+    """Per-block profile of the weighted sup-block norm of ``f``."""
     L = f.grid.L
     if block_len < 1 or L % block_len != 0:
         raise DivisibilityError(
             f"block length {block_len} does not divide grid length {L}"
         )
-    return np.abs(f.samples).reshape(L // block_len, block_len).max(axis=1)
-
-
-def amalgam_profile(f: Signal, block_len: int, w: Weight) -> AmalgamProfile:
-    """Per-block profile of the weighted sup-block norm of ``f``."""
-    sups_raw = _block_sups(f, block_len)
-    nblocks = sups_raw.shape[0]
-    order = signed_range(nblocks)
-    indices = np.array(order, dtype=int)
-    sups = sups_raw[indices % nblocks]
-    weights = np.atleast_1d(w(indices)).astype(float)
-    cums = np.cumsum(sups * weights)
-    return AmalgamProfile(
-        block_len=block_len,
-        indices=indices,
-        block_sups=sups,
-        weights=weights,
-        weighted_cumsums=cums,
-    )
+    return _profile(f.samples.reshape(L // block_len, block_len), w)
 
 
 def amalgam_norm(f: Signal, block_len: int, w: Weight) -> float:

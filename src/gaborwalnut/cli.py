@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .amalgam import amalgam_norm, embedding_check
+from .amalgam import _profile, amalgam_norm, embedding_check
 from .core import (
     GaborLattice,
     Grid,
@@ -53,7 +53,6 @@ from .frame_op import (
     frame_operator_direct,
     frame_operator_walnut,
     walnut_coefficients,
-    walnut_weighted_sum,
 )
 from .invert import (
     dual_window,
@@ -168,10 +167,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
     W = walnut_coefficients(cfg.window, lat)
     reports.write_bounds_csv(bounds, out / "bounds.csv")
     reports.write_walnut_csv(W, out / "walnut_coeffs.csv")
+    prof = _profile(W.table, cfg.weight)
     with open(out / "walnut.csv", "w", encoding="utf-8") as fh:
         fh.write("r,sup,weight,product\n")
-        for r, sup in W.sup_norms().items():
-            nu = float(cfg.weight(r))
+        for r, sup, nu in zip(prof.indices.tolist(), prof.block_sups.tolist(),
+                              prof.weights.tolist()):
             fh.write(f"{r},{sup!r},{nu!r},{sup * nu!r}\n")
     am, l2, linf = embedding_check(cfg.window, lat.a, cfg.weight)
     with open(out / "amalgam.csv", "w", encoding="utf-8") as fh:
@@ -186,7 +186,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "bounds_method": bounds.method,
             "block_size": _block_size(lat),
             "redundancy": lat.redundancy,
-            "weighted_multiplier_sum": walnut_weighted_sum(W, cfg.weight),
+            "weighted_multiplier_sum": prof.norm,
             "window_amalgam_norm": am,
             "empirical_ratio": empirical_multiplier_ratio(cfg.window, lat,
                                                           cfg.weight),
@@ -337,10 +337,8 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
     lat = cfg.lattice
     gd = dual_window(cfg.window, lat, tol=min(cfg.tol, 1e-12))
-    alpha_seq = np.cumsum([
-        sup * float(cfg.weight(r))
-        for r, sup in walnut_coefficients(gd, lat).sup_norms().items()
-    ])
+    alpha_seq = _profile(walnut_coefficients(gd, lat).table,
+                         cfg.weight).weighted_cumsums
     invbeta_seq = bracket_series(gd, gd, lat, cfg.weight)
     sum_alpha, sum_invbeta = float(alpha_seq[-1]), float(invbeta_seq[-1])
     reports.write_svg_lines(

@@ -331,8 +331,13 @@ class Weight:
         return cls(kind="custom", fn=fn, label=label)
 
     def __call__(self, n):
-        """Evaluate ``nu`` at an integer or an integer array."""
-        arr = np.asarray(n)
+        """Evaluate ``nu`` at an integer or an integer array.
+
+        A scalar runs through the array loop as well (numpy's scalar loops
+        for ``**`` and ``exp`` round differently), so ``w(n)`` equals the
+        entry of ``w(idx)`` at ``n`` bit for bit.
+        """
+        arr = np.atleast_1d(n)
         if self.kind == "constant":
             out = np.ones_like(arr, dtype=float)
         elif self.kind == "polynomial":
@@ -340,12 +345,12 @@ class Weight:
         elif self.kind == "subexponential":
             out = np.exp(self.c * np.abs(arr).astype(float) ** self.gamma)
         elif self.kind == "custom":
-            out = np.array([self.fn(int(k)) for k in np.atleast_1d(arr).ravel()],
-                           dtype=float).reshape(np.atleast_1d(arr).shape)
+            out = np.array([self.fn(int(k)) for k in arr.ravel()],
+                           dtype=float).reshape(arr.shape)
         else:
             raise DomainError(f"unknown weight kind {self.kind!r}")
-        if arr.ndim == 0:
-            return float(out.reshape(-1)[0])
+        if np.ndim(n) == 0:
+            return float(out[0])
         return out
 
     def describe(self) -> str:

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .amalgam import AmalgamProfile, amalgam_norm, amalgam_profile
+from .amalgam import AmalgamProfile, _profile, amalgam_norm, amalgam_profile
 from .bracket import PeriodicVector, _bracket_table, bracket_product
 from .core import (
     GaborLattice,
@@ -162,14 +162,10 @@ def _summability_report(g: Signal, gd: Signal, lat: GaborLattice, w: Weight,
                         cross_check: bool = True) -> SummabilityReport:
     """The report of ``dual_summability_report`` for a dual solved already."""
     Wd = walnut_coefficients(gd, lat)
-    per_r = []
-    partial = []
-    total = 0.0
-    for r, sup in Wd.sup_norms().items():
-        nu = float(w(r))
-        total += sup * nu
-        per_r.append((r, sup, nu, sup * nu))
-        partial.append(total)
+    prof = _profile(Wd.table, w)
+    sups, weights = prof.block_sups, prof.weights
+    per_r = zip(prof.indices.tolist(), sups.tolist(), weights.tolist(),
+                (sups * weights).tolist())
     err = None
     if cross_check and lat.grid.L <= DENSE_LIMIT:
         Sinv = np.linalg.inv(dense_frame_matrix(g, lat))
@@ -179,8 +175,8 @@ def _summability_report(g: Signal, gd: Signal, lat: GaborLattice, w: Weight,
         lattice=lat,
         weight=w.describe(),
         per_r=tuple(per_r),
-        weighted_sum=total,
-        tail_profile=np.array(partial),
+        weighted_sum=prof.norm,
+        tail_profile=prof.weighted_cumsums,
         cross_check_error=err,
     )
 
@@ -202,12 +198,7 @@ def bracket_series(f: Signal, h: Signal, lat: GaborLattice, w: Weight) -> np.nda
 
     The last entry is the weighted sup-norm series itself.
     """
-    return _series(_bracket_table(f, h, lat), lat, w)
-
-
-def _series(table: np.ndarray, lat: GaborLattice, w: Weight) -> np.ndarray:
-    sups = np.abs(table).max(axis=1)
-    return np.cumsum([float(sups[n]) * float(w(n)) for n in signed_range(lat.N)])
+    return _profile(_bracket_table(f, h, lat), w).weighted_cumsums
 
 
 def _verify_tables(
@@ -289,9 +280,7 @@ def estimate_convest(
 
 def _convest(lat: GaborLattice, w: Weight, mixed: np.ndarray, Bg: np.ndarray,
              Bgd: np.ndarray) -> tuple[float, float]:
-    lhs = float(_series(mixed, lat, w)[-1])
-    sum_g = float(_series(Bg, lat, w)[-1])
-    sum_gd = float(_series(Bgd, lat, w)[-1])
+    lhs, sum_g, sum_gd = (_profile(t, w).norm for t in (mixed, Bg, Bgd))
     return lhs, (lat.M / lat.grid.s) * sum_g * sum_gd
 
 
@@ -384,17 +373,14 @@ def forbound_slack(W: WalnutCoeffs, w: Weight) -> float:
     """
     lat = W.lat
     nblocks = lat.grid.L // lat.a
-    plain = 0.0
-    aligned = 0.0
-    for r, sup in W.sup_norms().items():
-        q, rem = divmod(r * lat.M, lat.a)
-        c_r = float(w(signed_rep(q, nblocks)))
-        if rem != 0:
-            c_r += float(w(signed_rep(q + 1, nblocks)))
-        plain += sup * float(w(r))
-        aligned += sup * c_r
+    prof = _profile(W.table, w)
+    q, rem = np.divmod(prof.indices * lat.M, lat.a)
+    c = w(signed_rep(q, nblocks)) + np.where(
+        rem != 0, w(signed_rep(q + 1, nblocks)), 0.0)
+    plain = prof.norm
     if plain == 0.0:
         return 0.0
+    aligned = float(np.cumsum(prof.block_sups * c)[-1])
     return max(0.0, aligned / plain - 1.0)
 
 

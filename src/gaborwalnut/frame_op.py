@@ -30,7 +30,7 @@ import numpy as np
 from .bracket import _bracket_table, _translates
 from .core import GaborLattice, Signal, Weight, signed_range
 from .errors import DimensionError, GridMismatchError, LatticeError
-from .amalgam import amalgam_norm
+from .amalgam import _profile, amalgam_norm
 
 __all__ = [
     "Coeffs",
@@ -280,7 +280,7 @@ def frame_operator_walnut(W: WalnutCoeffs, f: Signal) -> Signal:
 
 def walnut_weighted_sum(W: WalnutCoeffs, w: Weight) -> float:
     """Weighted multiplier sum ``sum_r sup|G_r| * nu(r)`` over signed ``r``."""
-    return float(sum(sup * w(r) for r, sup in W.sup_norms().items()))
+    return _profile(W.table, w).norm
 
 
 def dense_frame_matrix(g: Signal, lat: GaborLattice) -> np.ndarray:

@@ -6,11 +6,13 @@ into ``L/p`` Hermitian ``p x p`` blocks with ``p = a / gcd(a, M)``
 root are exact batched eigen- and linear-algebra at ``O(L * p**2)``, plus
 one length-``b`` FFT per coset on the way in and out.  A lattice with
 ``a | M`` (every power-of-two frame) has ``p = 1``: the blocks are scalars.
-The stack holds ``L*p`` entries, capped by ``FIBER_LIMIT``.  The dense
-eigendecomposition is the oracle; the matrix-free paths (power iteration,
-conjugate gradients, contour quadrature) use only the multiplier table's
-``apply``.  Both kinds stay as explicit methods to cross-check the blocks
-with.
+The stack holds ``L*p`` entries, capped by ``FIBER_LIMIT``.  The ``dense``
+oracle runs the same code on one ``L x L`` block, the assembled matrix, and
+never builds the fiber blocks: its bounds and not-a-frame verdict are its
+own.  The matrix-free paths (power iteration, conjugate gradients, contour
+quadrature) use only the multiplier table's ``apply``.  Both kinds stay as
+explicit methods to cross-check the blocks with.  Bounds passed to
+``inverse_solve`` skip only the bounds that decide the not-a-frame verdict.
 """
 
 from __future__ import annotations
@@ -112,6 +114,20 @@ def _method_for(method: str | None, lat: GaborLattice, matrix_free: str) -> str:
     return method
 
 
+def _blocks(g: Signal, lat: GaborLattice, method: str):
+    """``(W, blocks, to, back)``: the operator as a stack of Hermitian blocks,
+    ``S v = back((blocks @ to(v)[..., None])[..., 0])``.
+
+    ``fiber``: the ``(L/p, p, p)`` Zak-domain blocks of ``W.fibers()``;
+    ``dense``: :func:`dense_frame_matrix` as a ``(1, L, L)`` stack.
+    """
+    W = walnut_coefficients(g, lat)
+    if method == "fiber":
+        return (W, W.fibers(), lambda v: _to_zak(v, lat),
+                lambda z: _from_zak(z, lat))
+    return W, dense_frame_matrix(g, lat)[None], lambda v: v[None], lambda z: z[0]
+
+
 def _gershgorin_upper(W: WalnutCoeffs) -> float:
     """Row-sum bound on the spectral radius of the multiplier-form operator."""
     rowsum = sum(np.abs(W.table[r]) for r in signed_range(W.lat.b))
@@ -168,21 +184,17 @@ def frame_bounds(
     """Lower and upper frame bounds of the system generated by ``g`` on ``lat``.
 
     ``fiber`` (the default) takes the extreme eigenvalues of the fiber
-    blocks; ``dense`` diagonalizes the full matrix (grid length at most
-    ``DENSE_LIMIT``); ``power_iteration`` runs matrix-free on the operator and
-    on its reflection below a row-sum upper estimate, and is the default
-    above ``FIBER_LIMIT``.  A tolerance that is not finite and positive
-    raises ``DomainError``.
+    blocks; ``dense`` those of the full matrix as one block (grid length at
+    most ``DENSE_LIMIT``); ``power_iteration`` runs matrix-free on the
+    operator and on its reflection below a row-sum upper estimate, and is
+    the default above ``FIBER_LIMIT``.  A tolerance that is not finite and
+    positive raises ``DomainError``.
     """
     _check_tol(tol)
     method = _method_for(method, lat, "power_iteration")
-    if method == "fiber":
-        ev = np.linalg.eigvalsh(walnut_coefficients(g, lat).fibers())
+    if method in ("fiber", "dense"):
+        ev = np.linalg.eigvalsh(_blocks(g, lat, method)[1])
         A, B = float(ev.min()), float(ev.max())
-    elif method == "dense":
-        S = dense_frame_matrix(g, lat)
-        ev = np.linalg.eigvalsh(S)
-        A, B = float(ev[0]), float(ev[-1])
     else:
         W = walnut_coefficients(g, lat)
         L = lat.grid.L
@@ -258,43 +270,38 @@ def inverse_solve(
 ) -> tuple[Signal, SolverReport]:
     """Solve ``S x = rhs`` for the frame operator of ``g``; returns the report too.
 
-    ``fiber`` (the default) solves each fiber block and reports the residual
-    of the full operator's ``apply``; without ``bounds`` it takes them from
-    the same blocks.  ``cg`` is matrix-free on the multiplier table and the
-    default above ``FIBER_LIMIT``; ``dense`` factors the full matrix.  For
-    the direct methods the report's ``converged`` says whether that residual
-    is at most ``tol``.  Raises ``DomainError`` for a tolerance that is not
-    finite and positive, ``NotAFrameError`` when the lower frame bound
-    vanishes and ``ConvergenceError`` on an exhausted iteration budget.
+    ``fiber`` (the default) solves each fiber block; ``dense`` solves the
+    full matrix as one block by LU.  Both report the relative residual of
+    the operator's ``apply``, and the report's ``converged`` says whether
+    it is at most ``tol``.  ``cg`` is matrix-free on the multiplier table
+    and the default above ``FIBER_LIMIT``.  Without ``bounds`` the
+    not-a-frame verdict comes from the eigenvalues of the same blocks
+    (``fiber``, ``dense``) or from :func:`frame_bounds` by default
+    (``cg``); supplied ``bounds`` skip that and decide the verdict.  Raises
+    ``GridMismatchError`` when ``rhs`` lives on another grid,
+    ``DomainError`` for a tolerance that is not finite and positive,
+    ``NotAFrameError`` when the lower frame bound vanishes and
+    ``ConvergenceError`` on an exhausted iteration budget.
     """
     method = _method_for(method, lat, "cg")
     _check_tol(tol)
+    if rhs.grid != lat.grid:
+        raise GridMismatchError("right-hand side and lattice must share one grid")
     L = lat.grid.L
-    if method == "fiber":
-        W = walnut_coefficients(g, lat)
-        blocks = W.fibers()
+    if method in ("fiber", "dense"):
+        W, blocks, to, back = _blocks(g, lat, method)
         if bounds is None:
             ev = np.linalg.eigvalsh(blocks)
-            bounds = _bounds(float(ev.min()), float(ev.max()), "fiber")
+            bounds = _bounds(float(ev.min()), float(ev.max()), method)
         _frame_or_raise(g, lat, bounds, tol)
-        z = np.linalg.solve(blocks, _to_zak(rhs.samples, lat)[..., None])
-        x = _from_zak(z[..., 0], lat)
+        x = back(np.linalg.solve(blocks, to(rhs.samples)[..., None])[..., 0])
         rel = float(
             np.linalg.norm(W.apply(x) - rhs.samples)
             / max(np.linalg.norm(rhs.samples), 1e-300)
         )
-        return Signal(lat.grid, x), SolverReport("fiber", 1, np.array([rel]),
+        return Signal(lat.grid, x), SolverReport(method, 1, np.array([rel]),
                                                  bool(rel <= tol))
     _frame_or_raise(g, lat, bounds, tol)
-    if method == "dense":
-        S = dense_frame_matrix(g, lat)
-        x = np.linalg.solve(S, rhs.samples)
-        rel = float(
-            np.linalg.norm(S @ x - rhs.samples)
-            / max(np.linalg.norm(rhs.samples), 1e-300)
-        )
-        return Signal(lat.grid, x), SolverReport("dense", 1, np.array([rel]),
-                                                 bool(rel <= tol))
     if max_iter is None:
         max_iter = max(1000, 10 * L)
     W = walnut_coefficients(g, lat)
@@ -388,29 +395,25 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
 
     ``fiber`` (the default) diagonalizes each fiber block, takes the frame
     bounds from those eigenvalues and maps them through ``ev**-0.5``;
-    ``dense`` does the same on the full matrix (the oracle).  ``contour``,
-    the default above ``FIBER_LIMIT``, evaluates the same function as a
-    circle integral around the spectrum with the trapezoid rule (see
-    :func:`_contour_inverse_sqrt`); every node needs one shifted solve, done
-    matrix-free.  A tolerance that is not
-    finite and positive raises ``DomainError``.
+    ``dense`` does the same on the full matrix as one block (the oracle).
+    ``contour``, the default above ``FIBER_LIMIT``, evaluates the same
+    function as a circle integral around the spectrum with the trapezoid
+    rule (see :func:`_contour_inverse_sqrt`); every node needs one shifted
+    solve, done matrix-free.  A tolerance that is not finite and positive
+    raises ``DomainError``.
     """
     method = _method_for(method, lat, "contour")
     _check_tol(tol)
     L = lat.grid.L
-    if method == "fiber":
-        ev, V = np.linalg.eigh(walnut_coefficients(g, lat).fibers())
+    if method in ("fiber", "dense"):
+        _, blocks, to, back = _blocks(g, lat, method)
+        ev, V = np.linalg.eigh(blocks)
         _frame_or_raise(g, lat, _bounds(float(ev.min()), float(ev.max()),
-                                        "fiber"), tol)
-        c = V.conj().swapaxes(1, 2) @ _to_zak(g.samples, lat)[..., None]
+                                        method), tol)
+        c = V.conj().swapaxes(1, 2) @ to(g.samples)[..., None]
         y = V @ (c / np.sqrt(ev)[..., None])
-        return Signal(lat.grid, _from_zak(y[..., 0], lat))
+        return Signal(lat.grid, back(y[..., 0]))
     bounds = _frame_or_raise(g, lat, None, tol)
-    if method == "dense":
-        S = dense_frame_matrix(g, lat)
-        ev, V = np.linalg.eigh(S)
-        y = V @ ((V.conj().T @ g.samples) / np.sqrt(ev))
-        return Signal(lat.grid, y)
     W = walnut_coefficients(g, lat)
     inner_tol = max(tol * 1e-2, 1e-13)
     max_iter = max(2000, 20 * L)

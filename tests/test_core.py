@@ -217,6 +217,22 @@ class TestWeights:
         assert np.all(vals >= 1.0)
         assert np.array_equal(vals, vals[::-1])
 
+    @pytest.mark.parametrize("w", [
+        Weight.constant(),
+        Weight.polynomial(2.0),
+        Weight.polynomial(1.5),
+        Weight.subexponential(1.0, 0.5),
+    ], ids=lambda w: w.describe())
+    def test_scalar_call_equals_array_entry(self, w):
+        # numpy's scalar and array loops for ** and exp may round apart;
+        # a series summed with either must not depend on which one ran
+        idx = np.array(signed_range(20001))
+        vals = w(idx)
+        scalars = [w(n) for n in idx.tolist()]
+        assert all(type(v) is float for v in scalars[:3])
+        assert np.array_equal(np.array(scalars), vals)
+        assert w(np.int64(7)) == vals[13]
+
 
 class TestAdmissibility:
     def test_constant(self):

@@ -11,6 +11,7 @@ from gaborwalnut import (
     WindowSpec,
     amalgam_norm,
     analysis,
+    bracket_series,
     build_counterexample,
     build_grid,
     build_window,
@@ -29,6 +30,7 @@ from gaborwalnut import (
     inner_product,
     mixed_bracket,
     signed_range,
+    signed_rep,
     tf_shift,
     walnut_coefficients,
     walnut_weighted_sum,
@@ -266,7 +268,53 @@ def _loop_counterexample_inner(h, g, lat):
     return max_inner
 
 
+def _loop_series(table, w):
+    sups = np.abs(table).max(axis=1)
+    return np.cumsum([float(sups[n]) * w(n) for n in signed_range(len(table))])
+
+
+def _loop_forbound_slack(W, w):
+    lat = W.lat
+    nblocks = lat.grid.L // lat.a
+    plain = aligned = 0.0
+    for r, sup in W.sup_norms().items():
+        q, rem = divmod(r * lat.M, lat.a)
+        c_r = w(signed_rep(q, nblocks))
+        if rem != 0:
+            c_r += w(signed_rep(q + 1, nblocks))
+        plain += sup * w(r)
+        aligned += sup * c_r
+    return 0.0 if plain == 0.0 else max(0.0, aligned / plain - 1.0)
+
+
 class TestLoopEquivalence:
+    @pytest.mark.parametrize("w", [
+        Weight.constant(), Weight.polynomial(1.5),
+        Weight.subexponential(1.0, 0.5),
+        Weight.custom(lambda n: 1.0 + abs(n) ** 0.3),
+    ], ids=lambda w: w.describe())
+    def test_weighted_series_bit_for_bit(self, w):
+        # every weighted sup series against its per-index loop, summed in
+        # the same signed order with the weight evaluated one index at a time
+        for L, s, a, b in ((48, 4, 4, 8), (64, 8, 4, 4), (72, 8, 6, 8)):
+            grid = build_grid(L, s)
+            lat = GaborLattice(grid, a, b)
+            g = rand_signal(grid, L)
+            gd = dual_window(g, lat)
+            W, Wd = walnut_coefficients(g, lat), walnut_coefficients(gd, lat)
+            assert amalgam_norm(g, a, w) == \
+                _loop_series(g.samples.reshape(-1, a), w)[-1]
+            assert walnut_weighted_sum(W, w) == _loop_series(W.table, w)[-1]
+            assert forbound_slack(W, w) == _loop_forbound_slack(W, w)
+            assert np.array_equal(bracket_series(gd, g, lat, w), _loop_series(
+                _loop_bracket_table(gd, g, lat), w))
+            lhs, _ = estimate_convest(g, gd, lat, w)
+            assert lhs == _loop_series(_loop_bracket_table(gd, g, lat), w)[-1]
+            rep = dual_summability_report(g, lat, w, cross_check=False)
+            assert rep.per_r == tuple((r, sup, w(r), sup * w(r))
+                                      for r, sup in Wd.sup_norms().items())
+            assert np.array_equal(rep.tail_profile, _loop_series(Wd.table, w))
+
     def test_tables_and_residual_bit_for_bit(self):
         # the divisor-lattice sweep of TestConvoIdentity, a not dividing M
         # included, with the canonical dual and an unrelated second window

@@ -11,6 +11,7 @@ from gaborwalnut import (
     ConvergenceError,
     DomainError,
     GaborLattice,
+    GridMismatchError,
     NotAFrameError,
     NotAFrameWarning,
     Signal,
@@ -499,6 +500,51 @@ class TestFiberOnce:
         with pytest.raises(DomainError):
             tight_window(g, lat, method="fiber", tol=-1.0)
         assert fiber_calls == []
+
+
+class TestRhsGrid:
+    """``inverse_solve`` refuses a right-hand side from another grid."""
+
+    @pytest.mark.parametrize("method", ["fiber", "dense", "cg"])
+    @pytest.mark.parametrize("L,s", [(64, 4), (128, 8)],
+                             ids=["same-L-other-s", "other-L"])
+    def test_grid_mismatch(self, gauss64, method, L, s):
+        g, lat = gauss64  # L = 64, s = 8
+        with pytest.raises(GridMismatchError):
+            inverse_solve(g, lat, rand_signal(build_grid(L, s), 1),
+                          method=method)
+
+
+class TestDenseOracleIndependent:
+    """``dense`` takes its spectrum, verdict and solutions from the full
+    matrix and never builds the fiber blocks it is meant to check."""
+
+    @pytest.fixture(autouse=True)
+    def no_fibers(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense path built the fiber blocks")
+
+        monkeypatch.setattr(invert.WalnutCoeffs, "fibers", refuse)
+
+    def test_runs_without_fibers(self, gauss64):
+        g, lat = gauss64
+        fb = frame_bounds(g, lat, method="dense")
+        assert fb.method == "dense" and fb.is_frame
+        gd, rep = inverse_solve(g, lat, g, method="dense")
+        assert rep.method == "dense" and rep.converged
+        gt = tight_window(g, lat, method="dense")
+        tb = frame_bounds(gt, lat, method="dense")
+        assert abs(tb.A - 1.0) <= 1e-12 and abs(tb.B - 1.0) <= 1e-12
+        assert verify_reconstruction(g, gd, lat, trials=2) <= 1e-12
+
+    def test_not_a_frame_from_its_own_spectrum(self):
+        grid = build_grid(8, 4)
+        g = build_window(WindowSpec.characteristic(1.0), grid)
+        lat = GaborLattice(grid, 4, 4)
+        with pytest.raises(NotAFrameError):
+            inverse_solve(g, lat, g, method="dense")
+        with pytest.raises(NotAFrameError):
+            tight_window(g, lat, method="dense")
 
 
 class TestDirectSolveConverged:
