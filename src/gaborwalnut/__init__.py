@@ -77,6 +77,7 @@ from .invert import (
     FrameBounds,
     SolverReport,
     dual_window,
+    duality_defect,
     frame_bounds,
     inverse_solve,
     inverse_sqrt_matrix_contour,

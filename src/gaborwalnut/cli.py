@@ -56,10 +56,10 @@ from .frame_op import (
 )
 from .invert import (
     dual_window,
+    duality_defect,
     frame_bounds,
     inverse_solve,
     tight_window,
-    verify_reconstruction,
 )
 
 EXIT_OK = 0
@@ -84,7 +84,6 @@ class RunConfig:
     lattice: GaborLattice
     weight: Weight
     tol: float
-    trials: int
     seed: int
     out: Path
     raw: configparser.ConfigParser
@@ -137,19 +136,16 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
             opts.get("tol", 1e-10))
         seed = overrides.seed if overrides.seed is not None else int(
             opts.get("seed", 0))
-        trials = int(opts.get("trials", 20))
     except (configparser.Error, ValueError) as exc:
         raise ParseError(f"bad configuration: {exc}") from exc
     out = Path(overrides.out) if overrides.out is not None else Path(
         opts.get("out", "gw-out"))
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return RunConfig(grid=grid, window=window, lattice=lattice, weight=weight,
-                     tol=tol, trials=trials, seed=seed, out=out, raw=parser)
+                     tol=tol, seed=seed, out=out, raw=parser)
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
@@ -212,14 +208,12 @@ def _dual_like(cfg: RunConfig, which: str) -> int:
                                    method=method, tol=cfg.tol)
         reports.write_solver_csv(solver, out / "solver.csv")
         extra["solver_converged"] = solver.converged
-        residual = verify_reconstruction(cfg.window, gd, lat,
-                                         trials=cfg.trials, seed=cfg.seed)
+        residual = duality_defect(cfg.window, gd, lat)
         # the summability report describes the dual just solved
         summ = _summability_report(cfg.window, gd, lat, cfg.weight)
     else:
         gd = tight_window(cfg.window, lat, method=method, tol=cfg.tol)
-        residual = verify_reconstruction(gd, gd, lat, trials=cfg.trials,
-                                         seed=cfg.seed)
+        residual = duality_defect(gd, gd, lat)
         summ = dual_summability_report(cfg.window, lat, cfg.weight,
                                        tol=min(cfg.tol, 1e-12))
     name = f"{which}_window.txt"
@@ -242,12 +236,21 @@ def _dual_like(cfg: RunConfig, which: str) -> int:
 
 
 def cmd_dual(cfg: RunConfig) -> int:
-    """Canonical dual window with reconstruction and summability reports."""
+    """Canonical dual window with its duality defect and summability reports.
+
+    ``reconstruction_residual`` in ``dual.json`` is
+    :func:`duality_defect` of ``(g, gd)``, which bounds ``||S_{g,gd} - I||``.
+    """
     return _dual_like(cfg, "dual")
 
 
 def cmd_tight(cfg: RunConfig) -> int:
-    """Canonical tight window with self-duality and summability reports."""
+    """Canonical tight window with its self-duality defect and summability
+    reports.
+
+    ``reconstruction_residual`` in ``tight.json`` is :func:`duality_defect`
+    of ``(gt, gt)``, which bounds ``||S_{gt,gt} - I||``.
+    """
     return _dual_like(cfg, "tight")
 
 

@@ -319,8 +319,8 @@ def build_counterexample(a_rule, grid: Grid) -> Signal:
     else:
         raise DomainError(f"unsupported amplitude rule {a_rule!r}")
     j = np.arange(grid.L)
-    amps = np.array([coeff(signed_rep(int(u), K)) for u in j // s], dtype=complex)
-    return Signal(grid, amps * np.exp(2j * np.pi * j / s))
+    amps = np.array([coeff(signed_rep(u, K)) for u in range(K)], dtype=complex)
+    return Signal(grid, np.repeat(amps, s) * np.exp(2j * np.pi * j / s))
 
 
 def counterexample_report(

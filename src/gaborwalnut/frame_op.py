@@ -17,6 +17,11 @@ Zeevi, ACHA 4, 1997).  With ``a | M`` the blocks are ``1 x 1``: the
 spectrum is the DFT of the multiplier table along ``r``.  The same blocks
 apply the operator in ``O(L*p + L*log b)`` and give its bounds, inverse and
 inverse square root (``invert``).
+
+The multipliers are brackets ``G_r = [g, T_{r*M} g]_a`` formed by direct
+products (``_pair_rows``).  The same rows for a pair of windows,
+``[gd, T_{r*M} g]_a``, are the mixed multipliers of ``S_{gd,g}``; they
+give the exact duality check ``invert.duality_defect``.
 """
 
 from __future__ import annotations
@@ -248,24 +253,39 @@ def frame_operator_direct(g: Signal, lat: GaborLattice, f: Signal) -> Signal:
     return Signal(g.grid, out)
 
 
+def _pair_rows(f: np.ndarray, h: np.ndarray, lat: GaborLattice,
+               rows: int) -> np.ndarray:
+    """Rows ``r = 0..rows-1`` of ``[f, T_{r*M} h]_a``, shape ``(rows, a)``.
+
+    Row ``r`` is the direct product ``f * T_{r*M} conj(h)`` folded to
+    period ``a``, the translate read as a slice of ``conj(h)`` concatenated
+    with itself: ``L`` products per row and no FFT, so a bracket that
+    vanishes is an exact zero.  ``rows`` is at most ``b``; since
+    ``T_{b*M}`` is the identity, row ``r`` also stands for ``r - b``.
+    """
+    L, a, M = lat.grid.L, lat.a, lat.M
+    out = np.empty((rows, a), dtype=complex)
+    ff = f.reshape(L // a, a)
+    cc = np.conj(np.concatenate([h, h]))
+    for r in range(rows):
+        shifted = cc[L - r * M:2 * L - r * M].reshape(L // a, a)
+        out[r] = np.einsum("kx,kx->x", ff, shifted)
+    return out
+
+
 def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     """Multiplier family of the frame operator of ``g`` on ``lat``.
 
-    Rows ``r = 0..b/2`` are direct products ``g * T_{r*M} conj(g)`` folded
-    to period ``a``, each translate read as a slice of ``conj(g)``
-    concatenated with itself.  The other rows follow from
+    Rows ``r = 0..b/2`` are the brackets ``[g, T_{r*M} g]_a`` by direct
+    products (:func:`_pair_rows`).  The other rows follow from
     ``G_{-r}(x) = conj(G_r((x + r*M) mod a))``.  Every row is a sum of
     products, so a multiplier that vanishes is an exact zero.
     """
     if g.grid != lat.grid:
         raise GridMismatchError("window and lattice must share one grid")
-    L, a, b, M = lat.grid.L, lat.a, lat.b, lat.M
+    a, b, M = lat.a, lat.b, lat.M
     table = np.empty((b, a), dtype=complex)
-    gg = g.samples.reshape(L // a, a)
-    cc = np.conj(np.concatenate([g.samples, g.samples]))
-    for r in range(b // 2 + 1):
-        shifted = cc[L - r * M:2 * L - r * M].reshape(L // a, a)
-        table[r] = np.einsum("kx,kx->x", gg, shifted)
+    table[:b // 2 + 1] = _pair_rows(g.samples, g.samples, lat, b // 2 + 1)
     r = np.arange(1, (b + 1) // 2)
     table[b - r] = np.conj(table[r[:, None], (np.arange(a) + M * r[:, None]) % a])
     return WalnutCoeffs(lat=lat, table=table, factor=M / lat.grid.s)

@@ -13,6 +13,11 @@ own.  The matrix-free paths (power iteration, conjugate gradients, contour
 quadrature) use only the multiplier table's ``apply``.  Both kinds stay as
 explicit methods to cross-check the blocks with.  Bounds passed to
 ``inverse_solve`` skip only the bounds that decide the not-a-frame verdict.
+
+A computed dual or tight window is checked exactly by
+``duality_defect``, the Walnut-form biorthogonality defect of the pair at
+``O(L*b)``; ``verify_reconstruction`` reconstructs random signals through
+analysis and synthesis and stays as its independent oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .frame_op import (
     WalnutCoeffs,
     _block_size,
     _from_zak,
+    _pair_rows,
     _to_zak,
     analysis,
     dense_frame_matrix,
@@ -52,6 +58,7 @@ __all__ = [
     "dual_window",
     "tight_window",
     "inverse_sqrt_matrix_contour",
+    "duality_defect",
     "verify_reconstruction",
 ]
 
@@ -438,14 +445,37 @@ def inverse_sqrt_matrix_contour(S: np.ndarray, A: float, B: float,
         A, B, tol, lambda lm: np.linalg.solve(lm * eye - S, eye))
 
 
+def duality_defect(g: Signal, gd: Signal, lat: GaborLattice) -> float:
+    """Exact duality defect of the pair ``(g, gd)`` in Walnut form.
+
+    ``D = sum_r sup_x |(M/s) [gd, T_{r*M} g]_a(x) - delta_{r0}|`` over all
+    ``b`` signed ``r``.  The mixed multipliers ``(M/s) [gd, T_{r*M} g]_a``
+    are those of ``S_{gd,g}``, so ``D`` bounds ``||S_{gd,g} - I||`` and,
+    since the two pairings are adjoint, ``||S_{g,gd} - I||``; it therefore
+    bounds every reconstruction residual of both pairings that
+    :func:`verify_reconstruction` can find.  ``D = 0`` exactly when the
+    windows are dual (Wexler-Raz/Janssen biorthogonality; Janssen, JFAA 1,
+    1995).  Costs ``L*b`` products, the rows of
+    :func:`frame_op._pair_rows`.
+    """
+    if g.grid != gd.grid or g.grid != lat.grid:
+        raise GridMismatchError("windows and lattice must share one grid")
+    rows = (lat.M / lat.grid.s) * _pair_rows(gd.samples, g.samples, lat, lat.b)
+    rows[0] -= 1.0
+    return float(np.abs(rows).max(axis=1).sum())
+
+
 def verify_reconstruction(g: Signal, gd: Signal, lat: GaborLattice,
                           trials: int = 10, seed: int = 0) -> float:
-    """Worst relative reconstruction residual over random signals.
+    """Worst relative reconstruction residual over random signals; the
+    library oracle for :func:`duality_defect`.
 
     Checks both pairings: analyze with ``gd`` and synthesize with ``g``, and
-    the reverse.  Returns the max of the two relative residuals over all
-    trials; near zero exactly when the windows are dual to each other.
-    Needs at least one trial: with none there is nothing to check.
+    the reverse, through :func:`analysis` and :func:`synthesis` only.
+    Returns the max of the two relative residuals over all trials; near
+    zero exactly when the windows are dual to each other, and never above
+    the defect ``D`` beyond rounding.  Needs at least one trial: with none
+    there is nothing to check.
     """
     if g.grid != gd.grid or g.grid != lat.grid:
         raise GridMismatchError("windows and lattice must share one grid")

@@ -10,8 +10,8 @@ from gaborwalnut.cli import main
 
 def write_config(path, *, L=8, s=4, a=2, b=2, window="characteristic",
                  window_extra="units = 1", weight="constant", weight_extra="",
-                 extra="", out=None, tol=None, seed=1234, trials=5):
-    opts = [f"seed = {seed}", f"trials = {trials}"]
+                 extra="", out=None, tol=None, seed=1234):
+    opts = [f"seed = {seed}"]
     if out is not None:
         opts.append(f"out = {out}")
     if tol is not None:
@@ -416,3 +416,15 @@ def test_fiber_above_its_limit_exits_2(tmp_path, capsys, monkeypatch):
                        extra="[dual]\nmethod = fiber")
     assert main(["dual", "--config", cfg]) == 2
     assert "SizeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dual", "tight"])
+def test_dual_and_tight_at_north_star_size(tmp_path, command):
+    # L = 65536, b = 64: the residual is the exact duality defect, O(L*b)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=65536, s=16, a=32, b=64,
+                       window="gaussian", window_extra="width = 1.0",
+                       weight="polynomial", weight_extra="t = 2", out=out)
+    assert main([command, "--config", cfg]) == 0
+    payload = json.loads((out / f"{command}.json").read_text())
+    assert payload["reconstruction_residual"] <= 1e-12

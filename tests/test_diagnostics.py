@@ -444,6 +444,28 @@ class TestCounterexample:
         h = build_counterexample(lambda k: 0.0, grid)
         assert np.allclose(h.samples, 0.0)
 
+    @pytest.mark.parametrize("rule", [
+        "harmonic",
+        lambda k: (k % 3) - 0.25j * k,
+        {0: 1.0, 1: 0.5, -1: 2.5j, 5: -3.0, 40: 7.0},
+    ], ids=["harmonic", "callable", "mapping"])
+    @pytest.mark.parametrize("L,s", [(16, 4), (96, 8), (4096, 16)])
+    def test_one_rule_call_per_unit(self, rule, L, s):
+        # bit for bit the per-sample evaluation of the rule
+        grid = build_grid(L, s)
+        if rule == "harmonic":
+            coeff = lambda k: 1.0 / (abs(k) + 1.0)
+        elif isinstance(rule, dict):
+            coeff = lambda k: rule.get(k, 0.0)
+        else:
+            coeff = rule
+        j = np.arange(L)
+        amps = np.array([coeff(signed_rep(int(u), grid.units)) for u in j // s],
+                        dtype=complex)
+        ref = amps * np.exp(2j * np.pi * j / s)
+        h = build_counterexample(rule, grid).samples
+        assert np.array_equal(h.view(np.int64), ref.view(np.int64))
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             build_counterexample("harmonic", build_grid(12, 4))  # K = 3

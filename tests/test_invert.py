@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaborwalnut import invert
-from gaborwalnut.frame_op import _from_zak, _to_zak
+from gaborwalnut.frame_op import _from_zak, _pair_rows, _to_zak
 from gaborwalnut import (
     ConvergenceError,
     DomainError,
@@ -17,14 +17,17 @@ from gaborwalnut import (
     Signal,
     SizeError,
     WindowSpec,
+    analysis,
     build_grid,
     build_window,
     dense_frame_matrix,
     dual_window,
+    duality_defect,
     frame_bounds,
     frame_operator_walnut,
     inverse_solve,
     inverse_sqrt_matrix_contour,
+    synthesis,
     tight_window,
     verify_reconstruction,
     walnut_coefficients,
@@ -276,6 +279,83 @@ class TestReconstruction:
         g, lat = gauss64
         gt = tight_window(g, lat, method="contour", tol=1e-10)
         assert verify_reconstruction(gt, gt, lat, trials=6, seed=3) < 1e-8
+
+
+def gauss_lattice(L, a, b):
+    grid = build_grid(L, 16)
+    return (build_window(WindowSpec.gaussian(width=1.0), grid),
+            GaborLattice(grid, a, b))
+
+
+# (L, a, b): a | M on the first three, a does not divide M = L/b (p = 2) on
+# the last two
+DEFECT_LATTICES = [(256, 8, 8), (240, 8, 6), (240, 12, 10), (240, 12, 8),
+                   (240, 16, 6)]
+
+
+class TestDualityDefect:
+    # D = sum_r sup_x |(M/s)[gd, T_{rM} g]_a - delta_{r0}| bounds
+    # ||S_{g,gd} - I||, so it bounds every random-trial residual of both
+    # pairings; SLACK covers the rounding of the two computations
+    SLACK = 1e-14
+
+    @pytest.mark.parametrize("L,a,b", DEFECT_LATTICES)
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-2])
+    def test_bounds_the_trial_residual(self, L, a, b, eps):
+        g, lat = gauss_lattice(L, a, b)
+        gd = dual_window(g, lat).samples
+        noise = rand_signal(lat.grid, 5).samples
+        pert = Signal(lat.grid, gd + eps * np.abs(gd).max() * noise)
+        D = duality_defect(g, pert, lat)
+        assert D >= verify_reconstruction(g, pert, lat, trials=20, seed=1) \
+            - self.SLACK
+        if eps == 0.0:
+            assert D <= 1e-13
+
+    @pytest.mark.parametrize("L,s,a,b", [(48, 4, 2, 4), (48, 4, 4, 3),
+                                         (48, 4, 8, 4), (60, 4, 6, 4)])
+    def test_is_the_band_sum_of_the_dense_mixed_operator(self, L, s, a, b):
+        # S_{g,gd} - I from the analysis and synthesis maps on unit vectors;
+        # its entries (j, j - r*M) are the r-th multiplier minus delta_{r0}.
+        # Any pair of windows, dual or not, and both argument orders
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        g, gd = rand_signal(grid, 1), rand_signal(grid, 2)
+        cols = [synthesis(g, lat, analysis(gd, lat, Signal(grid, e))).samples
+                for e in np.eye(L)]
+        S = np.stack(cols, axis=1) - np.eye(L)
+        j = np.arange(L)
+        ref = sum(np.abs(S[j, (j - r * lat.M) % L]).max() for r in range(b))
+        assert duality_defect(g, gd, lat) == pytest.approx(ref, rel=1e-13)
+        assert duality_defect(gd, g, lat) == pytest.approx(ref, rel=1e-13)
+
+    def test_exact_zero_on_painless_instance(self, chi_lat):
+        g, lat = chi_lat
+        assert duality_defect(g, dual_window(g, lat), lat) == 0.0
+        # S = 2I, so with g as its own dual S - I = I
+        assert duality_defect(g, g, lat) == 1.0
+
+    @pytest.mark.parametrize("L,a,b", DEFECT_LATTICES)
+    def test_generator_as_its_own_dual(self, L, a, b):
+        g, lat = gauss_lattice(L, a, b)
+        D = duality_defect(g, g, lat)
+        assert D >= verify_reconstruction(g, g, lat, trials=20, seed=1) \
+            - self.SLACK
+        assert D > 0.5
+
+    @pytest.mark.parametrize("L,a,b", DEFECT_LATTICES + [(240, 8, 15)])
+    def test_pair_rows_are_the_walnut_half_table(self, L, a, b):
+        for g in (gauss_lattice(L, a, b)[0], rand_signal(build_grid(L, 16), 3)):
+            lat = GaborLattice(g.grid, a, b)
+            rows = _pair_rows(g.samples, g.samples, lat, b // 2 + 1)
+            assert np.array_equal(rows,
+                                  walnut_coefficients(g, lat).table[:b // 2 + 1])
+
+    def test_grid_mismatch(self, chi_lat):
+        g, lat = chi_lat
+        other = build_window(WindowSpec.characteristic(1.0), build_grid(16, 4))
+        with pytest.raises(GridMismatchError):
+            duality_defect(g, other, lat)
 
 
 class TestAboveDenseLimit:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +66,82 @@ def test_window_file_wrong_length(tmp_path):
     path.write_text("1.0 0.0\n2.0 0.0\n")
     with pytest.raises(ParseError):
         read_window_file(str(path), build_grid(8, 4))
+
+
+def read_line_by_line(path, L):
+    """The line-by-line reader: the reference for every accept and reject."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{lineno}: expected 're im', got {line!r}")
+            try:
+                re, im = float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ParseError(f"{path}:{lineno}: non-finite sample {line!r}")
+            values.append(complex(re, im))
+    if len(values) != L:
+        raise ParseError(f"{path}: expected {L} sample lines, found {len(values)}")
+    return np.array(values, dtype=complex)
+
+
+WINDOW_TEXTS = {
+    "plain": "1.0 0.0\n-0.0 2.5\n0.0 -0.0\n3 4\n",
+    "no-final-newline": "1.0 0.0\n-0.0 2.5\n0.0 -0.0\n3 4",
+    "spacing": "  1.0\t0.0  \n-0.0 \x0b 2.5\n\x0c0.0\x1c-0.0\n3   4\t\n",
+    "crlf": "1.0 0.0\r\n-0.0 2.5\r\n0.0 -0.0\r\n3 4\r\n",
+    "cr": "1.0 0.0\r-0.0 2.5\r0.0 -0.0\r3 4\r",
+    "spellings": "1_0 +.5\ninfinity 0\n0x1p3 1\n1,5 2\n",
+    "numpy-agrees": "1_0 +.5\n1e-400 -.5e1\n1E5 -0\n.5 5.\n",
+    "huge": "1e500 0\n1 1\n1 1\n1 1\n",
+    "nan": "1 1\n1 nan\n1 1\n1 1\n",
+    "three-then-one": "1 2 3\n4\n5 6\n7 8\n",
+    "one-then-three": "1\n2 3 4\n5 6\n7 8\n",
+    "blank-middle": "1 2\n\n3 4\n5 6\n7 8\n",
+    "blank-end": "1 2\n3 4\n5 6\n7 8\n\n",
+    "spaces-end": "1 2\n3 4\n5 6\n7 8\n   ",
+    "short": "1 2\n3 4\n5 6\n",
+    "long": "1 2\n3 4\n5 6\n7 8\n9 10\n",
+    "nul": "1 2\n3 4\x00\n5 6\n7 8\n",
+    "nbsp": "1\xa02\n3 4\n5 6\n7 8\n",
+    "line-separator": "1 2\u20283 4\n5 6\n7 8\n",
+    "next-line": "1 2\x853 4\n5 6\n7 8\n",
+    "bom": "\ufeff1 2\n3 4\n5 6\n7 8\n",
+    "arabic-digits": "\u0661 2\n3 4\n5 6\n7 8\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_TEXTS))
+def test_window_file_blocks_match_line_by_line(tmp_path, name):
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(WINDOW_TEXTS[name].encode("utf-8"))
+    grid = build_grid(4, 2)
+    try:
+        expect = read_line_by_line(str(path), 4)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read_window_file(str(path), grid)
+        assert str(got.value) == str(exc)
+    else:
+        back = read_window_file(str(path), grid).samples
+        assert np.array_equal(back.view(np.int64), expect.view(np.int64))
+
+
+def test_window_file_not_utf8(tmp_path):
+    # the decoding error surfaces where the line-by-line reader meets it
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1 2\n3 4\n5 6\n7 \xe9\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_line_by_line(str(path), 4)
+    with pytest.raises(UnicodeDecodeError):
+        read_window_file(str(path), build_grid(4, 2))
+    path.write_bytes(b"1 2 3\n" + b"0 0\n" * 5000 + b"\xe9 1\n")
+    with pytest.raises(ParseError, match=":1: expected"):
+        read_window_file(str(path), build_grid(4, 2))
 
 
 def test_profile_csv(tmp_path, chi_lat):
