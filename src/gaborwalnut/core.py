@@ -229,10 +229,10 @@ def _read_well_formed(fh, L: int) -> np.ndarray | None:
 def read_window_file(path: str, grid: Grid) -> Signal:
     """Read a window from a plain text file, one ``re im`` pair per line.
 
-    The line count must equal ``grid.L``; blank lines and non-finite
-    samples are not allowed.  A well-formed file is parsed a block of lines
-    at a time by numpy; any other is read again line by line, which names
-    the first offending line as ``path:lineno``.
+    The file must be UTF-8 text, its line count must equal ``grid.L``, and
+    blank lines and non-finite samples are not allowed.  A well-formed file
+    is parsed a block of lines at a time by numpy; any other is read again
+    line by line, which names the first offending line as ``path:lineno``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -243,22 +243,30 @@ def read_window_file(path: str, grid: Grid) -> Signal:
         return Signal(grid, samples)
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 're im', got {line!r}")
-            try:
-                re, im = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ParseError(f"{path}:{lineno}: non-finite sample {line!r}")
-            values.append(complex(re, im))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ParseError(f"{path}:{lineno}: expected 're im', got {line!r}")
+                try:
+                    re, im = float(parts[0]), float(parts[1])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise ParseError(f"{path}:{lineno}: non-finite sample {line!r}")
+                values.append(complex(re, im))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if len(values) != grid.L:
         raise ParseError(
             f"{path}: expected {grid.L} sample lines, found {len(values)}"
         )
     return Signal(grid, np.array(values, dtype=complex))
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def build_window(spec: WindowSpec, grid: Grid) -> Signal:
@@ -271,10 +279,13 @@ def build_window(spec: WindowSpec, grid: Grid) -> Signal:
       (default: mid-grid).
     * ``hat``: triangle of unit support, peak 1 at half a unit.
     * ``file``: samples read from a text file (see :func:`read_window_file`).
+
+    A non-finite ``units``, ``width`` or ``center`` raises ``DomainError``.
     """
     L, s = grid.L, grid.s
     j = np.arange(L)
     if spec.kind == "characteristic":
+        _require_finite("characteristic length", spec.units)
         n_samples = spec.units * s
         n_int = int(round(n_samples))
         if abs(n_samples - n_int) > 1e-9 or n_int <= 0:
@@ -290,6 +301,9 @@ def build_window(spec: WindowSpec, grid: Grid) -> Signal:
         v[:n_int] = 1.0
         return Signal(grid, v)
     if spec.kind == "gaussian":
+        _require_finite("gaussian width", spec.width)
+        if spec.center is not None:
+            _require_finite("gaussian center", spec.center)
         if spec.width <= 0:
             raise DomainError(f"gaussian width must be positive, got {spec.width}")
         c = grid.units / 2 if spec.center is None else spec.center
@@ -365,12 +379,14 @@ class Weight:
 
     @classmethod
     def polynomial(cls, t: float) -> "Weight":
+        _require_finite("polynomial exponent", t)
         if t < 0:
             raise DomainError(f"polynomial exponent must be >= 0, got {t}")
         return cls(kind="polynomial", t=float(t))
 
     @classmethod
     def subexponential(cls, c: float, gamma: float) -> "Weight":
+        _require_finite("subexponential rate", c)
         if c <= 0:
             raise DomainError(f"subexponential rate must be > 0, got {c}")
         if not 0 < gamma < 1:

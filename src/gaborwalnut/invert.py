@@ -1,18 +1,20 @@
 """Frame bounds, canonical dual and tight windows, inverse application.
 
-The default engine is ``fiber``: in the Zak domain the frame operator splits
-into ``L/p`` Hermitian ``p x p`` blocks with ``p = a / gcd(a, M)``
+The one default engine is ``fiber``: in the Zak domain the frame operator
+splits into ``L/p`` Hermitian ``p x p`` blocks with ``p = a / gcd(a, M)``
 (:meth:`WalnutCoeffs.fibers`), so its bounds, inverse and inverse square
 root are exact batched eigen- and linear-algebra at ``O(L * p**2)``, plus
 one length-``b`` FFT per coset on the way in and out.  A lattice with
 ``a | M`` (every power-of-two frame) has ``p = 1``: the blocks are scalars.
-The stack holds ``L*p`` entries, capped by ``FIBER_LIMIT``.  The ``dense``
-oracle runs the same code on one ``L x L`` block, the assembled matrix, and
-never builds the fiber blocks: its bounds and not-a-frame verdict are its
-own.  The matrix-free paths (power iteration, conjugate gradients, contour
-quadrature) use only the multiplier table's ``apply``.  Both kinds stay as
-explicit methods to cross-check the blocks with.  Bounds passed to
-``inverse_solve`` skip only the bounds that decide the not-a-frame verdict.
+The stack holds ``L*p`` entries, capped by ``FIBER_LIMIT``, above which
+every default raises ``SizeError``.  The ``dense`` oracle runs the same
+code on one ``L x L`` block, the assembled matrix, and never builds the
+fiber blocks: its bounds and not-a-frame verdict are its own.  ``contour``
+is quadrature on the fiber blocks.  Power iteration and conjugate
+gradients use only the multiplier table's ``apply``: explicit
+cross-checks, and the only methods that run above the cap.  Bounds passed
+to ``inverse_solve`` skip only the bounds that decide the not-a-frame
+verdict.
 
 A computed dual or tight window is checked exactly by
 ``duality_defect``, the Walnut-form biorthogonality defect of the pair at
@@ -67,6 +69,12 @@ DENSE_LIMIT = 1024
 FIBER_LIMIT = 2**22
 # A lower bound this far below B (relatively) is treated as zero.
 NOT_A_FRAME_RTOL = 1e-12
+# Power-iteration steps, and the seeds of its start vectors for B and for A.
+POWER_MAX_ITER = 400_000
+POWER_SEEDS = (0, 1)
+# What still runs above FIBER_LIMIT, by the caller's matrix-free method.
+_ABOVE_CAP = {"power_iteration": "; method='power_iteration' runs matrix-free",
+              "cg": "; method='cg' with bounds= runs matrix-free"}
 
 
 @dataclass(frozen=True)
@@ -102,20 +110,19 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
 
 
-def _method_for(method: str | None, lat: GaborLattice, matrix_free: str) -> str:
-    """Resolve ``method`` and refuse a size its storage cannot hold.
-
-    Without a method, ``fiber`` is picked while its block stack fits
-    ``FIBER_LIMIT`` and ``matrix_free`` above that.
+def _method_for(method: str | None, lat: GaborLattice, extra: str) -> str:
+    """Resolve ``method`` (``fiber`` when None; ``extra`` is the caller's own
+    method besides ``fiber`` and ``dense``) and refuse a size its storage
+    cannot hold.  ``contour`` runs on the fiber blocks and has their cap.
     """
     L = lat.grid.L
     entries = L * _block_size(lat)
-    if method is None:
-        method = "fiber" if entries <= FIBER_LIMIT else matrix_free
-    if method not in ("fiber", "dense", matrix_free):
+    method = "fiber" if method is None else method
+    if method not in ("fiber", "dense", extra):
         raise ValueError(f"unknown method {method!r}")
-    if method == "fiber" and entries > FIBER_LIMIT:
-        raise SizeError(f"fiber blocks limited to L*p <= {FIBER_LIMIT}, got {entries}")
+    if method in ("fiber", "contour") and entries > FIBER_LIMIT:
+        raise SizeError(f"fiber blocks limited to L*p <= {FIBER_LIMIT}, "
+                        f"got {entries}{_ABOVE_CAP.get(extra, '')}")
     if method == "dense" and L > DENSE_LIMIT:
         raise SizeError(f"dense path limited to L <= {DENSE_LIMIT}, got {L}")
     return method
@@ -125,14 +132,14 @@ def _blocks(g: Signal, lat: GaborLattice, method: str):
     """``(W, blocks, to, back)``: the operator as a stack of Hermitian blocks,
     ``S v = back((blocks @ to(v)[..., None])[..., 0])``.
 
-    ``fiber``: the ``(L/p, p, p)`` Zak-domain blocks of ``W.fibers()``;
-    ``dense``: :func:`dense_frame_matrix` as a ``(1, L, L)`` stack.
+    ``dense``: :func:`dense_frame_matrix` as a ``(1, L, L)`` stack; any
+    other method: the ``(L/p, p, p)`` Zak-domain blocks of ``W.fibers()``.
     """
     W = walnut_coefficients(g, lat)
-    if method == "fiber":
-        return (W, W.fibers(), lambda v: _to_zak(v, lat),
-                lambda z: _from_zak(z, lat))
-    return W, dense_frame_matrix(g, lat)[None], lambda v: v[None], lambda z: z[0]
+    if method == "dense":
+        return W, dense_frame_matrix(g, lat)[None], lambda v: v[None], lambda z: z[0]
+    return (W, W.fibers(), lambda v: _to_zak(v, lat),
+            lambda z: _from_zak(z, lat))
 
 
 def _gershgorin_upper(W: WalnutCoeffs) -> float:
@@ -141,7 +148,7 @@ def _gershgorin_upper(W: WalnutCoeffs) -> float:
     return float(W.factor * rowsum.max())
 
 
-def _power_extreme(apply_op, L: int, tol: float, max_iter: int, seed: int = 0) -> float:
+def _power_extreme(apply_op, L: int, tol: float, seed: int) -> float:
     """Largest eigenvalue of a Hermitian PSD operator by power iteration.
 
     Stops when the Rayleigh quotient is stationary to ``tol`` (relative
@@ -153,7 +160,7 @@ def _power_extreme(apply_op, L: int, tol: float, max_iter: int, seed: int = 0) -
     v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
     v /= np.linalg.norm(v)
     lam_old = None
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = apply_op(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -169,7 +176,7 @@ def _power_extreme(apply_op, L: int, tol: float, max_iter: int, seed: int = 0) -
         ):
             return lam
         lam_old = lam
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(f"power iteration did not converge in {POWER_MAX_ITER} steps")
 
 
 def _bounds(A: float, B: float, method: str) -> FrameBounds:
@@ -185,17 +192,16 @@ def frame_bounds(
     lat: GaborLattice,
     method: str | None = None,
     tol: float = 1e-10,
-    max_iter: int = 400_000,
-    seed: int = 0,
 ) -> FrameBounds:
     """Lower and upper frame bounds of the system generated by ``g`` on ``lat``.
 
     ``fiber`` (the default) takes the extreme eigenvalues of the fiber
-    blocks; ``dense`` those of the full matrix as one block (grid length at
-    most ``DENSE_LIMIT``); ``power_iteration`` runs matrix-free on the
-    operator and on its reflection below a row-sum upper estimate, and is
-    the default above ``FIBER_LIMIT``.  A tolerance that is not finite and
-    positive raises ``DomainError``.
+    blocks and raises ``SizeError`` above ``FIBER_LIMIT``; ``dense`` those
+    of the full matrix as one block (grid length at most ``DENSE_LIMIT``);
+    ``power_iteration`` runs matrix-free on the operator and on its
+    reflection below a row-sum upper estimate (``POWER_MAX_ITER`` steps
+    each, start vectors seeded by ``POWER_SEEDS``), at any size.  A
+    tolerance that is not finite and positive raises ``DomainError``.
     """
     _check_tol(tol)
     method = _method_for(method, lat, "power_iteration")
@@ -205,13 +211,13 @@ def frame_bounds(
     else:
         W = walnut_coefficients(g, lat)
         L = lat.grid.L
-        B = _power_extreme(W.apply, L, tol, max_iter, seed=seed)
+        B = _power_extreme(W.apply, L, tol, POWER_SEEDS[0])
         mu = _gershgorin_upper(W)
 
         def shifted(v):
             return mu * v - W.apply(v)
 
-        A = mu - _power_extreme(shifted, L, tol, max_iter, seed=seed + 1)
+        A = mu - _power_extreme(shifted, L, tol, POWER_SEEDS[1])
     bounds = _bounds(A, B, method)
     if bounds.not_a_frame:
         warnings.warn(
@@ -280,11 +286,12 @@ def inverse_solve(
     ``fiber`` (the default) solves each fiber block; ``dense`` solves the
     full matrix as one block by LU.  Both report the relative residual of
     the operator's ``apply``, and the report's ``converged`` says whether
-    it is at most ``tol``.  ``cg`` is matrix-free on the multiplier table
-    and the default above ``FIBER_LIMIT``.  Without ``bounds`` the
-    not-a-frame verdict comes from the eigenvalues of the same blocks
-    (``fiber``, ``dense``) or from :func:`frame_bounds` by default
-    (``cg``); supplied ``bounds`` skip that and decide the verdict.  Raises
+    it is at most ``tol``.  ``cg`` is matrix-free on the multiplier table.
+    Without ``bounds`` the not-a-frame verdict comes from the eigenvalues
+    of the same blocks (``fiber``, ``dense``) or from the default
+    :func:`frame_bounds` (``cg``); supplied ``bounds`` skip that and decide
+    the verdict, so above ``FIBER_LIMIT``, where ``fiber`` raises
+    ``SizeError``, ``cg`` with ``bounds`` is the method that runs.  Raises
     ``GridMismatchError`` when ``rhs`` lives on another grid,
     ``DomainError`` for a tolerance that is not finite and positive,
     ``NotAFrameError`` when the lower frame bound vanishes and
@@ -343,47 +350,31 @@ def _contour_nodes(A: float, B: float, n: int):
     return lam, dweight
 
 
-def _resolvent_cgnr(apply_op, lam: complex, rhs: np.ndarray, tol: float,
-                    max_iter: int) -> np.ndarray:
-    """Solve ``(lam I - S) x = rhs`` by CG on the normal equations.
-
-    The shifted operator is normal but not Hermitian for complex ``lam``;
-    its Gram square is Hermitian positive definite whenever ``lam`` avoids
-    the spectrum, which the contour margin guarantees.
-    """
-    def fwd(v):
-        return lam * v - apply_op(v)
-
-    def adj(v):
-        return np.conj(lam) * v - apply_op(v)
-
-    x, hist, ok = _cg_hermitian(lambda v: adj(fwd(v)), adj(rhs), tol, max_iter)
-    if not ok:
-        raise ConvergenceError(
-            f"resolvent solve at node {lam:.6g} stalled (residual {hist[-1]:.3e})"
-        )
-    return x
-
-
 CONTOUR_NODES_START = 16
 CONTOUR_NODES_MAX = 4096
 
 
-def _contour_inverse_sqrt(A: float, B: float, tol: float, resolvent):
-    """Contour quadrature of ``S^{-1/2} X`` for a spectrum inside ``[A, B]``.
+def _contour_inverse_sqrt(blocks: np.ndarray, rhs: np.ndarray, A: float,
+                          B: float, tol: float) -> np.ndarray:
+    """Contour quadrature of ``blocks**-0.5 @ rhs`` for a stack of Hermitian
+    blocks whose spectrum lies inside ``[A, B]``.
 
-    ``resolvent(lam)`` returns ``(lam I - S)^{-1} X``.  Trapezoid rule on the
-    circle around ``[A, B]``, doubling the node count from
-    ``CONTOUR_NODES_START`` until two successive levels agree to ``tol``
-    (cap ``CONTOUR_NODES_MAX``).
+    Every node ``lam`` is one batched solve ``(lam I - blocks) x = rhs``.
+    Trapezoid rule on the circle around ``[A, B]``, doubling the node count
+    from ``CONTOUR_NODES_START`` (a level halves the sum of the one before
+    and adds its new nodes) until two levels agree to ``tol`` (cap
+    ``CONTOUR_NODES_MAX``).
     """
+    eye = np.eye(blocks.shape[-1])
     prev = None
     n = CONTOUR_NODES_START
     while n <= CONTOUR_NODES_MAX:
         lam, dweight = _contour_nodes(A, B, n)
-        acc = sum(wgt * lm ** -0.5 * resolvent(lm)
-                  for lm, wgt in zip(lam, dweight))
+        new = slice(None) if prev is None else slice(1, None, 2)
+        acc = sum(wgt * lm ** -0.5 * np.linalg.solve(lm * eye - blocks, rhs)
+                  for lm, wgt in zip(lam[new], dweight[new]))
         if prev is not None:
+            acc = acc + 0.5 * prev
             delta = np.linalg.norm(acc - prev) / max(np.linalg.norm(acc), 1e-300)
             if delta < tol:
                 return acc
@@ -403,46 +394,37 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     ``fiber`` (the default) diagonalizes each fiber block, takes the frame
     bounds from those eigenvalues and maps them through ``ev**-0.5``;
     ``dense`` does the same on the full matrix as one block (the oracle).
-    ``contour``, the default above ``FIBER_LIMIT``, evaluates the same
-    function as a circle integral around the spectrum with the trapezoid
-    rule (see :func:`_contour_inverse_sqrt`); every node needs one shifted
-    solve, done matrix-free.  A tolerance that is not finite and positive
-    raises ``DomainError``.
+    ``contour`` takes the same bounds from the fiber blocks and evaluates
+    ``blocks**-0.5`` as a circle integral around the spectrum with the
+    trapezoid rule, one batched block solve per node (see
+    :func:`_contour_inverse_sqrt`).  ``fiber`` and ``contour`` raise
+    ``SizeError`` above ``FIBER_LIMIT``.  A tolerance that is not finite and
+    positive raises ``DomainError``.
     """
     method = _method_for(method, lat, "contour")
     _check_tol(tol)
-    L = lat.grid.L
-    if method in ("fiber", "dense"):
-        _, blocks, to, back = _blocks(g, lat, method)
-        ev, V = np.linalg.eigh(blocks)
-        _frame_or_raise(g, lat, _bounds(float(ev.min()), float(ev.max()),
-                                        method), tol)
-        c = V.conj().swapaxes(1, 2) @ to(g.samples)[..., None]
-        y = V @ (c / np.sqrt(ev)[..., None])
-        return Signal(lat.grid, back(y[..., 0]))
-    bounds = _frame_or_raise(g, lat, None, tol)
-    W = walnut_coefficients(g, lat)
-    inner_tol = max(tol * 1e-2, 1e-13)
-    max_iter = max(2000, 20 * L)
-    y = _contour_inverse_sqrt(
-        bounds.A, bounds.B, tol,
-        lambda lm: _resolvent_cgnr(W.apply, lm, g.samples, inner_tol, max_iter),
-    )
-    return Signal(lat.grid, y)
+    _, blocks, to, back = _blocks(g, lat, method)
+    ev, V = np.linalg.eigh(blocks)
+    bounds = _frame_or_raise(g, lat, _bounds(float(ev.min()), float(ev.max()),
+                                             method), tol)
+    z = to(g.samples)[..., None]
+    if method == "contour":
+        y = _contour_inverse_sqrt(blocks, z, bounds.A, bounds.B, tol)
+    else:
+        y = V @ ((V.conj().swapaxes(1, 2) @ z) / np.sqrt(ev)[..., None])
+    return Signal(lat.grid, back(y[..., 0]))
 
 
 def inverse_sqrt_matrix_contour(S: np.ndarray, A: float, B: float,
                                 tol: float = 1e-10) -> np.ndarray:
-    """Dense inverse square root by the same contour quadrature.
-
-    Resolvents are dense solves here; used to check the quadrature against
-    the eigendecomposition at matrix level.
+    """Dense inverse square root by the same contour quadrature, on ``S`` as
+    a one-block stack; used to check the quadrature against the
+    eigendecomposition at matrix level.
     """
     if A <= 0.0:
         raise NotAFrameError("inverse square root needs a positive lower bound")
     eye = np.eye(S.shape[0], dtype=complex)
-    return _contour_inverse_sqrt(
-        A, B, tol, lambda lm: np.linalg.solve(lm * eye - S, eye))
+    return _contour_inverse_sqrt(S[None], eye[None], A, B, tol)[0]
 
 
 def duality_defect(g: Signal, gd: Signal, lat: GaborLattice) -> float:

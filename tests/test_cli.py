@@ -208,6 +208,43 @@ def test_verify_file_dual_without_path_exits_2(tmp_path, capsys):
     assert "ParseError" in err and "'path'" in err
 
 
+def test_verify_file_dual_not_utf8_exits_2(tmp_path, capsys):
+    dual_path = tmp_path / "latin1.txt"
+    dual_path.write_bytes(b"1 0\n" * 7 + b"0 \xe9\n")
+    cfg = write_config(tmp_path / "run.cfg", out=tmp_path / "out",
+                       extra=f"[verify]\ndual = file\npath = {dual_path}")
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+# (window kind, window keys, weight kind, weight keys), with {v} the value
+NON_FINITE_KEYS = {
+    "units": ("characteristic", "units = {v}", "constant", ""),
+    "width": ("gaussian", "width = {v}", "constant", ""),
+    "center": ("gaussian", "width = 1.0\ncenter = {v}", "constant", ""),
+    "t": ("characteristic", "units = 1", "polynomial", "t = {v}"),
+    "c": ("characteristic", "units = 1", "subexponential", "c = {v}"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", sorted(NON_FINITE_KEYS))
+@pytest.mark.parametrize("command", ["analyze", "dual", "tight", "conjecture"])
+def test_non_finite_parameter_exits_2(tmp_path, capsys, command, key, value):
+    window, window_extra, weight, weight_extra = NON_FINITE_KEYS[key]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=64, s=8, a=4, b=4,
+                       window=window, window_extra=window_extra.format(v=value),
+                       weight=weight, weight_extra=weight_extra.format(v=value),
+                       out=out)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "DomainError" in err and "must be finite" in err
+    assert not out.exists()
+
+
 def test_verify_corrupted_dual_exits_4(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.cfg", out=out, tol=1e-10,
@@ -416,6 +453,17 @@ def test_fiber_above_its_limit_exits_2(tmp_path, capsys, monkeypatch):
                        extra="[dual]\nmethod = fiber")
     assert main(["dual", "--config", cfg]) == 2
     assert "SizeError" in capsys.readouterr().err
+
+
+def test_default_dual_above_fiber_limit_exits_2(tmp_path, capsys,
+                                                monkeypatch):
+    # the default refuses above the cap and names the explicit method
+    from gaborwalnut import invert
+    monkeypatch.setattr(invert, "FIBER_LIMIT", 8)  # the instance has L*p = 16
+    cfg = write_config(tmp_path / "run.cfg", L=16, out=tmp_path / "out")
+    assert main(["dual", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "SizeError" in err and "'cg' with bounds=" in err
 
 
 @pytest.mark.parametrize("command", ["dual", "tight"])

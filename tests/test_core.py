@@ -104,6 +104,17 @@ class TestWindows:
         g = build_window(WindowSpec.hat(), build_grid(8, 4))
         assert np.allclose(g.samples.real, [0.0, 0.5, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("spec", [
+        lambda v: WindowSpec.characteristic(v),
+        lambda v: WindowSpec.gaussian(width=v),
+        lambda v: WindowSpec.gaussian(width=1.0, center=v),
+    ], ids=["units", "width", "center"])
+    def test_non_finite_parameter_rejected(self, spec, value):
+        with pytest.raises(DomainError, match="must be finite"):
+            build_window(spec(value), build_grid(8, 4))
+
     def test_signal_length_checked(self):
         with pytest.raises(DimensionError):
             Signal(build_grid(8, 4), np.zeros(7))
@@ -202,6 +213,15 @@ class TestWeights:
             Weight.subexponential(0.0, 0.5)
         with pytest.raises(DomainError):
             Weight.subexponential(1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_rejected(self, value):
+        with pytest.raises(DomainError, match="must be finite"):
+            Weight.polynomial(value)
+        with pytest.raises(DomainError, match="must be finite"):
+            Weight.subexponential(value, 0.5)
+        with pytest.raises(DomainError):
+            Weight.subexponential(1.0, value)
 
     @pytest.mark.parametrize("w", [
         Weight.constant(),

@@ -238,6 +238,19 @@ class TestTightWindow:
         with pytest.raises(ConvergenceError, match=r"within 16 nodes \(B/A = "):
             tight_window(g, lat, method="contour")
 
+    @pytest.mark.parametrize("L,s,a,b,p", [(240, 16, 12, 8, 2),
+                                           (144, 8, 9, 12, 3)])
+    def test_contour_matches_fiber_on_blocks(self, L, s, a, b, p):
+        # p > 1: every node solves a stack of p x p blocks
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        assert invert._block_size(lat) == p
+        gt_c = tight_window(g, lat, method="contour", tol=1e-10)
+        gt_f = tight_window(g, lat)
+        assert np.linalg.norm(gt_c.samples - gt_f.samples) / \
+            np.linalg.norm(gt_f.samples) <= 1e-10
+
     def test_spectral_mapping(self):
         # matrix-level quadrature: eigenvalues map through the inverse root
         grid = build_grid(64, 8)
@@ -439,18 +452,34 @@ class TestAboveDenseLimit:
 
 
 class TestFiberLimit:
-    def test_explicit_fiber_refused_default_falls_back(self, gauss64,
-                                                      monkeypatch):
+    def test_defaults_and_contour_refused_above_cap(self, gauss64,
+                                                    monkeypatch):
         g, lat = gauss64  # p = 1, L*p = 64
+        fb = frame_bounds(g, lat)
+        gd = inverse_solve(g, lat, g)[0]
         monkeypatch.setattr(invert, "FIBER_LIMIT", 32)
+        for method in (None, "fiber"):
+            with pytest.raises(SizeError, match="'power_iteration'"):
+                frame_bounds(g, lat, method=method)
+            with pytest.raises(SizeError, match="'cg' with bounds="):
+                inverse_solve(g, lat, g, method=method)
+            with pytest.raises(SizeError, match="got 64$"):
+                tight_window(g, lat, method=method)
         with pytest.raises(SizeError):
-            frame_bounds(g, lat, method="fiber")
-        with pytest.raises(SizeError):
-            inverse_solve(g, lat, g, method="fiber")
-        with pytest.raises(SizeError):
-            tight_window(g, lat, method="fiber")
-        assert frame_bounds(g, lat).method == "power_iteration"
-        assert inverse_solve(g, lat, g)[1].method == "cg"
+            dual_window(g, lat)
+        with pytest.raises(SizeError, match="got 64$"):
+            tight_window(g, lat, method="contour")
+        with pytest.raises(SizeError):  # cg needs bounds from elsewhere
+            inverse_solve(g, lat, g, method="cg")
+        # the explicit matrix-free cross-checks still run there
+        fp = frame_bounds(g, lat, method="power_iteration")
+        assert fp.method == "power_iteration"
+        assert fp.A == pytest.approx(fb.A, rel=1e-8)
+        assert fp.B == pytest.approx(fb.B, rel=1e-8)
+        gc, report = inverse_solve(g, lat, g, method="cg", bounds=fp)
+        assert report.method == "cg"
+        assert np.linalg.norm(gc.samples - gd.samples) / \
+            np.linalg.norm(gd.samples) <= 1e-9
 
     def test_cap_counts_block_entries(self, monkeypatch):
         # a cap of exactly L*p admits the blocks though L*b is above it

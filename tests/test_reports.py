@@ -132,12 +132,13 @@ def test_window_file_blocks_match_line_by_line(tmp_path, name):
 
 
 def test_window_file_not_utf8(tmp_path):
-    # the decoding error surfaces where the line-by-line reader meets it
+    # the decoding error surfaces where the line-by-line reader meets it,
+    # as a ParseError naming the file
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"1 2\n3 4\n5 6\n7 \xe9\n")
     with pytest.raises(UnicodeDecodeError):
         read_line_by_line(str(path), 4)
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(ParseError, match=r"latin1\.txt: not UTF-8 text"):
         read_window_file(str(path), build_grid(4, 2))
     path.write_bytes(b"1 2 3\n" + b"0 0\n" * 5000 + b"\xe9 1\n")
     with pytest.raises(ParseError, match=":1: expected"):
