@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Signal, Weight, signed_range
-from .errors import DivisibilityError
+from .errors import DivisibilityError, DomainError
 
 __all__ = ["AmalgamProfile", "amalgam_norm", "amalgam_profile", "embedding_check"]
 
@@ -43,17 +43,22 @@ class AmalgamProfile:
 
 def _profile(rows: np.ndarray, w: Weight) -> AmalgamProfile:
     """Weighted sup series of the rows of a table, row ``n mod len(rows)``
-    being block ``n``, summed cumulatively in :func:`signed_range` order."""
+    being block ``n``, summed cumulatively in :func:`signed_range` order.
+    A weight or a series that overflows raises ``DomainError``."""
     nblocks = rows.shape[0]
     indices = np.array(signed_range(nblocks), dtype=int)
     sups = np.abs(rows).max(axis=1)[indices % nblocks]
-    weights = w(indices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = w(indices)
+        cumsums = np.cumsum(sups * weights)
+    if not (np.isfinite(weights).all() and math.isfinite(cumsums[-1])):
+        raise DomainError(f"weight {w.describe()} overflows on {nblocks} blocks")
     return AmalgamProfile(
         block_len=rows.shape[1],
         indices=indices,
         block_sups=sups,
         weights=weights,
-        weighted_cumsums=np.cumsum(sups * weights),
+        weighted_cumsums=cumsums,
     )
 
 

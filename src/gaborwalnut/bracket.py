@@ -3,11 +3,14 @@
 The bracket of two signals at period ``p`` is the cyclic fold of ``f*conj(h)``
 onto one period.  Its Fourier-series coefficients are scaled inner products
 against modulations, which is the bridge between the pointwise multiplier
-picture and the coefficient picture used everywhere downstream.
+picture and the coefficient picture used everywhere downstream.  The
+bracket tables ``[f, T_{n*a} h]_M`` are built in polyphase form, one
+length-``b`` FFT per residue class of ``n*a mod M``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,19 +81,23 @@ def bracket_fourier_coeffs(f: Signal, h: Signal, p: int) -> np.ndarray:
     return np.fft.fft(pv.values) / p
 
 
-def _translates(h: np.ndarray, lat: GaborLattice):
-    """``T_{n*a} h`` for ``n = 0..N-1``, in chunks of about ``2**16`` entries.
+def _residue_classes(h: np.ndarray, lat: GaborLattice):
+    """``T_{n*a} h`` by residue class: with ``n*a = q*M + rho``, as a
+    ``(b, M)`` array it is ``T_{rho} h`` with its rows rolled by ``q``.
 
-    Yields ``(n, rows)``: the row indices of one chunk and the
-    ``(len(n), L)`` translates, read as windows of ``h`` concatenated with
-    itself at offset ``L - n*a``, so no ``N x L`` array is held.
+    Class ``i`` of ``P = M / gcd(a, M)`` holds ``n = i, i+P, ...`` at
+    ``rho = i*a mod M``.  Yields ``(rows, q, H)``: the slice of those ``n``,
+    their ``q``, and the DFT along the columns of ``T_{rho} h``, a window
+    of one ``(b, 2*M)`` DFT.
     """
-    L = lat.grid.L
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([h, h]), L)
-    step = max(1, 2**16 // L)
-    for n0 in range(0, lat.N, step):
-        n = np.arange(n0, min(n0 + step, lat.N))
-        yield n, windows[L - n * lat.a]
+    M, b, a = lat.M, lat.b, lat.a
+    P = M // math.gcd(a, M)
+    wide = np.concatenate([np.roll(h, M).reshape(b, M), h.reshape(b, M)], axis=1)
+    spectra = np.fft.fft(wide, axis=0)
+    for i in range(P):
+        rho = i * a % M
+        yield (slice(i, None, P), np.arange(i, lat.N, P) * a // M,
+               spectra[:, M - rho:2 * M - rho])
 
 
 def _bracket_table(f: Signal, h: Signal, lat: GaborLattice) -> np.ndarray:
@@ -98,12 +105,14 @@ def _bracket_table(f: Signal, h: Signal, lat: GaborLattice) -> np.ndarray:
 
     The one builder of bracket tables: the Gabor coefficients are the DFTs of
     its rows (``frame_op.analysis``) and the diagnostics read their
-    identities off it.  Rows are formed and folded chunk by chunk.
+    identities off it.  Each class of :func:`_residue_classes` is one cyclic
+    correlation along the columns, one inverse FFT: ``O(P*L*log b)`` in all
+    (Zibulski & Zeevi, ACHA 4, 1997).
     """
-    L, M = lat.grid.L, lat.M
-    out = np.empty((lat.N, M), dtype=complex)
-    for n, rows in _translates(np.conj(h.samples), lat):
-        out[n] = (f.samples * rows).reshape(len(n), L // M, M).sum(axis=1)
+    F = np.fft.fft(f.samples.reshape(lat.b, lat.M), axis=0)
+    out = np.empty((lat.N, lat.M), dtype=complex)
+    for rows, q, H in _residue_classes(h.samples, lat):
+        out[rows] = np.fft.ifft(F * np.conj(H), axis=0)[q]
     return out
 
 

@@ -1,9 +1,9 @@
 """Gabor analysis/synthesis, the frame operator, and its Walnut form.
 
-``analysis`` and ``synthesis`` are length-``M`` DFTs of bracket tables at
-``O(N * L)`` cost.  ``frame_operator_direct`` evaluates the dense double sum
-over all lattice points and is the oracle every faster path is judged
-against.  The Walnut form collapses the modulation sum into ``b`` strided
+``analysis`` and ``synthesis`` are length-``M`` DFTs of the polyphase
+bracket tables of ``bracket``.  ``frame_operator_direct`` evaluates the
+dense double sum by its own rolls and is the oracle every faster path is
+judged against.  The Walnut form collapses the modulation sum into ``b`` strided
 multiplier terms,
 
     ``S f(j) = (M/s) * sum_r G_r(j) * f(j - r*M)``.
@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bracket import _bracket_table, _translates
+from .bracket import _bracket_table, _residue_classes
 from .core import GaborLattice, Signal, Weight, signed_range
 from .errors import DimensionError, GridMismatchError, LatticeError
 from .amalgam import _profile, amalgam_norm
@@ -194,13 +194,14 @@ def analysis(g: Signal, lat: GaborLattice, f: Signal) -> Coeffs:
 
     Column ``n`` is the length-``M`` DFT of the bracket ``[f, T_{n*a} g]_M``
     divided by ``s``, the identity of :func:`bracket_fourier_coeffs`.  The
-    bracket table costs ``O(N*L)`` products and the DFTs ``O(N*M*log M)``;
+    bracket table costs ``O(P*L*log b)`` and the DFTs ``O(N*M*log M)``;
     no ``M x L`` phase matrix is built.
     """
     if g.grid != f.grid or g.grid != lat.grid:
         raise GridMismatchError("window, signal and lattice must share one grid")
-    table = _bracket_table(f, g, lat)
-    return Coeffs(lat, np.fft.fft(table, axis=1).T / lat.grid.s)
+    coeffs = np.fft.fft(_bracket_table(f, g, lat), axis=1)
+    coeffs /= lat.grid.s
+    return Coeffs(lat, coeffs.T)
 
 
 def synthesis(g: Signal, lat: GaborLattice, c: Coeffs) -> Signal:
@@ -208,19 +209,21 @@ def synthesis(g: Signal, lat: GaborLattice, c: Coeffs) -> Signal:
 
     The reverse of :func:`analysis`: ``M * ifft(c[:, n])`` is one period of
     the ``M``-periodic factor ``sum_m c[m,n] * exp(2*pi*i*m*j/M)`` that
-    multiplies ``T_{n*a} g``, and the products are folded over ``n`` chunk
-    by chunk.  Costs ``O(N*L + N*M*log M)``.
+    multiplies ``T_{n*a} g``.  The sum over ``n`` is the adjoint of the
+    bracket table: per residue class, rows ``q`` of a ``(b, M)`` array
+    convolved along the columns with ``T_{rho} g``, summed as spectra.
     """
     if g.grid != lat.grid:
         raise GridMismatchError("window and lattice must share one grid")
     if c.lat != lat:
         raise DimensionError("coefficient matrix belongs to a different lattice")
-    L, M = lat.grid.L, lat.M
-    periods = M * np.fft.ifft(c.values, axis=0).T
-    out = np.zeros((L // M, M), dtype=complex)
-    for n, rows in _translates(g.samples, lat):
-        out += np.einsum("nkx,nx->kx", rows.reshape(len(n), L // M, M), periods[n])
-    return Signal(g.grid, out.reshape(L))
+    periods = np.fft.ifft(c.values.T, axis=1, norm="forward")
+    acc = np.zeros((lat.b, lat.M), dtype=complex)
+    for rows, q, H in _residue_classes(g.samples, lat):
+        X = np.zeros((lat.b, lat.M), dtype=complex)
+        X[q] = periods[rows]
+        acc += np.fft.fft(X, axis=0) * H
+    return Signal(g.grid, np.fft.ifft(acc, axis=0).reshape(lat.grid.L))
 
 
 def _phases(lat: GaborLattice) -> np.ndarray:

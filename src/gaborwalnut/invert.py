@@ -72,6 +72,7 @@ NOT_A_FRAME_RTOL = 1e-12
 # Power-iteration steps, and the seeds of its start vectors for B and for A.
 POWER_MAX_ITER = 400_000
 POWER_SEEDS = (0, 1)
+_TINY = np.finfo(float).tiny
 # What still runs above FIBER_LIMIT, by the caller's matrix-free method.
 _ABOVE_CAP = {"power_iteration": "; method='power_iteration' runs matrix-free",
               "cg": "; method='cg' with bounds= runs matrix-free"}
@@ -168,6 +169,9 @@ def _power_extreme(apply_op, L: int, tol: float, seed: int) -> float:
         lam = float(np.real(np.vdot(v, w)))
         resid = float(np.linalg.norm(w - lam * v))
         v = w / nw
+        # zero the parts below the normal range: subnormal arithmetic is slow
+        parts = v.view(float)
+        parts[np.abs(parts) < _TINY] = 0.0
         scale = max(abs(lam), 1e-300)
         if (
             lam_old is not None

@@ -34,11 +34,20 @@ __all__ = [
 ]
 
 
+# Lines of a window file formatted by one join; a bigger block only holds
+# more strings at once.
+_WRITE_LINES = 1024
+
+
 def write_window_file(sig: Signal, path) -> None:
     """Write a signal in the window file format: one ``re im`` pair per line."""
+    parts = sig.samples.view(float)
     with open(path, "w", encoding="utf-8") as fh:
-        for v in sig.samples:
-            fh.write(f"{float(v.real)!r} {float(v.imag)!r}\n")
+        for k in range(0, parts.size, 2 * _WRITE_LINES):
+            block = parts[k:k + 2 * _WRITE_LINES].tolist()
+            out = ["", " ", "", "\n"] * (len(block) // 2)
+            out[::2] = map(repr, block)  # the reprs fill the empty slots
+            fh.write("".join(out))
 
 
 def write_profile_csv(profile: AmalgamProfile, path) -> None:

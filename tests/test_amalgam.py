@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from gaborwalnut import (
     DivisibilityError,
+    DomainError,
     Signal,
     Weight,
     WindowSpec,
@@ -155,3 +158,15 @@ def test_block_refinement_equivalence():
         n4 = amalgam_norm(f, 4, w)
         factor = max(n2 / n4, n4 / n2)
         assert factor <= 2.0 * (1 + 1e-12)
+
+
+def test_weight_not_finite_on_the_blocks_refused(chi):
+    # (1 + |n|)**1e6 overflows from n = 1 on; a finite weight whose series
+    # overflows is refused too, and numpy warns about neither
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows on 4 blocks"):
+            amalgam_norm(chi, 2, Weight.polynomial(1e6))
+        with pytest.raises(DomainError, match="overflows"):
+            amalgam_norm(chi, 2, Weight.custom(lambda n: 1e308))
+        assert amalgam_norm(chi, 8, Weight.polynomial(1e6)) == 1.0

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -388,6 +389,22 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
                        out=tmp_path / "out")
     assert main([command, "--config", cfg, "--seed", "-3"]) == 2
     assert "DomainError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_weight_overflowing_on_the_grid_exits_2(tmp_path, capsys, command):
+    # nu(n) = (1 + |n|)**1e6 is finite as a parameter but infinite at n = 1
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=64, s=8, a=4, b=4,
+                       window="gaussian", window_extra="width = 1.0",
+                       weight="polynomial", weight_extra="t = 1e6", out=out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "DomainError" in err and "overflows" in err
+    assert "Traceback" not in err
+    assert not (out / f"{command}.json").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "dual"])

@@ -234,6 +234,14 @@ def _loop_bracket_table(f, h, lat):
     ])
 
 
+def _table_error(table, f, h, lat):
+    # largest entry of |table - loop| in units of ||f||_2 * ||h||_2, the
+    # scale of every entry (Cauchy-Schwarz) and of the FFT rounding
+    ref = _loop_bracket_table(f, h, lat)
+    scale = np.linalg.norm(f.samples) * np.linalg.norm(h.samples)
+    return float(np.abs(table - ref).max()) / scale
+
+
 def _loop_convo_identity_residual(g, gd, lat):
     M, N = lat.M, lat.N
     Bg = _loop_bracket_table(g, g, lat)
@@ -306,16 +314,20 @@ class TestLoopEquivalence:
                 _loop_series(g.samples.reshape(-1, a), w)[-1]
             assert walnut_weighted_sum(W, w) == _loop_series(W.table, w)[-1]
             assert forbound_slack(W, w) == _loop_forbound_slack(W, w)
-            assert np.array_equal(bracket_series(gd, g, lat, w), _loop_series(
-                _loop_bracket_table(gd, g, lat), w))
+            # the table comes from FFTs: the series over it is exact, the
+            # table itself is held to the loop by the bound of _table_error
+            table = _bracket_table(gd, g, lat)
+            assert _table_error(table, gd, g, lat) <= 1e-13
+            assert np.array_equal(bracket_series(gd, g, lat, w),
+                                  _loop_series(table, w))
             lhs, _ = estimate_convest(g, gd, lat, w)
-            assert lhs == _loop_series(_loop_bracket_table(gd, g, lat), w)[-1]
+            assert lhs == _loop_series(table, w)[-1]
             rep = dual_summability_report(g, lat, w, cross_check=False)
             assert rep.per_r == tuple((r, sup, w(r), sup * w(r))
                                       for r, sup in Wd.sup_norms().items())
             assert np.array_equal(rep.tail_profile, _loop_series(Wd.table, w))
 
-    def test_tables_and_residual_bit_for_bit(self):
+    def test_tables_and_residual_against_loop(self):
         # the divisor-lattice sweep of TestConvoIdentity, a not dividing M
         # included, with the canonical dual and an unrelated second window
         rng = np.random.default_rng(21)
@@ -332,9 +344,8 @@ class TestLoopEquivalence:
                     gd = dual_window(g, lat, method="dense")
                     h = rand_signal(grid, int(rng.integers(2**31)))
                     for f, k in ((g, g), (gd, gd), (gd, g), (h, g)):
-                        assert np.array_equal(_bracket_table(f, k, lat),
-                                              _loop_bracket_table(f, k, lat)), \
-                            (L, s, a, b)
+                        assert _table_error(_bracket_table(f, k, lat),
+                                            f, k, lat) <= 1e-13, (L, s, a, b)
                     # the residual sums by FFT correlation, so it matches the
                     # loop to rounding of the terms' scale, not bit for bit
                     for other in (gd, h):
@@ -356,15 +367,14 @@ class TestLoopEquivalence:
         assert checked > 40
 
     @pytest.mark.parametrize("L,a,b", [(4096, 16, 32), (6000, 16, 24)])
-    def test_chunked_table_above_one_chunk(self, L, a, b):
-        # rows are folded 2**16 // L at a time: 16 chunks of 16 rows at
-        # L = 4096, and 37 chunks of 10 rows plus one of 5 at L = 6000
+    def test_table_within_bound_at_size(self, L, a, b):
+        # P = 8 residue classes of 32 rows at L = 4096; at L = 6000 a does
+        # not divide M = 250: P = 125 classes of 3 rows
         grid = build_grid(L, 16)
         lat = GaborLattice(grid, a, b)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
         h = rand_signal(grid, 5)
-        assert np.array_equal(_bracket_table(h, g, lat),
-                              _loop_bracket_table(h, g, lat))
+        assert _table_error(_bracket_table(h, g, lat), h, g, lat) <= 1e-13
 
     @pytest.mark.parametrize("L,s", [(16, 4), (64, 8), (128, 8), (256, 16)])
     def test_counterexample_inner_products(self, L, s):

@@ -123,6 +123,20 @@ class TestFFTMaps:
             assert np.linalg.norm(y - ref_y) <= 1e-12 * np.linalg.norm(ref_y), \
                 (lat.a, lat.b)
 
+    @pytest.mark.parametrize("L,a,b", [(960, 3, 12), (1040, 8, 8)])
+    def test_match_dense_maps_on_many_residue_classes(self, L, a, b):
+        # a does not divide M (p = 3 and 4): P = 80 and 65 residue classes
+        # of n*a mod M, of 4 and 2 translates each
+        grid = build_grid(L, 16)
+        lat = GaborLattice(grid, a, b)
+        g, f = rand_signal(grid, L), rand_signal(grid, L + 1)
+        c = analysis(g, lat, f).values
+        ref = _dense_analysis(g, lat, f)
+        assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
+        y = synthesis(g, lat, Coeffs(lat, ref)).samples
+        ref_y = _dense_synthesis(g, lat, ref)
+        assert np.linalg.norm(y - ref_y) <= 1e-12 * np.linalg.norm(ref_y)
+
     @pytest.mark.parametrize("L,s,a,b", [(48, 4, 16, 2), (64, 8, 4, 4),
                                          (240, 16, 12, 10)])
     def test_adjoint(self, L, s, a, b):

@@ -79,6 +79,31 @@ class TestFrameBounds:
         assert fp.A == pytest.approx(fd.A, rel=1e-8)
         assert fp.B == pytest.approx(fd.B, rel=1e-8)
 
+    def test_power_iteration_flushes_subnormals(self, monkeypatch):
+        # a c268-type lattice (a = 32, M = 128, B/A about 268): on the
+        # shifted operator most parts of the iterate decay below the normal
+        # range; none may reach apply, and the bounds stay those of fiber
+        from gaborwalnut import frame_op
+        grid = build_grid(256, 16)
+        lat = GaborLattice(grid, 32, 2)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        ff = frame_bounds(g, lat)
+        assert ff.B / ff.A > 200
+        tiny = np.finfo(float).tiny
+        real = frame_op.WalnutCoeffs.apply
+        subnormal = []
+
+        def spy(self, v):
+            parts = np.abs(v.view(float))
+            subnormal.append(bool(np.any((parts > 0) & (parts < tiny))))
+            return real(self, v)
+
+        monkeypatch.setattr(frame_op.WalnutCoeffs, "apply", spy)
+        fp = frame_bounds(g, lat, method="power_iteration")
+        assert subnormal and not any(subnormal)
+        assert fp.A == pytest.approx(ff.A, rel=1e-9)
+        assert fp.B == pytest.approx(ff.B, rel=1e-9)
+
     def test_dense_size_limit(self):
         grid = build_grid(2048, 16)
         lat = GaborLattice(grid, 32, 32)

@@ -54,6 +54,24 @@ def test_window_file_round_trip(tmp_path):
     assert np.array_equal(build_window(spec, grid).samples, sig.samples)
 
 
+def test_window_file_bytes_match_line_by_line_format(tmp_path):
+    # the block-joined writer against one f-string per sample, on signed
+    # zeros, subnormals, extremes, integers and random values; 2052 lines
+    # are two whole blocks of 1024 and a partial one
+    grid = build_grid(2052, 4)
+    rng = np.random.default_rng(7)
+    samples = rng.standard_normal(2052) + 1j * rng.standard_normal(2052)
+    samples[:8] = [complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324 - 1e-310j,
+                   1e300 - 1e-300j, -1e300 + 2.5e-308j, 3 + 0j, -7 + 12j,
+                   complex(2**53, -(2**60))]
+    sig = Signal(grid, samples)
+    path = tmp_path / "window.txt"
+    write_window_file(sig, path)
+    expect = "".join(f"{float(v.real)!r} {float(v.imag)!r}\n"
+                     for v in sig.samples)
+    assert path.read_bytes() == expect.encode("utf-8")
+
+
 def test_window_file_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0 0.0\nnot numbers here\n")
