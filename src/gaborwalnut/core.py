@@ -307,8 +307,15 @@ def build_window(spec: WindowSpec, grid: Grid) -> Signal:
         if spec.width <= 0:
             raise DomainError(f"gaussian width must be positive, got {spec.width}")
         c = grid.units / 2 if spec.center is None else spec.center
-        x = j / s
-        return Signal(grid, np.exp(-np.pi * ((x - c) / spec.width) ** 2).astype(complex))
+        # exp(-pi*u**2) is exactly 0.0 once pi*u**2 > 745.2, so only the run
+        # of j with pi*u**2 < 746 is evaluated and the rest stays 0.0
+        reach = spec.width * math.sqrt(746 / math.pi)
+        lo, hi = np.clip(np.floor([s * (c - reach), s * (c + reach)]) + [0, 1],
+                         0, L).astype(int)
+        x = j[lo:hi] / s
+        v = np.zeros(L)
+        v[lo:hi] = np.exp(-np.pi * ((x - c) / spec.width) ** 2)
+        return Signal(grid, v.astype(complex))
     if spec.kind == "hat":
         if s > L:
             raise DomainError("hat support of one unit exceeds the grid extent")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .amalgam import AmalgamProfile, _profile, amalgam_norm, amalgam_profile
 from .bracket import PeriodicVector, _bracket_table, bracket_product
@@ -39,6 +40,7 @@ from .frame_op import (
     frame_operator_walnut,
     walnut_coefficients,
     walnut_weighted_sum,
+    _support_run,
 )
 from .invert import DENSE_LIMIT, dual_window
 
@@ -333,8 +335,10 @@ def counterexample_report(
     ``h`` against the adjoint-lattice shifts of ``g`` (integer-unit
     translations, even-unit-frequency modulations) together with the
     half-unit block profile of ``h``.  The inner products vanish by exact
-    geometric cancellation whenever ``s`` is even.  They are direct sums:
-    one ``(s/2) x L`` matrix-vector product per integer-unit translate.
+    geometric cancellation whenever ``s`` is even.  They are direct sums
+    over the support run of ``g`` (:func:`frame_op._support_run`), ``n``
+    samples long: ``(s/2)*n`` products per integer-unit translate,
+    ``L*n/2`` in all, with ``n = s`` for the unit box.
     """
     grid = lat.grid
     K, s = grid.units, grid.s
@@ -348,15 +352,16 @@ def counterexample_report(
     if h.grid != grid or g.grid != grid:
         raise GridMismatchError("signals and lattice must share one grid")
     L = grid.L
-    j = np.arange(L)
     m = np.arange(s // 2)[:, None]
-    # row m: h times the conjugate of the modulation by 2*m*K bins
-    hm = np.exp(-2j * np.pi * (2 * m * K % L) * j / L) * h.samples
-    gg = np.conj(np.concatenate([g.samples, g.samples]))
-    max_inner = 0.0
-    for n in range(K):
-        inner = hm @ gg[L - n * s:2 * L - n * s] / s
-        max_inner = max(max_inner, float(np.abs(inner).max()))
+    # row m: h times the conjugate of the modulation by 2*m*K bins at the
+    # samples j from the start of g's run on, L + n of them: the translate
+    # by k units meets the run at columns k*s .. k*s + n - 1
+    start, n = _support_run(g.samples, lat.a)
+    j = (start + np.arange(L + n)) % L
+    hm = np.exp(-2j * np.pi * (2 * m * K % L) * j / L) * h.samples[j]
+    gv = np.conj(g.samples[j[:n]])
+    inner = sliding_window_view(hm, n, axis=1)[:, :L:s] @ gv / s
+    max_inner = float(np.abs(inner).max())
     profile = amalgam_profile(h, s // 2, w)
     return max_inner, profile
 

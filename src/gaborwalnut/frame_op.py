@@ -19,9 +19,13 @@ apply the operator in ``O(L*p + L*log b)`` and give its bounds, inverse and
 inverse square root (``invert``).
 
 The multipliers are brackets ``G_r = [g, T_{r*M} g]_a`` formed by direct
-products (``_pair_rows``).  The same rows for a pair of windows,
-``[gd, T_{r*M} g]_a``, are the mixed multipliers of ``S_{gd,g}``; they
-give the exact duality check ``invert.duality_defect``.
+products over the window's support run (``_pair_rows``), so a window whose
+nonzero samples fit in ``n`` costs ``O(b*n)``, not ``O(b*L)``.  At ``n <= M``
+every ``G_r`` with ``r != 0`` is zero and the operator is painless
+(Daubechies, Grossmann & Meyer, J. Math. Phys. 27, 1986): ``apply`` is one
+product.  The same rows for a pair of windows, ``[gd, T_{r*M} g]_a``, are
+the mixed multipliers of ``S_{gd,g}``; they give the exact duality check
+``invert.duality_defect``.
 """
 
 from __future__ import annotations
@@ -139,7 +143,10 @@ class WalnutCoeffs:
         return {r: float(sups[r]) for r in signed_range(self.lat.b)}
 
     @cached_property
-    def _split(self) -> tuple[np.ndarray, np.ndarray]:
+    def _split(self) -> tuple[np.ndarray, np.ndarray | None]:
+        diag = self.factor * self.table[0]
+        if not self.table[1:].any():
+            return diag, None  # painless: every G_r with r != 0 is 0.0
         off = self.table.copy()
         off[0] = 0.0
         if _block_size(self.lat) == 1:
@@ -147,7 +154,7 @@ class WalnutCoeffs:
             blocks = self.factor * np.fft.fft(off, axis=0)
         else:
             blocks = _zak_blocks(off, self.lat, self.factor)
-        return self.factor * self.table[0], blocks
+        return diag, blocks
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``factor * sum_r G_r * T_{r*M} v`` on a length-``L`` array.
@@ -158,14 +165,15 @@ class WalnutCoeffs:
         zeroed, one inverse FFT.  The blocks are cached on first use; at
         ``p = 1`` (``a | M``) they are the ``(b, a)`` DFT of that table
         along ``r``, read at ``j0 mod a``, so the cache is no larger than
-        the table.  Keeping ``r = 0`` out of the FFT makes a painless
-        operator (``G_r = 0`` for all ``r != 0``, window support at most
-        ``M``) exact: its blocks are exact zeros and ``apply`` returns
-        ``factor * G_0 * v`` bit for bit.
+        the table.  A painless operator (``G_r = 0`` for all ``r != 0``,
+        window support at most ``M``) has no such terms: ``apply`` skips
+        both FFTs and returns ``factor * G_0 * v``, ``O(L)`` and exact.
         """
         lat = self.lat
         a = lat.a
         diag, blocks = self._split
+        if blocks is None:
+            return (diag * v.reshape(-1, a)).reshape(lat.grid.L)
         z = _to_zak(v, lat)
         if blocks.ndim == 2:
             zz = z.reshape(lat.b, -1, a)
@@ -256,23 +264,66 @@ def frame_operator_direct(g: Signal, lat: GaborLattice, f: Signal) -> Signal:
     return Signal(g.grid, out)
 
 
+def _support_run(v: np.ndarray, a: int) -> tuple[int, int]:
+    """Shortest cyclic run ``(start, n)`` outside which ``v`` is exactly 0.0.
+
+    ``start`` and ``n`` are multiples of ``a``: the run is the complement of
+    the longest cyclic gap between the length-``a`` blocks of ``v`` that hold
+    a nonzero sample.  A zero signal gives ``(0, 0)`` and a signal with no
+    zero block ``(0, L)``.
+    """
+    L = v.shape[0]
+    blocks = v.reshape(L // a, a).any(axis=1)
+    if blocks.all():
+        return 0, L
+    nz = np.flatnonzero(blocks)
+    if nz.size == 0:
+        return 0, 0
+    gaps = np.diff(nz, append=nz[0] + L // a)
+    i = int(np.argmax(gaps))
+    return int(nz[(i + 1) % nz.size]) * a, L - (int(gaps[i]) - 1) * a
+
+
 def _pair_rows(f: np.ndarray, h: np.ndarray, lat: GaborLattice,
                rows: int) -> np.ndarray:
     """Rows ``r = 0..rows-1`` of ``[f, T_{r*M} h]_a``, shape ``(rows, a)``.
 
     Row ``r`` is the direct product ``f * T_{r*M} conj(h)`` folded to
-    period ``a``, the translate read as a slice of ``conj(h)`` concatenated
-    with itself: ``L`` products per row and no FFT, so a bracket that
-    vanishes is an exact zero.  ``rows`` is at most ``b``; since
-    ``T_{b*M}`` is the identity, row ``r`` also stands for ``r - b``.
+    period ``a``, summed over the shorter of the two support runs
+    (:func:`_support_run`) only: ``O(rows*n)`` products for runs of ``n``
+    samples and no FFT, so a bracket that vanishes is an exact zero.  Over
+    f's run the translate is a slice of ``conj(h)`` concatenated with
+    itself; over h's run the row is ``sum_i f[i + r*M] * conj(h[i])``,
+    rolled by ``r*M mod a``.  A row whose two runs do not meet is left at
+    zero and costs nothing.  A full support is the run ``(0, L)``, so such
+    a pair costs ``L`` products per row, read as views.  ``rows`` is at most
+    ``b``; since ``T_{b*M}`` is the identity, row ``r`` also stands for
+    ``r - b``.
     """
     L, a, M = lat.grid.L, lat.a, lat.M
-    out = np.empty((rows, a), dtype=complex)
-    ff = f.reshape(L // a, a)
-    cc = np.conj(np.concatenate([h, h]))
-    for r in range(rows):
-        shifted = cc[L - r * M:2 * L - r * M].reshape(L // a, a)
-        out[r] = np.einsum("kx,kx->x", ff, shifted)
+    out = np.zeros((rows, a), dtype=complex)
+    sf, nf = _support_run(f, a)
+    sh, nh = _support_run(h, a)
+    if nf == 0 or nh == 0:
+        return out
+    # T_{r*M} h's run starts d samples after f's; the runs meet when either
+    # starts inside the other
+    d = (sh - sf + M * np.arange(rows)) % L
+    meet = np.flatnonzero((d < nf) | ((-d) % L < nh)).tolist()
+    # sum over the shorter run; over h's run the row comes out rolled
+    hc = np.conj(h)
+    if nf <= nh:
+        start, n, run, other, step = sf, nf, f, hc, -M
+    else:
+        start, n, run, other, step = sh, nh, hc, f, M
+    if start + n > L:
+        run = np.concatenate((run, run[:start + n - L]))
+    run = run[start:start + n].reshape(-1, a)
+    other = np.concatenate((other, other))
+    for r in meet:
+        o = (start + step * r) % L
+        row = (run * other[o:o + n].reshape(-1, a)).sum(axis=0)
+        out[r] = row if step < 0 else np.roll(row, r * M % a)
     return out
 
 
@@ -280,9 +331,11 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     """Multiplier family of the frame operator of ``g`` on ``lat``.
 
     Rows ``r = 0..b/2`` are the brackets ``[g, T_{r*M} g]_a`` by direct
-    products (:func:`_pair_rows`).  The other rows follow from
-    ``G_{-r}(x) = conj(G_r((x + r*M) mod a))``.  Every row is a sum of
-    products, so a multiplier that vanishes is an exact zero.
+    products over the support run of ``g`` (:func:`_pair_rows`),
+    ``O((b/2)*n)`` when the nonzero samples fit in a cyclic run of ``n``.
+    The other rows follow from ``G_{-r}(x) = conj(G_r((x + r*M) mod a))``.
+    Every row is a sum of products, so a multiplier that vanishes is an
+    exact zero.
     """
     if g.grid != lat.grid:
         raise GridMismatchError("window and lattice must share one grid")

@@ -18,8 +18,9 @@ verdict.
 
 A computed dual or tight window is checked exactly by
 ``duality_defect``, the Walnut-form biorthogonality defect of the pair at
-``O(L*b)``; ``verify_reconstruction`` reconstructs random signals through
-analysis and synthesis and stays as its independent oracle.
+``O(b*n)`` for a shorter support run of ``n``; ``verify_reconstruction``
+reconstructs random signals through analysis and synthesis and stays as its
+independent oracle.
 """
 
 from __future__ import annotations
@@ -441,8 +442,8 @@ def duality_defect(g: Signal, gd: Signal, lat: GaborLattice) -> float:
     bounds every reconstruction residual of both pairings that
     :func:`verify_reconstruction` can find.  ``D = 0`` exactly when the
     windows are dual (Wexler-Raz/Janssen biorthogonality; Janssen, JFAA 1,
-    1995).  Costs ``L*b`` products, the rows of
-    :func:`frame_op._pair_rows`.
+    1995).  Costs ``b*n`` products, ``n`` the shorter support run of the
+    two windows: the rows of :func:`frame_op._pair_rows`.
     """
     if g.grid != gd.grid or g.grid != lat.grid:
         raise GridMismatchError("windows and lattice must share one grid")

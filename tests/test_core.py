@@ -100,6 +100,20 @@ class TestWindows:
         for t in range(1, mid):
             assert g.samples[mid + t] == pytest.approx(g.samples[mid - t])
 
+    @pytest.mark.parametrize("L,s", [(65536, 16), (6000, 24), (64, 16)])
+    @pytest.mark.parametrize("width", [0.1, 1.0, 4.0])
+    @pytest.mark.parametrize("where", ["zero", "mid", "last"])
+    def test_gaussian_equals_full_formula(self, L, s, width, where):
+        # only the run of j with pi*u**2 < 746 is evaluated; outside it the
+        # formula underflows to exactly 0.0.  L = 64 is covered completely.
+        grid = build_grid(L, s)
+        c = {"zero": 0.0, "mid": grid.units / 2,
+             "last": grid.units - 1 / s}[where]
+        g = build_window(WindowSpec.gaussian(width=width, center=c), grid)
+        x = np.arange(L) / s
+        ref = np.exp(-np.pi * ((x - c) / width) ** 2).astype(complex)
+        assert np.array_equal(g.samples, ref)
+
     def test_hat(self):
         g = build_window(WindowSpec.hat(), build_grid(8, 4))
         assert np.allclose(g.samples.real, [0.0, 0.5, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])

@@ -387,6 +387,24 @@ class TestLoopEquivalence:
             assert abs(new - _loop_counterexample_inner(h, g, lat)) <= 1e-14
 
 
+    @pytest.mark.parametrize("L,s", [(64, 8), (256, 16)])
+    def test_counterexample_inner_products_over_any_run(self, L, s):
+        # the sums run over g's support run only: one wrapping across the
+        # grid end, a single sample, the whole grid and none.  The first two
+        # runs start at odd multiples of a = s/2, which no whole-unit
+        # translate maps to sample 0.
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, s // 2, grid.units)
+        h = build_counterexample("harmonic", grid)
+        box = build_window(WindowSpec.characteristic(1.0), grid).samples
+        single = np.zeros(L, dtype=complex)
+        single[s // 2 + 1] = 1.0
+        for v in (np.roll(box, -1), single,
+                  rand_signal(grid, 3).samples, np.zeros(L, dtype=complex)):
+            g = Signal(grid, v)
+            new, _ = counterexample_report(h, g, lat, Weight.constant())
+            assert abs(new - _loop_counterexample_inner(h, g, lat)) <= 1e-14
+
 class TestConvest:
     def test_chi_values(self, chi_lat):
         # mixed series: sups 0.5 at k in {0, 1, -1}, 0 at k=2 -> 1.5

@@ -327,6 +327,87 @@ class TestWalnut:
             WalnutCoeffs(lat, np.ones((1, 2)), factor=1.0)
 
 
+def _masked(grid, seed, keep):
+    """A random signal that is exactly 0.0 outside the samples ``keep``."""
+    v = np.zeros(grid.L, dtype=complex)
+    v[keep] = rand_signal(grid, seed).samples[keep]
+    return v
+
+
+# windows on build_grid(240, 16) by the support they have: a run wrapping
+# across the grid end, one sample, none, 3 samples inside one block of 8,
+# three blocks' worth, and all
+RUN_WINDOWS = {
+    "wrap": lambda grid: _masked(grid, 1, np.r_[230:240, 0:7]),
+    "single": lambda grid: _masked(grid, 2, [101]),
+    "zero": lambda grid: np.zeros(grid.L, dtype=complex),
+    "short": lambda grid: _masked(grid, 3, [41, 42, 45]),
+    "middle": lambda grid: _masked(grid, 4, np.r_[60:85]),
+    "full": lambda grid: rand_signal(grid, 5).samples,
+}
+
+
+class TestSupportRuns:
+    @pytest.mark.parametrize("keep,a,run", [
+        ([62, 1], 4, (60, 8)),          # wraps across the grid end
+        ([37], 4, (36, 4)),             # a single nonzero sample
+        ([], 4, (0, 0)),                # zero window
+        ([5, 6], 8, (0, 8)),            # shorter than a
+        (np.arange(64), 4, (0, 64)),    # full support
+        (np.r_[0:4, 8:12, 40:44], 4, (40, 36)),  # the longest gap is left out
+    ])
+    def test_run(self, keep, a, run):
+        from gaborwalnut.frame_op import _support_run
+        v = np.zeros(64, dtype=complex)
+        v[keep] = 1.0 - 2.0j
+        assert _support_run(v, a) == run
+
+    @pytest.mark.parametrize("a,b,p", [(8, 10, 1), (16, 10, 2), (24, 15, 3),
+                                       (8, 16, 8)])
+    @pytest.mark.parametrize("fk,hk", [(k, k) for k in RUN_WINDOWS]
+                             + [("full", "middle"), ("middle", "full"),
+                                ("full", "single"), ("wrap", "full"),
+                                ("wrap", "short"), ("middle", "wrap")])
+    def test_rows_equal_direct_sums(self, a, b, p, fk, hk):
+        # every row of [f, T_{r*M} h]_a over the shorter run equals the sum
+        # over all L samples, and is exactly zero wherever that sum is
+        from gaborwalnut.frame_op import _block_size, _pair_rows
+        grid = build_grid(240, 16)
+        lat = GaborLattice(grid, a, b)
+        assert _block_size(lat) == p
+        f, h = RUN_WINDOWS[fk](grid), RUN_WINDOWS[hk](grid)
+        rows = _pair_rows(f, h, lat, b)
+        ref = np.array([(f * np.conj(np.roll(h, r * lat.M))).reshape(-1, a)
+                        .sum(axis=0) for r in range(b)])
+        if fk == hk:
+            g = Signal(grid, f)
+            assert np.array_equal(ref, np.array(
+                [correlation_G(g, lat, r).values for r in range(b)]))
+            half = walnut_coefficients(g, lat).table[:b // 2 + 1]
+            assert np.array_equal(half, rows[:b // 2 + 1])
+        assert np.all(rows[ref == 0] == 0)
+        assert np.abs(rows - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_painless_by_underflow(self, monkeypatch):
+        # the Gaussian's 493 nonzero samples fit in M = 1024: every G_r with
+        # r != 0 is exactly 0.0, and apply is the r = 0 product without any
+        # Zak-domain FFT
+        from gaborwalnut import frame_op
+        grid = build_grid(65536, 16)
+        lat = GaborLattice(grid, 64, 64)
+        g = build_window(WindowSpec.gaussian(1.0), grid)
+        W = walnut_coefficients(g, lat)
+        assert not W.table[1:].any()
+
+        def no_zak(*args):
+            raise AssertionError("painless apply went through the Zak domain")
+
+        monkeypatch.setattr(frame_op, "_to_zak", no_zak)
+        f = rand_signal(grid, 7).samples
+        assert np.array_equal(W.apply(f),
+                              W.factor * np.tile(W.table[0], grid.L // 64) * f)
+
+
 class TestWeightedSum:
     def test_chi(self, chi_lat):
         g, lat = chi_lat
