@@ -31,7 +31,6 @@ from .core import (
 from .diagnostics import (
     _convest,
     _identity_residual,
-    _summability_report,
     _verify_tables,
     bracket_series,
     build_counterexample,
@@ -209,13 +208,11 @@ def _dual_like(cfg: RunConfig, which: str) -> int:
         reports.write_solver_csv(solver, out / "solver.csv")
         extra["solver_converged"] = solver.converged
         residual = duality_defect(cfg.window, gd, lat)
-        # the summability report describes the dual just solved
-        summ = _summability_report(cfg.window, gd, lat, cfg.weight)
     else:
         gd = tight_window(cfg.window, lat, method=method, tol=cfg.tol)
         residual = duality_defect(gd, gd, lat)
-        summ = dual_summability_report(cfg.window, lat, cfg.weight,
-                                       tol=min(cfg.tol, 1e-12))
+    # the multipliers of S^-1, whichever command and method ran
+    summ = dual_summability_report(cfg.window, lat, cfg.weight)
     name = f"{which}_window.txt"
     reports.write_window_file(gd, out / name)
     reports.write_summability_csv(summ, out / "summability.csv")
@@ -245,8 +242,8 @@ def cmd_dual(cfg: RunConfig) -> int:
 
 
 def cmd_tight(cfg: RunConfig) -> int:
-    """Canonical tight window with its self-duality defect and summability
-    reports.
+    """Canonical tight window with its self-duality defect and the
+    summability reports of ``S^-1``; no dual window is solved.
 
     ``reconstruction_residual`` in ``tight.json`` is :func:`duality_defect`
     of ``(gt, gt)``, which bounds ``||S_{gt,gt} - I||``.
@@ -336,12 +333,13 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 
 
 def cmd_conjecture(cfg: RunConfig) -> int:
-    """Probe both block geometries of the dual window's multiplier sums."""
+    """Probe both block geometries of the dual window's multiplier sums; the
+    stride-M series is the summability report's, read off ``S^-1``."""
     out = _prepare_out(cfg)
     lat = cfg.lattice
     gd = dual_window(cfg.window, lat, tol=min(cfg.tol, 1e-12))
-    alpha_seq = _profile(walnut_coefficients(gd, lat).table,
-                         cfg.weight).weighted_cumsums
+    alpha_seq = dual_summability_report(cfg.window, lat, cfg.weight,
+                                        cross_check=False).tail_profile
     invbeta_seq = bracket_series(gd, gd, lat, cfg.weight)
     sum_alpha, sum_invbeta = float(alpha_seq[-1]), float(invbeta_seq[-1])
     reports.write_svg_lines(

@@ -1,8 +1,8 @@
 """Desk-scale verification machinery for the operator identities.
 
 Everything here evaluates finite sums exactly on the cyclic grid: multiplier
-extraction from dense matrices, summability reports for the dual window's
-multipliers, the mixed-bracket convolution identity and its norm estimate, a
+extraction from dense matrices, summability reports for the multipliers of
+``S^-1``, the mixed-bracket convolution identity and its norm estimate, a
 two-sided summability probe (reported, never asserted), and the construction
 of the non-summable dual perturbation with its exact orthogonality check.
 """
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .amalgam import AmalgamProfile, _profile, amalgam_norm, amalgam_profile
 from .bracket import PeriodicVector, _bracket_table, bracket_product
@@ -36,13 +35,13 @@ from .errors import (
 )
 from .frame_op import (
     WalnutCoeffs,
+    analysis,
     dense_frame_matrix,
     frame_operator_walnut,
     walnut_coefficients,
     walnut_weighted_sum,
-    _support_run,
 )
-from .invert import DENSE_LIMIT, dual_window
+from .invert import DENSE_LIMIT, _check_tol, _inverse_walnut
 
 __all__ = [
     "SummabilityReport",
@@ -64,13 +63,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SummabilityReport:
-    """Weighted sup-norm series of the dual window's multiplier family.
+    """Weighted sup-norm series of the multipliers of ``S^-1`` (the dual's).
 
     ``per_r`` lists ``(signed r, sup|G~_r|, nu(r), product)`` in the fixed
     signed order; ``tail_profile`` holds the running partial sums, ending at
     ``weighted_sum``.  ``cross_check_error`` is the worst deviation between
-    the bracket-computed multipliers and those extracted from the dense
-    inverse matrix (``None`` when the dense path was skipped).
+    the block-inverse multipliers and those extracted from the LU inverse of
+    the dense matrix (``None`` when skipped, and above ``DENSE_LIMIT``).
     """
 
     lattice: GaborLattice
@@ -148,22 +147,16 @@ def dual_summability_report(
     tol: float = 1e-12,
     cross_check: bool = True,
 ) -> SummabilityReport:
-    """Weighted multiplier series of the canonical dual window.
+    """Weighted multiplier series of ``S^-1``, the canonical dual's.
 
-    Computes the dual, folds its correlation multipliers, and reports their
-    weighted sup-norm series.  When the grid is small enough the multipliers
-    are cross-checked against those extracted from the inverse of the dense
-    frame matrix, which must agree since inverting the operator and taking
-    the frame operator of the dual are the same map.
+    The multipliers are read off the inverted fiber blocks of ``S``
+    (:func:`invert._inverse_walnut`): nothing is solved, and ``tol`` is only
+    validated.  When the grid is small enough they are cross-checked against
+    those extracted from the LU inverse of the dense frame matrix, an
+    independent route to the same operator.
     """
-    return _summability_report(g, dual_window(g, lat, tol=tol), lat, w,
-                               cross_check)
-
-
-def _summability_report(g: Signal, gd: Signal, lat: GaborLattice, w: Weight,
-                        cross_check: bool = True) -> SummabilityReport:
-    """The report of ``dual_summability_report`` for a dual solved already."""
-    Wd = walnut_coefficients(gd, lat)
+    _check_tol(tol)
+    Wd = _inverse_walnut(g, lat)
     prof = _profile(Wd.table, w)
     sups, weights = prof.block_sups, prof.weights
     per_r = zip(prof.indices.tolist(), sups.tolist(), weights.tolist(),
@@ -335,10 +328,9 @@ def counterexample_report(
     ``h`` against the adjoint-lattice shifts of ``g`` (integer-unit
     translations, even-unit-frequency modulations) together with the
     half-unit block profile of ``h``.  The inner products vanish by exact
-    geometric cancellation whenever ``s`` is even.  They are direct sums
-    over the support run of ``g`` (:func:`frame_op._support_run`), ``n``
-    samples long: ``(s/2)*n`` products per integer-unit translate,
-    ``L*n/2`` in all, with ``n = s`` for the unit box.
+    geometric cancellation whenever ``s`` is even.  They are the Gabor
+    coefficients of ``h`` on the adjoint lattice (time step ``s``,
+    frequency step ``2K``), one call of :func:`frame_op.analysis`.
     """
     grid = lat.grid
     K, s = grid.units, grid.s
@@ -351,16 +343,9 @@ def counterexample_report(
         )
     if h.grid != grid or g.grid != grid:
         raise GridMismatchError("signals and lattice must share one grid")
-    L = grid.L
-    m = np.arange(s // 2)[:, None]
-    # row m: h times the conjugate of the modulation by 2*m*K bins at the
-    # samples j from the start of g's run on, L + n of them: the translate
-    # by k units meets the run at columns k*s .. k*s + n - 1
-    start, n = _support_run(g.samples, lat.a)
-    j = (start + np.arange(L + n)) % L
-    hm = np.exp(-2j * np.pi * (2 * m * K % L) * j / L) * h.samples[j]
-    gv = np.conj(g.samples[j[:n]])
-    inner = sliding_window_view(hm, n, axis=1)[:, :L:s] @ gv / s
+    # the adjoint lattice: unit time step s, frequency step 2K (s even
+    # makes 2K divide L), so M = s/2 modulations
+    inner = analysis(g, GaborLattice(grid, s, 2 * K), h).values
     max_inner = float(np.abs(inner).max())
     profile = amalgam_profile(h, s // 2, w)
     return max_inner, profile

@@ -16,7 +16,7 @@ DFT along each coset (the Zak domain) therefore splits the operator into
 Zeevi, ACHA 4, 1997).  With ``a | M`` the blocks are ``1 x 1``: the
 spectrum is the DFT of the multiplier table along ``r``.  The same blocks
 apply the operator in ``O(L*p + L*log b)`` and give its bounds, inverse and
-inverse square root (``invert``).
+inverse square root (``invert``); ``_zak_table`` maps blocks back to a table.
 
 The multipliers are brackets ``G_r = [g, T_{r*M} g]_a`` formed by direct
 products over the window's support run (``_pair_rows``), so a window whose
@@ -109,6 +109,23 @@ def _zak_blocks(table: np.ndarray, lat: GaborLattice, factor: float) -> np.ndarr
     t = np.arange(p)
     D = D.reshape(p, b // p, p, M)[t, :, (t[:, None] - t) % p]
     return D.transpose(2, 3, 0, 1).reshape(-1, p, p)
+
+
+def _zak_table(blocks: np.ndarray, lat: GaborLattice, factor: float) -> np.ndarray:
+    """Inverse of :func:`_zak_blocks`: the ``(b, a)`` table of a block stack.
+
+    Each entry of ``D`` is read back from its one block; the inverse DFT
+    along ``rho`` at the columns ``(j0 + rho*M) mod a`` with
+    ``j0 < gcd(a, M)``, which cover each column once, is the table's DFT.
+    """
+    a, b, M = lat.a, lat.b, lat.M
+    p = _block_size(lat)
+    t = np.arange(p)
+    D = blocks.reshape(b // p, M, p, p)[:, :, (t[:, None] + t) % p, t[:, None]]
+    D = np.fft.ifft(D.transpose(2, 0, 3, 1).reshape(b, p, M), axis=1)
+    F = np.empty((b, a), dtype=complex)
+    F[:, (np.arange(a // p) + M * t[:, None]) % a] = D[:, :, :a // p]
+    return np.fft.ifft(F, axis=0) * (p / factor)
 
 
 @dataclass(frozen=True, eq=False)

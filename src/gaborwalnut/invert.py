@@ -14,7 +14,8 @@ is quadrature on the fiber blocks.  Power iteration and conjugate
 gradients use only the multiplier table's ``apply``: explicit
 cross-checks, and the only methods that run above the cap.  Bounds passed
 to ``inverse_solve`` skip only the bounds that decide the not-a-frame
-verdict.
+verdict.  ``S^-1`` itself, in Walnut form, is the inverted fiber blocks
+mapped back to a table (``_inverse_walnut``); no dual is solved for it.
 
 A computed dual or tight window is checked exactly by
 ``duality_defect``, the Walnut-form biorthogonality defect of the pair at
@@ -47,6 +48,7 @@ from .frame_op import (
     _from_zak,
     _pair_rows,
     _to_zak,
+    _zak_table,
     analysis,
     dense_frame_matrix,
     synthesis,
@@ -264,7 +266,7 @@ def _cg_hermitian(apply_op, rhs: np.ndarray, tol: float, max_iter: int):
 
 
 def _frame_or_raise(g: Signal, lat: GaborLattice, bounds: FrameBounds | None,
-                    tol: float) -> FrameBounds:
+                    tol: float = 1e-10) -> FrameBounds:
     """Compute the bounds when none are given and refuse non-frames."""
     if bounds is None:
         with warnings.catch_warnings():
@@ -391,6 +393,24 @@ def _contour_inverse_sqrt(blocks: np.ndarray, rhs: np.ndarray, A: float,
     )
 
 
+def _eigh_or_raise(g: Signal, lat: GaborLattice, method: str):
+    """``(ev, V, bounds, blocks, to, back)``: ``blocks = V diag(ev) V^H`` for
+    :func:`_blocks`, whose extreme ``ev`` decide the not-a-frame verdict."""
+    _, blocks, to, back = _blocks(g, lat, method)
+    ev, V = np.linalg.eigh(blocks)
+    bounds = _bounds(float(ev.min()), float(ev.max()), method)
+    return ev, V, _frame_or_raise(g, lat, bounds), blocks, to, back
+
+
+def _inverse_walnut(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
+    """Table of ``S^-1 = S_{gd,gd}`` without solving for ``gd``: the fiber
+    blocks' ``V diag(1/ev) V^H`` mapped back by ``frame_op._zak_table``."""
+    ev, V = _eigh_or_raise(g, lat, _method_for("fiber", lat, "fiber"))[:2]
+    factor = lat.M / lat.grid.s
+    inv = _zak_table((V / ev[:, None, :]) @ V.conj().swapaxes(1, 2), lat, factor)
+    return WalnutCoeffs(lat, inv, factor)
+
+
 def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
                  tol: float = 1e-10) -> Signal:
     """Canonical tight window: the inverse square root of the frame operator
@@ -408,10 +428,7 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     """
     method = _method_for(method, lat, "contour")
     _check_tol(tol)
-    _, blocks, to, back = _blocks(g, lat, method)
-    ev, V = np.linalg.eigh(blocks)
-    bounds = _frame_or_raise(g, lat, _bounds(float(ev.min()), float(ev.max()),
-                                             method), tol)
+    ev, V, bounds, blocks, to, back = _eigh_or_raise(g, lat, method)
     z = to(g.samples)[..., None]
     if method == "contour":
         y = _contour_inverse_sqrt(blocks, z, bounds.A, bounds.B, tol)
@@ -443,11 +460,15 @@ def duality_defect(g: Signal, gd: Signal, lat: GaborLattice) -> float:
     :func:`verify_reconstruction` can find.  ``D = 0`` exactly when the
     windows are dual (Wexler-Raz/Janssen biorthogonality; Janssen, JFAA 1,
     1995).  Costs ``b*n`` products, ``n`` the shorter support run of the
-    two windows: the rows of :func:`frame_op._pair_rows`.
+    two windows: the rows of :func:`frame_op._pair_rows`, of which a
+    self-pair ``gd is g`` sums ``b/2 + 1`` (its Walnut table).
     """
     if g.grid != gd.grid or g.grid != lat.grid:
         raise GridMismatchError("windows and lattice must share one grid")
-    rows = (lat.M / lat.grid.s) * _pair_rows(gd.samples, g.samples, lat, lat.b)
+    # the self-pair's rows are the Walnut table, half of them summed
+    rows = walnut_coefficients(g, lat).table if gd is g else \
+        _pair_rows(gd.samples, g.samples, lat, lat.b)
+    rows = (lat.M / lat.grid.s) * rows
     rows[0] -= 1.0
     return float(np.abs(rows).max(axis=1).sum())
 

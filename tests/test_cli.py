@@ -105,13 +105,9 @@ def test_dual_scalar_instance(tmp_path):
     assert (out / "solver.csv").exists()
 
 
-@pytest.mark.parametrize("method", [None, "cg"])
-def test_dual_solves_once(tmp_path, monkeypatch, method):
-    # the summability report reads the dual that dual_window.txt holds
-    from gaborwalnut import (GaborLattice, Weight, WindowSpec, build_window, cli,
-                             dual_summability_report, invert, reports)
-    from gaborwalnut.diagnostics import _summability_report
-
+def _count_solves(monkeypatch):
+    """Record the method of every ``inverse_solve`` call the CLI makes."""
+    from gaborwalnut import cli, invert
     real = invert.inverse_solve
     solves = []
 
@@ -121,25 +117,65 @@ def test_dual_solves_once(tmp_path, monkeypatch, method):
 
     monkeypatch.setattr(invert, "inverse_solve", counting)
     monkeypatch.setattr(cli, "inverse_solve", counting)
-    out = tmp_path / "out"
-    extra = "" if method is None else f"[dual]\nmethod = {method}"
-    cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
+    return solves
+
+
+def _gauss256_config(tmp_path, name, extra=""):
+    out = tmp_path / name
+    cfg = write_config(tmp_path / f"{name}.cfg", L=256, s=16, a=8, b=8,
                        window="gaussian", window_extra="width = 1.0",
                        weight="polynomial", weight_extra="t = 2", out=out,
                        extra=extra)
+    return cfg, out
+
+
+@pytest.mark.parametrize("method", [None, "cg", "dense"])
+def test_dual_solves_once(tmp_path, monkeypatch, method):
+    # one solve, for dual_window.txt; the summability report is S^-1's
+    # table read off the inverted blocks, whatever method solved the dual
+    from gaborwalnut import (GaborLattice, Weight, WindowSpec, build_window,
+                             dual_summability_report, reports)
+    solves = _count_solves(monkeypatch)
+    extra = "" if method is None else f"[dual]\nmethod = {method}"
+    cfg, out = _gauss256_config(tmp_path, "out", extra)
     assert main(["dual", "--config", cfg]) == 0
     assert solves == [method]
-    monkeypatch.setattr(invert, "inverse_solve", real)
     grid = build_grid(256, 16)
     g = build_window(WindowSpec.gaussian(width=1.0), grid)
-    lat = GaborLattice(grid, 8, 8)
-    w = Weight.polynomial(2.0)
-    gd = read_window_file(str(out / "dual_window.txt"), grid)
-    expect = _summability_report(g, gd, lat, w) if method else \
-        dual_summability_report(g, lat, w, tol=1e-12)
+    expect = dual_summability_report(g, GaborLattice(grid, 8, 8),
+                                     Weight.polynomial(2.0))
     reports.write_summability_json(expect, tmp_path / "expect.json")
     assert (out / "summability.json").read_bytes() == \
         (tmp_path / "expect.json").read_bytes()
+
+
+def test_summability_json_same_for_every_method_and_command(tmp_path,
+                                                            monkeypatch):
+    # dual under fiber, cg and dense and tight under fiber, contour and
+    # dense write one summability.json; tight solves nothing
+    solves = _count_solves(monkeypatch)
+    written = []
+    for which, methods in (("dual", ("fiber", "cg", "dense")),
+                           ("tight", ("fiber", "contour", "dense"))):
+        for method in methods:
+            cfg, out = _gauss256_config(tmp_path, f"{which}-{method}",
+                                        f"[{which}]\nmethod = {method}")
+            del solves[:]
+            assert main([which, "--config", cfg]) == 0
+            assert solves == ([method] if which == "dual" else []), method
+            written.append((out / "summability.json").read_bytes())
+    assert len(set(written)) == 1
+
+
+def test_conjecture_reads_the_summability_series(tmp_path):
+    # the stride-M series of conjecture and the summability report of dual
+    # read one S^-1 table
+    cfg, out = _gauss256_config(tmp_path, "out")
+    assert main(["dual", "--config", cfg]) == 0
+    assert main(["conjecture", "--config", cfg]) == 0
+    summ = json.loads((out / "summability.json").read_text())
+    conj = json.loads((out / "conjecture.json").read_text())
+    assert conj["sum_alpha_blocks"] == summ["weighted_sum"]
 
 
 def test_dual_not_a_frame_exits_3(tmp_path, capsys):

@@ -35,6 +35,7 @@ from gaborwalnut import (
     walnut_coefficients,
     walnut_weighted_sum,
 )
+from gaborwalnut import invert
 from gaborwalnut.bracket import _bracket_table, bracket_product
 from gaborwalnut.diagnostics import IdentityResidual, _identity_residual
 
@@ -147,6 +148,26 @@ class TestDualSummability:
             assert rep.cross_check_error < 1e-8, name
             gd = dual_window(g, lat, method="cg", tol=1e-12)
             assert np.isfinite(amalgam_norm(gd, lat.a, w)), name
+
+    def test_solves_nothing(self, chi_lat, gauss64, corpus, monkeypatch):
+        # the table is read off the inverted blocks: with every solver
+        # refusing, the report and its dense cross-check still come out
+        def refuse(*args, **kwargs):
+            raise AssertionError("the summability report solved a system")
+
+        monkeypatch.setattr(invert, "dual_window", refuse)
+        monkeypatch.setattr(invert, "inverse_solve", refuse)
+        g, lat = chi_lat
+        assert dual_summability_report(g, lat, Weight.constant()) \
+            .cross_check_error < 1e-12
+        g, lat = gauss64
+        assert dual_summability_report(g, lat, Weight.constant()) \
+            .cross_check_error < 1e-10
+        for name, g, lat, w in corpus:
+            rep = dual_summability_report(g, lat, w, tol=1e-12)
+            assert rep.cross_check_error < 1e-8, name
+        with pytest.raises(DomainError):
+            dual_summability_report(g, lat, w, tol=0.0)
 
 
 class TestMixedBracket:
@@ -309,7 +330,8 @@ class TestLoopEquivalence:
             lat = GaborLattice(grid, a, b)
             g = rand_signal(grid, L)
             gd = dual_window(g, lat)
-            W, Wd = walnut_coefficients(g, lat), walnut_coefficients(gd, lat)
+            W = walnut_coefficients(g, lat)
+            Wd = invert._inverse_walnut(g, lat)  # the report's S^-1 table
             assert amalgam_norm(g, a, w) == \
                 _loop_series(g.samples.reshape(-1, a), w)[-1]
             assert walnut_weighted_sum(W, w) == _loop_series(W.table, w)[-1]

@@ -320,6 +320,27 @@ class TestWalnut:
         if kind == "box":
             assert np.array_equal(out, 2 * f)
 
+    def test_zak_table_inverts_zak_blocks(self):
+        # table -> blocks -> table on every divisor lattice, p = 2, 3 and 8
+        # among them; a random table uses every entry of the block stack
+        from gaborwalnut.frame_op import _block_size, _zak_blocks, _zak_table
+        rng = np.random.default_rng(7)
+        seen = set()
+        for L, s in ((24, 4), (36, 6), (32, 8)):
+            grid = build_grid(L, s)
+            divisors = [d for d in range(1, L + 1) if L % d == 0]
+            for a in divisors:
+                for b in divisors:
+                    lat = GaborLattice(grid, a, b)
+                    T = rng.standard_normal((b, a)) \
+                        + 1j * rng.standard_normal((b, a))
+                    factor = lat.M / s
+                    back = _zak_table(_zak_blocks(T, lat, factor), lat, factor)
+                    assert np.abs(back - T).max() <= 1e-15 * np.abs(T).max(), \
+                        (L, a, b)
+                    seen.add(_block_size(lat))
+        assert {2, 3, 8} <= seen
+
     def test_entry_count_enforced(self, chi_lat):
         from gaborwalnut.errors import LatticeError
         _, lat = chi_lat

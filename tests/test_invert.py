@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaborwalnut import invert
+from gaborwalnut import frame_op, invert
 from gaborwalnut.frame_op import _from_zak, _pair_rows, _to_zak
 from gaborwalnut import (
     ConvergenceError,
@@ -389,11 +389,77 @@ class TestDualityDefect:
             assert np.array_equal(rows,
                                   walnut_coefficients(g, lat).table[:b // 2 + 1])
 
+    @pytest.mark.parametrize("L,a,b", [(256, 8, 8), (240, 16, 6)])
+    def test_self_pair_reads_the_half_table(self, L, a, b, monkeypatch):
+        # (g, g) takes its rows from walnut_coefficients: b/2 + 1 summed,
+        # the rest mirrored, against all b summed rows (p = 1 and p = 2).
+        # A full-support window's defect is O(1); its tight window's is
+        # rounding, so there the difference is held to the rows' scale
+        grid = build_grid(L, 16)
+        lat = GaborLattice(grid, a, b)
+        factor = lat.M / lat.grid.s
+
+        def full_rows(v):
+            rows = factor * _pair_rows(v.samples, v.samples, lat, b)
+            scale = np.abs(rows).max(axis=1).sum()
+            rows[0] -= 1.0
+            return float(np.abs(rows).max(axis=1).sum()), scale
+
+        g = rand_signal(grid, 9)
+        for v in (g, tight_window(g, lat)):
+            ref, scale = full_rows(v)
+            assert abs(duality_defect(v, v, lat) - ref) <= 1e-15 * scale
+        ref, _ = full_rows(g)
+        assert duality_defect(g, g, lat) == pytest.approx(ref, rel=1e-15)
+        # the only rows summed are the half table's
+        seen = []
+
+        def counting(*args):
+            seen.append(args[-1])
+            return _pair_rows(*args)
+
+        monkeypatch.setattr(invert, "_pair_rows", counting)
+        monkeypatch.setattr(frame_op, "_pair_rows", counting)
+        duality_defect(g, g, lat)
+        assert seen == [b // 2 + 1]
+
     def test_grid_mismatch(self, chi_lat):
         g, lat = chi_lat
         other = build_window(WindowSpec.characteristic(1.0), build_grid(16, 4))
         with pytest.raises(GridMismatchError):
             duality_defect(g, other, lat)
+
+
+class TestInverseWalnut:
+    # S^-1 read off the inverted fiber blocks is S_{gd,gd}
+    @pytest.mark.parametrize("L,a,b", [(4096, 32, 32), (240, 16, 6)])
+    def test_matches_the_dual_windows_table(self, L, a, b):
+        g, lat = gauss_lattice(L, a, b)
+        ref = walnut_coefficients(dual_window(g, lat), lat)
+        W = invert._inverse_walnut(g, lat)
+        assert W.factor == ref.factor
+        assert np.abs(W.table - ref.table).max() <= \
+            1e-13 * np.abs(ref.table).max()
+
+    def test_is_the_inverse_of_the_operator(self):
+        # a random window with p = 2: S^-1 applied after S is the identity
+        grid = build_grid(240, 16)
+        lat = GaborLattice(grid, 16, 10)
+        g = rand_signal(grid, 4)
+        f = rand_signal(grid, 5).samples
+        Sf = walnut_coefficients(g, lat).apply(f)
+        back = invert._inverse_walnut(g, lat).apply(Sf)
+        assert np.linalg.norm(back - f) <= 1e-12 * np.linalg.norm(f)
+
+    def test_refuses_non_frames_and_sizes_above_the_cap(self, gauss64,
+                                                        monkeypatch):
+        grid = build_grid(2048, 16)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        with pytest.raises(NotAFrameError):
+            invert._inverse_walnut(g, GaborLattice(grid, 64, 64))
+        monkeypatch.setattr(invert, "FIBER_LIMIT", 32)
+        with pytest.raises(SizeError, match="got 64$"):
+            invert._inverse_walnut(*gauss64)
 
 
 class TestAboveDenseLimit:
