@@ -94,6 +94,18 @@ def _from_zak(z: np.ndarray, lat: GaborLattice) -> np.ndarray:
     return np.fft.ifft(y, axis=0).reshape(lat.grid.L)
 
 
+def _zak_product(blocks: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = S z`` in the coordinates of :func:`_to_zak`, for ``S`` as an
+    ``(L/p, p, p)`` block stack and ``z``, ``out`` of shape ``(L/p, p)``.
+
+    At ``p = 1`` the blocks are the spectrum and the product is one
+    elementwise multiply; otherwise one batched ``p x p`` product.
+    """
+    if blocks.shape[-1] == 1:
+        return np.multiply(blocks[..., 0], z, out=out)
+    return np.einsum("nij,nj->ni", blocks, z, out=out)
+
+
 def _zak_blocks(table: np.ndarray, lat: GaborLattice, factor: float) -> np.ndarray:
     """The operator of a ``(b, a)`` multiplier table as ``(L/p, p, p)`` blocks.
 
@@ -196,7 +208,7 @@ class WalnutCoeffs:
             zz = z.reshape(lat.b, -1, a)
             zz *= blocks[:, None, :]
         else:
-            z = np.einsum("nij,nj->ni", blocks, z)
+            z = _zak_product(blocks, z, np.empty_like(z))
         out = _from_zak(z, lat).reshape(-1, a)
         z = z.reshape(-1, a)  # reused for the r = 0 term
         np.multiply(diag, v.reshape(-1, a), out=z)

@@ -11,8 +11,12 @@ every default raises ``SizeError``.  The ``dense`` oracle runs the same
 code on one ``L x L`` block, the assembled matrix, and never builds the
 fiber blocks: its bounds and not-a-frame verdict are its own.  ``contour``
 is quadrature on the fiber blocks.  Power iteration and conjugate
-gradients use only the multiplier table's ``apply``: explicit
-cross-checks, and the only methods that run above the cap.  Bounds passed
+gradients are explicit cross-checks, and the only methods that run above
+the cap.  Conjugate gradients use only the multiplier table's ``apply``.
+Power iteration runs in the coordinates of ``_to_zak`` on the whole
+operator's block stack: the Zak-domain form ``apply`` caches, with the
+``r = 0`` term added back.  Each step is one block product, with no FFT
+and no eigensolve; only the seeded start vector is mapped.  Bounds passed
 to ``inverse_solve`` skip only the bounds that decide the not-a-frame
 verdict.  ``S^-1`` itself, in Walnut form, is the inverted fiber blocks
 mapped back to a table (``_inverse_walnut``); no dual is solved for it.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaborLattice, Signal, signed_range
+from .core import GaborLattice, Signal
 from .errors import (
     BranchError,
     ConvergenceError,
@@ -48,6 +52,7 @@ from .frame_op import (
     _from_zak,
     _pair_rows,
     _to_zak,
+    _zak_product,
     _zak_table,
     analysis,
     dense_frame_matrix,
@@ -76,8 +81,9 @@ NOT_A_FRAME_RTOL = 1e-12
 POWER_MAX_ITER = 400_000
 POWER_SEEDS = (0, 1)
 _TINY = np.finfo(float).tiny
-# What still runs above FIBER_LIMIT, by the caller's matrix-free method.
-_ABOVE_CAP = {"power_iteration": "; method='power_iteration' runs matrix-free",
+# What still runs above FIBER_LIMIT, by the caller's own method.
+_ABOVE_CAP = {"power_iteration": "; method='power_iteration' runs above it, "
+                                  "one block product per step",
               "cg": "; method='cg' with bounds= runs matrix-free"}
 
 
@@ -148,42 +154,57 @@ def _blocks(g: Signal, lat: GaborLattice, method: str):
 
 def _gershgorin_upper(W: WalnutCoeffs) -> float:
     """Row-sum bound on the spectral radius of the multiplier-form operator."""
-    rowsum = sum(np.abs(W.table[r]) for r in signed_range(W.lat.b))
-    return float(W.factor * rowsum.max())
+    return float(W.factor * np.abs(W.table).sum(axis=0).max())
 
 
-def _power_extreme(apply_op, L: int, tol: float, seed: int) -> float:
-    """Largest eigenvalue of a Hermitian PSD operator by power iteration.
+def _power_extreme(blocks: np.ndarray, lat: GaborLattice, tol: float,
+                   seed: int) -> float:
+    """Largest eigenvalue of a Hermitian PSD block stack by power iteration.
 
+    The iterate lives in the coordinates of :func:`frame_op._to_zak`, a
+    scaled unitary map, so the Rayleigh quotients and eigen-residuals are
+    those of the operator on samples.  Only the seeded start vector is
+    mapped; each step is one :func:`frame_op._zak_product` (elementwise at
+    ``p = 1``), with norms and inner products as dots over float views.
     Stops when the Rayleigh quotient is stationary to ``tol`` (relative
     change) and the eigen-residual is below ``10*tol`` relative to the
     estimate; for Hermitian operators the residual bounds the eigenvalue
     error directly, which keeps clustered spectra honest.
     """
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-    v /= np.linalg.norm(v)
+    L = lat.grid.L
+    v = np.ascontiguousarray(
+        _to_zak(rng.standard_normal(L) + 1j * rng.standard_normal(L), lat))
+    w, res = np.empty_like(v), np.empty_like(v)
+    vf, wf, rf = (x.reshape(-1).view(float) for x in (v, w, res))
+    vf *= 1.0 / math.sqrt(np.dot(vf, vf))
     lam_old = None
+    lam = resid = math.nan
+    change = math.inf
     for _ in range(POWER_MAX_ITER):
-        w = apply_op(v)
-        nw = np.linalg.norm(w)
+        _zak_product(blocks, v, w)
+        nw = math.sqrt(np.dot(wf, wf))
         if nw == 0.0:
             return 0.0  # operator annihilates the iterate: extreme eigenvalue 0
-        lam = float(np.real(np.vdot(v, w)))
-        resid = float(np.linalg.norm(w - lam * v))
-        v = w / nw
+        lam = float(np.dot(vf, wf))  # Re<v, w>
+        np.multiply(vf, lam, out=rf)
+        np.subtract(wf, rf, out=rf)
+        resid = math.sqrt(np.dot(rf, rf))
+        np.multiply(wf, 1.0 / nw, out=vf)
         # zero the parts below the normal range: subnormal arithmetic is slow
-        parts = v.view(float)
-        parts[np.abs(parts) < _TINY] = 0.0
+        vf[np.abs(vf) < _TINY] = 0.0
         scale = max(abs(lam), 1e-300)
-        if (
-            lam_old is not None
-            and abs(lam - lam_old) <= tol * scale
-            and resid <= 10.0 * tol * scale
-        ):
-            return lam
+        if lam_old is not None:
+            change = abs(lam - lam_old)
+            if change <= tol * scale and resid <= 10.0 * tol * scale:
+                return lam
         lam_old = lam
-    raise ConvergenceError(f"power iteration did not converge in {POWER_MAX_ITER} steps")
+    scale = max(abs(lam), 1e-300)
+    raise ConvergenceError(
+        f"power iteration did not converge in {POWER_MAX_ITER} steps: "
+        f"Rayleigh quotient {lam:.6e}, relative change {change / scale:.1e}, "
+        f"relative eigen-residual {resid / scale:.1e} (tol {tol:.1e})"
+    )
 
 
 def _bounds(A: float, B: float, method: str) -> FrameBounds:
@@ -205,9 +226,12 @@ def frame_bounds(
     ``fiber`` (the default) takes the extreme eigenvalues of the fiber
     blocks and raises ``SizeError`` above ``FIBER_LIMIT``; ``dense`` those
     of the full matrix as one block (grid length at most ``DENSE_LIMIT``);
-    ``power_iteration`` runs matrix-free on the operator and on its
-    reflection below a row-sum upper estimate (``POWER_MAX_ITER`` steps
-    each, start vectors seeded by ``POWER_SEEDS``), at any size.  A
+    ``power_iteration`` iterates on the operator and on its reflection
+    below a row-sum upper estimate (``POWER_MAX_ITER`` steps each, start
+    vectors seeded by ``POWER_SEEDS``), at any size.  It runs in Zak
+    coordinates on the operator's block stack, the form ``apply`` caches
+    with its ``r = 0`` term added back (at ``p = 1`` the spectrum itself):
+    one block product per step, with no FFT and no eigensolve.  A
     tolerance that is not finite and positive raises ``DomainError``.
     """
     _check_tol(tol)
@@ -217,14 +241,13 @@ def frame_bounds(
         A, B = float(ev.min()), float(ev.max())
     else:
         W = walnut_coefficients(g, lat)
-        L = lat.grid.L
-        B = _power_extreme(W.apply, L, tol, POWER_SEEDS[0])
+        blocks = W.fibers()
+        B = _power_extreme(blocks, lat, tol, POWER_SEEDS[0])
+        # A from the reflection mu - S, built in place on the same stack
         mu = _gershgorin_upper(W)
-
-        def shifted(v):
-            return mu * v - W.apply(v)
-
-        A = mu - _power_extreme(shifted, L, tol, POWER_SEEDS[1])
+        blocks *= -1.0
+        blocks += mu * np.eye(blocks.shape[-1])
+        A = mu - _power_extreme(blocks, lat, tol, POWER_SEEDS[1])
     bounds = _bounds(A, B, method)
     if bounds.not_a_frame:
         warnings.warn(

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -82,23 +83,23 @@ class TestFrameBounds:
     def test_power_iteration_flushes_subnormals(self, monkeypatch):
         # a c268-type lattice (a = 32, M = 128, B/A about 268): on the
         # shifted operator most parts of the iterate decay below the normal
-        # range; none may reach apply, and the bounds stay those of fiber
-        from gaborwalnut import frame_op
+        # range; none may reach the block product, and the bounds stay
+        # those of fiber
         grid = build_grid(256, 16)
         lat = GaborLattice(grid, 32, 2)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
         ff = frame_bounds(g, lat)
         assert ff.B / ff.A > 200
         tiny = np.finfo(float).tiny
-        real = frame_op.WalnutCoeffs.apply
+        real = invert._zak_product
         subnormal = []
 
-        def spy(self, v):
-            parts = np.abs(v.view(float))
+        def spy(blocks, z, out):
+            parts = np.abs(z.view(float))
             subnormal.append(bool(np.any((parts > 0) & (parts < tiny))))
-            return real(self, v)
+            return real(blocks, z, out)
 
-        monkeypatch.setattr(frame_op.WalnutCoeffs, "apply", spy)
+        monkeypatch.setattr(invert, "_zak_product", spy)
         fp = frame_bounds(g, lat, method="power_iteration")
         assert subnormal and not any(subnormal)
         assert fp.A == pytest.approx(ff.A, rel=1e-9)
@@ -132,6 +133,115 @@ class TestFrameBounds:
                 assert energy == pytest.approx(quad, rel=1e-10), name
                 assert fb.A * nf2 * (1 - 1e-9) <= energy <= \
                     fb.B * nf2 * (1 + 1e-9), name
+
+
+def _time_domain_extreme(apply_op, L, tol, seed):
+    """Power iteration on samples through ``apply_op``, with the library's
+    seeds, flush and stopping rule: the reference for the Zak-coordinate
+    loop, which must give the same eigenvalue up to rounding."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    v /= np.linalg.norm(v)
+    lam_old = None
+    for _ in range(invert.POWER_MAX_ITER):
+        w = apply_op(v)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        lam = float(np.real(np.vdot(v, w)))
+        resid = float(np.linalg.norm(w - lam * v))
+        v = w / nw
+        parts = v.view(float)
+        parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+        scale = max(abs(lam), 1e-300)
+        if (lam_old is not None and abs(lam - lam_old) <= tol * scale
+                and resid <= 10.0 * tol * scale):
+            return lam
+        lam_old = lam
+    raise AssertionError("reference power iteration did not converge")
+
+
+def _time_domain_bounds(g, lat, tol=1e-10):
+    """``(A, B)`` by :func:`_time_domain_extreme` on ``W.apply`` and on its
+    reflection below the row-sum bound, summed row by row."""
+    W = walnut_coefficients(g, lat)
+    L = lat.grid.L
+    B = _time_domain_extreme(W.apply, L, tol, invert.POWER_SEEDS[0])
+    mu = float(W.factor * sum(np.abs(W.table[r]) for r in range(lat.b)).max())
+    A = mu - _time_domain_extreme(lambda v: mu * v - W.apply(v), L, tol,
+                                  invert.POWER_SEEDS[1])
+    return A, B
+
+
+class TestPowerIteration:
+    """Power iteration runs in Zak coordinates on the operator's blocks."""
+
+    @pytest.mark.parametrize("s, a, b, p", [(16, 12, 10, 1), (8, 12, 8, 2),
+                                            (8, 12, 12, 3)])
+    def test_blocks_agree_with_fiber_and_time_domain(self, s, a, b, p):
+        grid = build_grid(240, s)
+        lat = GaborLattice(grid, a, b)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        assert invert._block_size(lat) == p
+        fp = frame_bounds(g, lat, method="power_iteration")
+        ff = frame_bounds(g, lat)
+        A, B = _time_domain_bounds(g, lat)
+        for ref_A, ref_B in ((ff.A, ff.B), (A, B)):
+            assert fp.A == pytest.approx(ref_A, rel=1e-9)
+            assert fp.B == pytest.approx(ref_B, rel=1e-9)
+
+    def test_only_the_start_vectors_are_mapped(self, monkeypatch):
+        # c268-type lattice: thousands of steps, one _to_zak per seed and
+        # no _from_zak at all
+        grid = build_grid(256, 16)
+        lat = GaborLattice(grid, 32, 2)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        calls = {"to": 0, "from": 0, "steps": 0}
+
+        def counted(key, real):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        to_zak = counted("to", frame_op._to_zak)
+        from_zak = counted("from", frame_op._from_zak)
+        for module in (frame_op, invert):
+            monkeypatch.setattr(module, "_to_zak", to_zak)
+            monkeypatch.setattr(module, "_from_zak", from_zak)
+        monkeypatch.setattr(invert, "_zak_product",
+                            counted("steps", frame_op._zak_product))
+        frame_bounds(g, lat, method="power_iteration")
+        assert calls["steps"] > 1000
+        assert calls["to"] <= len(invert.POWER_SEEDS)
+        assert calls["from"] == 0
+
+    def test_exhausted_budget_names_its_state(self, monkeypatch, gauss64):
+        g, lat = gauss64
+        monkeypatch.setattr(invert, "POWER_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError) as info:
+            frame_bounds(g, lat, method="power_iteration")
+        msg = str(info.value)
+        num = r"(\S+)"
+        m = re.fullmatch(
+            rf"power iteration did not converge in 3 steps: Rayleigh "
+            rf"quotient {num}, relative change {num}, relative "
+            rf"eigen-residual {num} \(tol 1\.0e-10\)", msg)
+        assert m, msg
+        lam, change, resid = (float(x) for x in m.groups())
+        B = frame_bounds(g, lat).B
+        assert 0 < lam <= B * (1 + 1e-12)
+        assert 0 < change < 1 and 1e-10 < resid < 10
+
+    def test_gershgorin_row_sum(self, corpus):
+        # one column sum over the table: the row-by-row sum reordered, and
+        # an upper bound on the spectrum
+        for name, g, lat, _ in corpus:
+            W = walnut_coefficients(g, lat)
+            rows = sum(np.abs(W.table[r]) for r in range(lat.b))
+            mu = invert._gershgorin_upper(W)
+            assert mu == pytest.approx(W.factor * rows.max(), rel=1e-15), name
+            assert mu >= frame_bounds(g, lat).B * (1 - 1e-12), name
 
 
 class TestDualWindow:
