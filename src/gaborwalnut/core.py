@@ -95,7 +95,12 @@ def build_grid(L: int, s: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class Signal:
-    """A complex sample vector on a grid, immutable after construction."""
+    """A complex sample vector on a grid, immutable after construction.
+
+    The constructor copies ``samples``, so a caller's later writes to the
+    array it passed do not reach the signal.  Library functions hand over
+    the arrays they allocate themselves without that copy (:func:`_adopt`).
+    """
 
     grid: Grid
     samples: np.ndarray
@@ -108,6 +113,27 @@ class Signal:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
+
+
+def _adopt(cls, shape: tuple[int, ...], **fields):
+    """An instance of the frozen dataclass ``cls`` that holds its array field
+    itself, without the copy its constructor makes.
+
+    Only for an array the calling function has just allocated and hands
+    over: it is checked for complex dtype and ``shape`` and marked
+    read-only.  ``fields`` names every field of ``cls``.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            if value.dtype != complex or value.shape != shape:
+                raise DimensionError(
+                    f"expected a complex array of shape {shape}, got "
+                    f"{value.dtype} {value.shape}"
+                )
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -240,7 +266,7 @@ def read_window_file(path: str, grid: Grid) -> Signal:
     except UnicodeDecodeError:
         samples = None  # the line-by-line reader meets it where it did before
     if samples is not None:
-        return Signal(grid, samples)
+        return _adopt(Signal, (grid.L,), grid=grid, samples=samples)
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -261,7 +287,8 @@ def read_window_file(path: str, grid: Grid) -> Signal:
         raise ParseError(
             f"{path}: expected {grid.L} sample lines, found {len(values)}"
         )
-    return Signal(grid, np.array(values, dtype=complex))
+    return _adopt(Signal, (grid.L,), grid=grid,
+                  samples=np.array(values, dtype=complex))
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -283,7 +310,6 @@ def build_window(spec: WindowSpec, grid: Grid) -> Signal:
     A non-finite ``units``, ``width`` or ``center`` raises ``DomainError``.
     """
     L, s = grid.L, grid.s
-    j = np.arange(L)
     if spec.kind == "characteristic":
         _require_finite("characteristic length", spec.units)
         n_samples = spec.units * s
@@ -299,7 +325,7 @@ def build_window(spec: WindowSpec, grid: Grid) -> Signal:
             )
         v = np.zeros(L, dtype=complex)
         v[:n_int] = 1.0
-        return Signal(grid, v)
+        return _adopt(Signal, (L,), grid=grid, samples=v)
     if spec.kind == "gaussian":
         _require_finite("gaussian width", spec.width)
         if spec.center is not None:
@@ -312,16 +338,16 @@ def build_window(spec: WindowSpec, grid: Grid) -> Signal:
         reach = spec.width * math.sqrt(746 / math.pi)
         lo, hi = np.clip(np.floor([s * (c - reach), s * (c + reach)]) + [0, 1],
                          0, L).astype(int)
-        x = j[lo:hi] / s
-        v = np.zeros(L)
-        v[lo:hi] = np.exp(-np.pi * ((x - c) / spec.width) ** 2)
-        return Signal(grid, v.astype(complex))
+        x = np.arange(lo, hi) / s
+        v = np.zeros(L, dtype=complex)
+        v.real[lo:hi] = np.exp(-np.pi * ((x - c) / spec.width) ** 2)
+        return _adopt(Signal, (L,), grid=grid, samples=v)
     if spec.kind == "hat":
         if s > L:
             raise DomainError("hat support of one unit exceeds the grid extent")
-        x = j / s
+        x = np.arange(L) / s
         v = np.where(x <= 0.5, 2.0 * x, np.where(x <= 1.0, 2.0 * (1.0 - x), 0.0))
-        return Signal(grid, v.astype(complex))
+        return _adopt(Signal, (L,), grid=grid, samples=v.astype(complex))
     if spec.kind == "file":
         if spec.path is None:
             raise ParseError("file window spec has no path")
@@ -336,10 +362,10 @@ def tf_shift(f: Signal, n: int, m: int) -> Signal:
     """
     L = f.grid.L
     shifted = np.roll(f.samples, n % L)
-    if m % L == 0:
-        return Signal(f.grid, shifted)
-    phase = np.exp(2j * np.pi * (m % L) * np.arange(L) / L)
-    return Signal(f.grid, phase * shifted)
+    if m % L != 0:
+        phase = np.exp(2j * np.pi * (m % L) * np.arange(L) / L)
+        np.multiply(phase, shifted, out=shifted)
+    return _adopt(Signal, (L,), grid=f.grid, samples=shifted)
 
 
 def _require_same_grid(f: Signal, h: Signal) -> None:

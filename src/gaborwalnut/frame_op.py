@@ -14,18 +14,23 @@ period ``p = a / gcd(a, M)`` in ``k``; ``p`` divides ``b``.  A length-``b``
 DFT along each coset (the Zak domain) therefore splits the operator into
 ``L/p`` Hermitian ``p x p`` blocks, ``L*p`` entries in all (Zibulski &
 Zeevi, ACHA 4, 1997).  With ``a | M`` the blocks are ``1 x 1``: the
-spectrum is the DFT of the multiplier table along ``r``.  The same blocks
-apply the operator in ``O(L*p + L*log b)`` and give its bounds, inverse and
-inverse square root (``invert``); ``_zak_table`` maps blocks back to a table.
+spectrum is the DFT of the multiplier table along ``r``.  The blocks give
+the bounds, inverse and inverse square root (``invert``); ``_zak_table``
+maps blocks back to a table.
 
 The multipliers are brackets ``G_r = [g, T_{r*M} g]_a`` formed by direct
 products over the window's support run (``_pair_rows``), so a window whose
-nonzero samples fit in ``n`` costs ``O(b*n)``, not ``O(b*L)``.  At ``n <= M``
-every ``G_r`` with ``r != 0`` is zero and the operator is painless
-(Daubechies, Grossmann & Meyer, J. Math. Phys. 27, 1986): ``apply`` is one
-product.  The same rows for a pair of windows, ``[gd, T_{r*M} g]_a``, are
-the mixed multipliers of ``S_{gd,g}``; they give the exact duality check
-``invert.duality_defect``.
+nonzero samples fit in ``n`` costs ``O(b*n)``, not ``O(b*L)``.  For a
+window in W(L^inf, l^1) ``sum_r sup|G_r|`` is finite (Walnut, J. Math.
+Anal. Appl. 165, 1992), and for a well-localized one only the few rows
+``r`` whose translated support meets its own are nonzero at all.
+``apply`` sums those rows directly, ``O(k*L)`` for ``k`` of them, and goes
+through the Zak domain, ``O(L*p + L*log b)``, only when there are more
+than about ``log2 b``.  At ``n <= M`` every ``G_r`` with ``r != 0`` is zero
+and the operator is painless (Daubechies, Grossmann & Meyer, J. Math.
+Phys. 27, 1986): ``apply`` is one product.  The same rows for a pair of
+windows, ``[gd, T_{r*M} g]_a``, are the mixed multipliers of
+``S_{gd,g}``; they give the exact duality check ``invert.duality_defect``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .bracket import _bracket_table, _residue_classes
-from .core import GaborLattice, Signal, Weight, signed_range
+from .core import GaborLattice, Signal, Weight, _adopt, signed_range
 from .errors import DimensionError, GridMismatchError, LatticeError
 from .amalgam import _profile, amalgam_norm
 
@@ -56,7 +61,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Coeffs:
-    """Gabor coefficient matrix, modulation index by time index."""
+    """Gabor coefficient matrix, modulation index by time index.
+
+    The constructor copies ``values``; :func:`analysis` hands over the
+    transpose of its row DFTs as they lie in memory.
+    """
 
     lat: GaborLattice
     values: np.ndarray
@@ -140,6 +149,26 @@ def _zak_table(blocks: np.ndarray, lat: GaborLattice, factor: float) -> np.ndarr
     return np.fft.ifft(F, axis=0) * (p / factor)
 
 
+# Output samples per chunk of the direct row sum in WalnutCoeffs.apply:
+# 64 KiB, which stays in cache and below the allocator's mmap threshold.
+_CHUNK = 4096
+
+
+def _row_sum_max(b: int) -> int:
+    """Most nonzero rows ``r != 0`` that :meth:`WalnutCoeffs.apply` sums
+    directly: ``log2(b) - 1``, at least 1.
+
+    Measured on random tables with ``k`` nonzero rows, for b = 64 to 1024
+    (one BLAS thread, 2-vCPU VM, best of 15 runs each): each row adds
+    about 40-55 us at L = 16384 and 135-165 us at L = 49152 and 65536,
+    where the Zak-domain path takes 350-550 us and 1.4-2.4 ms.  The direct
+    sum wins up to k = 5-8 at L = 16384 and k = 7-10 at L = 65536, so the
+    rule leans towards the Zak path; its worst measured loss is about 20%
+    (L = 65536, b = 1024, p = 1, k = 9).
+    """
+    return max(1, b.bit_length() - 2)
+
+
 @dataclass(frozen=True, eq=False)
 class WalnutCoeffs:
     """Multiplier family of a frame operator as one read-only ``(b, a)`` table.
@@ -147,9 +176,10 @@ class WalnutCoeffs:
     Row ``r mod b`` holds one period of ``G_r``, so a signed ``r`` indexes its
     row directly.  ``factor`` is the collapsed modulation count per sample,
     ``M/s`` (the discrete inverse frequency step).  The table is the one
-    representation of the operator: :meth:`apply` and :meth:`fibers` both
-    read it through its ``p x p`` Zak-domain blocks (see the module
-    docstring).
+    representation of the operator: :meth:`fibers` reads it as ``p x p``
+    Zak-domain blocks, and :meth:`apply` either sums its few nonzero rows
+    directly or reads it through the same blocks (see the module
+    docstring).  The constructor copies ``table``.
     """
 
     lat: GaborLattice
@@ -172,48 +202,82 @@ class WalnutCoeffs:
         return {r: float(sups[r]) for r in signed_range(self.lat.b)}
 
     @cached_property
-    def _split(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def _split(self) -> tuple[np.ndarray, list | np.ndarray]:
+        """``(diag, off)``: ``factor * G_0`` and the terms ``r != 0``.
+
+        One scan finds the nonzero rows.  When there are at most
+        ``_row_sum_max(b)`` of them, ``off`` lists ``(r*M mod L,
+        factor * G_r)`` per nonzero row, at most ``b*a`` entries.
+        Otherwise ``off`` is the Zak-domain form of the table with row 0
+        zeroed: ``b*a`` entries at ``p = 1``, ``L*p`` above.
+        """
+        lat = self.lat
+        M, L = lat.M, lat.grid.L
         diag = self.factor * self.table[0]
-        if not self.table[1:].any():
-            return diag, None  # painless: every G_r with r != 0 is 0.0
+        nz = (np.flatnonzero(self.table[1:].any(axis=1)) + 1).tolist()
+        if len(nz) <= _row_sum_max(lat.b):
+            return diag, [(r * M % L, self.factor * self.table[r]) for r in nz]
         off = self.table.copy()
         off[0] = 0.0
-        if _block_size(self.lat) == 1:
+        if _block_size(lat) == 1:
             # the 1 x 1 block of coset j0 depends on j0 mod a only
-            blocks = self.factor * np.fft.fft(off, axis=0)
-        else:
-            blocks = _zak_blocks(off, self.lat, self.factor)
-        return diag, blocks
+            return diag, self.factor * np.fft.fft(off, axis=0)
+        return diag, _zak_blocks(off, lat, self.factor)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``factor * sum_r G_r * T_{r*M} v`` on a length-``L`` array.
 
         The ``r = 0`` term is the time-domain product ``factor * G_0 * v``.
-        The terms ``r != 0`` go through the Zak domain: one length-``b`` FFT
-        along each coset, the ``p x p`` blocks of the table with row 0
-        zeroed, one inverse FFT.  The blocks are cached on first use; at
-        ``p = 1`` (``a | M``) they are the ``(b, a)`` DFT of that table
-        along ``r``, read at ``j0 mod a``, so the cache is no larger than
-        the table.  A painless operator (``G_r = 0`` for all ``r != 0``,
-        window support at most ``M``) has no such terms: ``apply`` skips
-        both FFTs and returns ``factor * G_0 * v``, ``O(L)`` and exact.
+        A table with at most :func:`_row_sum_max` nonzero rows ``r != 0``
+        adds them directly to the output, ``_CHUNK`` samples at a time: per
+        row and chunk one product of ``factor * G_r`` with the read of ``v``
+        translated by ``r*M``, aligned to ``a``, and one add.  That is
+        ``O(k*L)`` for ``k`` rows, with no FFT, no full-length temporary and
+        a cache of ``k*a`` entries.  A painless operator (``G_r = 0`` for
+        all ``r != 0``, window support at most ``M``) is the case ``k = 0``:
+        ``factor * G_0 * v``, exact.  Any other table goes through the Zak
+        domain: one length-``b`` FFT along each coset, the ``p x p`` blocks
+        of the table with row 0 zeroed, one inverse FFT; at ``p = 1``
+        (``a | M``) the blocks are the ``(b, a)`` DFT of that table along
+        ``r``, read at ``j0 mod a``.  Either form is cached on first use
+        (:attr:`_split`).
         """
         lat = self.lat
-        a = lat.a
-        diag, blocks = self._split
-        if blocks is None:
-            return (diag * v.reshape(-1, a)).reshape(lat.grid.L)
+        L, a = lat.grid.L, lat.a
+        diag, off = self._split
+        if isinstance(off, list):
+            vb = v.reshape(-1, a)
+            if not off:
+                return np.multiply(diag, vb).reshape(L)
+            # one output chunk of C samples at a time, so that it stays in
+            # cache while every row adds to it.  C is a multiple of a, so
+            # sample t of a chunk and of each translated read of v meets
+            # G_r(t mod a): the product is aligned to a as it stands.
+            C = a * max(1, _CHUNK // a)
+            out = np.empty(L, dtype=complex)
+            buf = np.empty((C // a, a), dtype=complex)
+            for j in range(0, L, C):
+                n = min(C, L - j)
+                o = out[j:j + n].reshape(-1, a)
+                np.multiply(diag, vb[j // a:(j + n) // a], out=o)
+                for shift, G in off:
+                    i = (j - shift) % L
+                    seg = v[i:i + n] if i + n <= L else \
+                        np.concatenate((v[i:], v[:i + n - L]))
+                    np.multiply(G, seg.reshape(-1, a), out=buf[:n // a])
+                    o += buf[:n // a]
+            return out
         z = _to_zak(v, lat)
-        if blocks.ndim == 2:
+        if off.ndim == 2:
             zz = z.reshape(lat.b, -1, a)
-            zz *= blocks[:, None, :]
+            zz *= off[:, None, :]
         else:
-            z = _zak_product(blocks, z, np.empty_like(z))
+            z = _zak_product(off, z, np.empty_like(z))
         out = _from_zak(z, lat).reshape(-1, a)
         z = z.reshape(-1, a)  # reused for the r = 0 term
         np.multiply(diag, v.reshape(-1, a), out=z)
         out += z
-        return out.reshape(lat.grid.L)
+        return out.reshape(L)
 
     def fibers(self) -> np.ndarray:
         """The operator as ``L/p`` independent Hermitian ``p x p`` blocks.
@@ -238,7 +302,8 @@ def analysis(g: Signal, lat: GaborLattice, f: Signal) -> Coeffs:
         raise GridMismatchError("window, signal and lattice must share one grid")
     coeffs = np.fft.fft(_bracket_table(f, g, lat), axis=1)
     coeffs /= lat.grid.s
-    return Coeffs(lat, coeffs.T)
+    # the transposed view is kept, so synthesis reads the rows back as laid out
+    return _adopt(Coeffs, (lat.M, lat.N), lat=lat, values=coeffs.T)
 
 
 def synthesis(g: Signal, lat: GaborLattice, c: Coeffs) -> Signal:
@@ -260,7 +325,8 @@ def synthesis(g: Signal, lat: GaborLattice, c: Coeffs) -> Signal:
         X = np.zeros((lat.b, lat.M), dtype=complex)
         X[q] = periods[rows]
         acc += np.fft.fft(X, axis=0) * H
-    return Signal(g.grid, np.fft.ifft(acc, axis=0).reshape(lat.grid.L))
+    return _adopt(Signal, (lat.grid.L,), grid=g.grid,
+                  samples=np.fft.ifft(acc, axis=0).reshape(lat.grid.L))
 
 
 def _phases(lat: GaborLattice) -> np.ndarray:
@@ -313,6 +379,16 @@ def _support_run(v: np.ndarray, a: int) -> tuple[int, int]:
     return int(nz[(i + 1) % nz.size]) * a, L - (int(gaps[i]) - 1) * a
 
 
+def _cyclic(v: np.ndarray, start: int, n: int) -> np.ndarray:
+    """``n`` samples of ``v`` from ``start`` on, read cyclically; a view
+    unless the read wraps."""
+    L = v.shape[0]
+    start %= L
+    if start + n <= L:
+        return v[start:start + n]
+    return np.concatenate((v[start:], np.resize(v, start + n - L)))
+
+
 def _pair_rows(f: np.ndarray, h: np.ndarray, lat: GaborLattice,
                rows: int) -> np.ndarray:
     """Rows ``r = 0..rows-1`` of ``[f, T_{r*M} h]_a``, shape ``(rows, a)``.
@@ -321,36 +397,39 @@ def _pair_rows(f: np.ndarray, h: np.ndarray, lat: GaborLattice,
     period ``a``, summed over the shorter of the two support runs
     (:func:`_support_run`) only: ``O(rows*n)`` products for runs of ``n``
     samples and no FFT, so a bracket that vanishes is an exact zero.  Over
-    f's run the translate is a slice of ``conj(h)`` concatenated with
-    itself; over h's run the row is ``sum_i f[i + r*M] * conj(h[i])``,
-    rolled by ``r*M mod a``.  A row whose two runs do not meet is left at
-    zero and costs nothing.  A full support is the run ``(0, L)``, so such
-    a pair costs ``L`` products per row, read as views.  ``rows`` is at most
+    f's run the translate is a length-``n`` read of ``conj(h)``; over h's
+    run the row is ``sum_i f[i + r*M] * conj(h[i])``, rolled by
+    ``r*M mod a``.  Every read that meets the other run lies within ``n``
+    samples of it, so only that stretch of the other window is copied (and
+    conjugated), ``O(n_other + 2n)``.  A row whose two runs do not meet is
+    left at zero and costs nothing.  A full support is the run ``(0, L)``,
+    so such a pair costs ``L`` products per row.  ``rows`` is at most
     ``b``; since ``T_{b*M}`` is the identity, row ``r`` also stands for
     ``r - b``.
     """
     L, a, M = lat.grid.L, lat.a, lat.M
     out = np.zeros((rows, a), dtype=complex)
     sf, nf = _support_run(f, a)
-    sh, nh = _support_run(h, a)
+    sh, nh = (sf, nf) if h is f else _support_run(h, a)
     if nf == 0 or nh == 0:
         return out
     # T_{r*M} h's run starts d samples after f's; the runs meet when either
     # starts inside the other
     d = (sh - sf + M * np.arange(rows)) % L
     meet = np.flatnonzero((d < nf) | ((-d) % L < nh)).tolist()
-    # sum over the shorter run; over h's run the row comes out rolled
-    hc = np.conj(h)
+    # sum over the shorter run; over h's run the row comes out rolled.  The
+    # other window is read from n samples before its run on.
     if nf <= nh:
-        start, n, run, other, step = sf, nf, f, hc, -M
+        start, n, step, base = sf, nf, -M, sh - nf
+        run = _cyclic(f, sf, n)
+        other = np.conj(_cyclic(h, base, min(nh + 2 * n, L + n)))
     else:
-        start, n, run, other, step = sh, nh, hc, f, M
-    if start + n > L:
-        run = np.concatenate((run, run[:start + n - L]))
-    run = run[start:start + n].reshape(-1, a)
-    other = np.concatenate((other, other))
+        start, n, step, base = sh, nh, M, sf - nh
+        run = np.conj(_cyclic(h, sh, n))
+        other = _cyclic(f, base, min(nf + 2 * n, L + n))
+    run = run.reshape(-1, a)
     for r in meet:
-        o = (start + step * r) % L
+        o = (start + step * r - base) % L
         row = (run * other[o:o + n].reshape(-1, a)).sum(axis=0)
         out[r] = row if step < 0 else np.roll(row, r * M % a)
     return out
@@ -373,14 +452,14 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     table[:b // 2 + 1] = _pair_rows(g.samples, g.samples, lat, b // 2 + 1)
     r = np.arange(1, (b + 1) // 2)
     table[b - r] = np.conj(table[r[:, None], (np.arange(a) + M * r[:, None]) % a])
-    return WalnutCoeffs(lat=lat, table=table, factor=M / lat.grid.s)
+    return _adopt(WalnutCoeffs, (b, a), lat=lat, table=table, factor=M / lat.grid.s)
 
 
 def frame_operator_walnut(W: WalnutCoeffs, f: Signal) -> Signal:
     """Apply the frame operator in multiplier form (see :meth:`WalnutCoeffs.apply`)."""
     if f.grid != W.lat.grid:
         raise GridMismatchError("signal grid does not match the operator grid")
-    return Signal(f.grid, W.apply(f.samples))
+    return _adopt(Signal, (f.grid.L,), grid=f.grid, samples=W.apply(f.samples))
 
 
 def walnut_weighted_sum(W: WalnutCoeffs, w: Weight) -> float:

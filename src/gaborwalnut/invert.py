@@ -14,9 +14,8 @@ is quadrature on the fiber blocks.  Power iteration and conjugate
 gradients are explicit cross-checks, and the only methods that run above
 the cap.  Conjugate gradients use only the multiplier table's ``apply``.
 Power iteration runs in the coordinates of ``_to_zak`` on the whole
-operator's block stack: the Zak-domain form ``apply`` caches, with the
-``r = 0`` term added back.  Each step is one block product, with no FFT
-and no eigensolve; only the seeded start vector is mapped.  Bounds passed
+operator's block stack, ``W.fibers()``.  Each step is one block product,
+with no FFT and no eigensolve; only the seeded start vector is mapped.  Bounds passed
 to ``inverse_solve`` skip only the bounds that decide the not-a-frame
 verdict.  ``S^-1`` itself, in Walnut form, is the inverted fiber blocks
 mapped back to a table (``_inverse_walnut``); no dual is solved for it.
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaborLattice, Signal
+from .core import GaborLattice, Signal, _adopt
 from .errors import (
     BranchError,
     ConvergenceError,
@@ -229,9 +228,9 @@ def frame_bounds(
     ``power_iteration`` iterates on the operator and on its reflection
     below a row-sum upper estimate (``POWER_MAX_ITER`` steps each, start
     vectors seeded by ``POWER_SEEDS``), at any size.  It runs in Zak
-    coordinates on the operator's block stack, the form ``apply`` caches
-    with its ``r = 0`` term added back (at ``p = 1`` the spectrum itself):
-    one block product per step, with no FFT and no eigensolve.  A
+    coordinates on the operator's block stack ``W.fibers()`` (at ``p = 1``
+    the spectrum itself): one block product per step, with no FFT and no
+    eigensolve.  A
     tolerance that is not finite and positive raises ``DomainError``.
     """
     _check_tol(tol)
@@ -343,8 +342,8 @@ def inverse_solve(
             np.linalg.norm(W.apply(x) - rhs.samples)
             / max(np.linalg.norm(rhs.samples), 1e-300)
         )
-        return Signal(lat.grid, x), SolverReport(method, 1, np.array([rel]),
-                                                 bool(rel <= tol))
+        return (_adopt(Signal, (L,), grid=lat.grid, samples=x),
+                SolverReport(method, 1, np.array([rel]), bool(rel <= tol)))
     _frame_or_raise(g, lat, bounds, tol)
     if max_iter is None:
         max_iter = max(1000, 10 * L)
@@ -355,7 +354,8 @@ def inverse_solve(
             f"{method} stalled at relative residual {hist[-1]:.3e} "
             f"after {len(hist)} iterations (tol {tol:.1e})"
         )
-    return Signal(lat.grid, x), SolverReport(method, len(hist), hist, True)
+    return (_adopt(Signal, (L,), grid=lat.grid, samples=x),
+            SolverReport(method, len(hist), hist, True))
 
 
 def dual_window(g: Signal, lat: GaborLattice, method: str | None = None,
@@ -431,7 +431,7 @@ def _inverse_walnut(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     ev, V = _eigh_or_raise(g, lat, _method_for("fiber", lat, "fiber"))[:2]
     factor = lat.M / lat.grid.s
     inv = _zak_table((V / ev[:, None, :]) @ V.conj().swapaxes(1, 2), lat, factor)
-    return WalnutCoeffs(lat, inv, factor)
+    return _adopt(WalnutCoeffs, (lat.b, lat.a), lat=lat, table=inv, factor=factor)
 
 
 def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
@@ -457,7 +457,7 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
         y = _contour_inverse_sqrt(blocks, z, bounds.A, bounds.B, tol)
     else:
         y = V @ ((V.conj().swapaxes(1, 2) @ z) / np.sqrt(ev)[..., None])
-    return Signal(lat.grid, back(y[..., 0]))
+    return _adopt(Signal, (lat.grid.L,), grid=lat.grid, samples=back(y[..., 0]))
 
 
 def inverse_sqrt_matrix_contour(S: np.ndarray, A: float, B: float,

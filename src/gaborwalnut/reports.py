@@ -50,39 +50,38 @@ def write_window_file(sig: Signal, path) -> None:
             fh.write("".join(out))
 
 
-def write_profile_csv(profile: AmalgamProfile, path) -> None:
+def _write_csv(path, header: str, lines) -> None:
+    """Write a header and preformatted rows, joined once, with the ``\\r\\n``
+    line ends of ``csv.writer``.  Every field is a number, so none needs
+    quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["n", "sup", "weight", "weighted_sup", "cumsum"])
-        for n, sup, wgt, cum in zip(
-            profile.indices, profile.block_sups, profile.weights,
-            profile.weighted_cumsums,
-        ):
-            wr.writerow([int(n), repr(float(sup)), repr(float(wgt)),
-                         repr(float(sup * wgt)), repr(float(cum))])
+        fh.write(header + "\r\n" + "".join(lines))
+
+
+def write_profile_csv(profile: AmalgamProfile, path) -> None:
+    rows = zip(profile.indices.tolist(), profile.block_sups.tolist(),
+               profile.weights.tolist(), profile.weighted_cumsums.tolist())
+    _write_csv(path, "n,sup,weight,weighted_sup,cumsum",
+               (f"{int(n)},{sup!r},{wgt!r},{sup * wgt!r},{cum!r}\r\n"
+                for n, sup, wgt, cum in rows))
 
 
 def write_periodic_csv(pv: PeriodicVector, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["index", "re", "im"])
-        for i, v in enumerate(pv.values):
-            wr.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+    rows = zip(pv.values.real.tolist(), pv.values.imag.tolist())
+    _write_csv(path, "index,re,im",
+               (f"{i},{re!r},{im!r}\r\n" for i, (re, im) in enumerate(rows)))
 
 
 def write_walnut_csv(W: WalnutCoeffs, path) -> None:
     """Full multiplier table, preceded by a lattice header row."""
     lat = W.lat
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["factor", "a", "b", "M", "L"])
-        wr.writerow([repr(float(W.factor)), lat.a, lat.b, lat.M, lat.grid.L])
-        wr.writerow(["r", "x", "re", "im"])
-        for r in signed_range(lat.b):
-            vals = W.table[r]
-            for x in range(lat.a):
-                wr.writerow([r, x, repr(float(vals[x].real)),
-                             repr(float(vals[x].imag))])
+    head = (f"factor,a,b,M,L\r\n{float(W.factor)!r},{lat.a},{lat.b},{lat.M},"
+            f"{lat.grid.L}\r\nr,x,re,im")
+    _write_csv(path, head, (
+        f"{r},{x},{re!r},{im!r}\r\n"
+        for r in signed_range(lat.b)
+        for x, (re, im) in enumerate(zip(W.table[r].real.tolist(),
+                                         W.table[r].imag.tolist()))))
 
 
 def write_bounds_csv(bounds: FrameBounds, path) -> None:
@@ -94,19 +93,15 @@ def write_bounds_csv(bounds: FrameBounds, path) -> None:
 
 
 def write_solver_csv(report: SolverReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["iteration", "relative_residual"])
-        for i, r in enumerate(report.residuals):
-            wr.writerow([i, repr(float(r))])
+    _write_csv(path, "iteration,relative_residual",
+               (f"{i},{r!r}\r\n" for i, r in enumerate(report.residuals.tolist())))
 
 
 def write_summability_csv(report: SummabilityReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["r", "sup", "weight", "product", "cumsum"])
-        for (r, sup, nu, prod), cum in zip(report.per_r, report.tail_profile):
-            wr.writerow([r, repr(sup), repr(nu), repr(prod), repr(float(cum))])
+    rows = zip(report.per_r, report.tail_profile.tolist())
+    _write_csv(path, "r,sup,weight,product,cumsum",
+               (f"{r},{sup!r},{nu!r},{prod!r},{cum!r}\r\n"
+                for (r, sup, nu, prod), cum in rows))
 
 
 def _summability_dict(report: SummabilityReport) -> dict:

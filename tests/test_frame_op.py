@@ -201,6 +201,21 @@ class TestDirectOperator:
         assert np.allclose(out.samples, 2 * f.samples, atol=1e-12)
 
 
+def _roll_loop(W, f):
+    """``sum_r G_r * T_{r*M} f`` by tiled multipliers and rolled signals in
+    signed order, skipping the rows that are zero, and the sum of the
+    absolute terms; both without ``factor``."""
+    L, a, M = W.lat.grid.L, W.lat.a, W.lat.M
+    ref = np.zeros(L, dtype=complex)
+    scale = np.zeros(L)
+    for r in signed_range(W.lat.b):
+        if W.table[r].any():
+            term = np.tile(W.table[r], L // a) * np.roll(f, r * M)
+            ref += term
+            scale += np.abs(term)
+    return ref, scale
+
+
 class TestWalnut:
     def test_chi_coefficients(self, chi_lat):
         g, lat = chi_lat
@@ -291,12 +306,7 @@ class TestWalnut:
         lat = GaborLattice(grid, a, b)
         W = walnut_coefficients(rand_signal(grid, L), lat)
         f = rand_signal(grid, L + 1)
-        ref = np.zeros(L, dtype=complex)
-        scale = np.zeros(L)
-        for r in signed_range(b):
-            term = np.tile(W.table[r], L // a) * np.roll(f.samples, r * lat.M)
-            ref += term
-            scale += np.abs(term)
+        ref, scale = _roll_loop(W, f.samples)
         err = np.linalg.norm(W.apply(f.samples) - W.factor * ref)
         assert err <= 1e-13 * W.factor * np.linalg.norm(scale)
 
@@ -427,6 +437,78 @@ class TestSupportRuns:
         f = rand_signal(grid, 7).samples
         assert np.array_equal(W.apply(f),
                               W.factor * np.tile(W.table[0], grid.L // 64) * f)
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("L,a,b", [(16384, 32, 64), (65536, 32, 512)])
+    def test_gaussians_never_enter_the_zak_domain(self, monkeypatch, L, a, b):
+        # the width-1 Gaussian has 2 and 4 nonzero rows r != 0 here: apply
+        # sums them directly and agrees with the roll loop
+        from gaborwalnut import frame_op
+        grid = build_grid(L, 16)
+        lat = GaborLattice(grid, a, b)
+        W = walnut_coefficients(build_window(WindowSpec.gaussian(1.0), grid), lat)
+        k = int(W.table[1:].any(axis=1).sum())
+        assert 0 < k <= frame_op._row_sum_max(b)
+
+        def no_zak(*args):
+            raise AssertionError("apply went through the Zak domain")
+
+        monkeypatch.setattr(frame_op, "_to_zak", no_zak)
+        f = rand_signal(grid, 11).samples
+        ref, scale = _roll_loop(W, f)
+        err = np.linalg.norm(W.apply(f) - W.factor * ref)
+        assert err <= 1e-13 * W.factor * np.linalg.norm(scale)
+
+    def test_full_support_goes_through_the_zak_domain(self, monkeypatch):
+        from gaborwalnut import frame_op
+        calls = []
+        to_zak = frame_op._to_zak
+
+        def spy(*args):
+            calls.append(args)
+            return to_zak(*args)
+
+        monkeypatch.setattr(frame_op, "_to_zak", spy)
+        grid = build_grid(240, 16)
+        lat = GaborLattice(grid, 16, 10)
+        g, f = rand_signal(grid, 12), rand_signal(grid, 13)
+        W = walnut_coefficients(g, lat)
+        assert W.table[1:].all(axis=1).all()
+        d = frame_operator_direct(g, lat, f).samples
+        assert np.linalg.norm(W.apply(f.samples) - d) <= 1e-12 * np.linalg.norm(d)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("periods", [0, 1, 3])
+    @pytest.mark.parametrize("L,s,a,b,p", [(64, 8, 4, 8, 1), (240, 16, 16, 10, 2),
+                                           (36, 6, 9, 6, 3), (480, 16, 16, 20, 2)])
+    def test_few_rows_agree_with_roll_loop_and_blocks(self, monkeypatch, periods,
+                                                      L, s, a, b, p):
+        # random tables with as many nonzero rows r != 0 as the direct sum
+        # takes; chunks of a and 3a samples put chunk edges and wrapped
+        # reads everywhere
+        from gaborwalnut import frame_op
+        from gaborwalnut.frame_op import _block_size, _from_zak, _to_zak
+        if periods:
+            monkeypatch.setattr(frame_op, "_CHUNK", periods * a)
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        assert _block_size(lat) == p
+        rng = np.random.default_rng(L + b)
+        k = frame_op._row_sum_max(b)
+        T = np.zeros((b, a), dtype=complex)
+        rows = [0] + rng.choice(np.arange(1, b), size=k, replace=False).tolist()
+        T[rows] = rng.standard_normal((k + 1, a)) + 1j * rng.standard_normal((k + 1, a))
+        W = WalnutCoeffs(lat, T, factor=lat.M / s)
+        assert isinstance(W._split[1], list)
+        f = rand_signal(grid, 14).samples
+        out = W.apply(f)
+        ref, scale = _roll_loop(W, f)
+        assert np.linalg.norm(out - W.factor * ref) <= \
+            1e-13 * W.factor * np.linalg.norm(scale)
+        blocks = np.einsum("nij,nj->ni", W.fibers(), _to_zak(f, lat))
+        zak = _from_zak(blocks, lat)
+        assert np.linalg.norm(out - zak) <= 1e-13 * np.linalg.norm(zak)
 
 
 class TestWeightedSum:

@@ -21,6 +21,11 @@ from gaborwalnut import (
     read_window_file,
     walnut_coefficients,
 )
+from gaborwalnut.amalgam import AmalgamProfile
+from gaborwalnut.core import signed_range
+from gaborwalnut.diagnostics import SummabilityReport
+from gaborwalnut.frame_op import WalnutCoeffs
+from gaborwalnut.invert import SolverReport
 from gaborwalnut.reports import (
     write_bounds_csv,
     write_periodic_csv,
@@ -239,3 +244,68 @@ def test_svg_plot(tmp_path):
     assert text.startswith("<svg")
     assert text.count("<polyline") == 2
     assert "growth" in text
+
+
+# signed zeros, a subnormal, extremes, non-finite values and ordinary ones
+ODD = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1e-300, math.inf, -math.inf,
+       math.nan, 1.0, 2.5, -1 / 3, 1e16, 123456789.0]
+
+
+def _complex(re, im):
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+    return path.read_bytes()
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    # each joined writer against csv.writer on the same fields, \r\n ends
+    # included
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    x = np.array(ODD)
+    y = x[::-1].copy()
+    n = len(ODD)
+    with np.errstate(all="ignore"):
+        prof = AmalgamProfile(2, np.array([0, 1, -1] + list(range(2, n - 2))),
+                              x, y, np.cumsum(x))
+        rows = [[int(k), repr(float(s)), repr(float(w)), repr(float(s * w)),
+                 repr(float(c))] for k, s, w, c in
+                zip(prof.indices, x, y, prof.weighted_cumsums)]
+    write_profile_csv(prof, out)
+    assert out.read_bytes() == _csv_writer_bytes(
+        ref, ["n", "sup", "weight", "weighted_sup", "cumsum"], rows)
+
+    pv = PeriodicVector(n, _complex(x, y))
+    write_periodic_csv(pv, out)
+    assert out.read_bytes() == _csv_writer_bytes(ref, ["index", "re", "im"], [
+        [i, repr(float(v.real)), repr(float(v.imag))] for i, v in enumerate(pv.values)])
+
+    lat = GaborLattice(build_grid(2 * n, 2), n, 2)
+    W = WalnutCoeffs(lat, np.stack([_complex(x, y), _complex(y, -x)]), factor=0.5)
+    write_walnut_csv(W, out)
+    rows = [["factor", "a", "b", "M", "L"], ["0.5", n, 2, n, 2 * n],
+            ["r", "x", "re", "im"]]
+    rows += [[r, k, repr(float(W.table[r][k].real)), repr(float(W.table[r][k].imag))]
+             for r in signed_range(2) for k in range(n)]
+    assert out.read_bytes() == _csv_writer_bytes(ref, rows[0], rows[1:])
+
+    rep = SolverReport("cg", n, x, False)
+    write_solver_csv(rep, out)
+    assert out.read_bytes() == _csv_writer_bytes(
+        ref, ["iteration", "relative_residual"],
+        [[i, repr(float(r))] for i, r in enumerate(x)])
+
+    per_r = tuple((r, s, w, s * w) for r, s, w in zip(range(n), ODD, ODD[::-1]))
+    rep = SummabilityReport(lat, "constant", per_r, 1.0, np.cumsum(y), None)
+    write_summability_csv(rep, out)
+    assert out.read_bytes() == _csv_writer_bytes(
+        ref, ["r", "sup", "weight", "product", "cumsum"],
+        [[r, repr(s), repr(w), repr(p), repr(float(c))]
+         for (r, s, w, p), c in zip(per_r, rep.tail_profile)])
