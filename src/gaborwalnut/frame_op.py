@@ -15,8 +15,9 @@ DFT along each coset (the Zak domain) therefore splits the operator into
 ``L/p`` Hermitian ``p x p`` blocks, ``L*p`` entries in all (Zibulski &
 Zeevi, ACHA 4, 1997).  With ``a | M`` the blocks are ``1 x 1``: the
 spectrum is the DFT of the multiplier table along ``r``.  The blocks give
-the bounds, inverse and inverse square root (``invert``); ``_zak_table``
-maps blocks back to a table.
+the bounds, inverse and inverse square root (``invert``) and every
+``apply`` that is not a short row sum; ``WalnutCoeffs.fibers`` builds them
+once per table.  ``_zak_table`` maps blocks back to a table.
 
 The multipliers are brackets ``G_r = [g, T_{r*M} g]_a`` formed by direct
 products over the window's support run (``_pair_rows``), so a window whose
@@ -24,11 +25,11 @@ nonzero samples fit in ``n`` costs ``O(b*n)``, not ``O(b*L)``.  For a
 window in W(L^inf, l^1) ``sum_r sup|G_r|`` is finite (Walnut, J. Math.
 Anal. Appl. 165, 1992), and for a well-localized one only the few rows
 ``r`` whose translated support meets its own are nonzero at all.
-``apply`` sums those rows directly, ``O(k*L)`` for ``k`` of them, and goes
-through the Zak domain, ``O(L*p + L*log b)``, only when there are more
-than about ``log2 b``.  At ``n <= M`` every ``G_r`` with ``r != 0`` is zero
-and the operator is painless (Daubechies, Grossmann & Meyer, J. Math.
-Phys. 27, 1986): ``apply`` is one product.  The same rows for a pair of
+``apply`` sums those rows directly, ``O(k*L)`` for ``k`` of them, and
+multiplies by the blocks, ``O(L*p + L*log b)``, only when there are more
+than 5 to 7 (``_row_sum_max``).  At ``n <= M`` every ``G_r`` with
+``r != 0`` is zero and the operator is painless (Daubechies, Grossmann &
+Meyer, J. Math. Phys. 27, 1986): ``apply`` is one product.  The same rows for a pair of
 windows, ``[gd, T_{r*M} g]_a``, are the mixed multipliers of
 ``S_{gd,g}``; they give the exact duality check ``invert.duality_defect``.
 """
@@ -154,19 +155,20 @@ def _zak_table(blocks: np.ndarray, lat: GaborLattice, factor: float) -> np.ndarr
 _CHUNK = 4096
 
 
-def _row_sum_max(b: int) -> int:
+def _row_sum_max(p: int) -> int:
     """Most nonzero rows ``r != 0`` that :meth:`WalnutCoeffs.apply` sums
-    directly: ``log2(b) - 1``, at least 1.
+    directly at block size ``p``: 5 at ``p = 1``, 7 above.
 
-    Measured on random tables with ``k`` nonzero rows, for b = 64 to 1024
-    (one BLAS thread, 2-vCPU VM, best of 15 runs each): each row adds
-    about 40-55 us at L = 16384 and 135-165 us at L = 49152 and 65536,
-    where the Zak-domain path takes 350-550 us and 1.4-2.4 ms.  The direct
-    sum wins up to k = 5-8 at L = 16384 and k = 7-10 at L = 65536, so the
-    rule leans towards the Zak path; its worst measured loss is about 20%
-    (L = 65536, b = 1024, p = 1, k = 9).
+    Measured on random tables with ``k`` nonzero rows at L = 16384 and
+    65536, b = 64 to 1024, p = 1 and 2 (one BLAS thread, 2-vCPU VM, best
+    of 25 interleaved runs each): each row adds about 50 us at L = 16384
+    and 220-330 us at L = 65536, where the product on the cached blocks
+    takes 0.25-0.44 ms and 1.4-2.0 ms at p = 1, 0.33-0.53 ms and 1.8-2.7
+    ms at p = 2.  The direct sum wins up to k = 4-6 at p = 1 and k = 6-8 at
+    p = 2, with no trend in b; the rule's worst measured loss is about 17%
+    (L = 16384, b = 128, p = 1, k = 5).
     """
-    return max(1, b.bit_length() - 2)
+    return 5 if p == 1 else 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +178,9 @@ class WalnutCoeffs:
     Row ``r mod b`` holds one period of ``G_r``, so a signed ``r`` indexes its
     row directly.  ``factor`` is the collapsed modulation count per sample,
     ``M/s`` (the discrete inverse frequency step).  The table is the one
-    representation of the operator: :meth:`fibers` reads it as ``p x p``
-    Zak-domain blocks, and :meth:`apply` either sums its few nonzero rows
-    directly or reads it through the same blocks (see the module
+    representation of the operator: :meth:`fibers` reads it once as
+    ``p x p`` Zak-domain blocks, and :meth:`apply` either sums its few
+    nonzero rows directly or multiplies by those blocks (see the module
     docstring).  The constructor copies ``table``.
     """
 
@@ -202,82 +204,68 @@ class WalnutCoeffs:
         return {r: float(sups[r]) for r in signed_range(self.lat.b)}
 
     @cached_property
-    def _split(self) -> tuple[np.ndarray, list | np.ndarray]:
-        """``(diag, off)``: ``factor * G_0`` and the terms ``r != 0``.
-
-        One scan finds the nonzero rows.  When there are at most
-        ``_row_sum_max(b)`` of them, ``off`` lists ``(r*M mod L,
+    def _split(self) -> tuple[np.ndarray, list] | None:
+        """``(factor * G_0, rows)`` for the direct row sum of :meth:`apply`,
+        or None when more than ``_row_sum_max(p)`` rows ``r != 0`` are
+        nonzero.  One scan finds those rows; ``rows`` lists ``(r*M mod L,
         factor * G_r)`` per nonzero row, at most ``b*a`` entries.
-        Otherwise ``off`` is the Zak-domain form of the table with row 0
-        zeroed: ``b*a`` entries at ``p = 1``, ``L*p`` above.
         """
         lat = self.lat
         M, L = lat.M, lat.grid.L
-        diag = self.factor * self.table[0]
         nz = (np.flatnonzero(self.table[1:].any(axis=1)) + 1).tolist()
-        if len(nz) <= _row_sum_max(lat.b):
-            return diag, [(r * M % L, self.factor * self.table[r]) for r in nz]
-        off = self.table.copy()
-        off[0] = 0.0
-        if _block_size(lat) == 1:
-            # the 1 x 1 block of coset j0 depends on j0 mod a only
-            return diag, self.factor * np.fft.fft(off, axis=0)
-        return diag, _zak_blocks(off, lat, self.factor)
+        if len(nz) > _row_sum_max(_block_size(lat)):
+            return None
+        return (self.factor * self.table[0],
+                [(r * M % L, self.factor * self.table[r]) for r in nz])
+
+    @cached_property
+    def _fibers(self) -> np.ndarray:
+        blocks = _zak_blocks(self.table, self.lat, self.factor)
+        blocks.flags.writeable = False
+        return blocks
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``factor * sum_r G_r * T_{r*M} v`` on a length-``L`` array.
 
-        The ``r = 0`` term is the time-domain product ``factor * G_0 * v``.
         A table with at most :func:`_row_sum_max` nonzero rows ``r != 0``
-        adds them directly to the output, ``_CHUNK`` samples at a time: per
-        row and chunk one product of ``factor * G_r`` with the read of ``v``
-        translated by ``r*M``, aligned to ``a``, and one add.  That is
-        ``O(k*L)`` for ``k`` rows, with no FFT, no full-length temporary and
-        a cache of ``k*a`` entries.  A painless operator (``G_r = 0`` for
-        all ``r != 0``, window support at most ``M``) is the case ``k = 0``:
-        ``factor * G_0 * v``, exact.  Any other table goes through the Zak
-        domain: one length-``b`` FFT along each coset, the ``p x p`` blocks
-        of the table with row 0 zeroed, one inverse FFT; at ``p = 1``
-        (``a | M``) the blocks are the ``(b, a)`` DFT of that table along
-        ``r``, read at ``j0 mod a``.  Either form is cached on first use
-        (:attr:`_split`).
+        is summed in the time domain, ``_CHUNK`` output samples at a time:
+        the exact product ``factor * G_0 * v``, then per row one product of
+        ``factor * G_r`` with the read of ``v`` translated by ``r*M``,
+        aligned to ``a``, and one add.  That is ``O(k*L)`` for ``k`` rows,
+        with no FFT, no full-length temporary and a cache of ``k*a``
+        entries (:attr:`_split`).  A painless operator (``G_r = 0`` for all
+        ``r != 0``, window support at most ``M``) is the case ``k = 0``:
+        ``factor * G_0 * v``, exact.  Any other table is the block product
+        on :meth:`fibers`, ``r = 0`` term included: one length-``b`` FFT
+        along each coset, one product per block, one inverse FFT.
         """
         lat = self.lat
         L, a = lat.grid.L, lat.a
-        diag, off = self._split
-        if isinstance(off, list):
-            vb = v.reshape(-1, a)
-            if not off:
-                return np.multiply(diag, vb).reshape(L)
-            # one output chunk of C samples at a time, so that it stays in
-            # cache while every row adds to it.  C is a multiple of a, so
-            # sample t of a chunk and of each translated read of v meets
-            # G_r(t mod a): the product is aligned to a as it stands.
-            C = a * max(1, _CHUNK // a)
-            out = np.empty(L, dtype=complex)
-            buf = np.empty((C // a, a), dtype=complex)
-            for j in range(0, L, C):
-                n = min(C, L - j)
-                o = out[j:j + n].reshape(-1, a)
-                np.multiply(diag, vb[j // a:(j + n) // a], out=o)
-                for shift, G in off:
-                    i = (j - shift) % L
-                    seg = v[i:i + n] if i + n <= L else \
-                        np.concatenate((v[i:], v[:i + n - L]))
-                    np.multiply(G, seg.reshape(-1, a), out=buf[:n // a])
-                    o += buf[:n // a]
-            return out
-        z = _to_zak(v, lat)
-        if off.ndim == 2:
-            zz = z.reshape(lat.b, -1, a)
-            zz *= off[:, None, :]
-        else:
-            z = _zak_product(off, z, np.empty_like(z))
-        out = _from_zak(z, lat).reshape(-1, a)
-        z = z.reshape(-1, a)  # reused for the r = 0 term
-        np.multiply(diag, v.reshape(-1, a), out=z)
-        out += z
-        return out.reshape(L)
+        split = self._split
+        if split is None:
+            z = _to_zak(v, lat)
+            return _from_zak(_zak_product(self.fibers(), z, np.empty_like(z)),
+                             lat)
+        diag, rows = split
+        vb = v.reshape(-1, a)
+        if not rows:
+            return np.multiply(diag, vb).reshape(L)
+        # one output chunk of C samples at a time, so that it stays in
+        # cache while every row adds to it.  C is a multiple of a, so
+        # sample t of a chunk and of each translated read of v meets
+        # G_r(t mod a): the product is aligned to a as it stands.
+        C = a * max(1, _CHUNK // a)
+        out = np.empty(L, dtype=complex)
+        buf = np.empty((C // a, a), dtype=complex)
+        for j in range(0, L, C):
+            n = min(C, L - j)
+            o = out[j:j + n].reshape(-1, a)
+            np.multiply(diag, vb[j // a:(j + n) // a], out=o)
+            for shift, G in rows:
+                np.multiply(G, _cyclic(v, j - shift, n).reshape(-1, a),
+                            out=buf[:n // a])
+                o += buf[:n // a]
+        return out
 
     def fibers(self) -> np.ndarray:
         """The operator as ``L/p`` independent Hermitian ``p x p`` blocks.
@@ -285,9 +273,11 @@ class WalnutCoeffs:
         Returns the ``(L/p, p, p)`` stack, ``L*p`` entries, with
         ``p = a / gcd(a, M)``; in the coordinates of ``_to_zak`` the operator
         acts block by block, so ``S v = _from_zak(blocks @ _to_zak(v))``.
-        The eigenvalues of the stack are the spectrum of the operator.
+        The eigenvalues of the stack are the spectrum of the operator.  The
+        stack is built once per table and is read-only: :meth:`apply` and
+        every solver in ``invert`` read this one array.
         """
-        return _zak_blocks(self.table, self.lat, self.factor)
+        return self._fibers
 
 
 def analysis(g: Signal, lat: GaborLattice, f: Signal) -> Coeffs:
@@ -381,11 +371,13 @@ def _support_run(v: np.ndarray, a: int) -> tuple[int, int]:
 
 def _cyclic(v: np.ndarray, start: int, n: int) -> np.ndarray:
     """``n`` samples of ``v`` from ``start`` on, read cyclically; a view
-    unless the read wraps."""
+    unless the read wraps, and ``O(n)`` either way."""
     L = v.shape[0]
     start %= L
     if start + n <= L:
         return v[start:start + n]
+    if start + n <= 2 * L:
+        return np.concatenate((v[start:], v[:start + n - L]))
     return np.concatenate((v[start:], np.resize(v, start + n - L)))
 
 

@@ -7,16 +7,19 @@ root are exact batched eigen- and linear-algebra at ``O(L * p**2)``, plus
 one length-``b`` FFT per coset on the way in and out.  A lattice with
 ``a | M`` (every power-of-two frame) has ``p = 1``: the blocks are scalars.
 The stack holds ``L*p`` entries, capped by ``FIBER_LIMIT``, above which
-every default raises ``SizeError``.  The ``dense`` oracle runs the same
-code on one ``L x L`` block, the assembled matrix, and never builds the
-fiber blocks: its bounds and not-a-frame verdict are its own.  ``contour``
+every default raises ``SizeError``.  It is built once per table and is
+read-only: a fiber solve checks its residual with ``W.apply``, which on a
+table with many nonzero rows multiplies by the same stack.  The ``dense``
+oracle runs the same code on one ``L x L`` block, the assembled matrix,
+and takes its residual from that matrix too; it never builds the fiber
+blocks, so its bounds and not-a-frame verdict are its own.  ``contour``
 is quadrature on the fiber blocks.  Power iteration and conjugate
 gradients are explicit cross-checks, and the only methods that run above
-the cap.  Conjugate gradients use only the multiplier table's ``apply``.
-Power iteration runs in the coordinates of ``_to_zak`` on the whole
-operator's block stack, ``W.fibers()``.  Each step is one block product,
-with no FFT and no eigensolve; only the seeded start vector is mapped.  Bounds passed
-to ``inverse_solve`` skip only the bounds that decide the not-a-frame
+the cap.  Conjugate gradients use only ``W.apply``.  Power iteration runs
+in the coordinates of ``_to_zak`` on ``W.fibers()`` and on its reflection,
+a second stack.  Each step is one block product, with no FFT and no
+eigensolve; only the seeded start vector is mapped.  Bounds passed to
+``inverse_solve`` skip only the bounds that decide the not-a-frame
 verdict.  ``S^-1`` itself, in Walnut form, is the inverted fiber blocks
 mapped back to a table (``_inverse_walnut``); no dual is solved for it.
 
@@ -138,16 +141,19 @@ def _method_for(method: str | None, lat: GaborLattice, extra: str) -> str:
 
 
 def _blocks(g: Signal, lat: GaborLattice, method: str):
-    """``(W, blocks, to, back)``: the operator as a stack of Hermitian blocks,
-    ``S v = back((blocks @ to(v)[..., None])[..., 0])``.
+    """``(apply, blocks, to, back)``: the operator as a stack of Hermitian
+    blocks, ``S v = back((blocks @ to(v)[..., None])[..., 0])``, and the
+    ``S v`` that checks a solve's residual.
 
-    ``dense``: :func:`dense_frame_matrix` as a ``(1, L, L)`` stack; any
-    other method: the ``(L/p, p, p)`` Zak-domain blocks of ``W.fibers()``.
+    ``dense``: :func:`dense_frame_matrix` as a ``(1, L, L)`` stack, applied
+    as that matrix; any other method: the ``(L/p, p, p)`` Zak-domain
+    blocks ``W.fibers()``, applied as ``W.apply``.
     """
-    W = walnut_coefficients(g, lat)
     if method == "dense":
-        return W, dense_frame_matrix(g, lat)[None], lambda v: v[None], lambda z: z[0]
-    return (W, W.fibers(), lambda v: _to_zak(v, lat),
+        S = dense_frame_matrix(g, lat)
+        return lambda v: S @ v, S[None], lambda v: v[None], lambda z: z[0]
+    W = walnut_coefficients(g, lat)
+    return (W.apply, W.fibers(), lambda v: _to_zak(v, lat),
             lambda z: _from_zak(z, lat))
 
 
@@ -242,11 +248,10 @@ def frame_bounds(
         W = walnut_coefficients(g, lat)
         blocks = W.fibers()
         B = _power_extreme(blocks, lat, tol, POWER_SEEDS[0])
-        # A from the reflection mu - S, built in place on the same stack
+        # A from the reflection mu - S, a new stack beside the read-only one
         mu = _gershgorin_upper(W)
-        blocks *= -1.0
-        blocks += mu * np.eye(blocks.shape[-1])
-        A = mu - _power_extreme(blocks, lat, tol, POWER_SEEDS[1])
+        reflected = mu * np.eye(blocks.shape[-1]) - blocks
+        A = mu - _power_extreme(reflected, lat, tol, POWER_SEEDS[1])
     bounds = _bounds(A, B, method)
     if bounds.not_a_frame:
         warnings.warn(
@@ -313,9 +318,10 @@ def inverse_solve(
     """Solve ``S x = rhs`` for the frame operator of ``g``; returns the report too.
 
     ``fiber`` (the default) solves each fiber block; ``dense`` solves the
-    full matrix as one block by LU.  Both report the relative residual of
-    the operator's ``apply``, and the report's ``converged`` says whether
-    it is at most ``tol``.  ``cg`` is matrix-free on the multiplier table.
+    full matrix as one block by LU.  Both report the relative residual,
+    ``fiber`` through ``W.apply`` and ``dense`` through its own matrix, and
+    the report's ``converged`` says whether it is at most ``tol``.  ``cg``
+    is matrix-free on the multiplier table.
     Without ``bounds`` the not-a-frame verdict comes from the eigenvalues
     of the same blocks (``fiber``, ``dense``) or from the default
     :func:`frame_bounds` (``cg``); supplied ``bounds`` skip that and decide
@@ -332,14 +338,14 @@ def inverse_solve(
         raise GridMismatchError("right-hand side and lattice must share one grid")
     L = lat.grid.L
     if method in ("fiber", "dense"):
-        W, blocks, to, back = _blocks(g, lat, method)
+        apply, blocks, to, back = _blocks(g, lat, method)
         if bounds is None:
             ev = np.linalg.eigvalsh(blocks)
             bounds = _bounds(float(ev.min()), float(ev.max()), method)
         _frame_or_raise(g, lat, bounds, tol)
         x = back(np.linalg.solve(blocks, to(rhs.samples)[..., None])[..., 0])
         rel = float(
-            np.linalg.norm(W.apply(x) - rhs.samples)
+            np.linalg.norm(apply(x) - rhs.samples)
             / max(np.linalg.norm(rhs.samples), 1e-300)
         )
         return (_adopt(Signal, (L,), grid=lat.grid, samples=x),

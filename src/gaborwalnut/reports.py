@@ -7,7 +7,6 @@ and never feeds back into computation.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -52,8 +51,8 @@ def write_window_file(sig: Signal, path) -> None:
 
 def _write_csv(path, header: str, lines) -> None:
     """Write a header and preformatted rows, joined once, with the ``\\r\\n``
-    line ends of ``csv.writer``.  Every field is a number, so none needs
-    quoting."""
+    line ends of ``csv.writer``.  Every field is a number or a method name,
+    so none needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\r\n" + "".join(lines))
 
@@ -85,11 +84,9 @@ def write_walnut_csv(W: WalnutCoeffs, path) -> None:
 
 
 def write_bounds_csv(bounds: FrameBounds, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["A", "B", "method", "not_a_frame"])
-        wr.writerow([repr(bounds.A), repr(bounds.B), bounds.method,
-                     int(bounds.not_a_frame)])
+    _write_csv(path, "A,B,method,not_a_frame",
+               [f"{bounds.A!r},{bounds.B!r},{bounds.method},"
+                f"{int(bounds.not_a_frame)}\r\n"])
 
 
 def write_solver_csv(report: SolverReport, path) -> None:

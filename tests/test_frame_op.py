@@ -419,6 +419,17 @@ class TestSupportRuns:
         assert np.all(rows[ref == 0] == 0)
         assert np.abs(rows - ref).max() <= 1e-14 * np.abs(ref).max()
 
+    def test_cyclic_reads(self):
+        # reads that stay inside, wrap once and wrap more than once
+        from gaborwalnut.frame_op import _cyclic
+        rng = np.random.default_rng(5)
+        for L in (1, 5, 16):
+            v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+            for start in range(-2 * L, 3 * L):
+                for n in range(3 * L + 1):
+                    assert np.array_equal(_cyclic(v, start, n),
+                                          v[(start + np.arange(n)) % L])
+
     def test_painless_by_underflow(self, monkeypatch):
         # the Gaussian's 493 nonzero samples fit in M = 1024: every G_r with
         # r != 0 is exactly 0.0, and apply is the r = 0 product without any
@@ -449,7 +460,7 @@ class TestRowSum:
         lat = GaborLattice(grid, a, b)
         W = walnut_coefficients(build_window(WindowSpec.gaussian(1.0), grid), lat)
         k = int(W.table[1:].any(axis=1).sum())
-        assert 0 < k <= frame_op._row_sum_max(b)
+        assert 0 < k <= frame_op._row_sum_max(1)
 
         def no_zak(*args):
             raise AssertionError("apply went through the Zak domain")
@@ -495,12 +506,12 @@ class TestRowSum:
         lat = GaborLattice(grid, a, b)
         assert _block_size(lat) == p
         rng = np.random.default_rng(L + b)
-        k = frame_op._row_sum_max(b)
+        k = min(frame_op._row_sum_max(p), b - 1)
         T = np.zeros((b, a), dtype=complex)
         rows = [0] + rng.choice(np.arange(1, b), size=k, replace=False).tolist()
         T[rows] = rng.standard_normal((k + 1, a)) + 1j * rng.standard_normal((k + 1, a))
         W = WalnutCoeffs(lat, T, factor=lat.M / s)
-        assert isinstance(W._split[1], list)
+        assert W._split is not None
         f = rand_signal(grid, 14).samples
         out = W.apply(f)
         ref, scale = _roll_loop(W, f)

@@ -736,23 +736,29 @@ def _fiber_vs_dense(g, lat):
 
 
 class TestFiberOnce:
-    """The fiber paths build the block stack once and take the bounds from it."""
+    """The fiber paths build the block stack once, residual included, and
+    take the bounds from it."""
 
     @pytest.fixture
     def fiber_calls(self, monkeypatch):
+        # every stack is built by _zak_blocks, whoever asks for it
         calls = []
-        fibers = invert.WalnutCoeffs.fibers
+        zak_blocks = frame_op._zak_blocks
 
-        def counted(self):
+        def counted(*args):
             calls.append(1)
-            return fibers(self)
+            return zak_blocks(*args)
 
-        monkeypatch.setattr(invert.WalnutCoeffs, "fibers", counted)
+        monkeypatch.setattr(frame_op, "_zak_blocks", counted)
         return calls
 
     def test_inverse_solve_builds_one_stack(self, gauss64, fiber_calls):
-        g, lat = gauss64
+        g, _ = gauss64
+        # a = 4, b = 8: p = 1 with seven nonzero rows r != 0, more than the
+        # direct sum takes, so the residual's apply reads the same stack
+        lat = GaborLattice(g.grid, 4, 8)
         f = rand_signal(lat.grid, 3)
+        assert walnut_coefficients(g, lat)._split is None
         x, rep = inverse_solve(g, lat, f)
         assert len(fiber_calls) == 1 and rep.method == "fiber"
         # the bounds come from the same blocks that are solved
@@ -774,16 +780,23 @@ class TestFiberOnce:
         assert np.array_equal(gt.samples, _from_zak(y[..., 0], lat))
 
     def test_one_stack_of_two_by_two_blocks(self, fiber_calls):
-        # L = 48, a = 4, b = 8: M = 6, so p = 2 and 24 blocks
-        grid = build_grid(48, 4)
-        lat = GaborLattice(grid, 4, 8)
+        # L = 240, a = 16, b = 10: M = 24, so p = 2 and 120 blocks; nine
+        # nonzero rows r != 0 send the residual through the Zak domain,
+        # which once built a second stack
+        grid = build_grid(240, 16)
+        lat = GaborLattice(grid, 16, 10)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
-        blocks = walnut_coefficients(g, lat).fibers()
-        assert blocks.shape == (24, 2, 2)
+        W = walnut_coefficients(g, lat)
+        assert W._split is None
+        blocks = W.fibers()
+        assert blocks.shape == (120, 2, 2)
         assert np.allclose(blocks, blocks.conj().swapaxes(1, 2), atol=1e-15)
         fiber_calls.clear()
         _, rep = inverse_solve(g, lat, g)
         assert len(fiber_calls) == 1 and rep.residuals[-1] <= 1e-14
+        fiber_calls.clear()
+        dual_window(g, lat)
+        assert len(fiber_calls) == 1
         fiber_calls.clear()
         tight_window(g, lat)
         assert len(fiber_calls) == 1
@@ -855,6 +868,54 @@ class TestDenseOracleIndependent:
             inverse_solve(g, lat, g, method="dense")
         with pytest.raises(NotAFrameError):
             tight_window(g, lat, method="dense")
+
+
+class TestSharedStack:
+    """``W.fibers()`` is one read-only array that no solver writes to."""
+
+    def test_one_read_only_stack(self, gauss64):
+        g, lat = gauss64
+        W = walnut_coefficients(g, lat)
+        blocks = W.fibers()
+        assert W.fibers() is blocks
+        assert not blocks.flags.writeable
+        with pytest.raises(ValueError):
+            blocks *= -1.0
+
+    def test_power_iteration_leaves_the_stack(self, monkeypatch, gauss64):
+        g, lat = gauss64
+        tables = []
+
+        def recorded(*args):
+            tables.append(walnut_coefficients(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(invert, "walnut_coefficients", recorded)
+        fb = frame_bounds(g, lat, method="power_iteration")
+        (W,) = tables
+        ref = frame_op._zak_blocks(W.table, lat, W.factor)
+        assert np.array_equal(W.fibers(), ref)
+        assert fb.B == pytest.approx(float(np.linalg.eigvalsh(ref).max()),
+                                     rel=1e-9)
+
+
+class TestDenseResidual:
+    """``dense`` checks its solve on its own matrix, not on ``W.apply``."""
+
+    def test_residual_from_the_matrix(self, monkeypatch, gauss64):
+        g, lat = gauss64
+
+        def refuse(self, v):
+            raise AssertionError("dense residual read the Walnut apply")
+
+        monkeypatch.setattr(invert.WalnutCoeffs, "apply", refuse)
+        rhs = rand_signal(lat.grid, 9)
+        x, rep = inverse_solve(g, lat, rhs, method="dense")
+        S = dense_frame_matrix(g, lat)
+        rel = np.linalg.norm(S @ x.samples - rhs.samples) / \
+            np.linalg.norm(rhs.samples)
+        assert rep.residuals.tolist() == [rel]
+        assert rel <= 1e-12 and rep.converged
 
 
 class TestDirectSolveConverged:

@@ -41,9 +41,10 @@ def _owned(arr, *others):
 
 def _cache(W):
     """Every array that ``W`` holds or caches for ``apply``."""
-    diag, off = W._split
-    rows = [G for _, G in off] if isinstance(off, list) else [off]
-    return [W.table, diag, *rows]
+    if W._split is None:
+        return [W.table, W.fibers()]
+    diag, rows = W._split
+    return [W.table, diag, *(G for _, G in rows)]
 
 
 @pytest.fixture
@@ -79,7 +80,7 @@ class TestHandedOver:
         W = walnut_coefficients(g, GaborLattice(grid, 8, b))
         _owned(W.table, g.samples)
         assert W.table[1:].any(axis=1).sum() == k
-        assert isinstance(W._split[1], list) == (k < 7)
+        assert (W._split is not None) == (k < 7)
         for f in (rand_signal(grid, 3), g):
             _owned(frame_operator_walnut(W, f).samples, f.samples, g.samples,
                    *_cache(W))

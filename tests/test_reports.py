@@ -25,7 +25,7 @@ from gaborwalnut.amalgam import AmalgamProfile
 from gaborwalnut.core import signed_range
 from gaborwalnut.diagnostics import SummabilityReport
 from gaborwalnut.frame_op import WalnutCoeffs
-from gaborwalnut.invert import SolverReport
+from gaborwalnut.invert import FrameBounds, SolverReport
 from gaborwalnut.reports import (
     write_bounds_csv,
     write_periodic_csv,
@@ -309,3 +309,10 @@ def test_csv_bytes_match_csv_writer(tmp_path):
         ref, ["r", "sup", "weight", "product", "cumsum"],
         [[r, repr(s), repr(w), repr(p), repr(float(c))]
          for (r, s, w, p), c in zip(per_r, rep.tail_profile)])
+
+    for method in ("fiber", "dense", "power_iteration"):
+        for A, B, flag in zip(ODD, ODD[::-1], (False, True) * n):
+            write_bounds_csv(FrameBounds(A, B, method, flag), out)
+            assert out.read_bytes() == _csv_writer_bytes(
+                ref, ["A", "B", "method", "not_a_frame"],
+                [[repr(A), repr(B), method, int(flag)]])
