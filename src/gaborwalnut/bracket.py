@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaborLattice, Signal, signed_rep
+from .core import GaborLattice, Signal, _Frozen, signed_rep
 from .errors import DivisibilityError, GridMismatchError
 
 __all__ = [
@@ -28,20 +28,15 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class PeriodicVector:
-    """One period of a periodic function on the grid."""
+class PeriodicVector(_Frozen):
+    """One period of a periodic function, ``period`` complex values,
+    read-only (``core._Frozen``); a wrong length raises ``DivisibilityError``."""
 
     period: int
     values: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=complex)
-        if arr.shape != (self.period,):
-            raise DivisibilityError(
-                f"expected {self.period} values, got shape {arr.shape}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+    def _spec(self):
+        return "values", (self.period,), DivisibilityError
 
     @property
     def sup(self) -> float:

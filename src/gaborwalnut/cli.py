@@ -300,11 +300,6 @@ def cmd_counterexample(cfg: RunConfig) -> int:
     """Build the staircase perturbation and report orthogonality and growth."""
     out = _prepare_out(cfg)
     grid = cfg.grid
-    rule = "harmonic"
-    if cfg.raw.has_section("counterexample"):
-        rule = cfg.raw["counterexample"].get("rule", "harmonic").strip()
-    if rule != "harmonic":
-        raise ParseError(f"unsupported counterexample rule {rule!r}")
     h = build_counterexample("harmonic", grid)
     g = build_window(WindowSpec.characteristic(1.0), grid)
     lat = GaborLattice(grid, grid.s // 2, grid.units)

@@ -93,47 +93,58 @@ def build_grid(L: int, s: int) -> Grid:
     return Grid(int(L), int(s))
 
 
-@dataclass(frozen=True, eq=False)
-class Signal:
-    """A complex sample vector on a grid, immutable after construction.
+class _Frozen:
+    """The one array rule of the frozen array types (:class:`Signal`,
+    ``Coeffs``, ``WalnutCoeffs``, ``PeriodicVector``).
 
-    The constructor copies ``samples``, so a caller's later writes to the
-    array it passed do not reach the signal.  Library functions hand over
-    the arrays they allocate themselves without that copy (:func:`_adopt`).
+    ``_spec()`` names the array field, the shape that the object's own
+    grid, lattice or period fixes, and the type's error class.  The array
+    must be complex and of that shape, else that error is raised, and the
+    stored array is read-only.  The constructor applies the rule to a copy,
+    so a caller's later writes do not reach the object; :func:`_adopt`
+    applies it to the array it is handed.
     """
+
+    def __post_init__(self):
+        self._freeze(copy=True)
+
+    def _freeze(self, copy: bool) -> None:
+        name, shape, error = self._spec()
+        arr = getattr(self, name)
+        if copy:
+            arr = np.array(arr, dtype=complex)
+        if arr.dtype != complex or arr.shape != shape:
+            raise error(f"{type(self).__name__}.{name}: expected a complex "
+                        f"array of shape {shape}, got {arr.dtype} {arr.shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, name, arr)
+
+
+def _adopt(cls, **fields):
+    """An instance of the frozen array type ``cls`` that holds the array it
+    is handed itself, without the constructor's copy.
+
+    Only for an array the calling function has just allocated and hands
+    over; ``fields`` names every field of ``cls``.  The rule of
+    :class:`_Frozen` applies: a non-complex array, or one whose shape is not
+    the one the object's own fields fix, raises the type's error.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)  # what a frozen dataclass's setattr refuses
+    obj._freeze(copy=False)
+    return obj
+
+
+@dataclass(frozen=True, eq=False)
+class Signal(_Frozen):
+    """``grid.L`` complex samples on a grid, read-only (:class:`_Frozen`);
+    a wrong shape raises ``DimensionError``."""
 
     grid: Grid
     samples: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.samples, dtype=complex)
-        if arr.shape != (self.grid.L,):
-            raise DimensionError(
-                f"expected {self.grid.L} samples, got shape {arr.shape}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-
-
-def _adopt(cls, shape: tuple[int, ...], **fields):
-    """An instance of the frozen dataclass ``cls`` that holds its array field
-    itself, without the copy its constructor makes.
-
-    Only for an array the calling function has just allocated and hands
-    over: it is checked for complex dtype and ``shape`` and marked
-    read-only.  ``fields`` names every field of ``cls``.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            if value.dtype != complex or value.shape != shape:
-                raise DimensionError(
-                    f"expected a complex array of shape {shape}, got "
-                    f"{value.dtype} {value.shape}"
-                )
-            value.flags.writeable = False
-        object.__setattr__(obj, name, value)
-    return obj
+    def _spec(self):
+        return "samples", (self.grid.L,), DimensionError
 
 
 @dataclass(frozen=True)
@@ -266,7 +277,7 @@ def read_window_file(path: str, grid: Grid) -> Signal:
     except UnicodeDecodeError:
         samples = None  # the line-by-line reader meets it where it did before
     if samples is not None:
-        return _adopt(Signal, (grid.L,), grid=grid, samples=samples)
+        return _adopt(Signal, grid=grid, samples=samples)
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -287,8 +298,7 @@ def read_window_file(path: str, grid: Grid) -> Signal:
         raise ParseError(
             f"{path}: expected {grid.L} sample lines, found {len(values)}"
         )
-    return _adopt(Signal, (grid.L,), grid=grid,
-                  samples=np.array(values, dtype=complex))
+    return _adopt(Signal, grid=grid, samples=np.array(values, dtype=complex))
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -325,7 +335,7 @@ def build_window(spec: WindowSpec, grid: Grid) -> Signal:
             )
         v = np.zeros(L, dtype=complex)
         v[:n_int] = 1.0
-        return _adopt(Signal, (L,), grid=grid, samples=v)
+        return _adopt(Signal, grid=grid, samples=v)
     if spec.kind == "gaussian":
         _require_finite("gaussian width", spec.width)
         if spec.center is not None:
@@ -341,13 +351,13 @@ def build_window(spec: WindowSpec, grid: Grid) -> Signal:
         x = np.arange(lo, hi) / s
         v = np.zeros(L, dtype=complex)
         v.real[lo:hi] = np.exp(-np.pi * ((x - c) / spec.width) ** 2)
-        return _adopt(Signal, (L,), grid=grid, samples=v)
+        return _adopt(Signal, grid=grid, samples=v)
     if spec.kind == "hat":
         if s > L:
             raise DomainError("hat support of one unit exceeds the grid extent")
         x = np.arange(L) / s
         v = np.where(x <= 0.5, 2.0 * x, np.where(x <= 1.0, 2.0 * (1.0 - x), 0.0))
-        return _adopt(Signal, (L,), grid=grid, samples=v.astype(complex))
+        return _adopt(Signal, grid=grid, samples=v.astype(complex))
     if spec.kind == "file":
         if spec.path is None:
             raise ParseError("file window spec has no path")
@@ -365,7 +375,7 @@ def tf_shift(f: Signal, n: int, m: int) -> Signal:
     if m % L != 0:
         phase = np.exp(2j * np.pi * (m % L) * np.arange(L) / L)
         np.multiply(phase, shifted, out=shifted)
-    return _adopt(Signal, (L,), grid=f.grid, samples=shifted)
+    return _adopt(Signal, grid=f.grid, samples=shifted)
 
 
 def _require_same_grid(f: Signal, h: Signal) -> None:

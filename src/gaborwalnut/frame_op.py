@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .bracket import _bracket_table, _residue_classes
-from .core import GaborLattice, Signal, Weight, _adopt, signed_range
+from .core import GaborLattice, Signal, Weight, _Frozen, _adopt, signed_range
 from .errors import DimensionError, GridMismatchError, LatticeError
 from .amalgam import _profile, amalgam_norm
 
@@ -61,24 +61,18 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class Coeffs:
-    """Gabor coefficient matrix, modulation index by time index.
+class Coeffs(_Frozen):
+    """Gabor coefficients, ``(M, N)``: modulation index by time index.
 
-    The constructor copies ``values``; :func:`analysis` hands over the
-    transpose of its row DFTs as they lie in memory.
+    Read-only (``core._Frozen``); a wrong shape raises ``DimensionError``.
+    :func:`analysis` hands over the transpose of its row DFTs as laid out.
     """
 
     lat: GaborLattice
     values: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=complex)
-        if arr.shape != (self.lat.M, self.lat.N):
-            raise DimensionError(
-                f"expected shape {(self.lat.M, self.lat.N)}, got {arr.shape}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+    def _spec(self):
+        return "values", (self.lat.M, self.lat.N), DimensionError
 
 
 def _block_size(lat: GaborLattice) -> int:
@@ -172,7 +166,7 @@ def _row_sum_max(p: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class WalnutCoeffs:
+class WalnutCoeffs(_Frozen):
     """Multiplier family of a frame operator as one read-only ``(b, a)`` table.
 
     Row ``r mod b`` holds one period of ``G_r``, so a signed ``r`` indexes its
@@ -181,22 +175,16 @@ class WalnutCoeffs:
     representation of the operator: :meth:`fibers` reads it once as
     ``p x p`` Zak-domain blocks, and :meth:`apply` either sums its few
     nonzero rows directly or multiplies by those blocks (see the module
-    docstring).  The constructor copies ``table``.
+    docstring).  The rule of ``core._Frozen`` applies; a table that is
+    not ``(b, a)`` raises ``LatticeError``.
     """
 
     lat: GaborLattice
     table: np.ndarray
     factor: float
 
-    def __post_init__(self):
-        arr = np.array(self.table, dtype=complex)
-        if arr.shape != (self.lat.b, self.lat.a):
-            raise LatticeError(
-                f"multiplier table has shape {arr.shape}, expected "
-                f"{(self.lat.b, self.lat.a)}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "table", arr)
+    def _spec(self):
+        return "table", (self.lat.b, self.lat.a), LatticeError
 
     def sup_norms(self) -> dict[int, float]:
         """Sup norm of each multiplier, keyed by signed index."""
@@ -293,7 +281,7 @@ def analysis(g: Signal, lat: GaborLattice, f: Signal) -> Coeffs:
     coeffs = np.fft.fft(_bracket_table(f, g, lat), axis=1)
     coeffs /= lat.grid.s
     # the transposed view is kept, so synthesis reads the rows back as laid out
-    return _adopt(Coeffs, (lat.M, lat.N), lat=lat, values=coeffs.T)
+    return _adopt(Coeffs, lat=lat, values=coeffs.T)
 
 
 def synthesis(g: Signal, lat: GaborLattice, c: Coeffs) -> Signal:
@@ -315,8 +303,8 @@ def synthesis(g: Signal, lat: GaborLattice, c: Coeffs) -> Signal:
         X = np.zeros((lat.b, lat.M), dtype=complex)
         X[q] = periods[rows]
         acc += np.fft.fft(X, axis=0) * H
-    return _adopt(Signal, (lat.grid.L,), grid=g.grid,
-                  samples=np.fft.ifft(acc, axis=0).reshape(lat.grid.L))
+    y = np.fft.ifft(acc, axis=0).reshape(lat.grid.L)
+    return _adopt(Signal, grid=g.grid, samples=y)
 
 
 def _phases(lat: GaborLattice) -> np.ndarray:
@@ -444,14 +432,14 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     table[:b // 2 + 1] = _pair_rows(g.samples, g.samples, lat, b // 2 + 1)
     r = np.arange(1, (b + 1) // 2)
     table[b - r] = np.conj(table[r[:, None], (np.arange(a) + M * r[:, None]) % a])
-    return _adopt(WalnutCoeffs, (b, a), lat=lat, table=table, factor=M / lat.grid.s)
+    return _adopt(WalnutCoeffs, lat=lat, table=table, factor=M / lat.grid.s)
 
 
 def frame_operator_walnut(W: WalnutCoeffs, f: Signal) -> Signal:
     """Apply the frame operator in multiplier form (see :meth:`WalnutCoeffs.apply`)."""
     if f.grid != W.lat.grid:
         raise GridMismatchError("signal grid does not match the operator grid")
-    return _adopt(Signal, (f.grid.L,), grid=f.grid, samples=W.apply(f.samples))
+    return _adopt(Signal, grid=f.grid, samples=W.apply(f.samples))
 
 
 def walnut_weighted_sum(W: WalnutCoeffs, w: Weight) -> float:

@@ -37,6 +37,9 @@ __all__ = [
 # more strings at once.
 _WRITE_LINES = 1024
 
+# Pixel size of every chart that write_svg_lines writes.
+_SVG_WIDTH, _SVG_HEIGHT = 640, 420
+
 
 def write_window_file(sig: Signal, path) -> None:
     """Write a signal in the window file format: one ``re im`` pair per line."""
@@ -125,15 +128,15 @@ def write_json(payload: dict, path) -> None:
 
 
 def write_svg_lines(path, series: dict[str, tuple], title: str = "",
-                    xlabel: str = "", ylabel: str = "",
-                    width: int = 640, height: int = 420) -> None:
-    """Write a minimal SVG polyline chart.
+                    xlabel: str = "", ylabel: str = "") -> None:
+    """Write a minimal ``_SVG_WIDTH x _SVG_HEIGHT`` SVG polyline chart.
 
     ``series`` maps a legend label to an ``(xs, ys)`` pair of equal-length
     sequences.  Axes are linear with automatic ranges.
     """
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     margin = 56
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     xs_all = np.concatenate([np.asarray(xs, dtype=float) for xs, _ in series.values()])
     ys_all = np.concatenate([np.asarray(ys, dtype=float) for _, ys in series.values()])
     x0, x1 = float(xs_all.min()), float(xs_all.max())

@@ -1,4 +1,5 @@
 import re
+import time
 import warnings
 
 import numpy as np
@@ -398,6 +399,15 @@ class TestTightWindow:
         ev_q = np.sort(np.linalg.eigvals(Q).real)
         assert np.max(np.abs(ev_q - np.sort(ev ** -0.5))) < 1e-8
 
+    def test_near_singular_matrix_is_not_a_frame(self):
+        # A <= NOT_A_FRAME_RTOL * B is refused at once, as on every other
+        # path; the quadrature used to run 4096 nodes into ConvergenceError
+        S = np.diag([1e-13] + [1.0] * 63).astype(complex)
+        start = time.perf_counter()
+        with pytest.raises(NotAFrameError):
+            inverse_sqrt_matrix_contour(S, 1e-13, 1.0)
+        assert time.perf_counter() - start < 0.5
+
 
 class TestReconstruction:
     def test_dual_pair(self, chi_lat):
@@ -672,7 +682,7 @@ class TestFiberLimit:
             tight_window(g, lat, method="contour")
         with pytest.raises(SizeError):  # cg needs bounds from elsewhere
             inverse_solve(g, lat, g, method="cg")
-        # the explicit matrix-free cross-checks still run there
+        # the explicit cross-checks are not refused there
         fp = frame_bounds(g, lat, method="power_iteration")
         assert fp.method == "power_iteration"
         assert fp.A == pytest.approx(fb.A, rel=1e-8)

@@ -1,5 +1,6 @@
 """Library results own their arrays: handed over without a copy, read-only,
-sharing memory with no input and no cache; public constructors still copy."""
+sharing memory with no input and no cache; public constructors still copy.
+The four array types keep one rule for both paths (``core._Frozen``)."""
 
 import tracemalloc
 
@@ -8,7 +9,11 @@ import pytest
 
 from gaborwalnut import (
     Coeffs,
+    DimensionError,
+    DivisibilityError,
     GaborLattice,
+    LatticeError,
+    PeriodicVector,
     Signal,
     WalnutCoeffs,
     WindowSpec,
@@ -23,6 +28,7 @@ from gaborwalnut import (
     tight_window,
     walnut_coefficients,
 )
+from gaborwalnut.core import _adopt
 from gaborwalnut.invert import _inverse_walnut
 from gaborwalnut.reports import write_window_file
 
@@ -104,24 +110,65 @@ class TestHandedOver:
         _owned(_inverse_walnut(g, lat).table, g.samples)
 
 
-class TestConstructorsCopy:
-    def test_signal(self):
-        grid = build_grid(8, 4)
-        arr = np.arange(8, dtype=complex)
-        sig = Signal(grid, arr)
-        arr[:] = -1.0
-        assert np.array_equal(sig.samples, np.arange(8))
+_GRID = build_grid(64, 8)
+_LAT = GaborLattice(_GRID, 4, 8)  # M = 8, N = 16
+# type, its other fields, its array field, the shape they fix, its error
+_TYPES = [
+    (Signal, {"grid": _GRID}, "samples", (64,), DimensionError),
+    (Coeffs, {"lat": _LAT}, "values", (8, 16), DimensionError),
+    (WalnutCoeffs, {"lat": _LAT, "factor": 2.0}, "table", (8, 4), LatticeError),
+    (PeriodicVector, {"period": 8}, "values", (8,), DivisibilityError),
+]
+
+
+@pytest.mark.parametrize("cls,fields,name,shape,error", _TYPES,
+                         ids=[t[0].__name__ for t in _TYPES])
+class TestOneRule:
+    """Constructor and ``_adopt`` check, copy or share, and freeze alike."""
+
+    @staticmethod
+    def _array(shape, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def test_constructor_copies(self, cls, fields, name, shape, error):
+        arr = self._array(shape)
+        kept = arr.copy()
+        obj = cls(**fields, **{name: arr})
+        arr[...] = 0.0
+        assert np.array_equal(getattr(obj, name), kept)
+        assert not np.shares_memory(getattr(obj, name), arr)
         assert arr.flags.writeable
 
-    def test_coeffs_and_table(self, gauss):
-        _, lat = gauss
-        values = np.ones((lat.M, lat.N), dtype=complex)
-        c = Coeffs(lat, values)
-        table = np.ones((lat.b, lat.a), dtype=complex)
-        W = WalnutCoeffs(lat, table, 1.0)
-        values[:] = 0.0
-        table[:] = 0.0
-        assert (c.values == 1.0).all() and (W.table == 1.0).all()
+    def test_adopt_shares(self, cls, fields, name, shape, error):
+        arr = self._array(shape)
+        obj = _adopt(cls, **fields, **{name: arr})
+        assert getattr(obj, name) is arr
+        for key, value in fields.items():
+            assert getattr(obj, key) == value
+
+    def test_both_read_only(self, cls, fields, name, shape, error):
+        for make in (cls, lambda **kw: _adopt(cls, **kw)):
+            held = getattr(make(**fields, **{name: self._array(shape)}), name)
+            assert not held.flags.writeable
+            with pytest.raises(ValueError):
+                held[(0,) * len(shape)] = 1.0
+
+    def test_wrong_shape_raises_own_error(self, cls, fields, name, shape, error):
+        wrong = (shape[0] + 1,) + shape[1:]
+        for bad in (self._array(wrong), self._array(shape[::-1] + (1,))):
+            with pytest.raises(error):
+                cls(**fields, **{name: bad})
+            with pytest.raises(error):
+                _adopt(cls, **fields, **{name: bad})
+
+    def test_adopt_refuses_non_complex(self, cls, fields, name, shape, error):
+        real = self._array(shape).real.copy()
+        with pytest.raises(error):
+            _adopt(cls, **fields, **{name: real})
+        # the constructor converts while it copies
+        held = getattr(cls(**fields, **{name: real}), name)
+        assert held.dtype == complex and np.array_equal(held.real, real)
 
 
 def _peak_mib(fn) -> float:
