@@ -439,18 +439,21 @@ _DISPATCH = {
 }
 
 
+# built once: parse_args leaves the parser as it found it
+_PARSER = argparse.ArgumentParser(
+    prog="gabor-walnut",
+    description="Discrete Gabor-frame toolkit command line",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True, help="path to a run config")
+_PARSER.add_argument("--out", default=None, help="output directory override")
+_PARSER.add_argument("--seed", type=int, default=None, help="seed override")
+_PARSER.add_argument("--tol", type=float, default=None,
+                     help="tolerance override")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="gabor-walnut",
-        description="Discrete Gabor-frame toolkit command line",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="path to a run config")
-    parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="tolerance override")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, args)
         return _DISPATCH[args.command](cfg)

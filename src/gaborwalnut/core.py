@@ -445,7 +445,8 @@ class Weight:
 
         A scalar runs through the array loop as well (numpy's scalar loops
         for ``**`` and ``exp`` round differently), so ``w(n)`` equals the
-        entry of ``w(idx)`` at ``n`` bit for bit.
+        entry of ``w(idx)`` at ``n`` bit for bit.  A ``custom`` rule that
+        overflows raises ``DomainError``.
         """
         arr = np.atleast_1d(n)
         if self.kind == "constant":
@@ -455,8 +456,12 @@ class Weight:
         elif self.kind == "subexponential":
             out = np.exp(self.c * np.abs(arr).astype(float) ** self.gamma)
         elif self.kind == "custom":
-            out = np.array([self.fn(int(k)) for k in arr.ravel()],
-                           dtype=float).reshape(arr.shape)
+            try:
+                out = np.array([self.fn(int(k)) for k in arr.ravel()],
+                               dtype=float).reshape(arr.shape)
+            except OverflowError as exc:
+                raise DomainError(
+                    f"weight {self.describe()} overflows: {exc}") from exc
         else:
             raise DomainError(f"unknown weight kind {self.kind!r}")
         if np.ndim(n) == 0:

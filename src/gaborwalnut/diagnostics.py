@@ -68,8 +68,9 @@ class SummabilityReport:
     ``per_r`` lists ``(signed r, sup|G~_r|, nu(r), product)`` in the fixed
     signed order; ``tail_profile`` holds the running partial sums, ending at
     ``weighted_sum``.  ``cross_check_error`` is the worst deviation between
-    the block-inverse multipliers and those extracted from the LU inverse of
-    the dense matrix (``None`` when skipped, and above ``DENSE_LIMIT``).
+    the block-inverse multipliers and those read off an LU solve of the
+    dense matrix for the ``a`` columns that the extraction reads (``None``
+    when skipped, and above ``DENSE_LIMIT``).
     """
 
     lattice: GaborLattice
@@ -140,6 +141,24 @@ def extract_walnut_from_matrix(
     return WalnutCoeffs(lat=lat, table=table, factor=factor), off_mass
 
 
+def _dense_inverse_table(g: Signal, lat: GaborLattice) -> np.ndarray:
+    """Multiplier table of ``S^-1`` from an LU solve of the dense frame
+    matrix for its first ``a`` columns, the ones the extraction reads.
+
+    Column ``c`` of ``S^-1`` meets strided diagonal ``r`` in row
+    ``(c + r*M) mod L``, which is entry ``(c + r*M) mod a`` of ``G~_r``;
+    as ``c`` runs over one period those entries fill the row.
+    """
+    L, a = lat.grid.L, lat.a
+    X = np.linalg.solve(dense_frame_matrix(g, lat), np.eye(L, a, dtype=complex))
+    r = np.array(signed_range(lat.b))[:, None]
+    c = np.arange(a)
+    j = c + r * lat.M
+    table = np.empty((lat.b, a), dtype=complex)
+    table[r % lat.b, j % a] = X[j % L, c]
+    return table / (lat.M / lat.grid.s)
+
+
 def dual_summability_report(
     g: Signal,
     lat: GaborLattice,
@@ -152,7 +171,8 @@ def dual_summability_report(
     The multipliers are read off the inverted fiber blocks of ``S``
     (:func:`invert._inverse_walnut`): nothing is solved, and ``tol`` is only
     validated.  When the grid is small enough they are cross-checked against
-    those extracted from the LU inverse of the dense frame matrix, an
+    those read off an LU solve of the dense frame matrix for the ``a``
+    columns that the extraction reads (:func:`_dense_inverse_table`), an
     independent route to the same operator.
     """
     _check_tol(tol)
@@ -163,9 +183,7 @@ def dual_summability_report(
                 (sups * weights).tolist())
     err = None
     if cross_check and lat.grid.L <= DENSE_LIMIT:
-        Sinv = np.linalg.inv(dense_frame_matrix(g, lat))
-        extracted, _ = extract_walnut_from_matrix(Sinv, lat)
-        err = float(np.max(np.abs(extracted.table - Wd.table)))
+        err = float(np.max(np.abs(_dense_inverse_table(g, lat) - Wd.table)))
     return SummabilityReport(
         lattice=lat,
         weight=w.describe(),

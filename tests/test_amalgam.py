@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -170,3 +171,18 @@ def test_weight_not_finite_on_the_blocks_refused(chi):
         with pytest.raises(DomainError, match="overflows"):
             amalgam_norm(chi, 2, Weight.custom(lambda n: 1e308))
         assert amalgam_norm(chi, 8, Weight.polynomial(1e6)) == 1.0
+
+
+def test_custom_rule_that_overflows_refused():
+    # math.exp overflows inside the rule from |n| = 237 on (2048 blocks of
+    # 4 samples), and an int past the float range fails on conversion:
+    # both are DomainError, not OverflowError
+    g = build_window(WindowSpec.gaussian(width=1.0), build_grid(4096, 16))
+    w = Weight.custom(lambda n: math.exp(3 * abs(n)))
+    with pytest.raises(DomainError, match="weight custom overflows"):
+        amalgam_norm(g, 4, w)
+    with pytest.raises(DomainError, match="overflows"):
+        w(300)
+    assert w(1) == math.exp(3)
+    with pytest.raises(DomainError, match="weight big overflows"):
+        Weight.custom(lambda n: 10 ** 400, label="big")(np.arange(3))

@@ -410,6 +410,10 @@ def test_seed_override(tmp_path):
     assert main(["analyze", "--config", cfg, "--seed", "42"]) == 0
     payload = json.loads((out / "analyze.json").read_text())
     assert payload["seed"] == 42
+    # the parser is shared between calls: no override carries over
+    assert main(["analyze", "--config", cfg]) == 0
+    payload = json.loads((out / "analyze.json").read_text())
+    assert payload["seed"] == 1
 
 
 @pytest.mark.parametrize("command", ["dual", "tight", "bench"])

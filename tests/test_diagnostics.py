@@ -7,6 +7,7 @@ from gaborwalnut import (
     LatticeError,
     Signal,
     SizeError,
+    WalnutCoeffs,
     Weight,
     WindowSpec,
     amalgam_norm,
@@ -35,7 +36,7 @@ from gaborwalnut import (
     walnut_coefficients,
     walnut_weighted_sum,
 )
-from gaborwalnut import invert
+from gaborwalnut import diagnostics, invert
 from gaborwalnut.bracket import _bracket_table, bracket_product
 from gaborwalnut.diagnostics import IdentityResidual, _identity_residual
 
@@ -148,6 +149,48 @@ class TestDualSummability:
             assert rep.cross_check_error < 1e-8, name
             gd = dual_window(g, lat, method="cg", tol=1e-12)
             assert np.isfinite(amalgam_norm(gd, lat.a, w)), name
+
+    @staticmethod
+    def _cross_check_cases(corpus):
+        cases = [(name, g, lat) for name, g, lat, _ in corpus]
+        grid = build_grid(240, 12)  # p = 2
+        cases.append(("rand240", rand_signal(grid, 240), GaborLattice(grid, 12, 8)))
+        grid = build_grid(1024, 16)  # the dense limit, B/A about 268
+        cases.append(("gauss1024", build_window(WindowSpec.gaussian(width=1.0), grid),
+                      GaborLattice(grid, 32, 16)))
+        return cases
+
+    def test_a_columns_match_the_full_inverse(self, corpus):
+        # the extraction from the whole inverse is the reference: reading
+        # each multiplier once off the solved columns lands within rounding
+        for name, g, lat in self._cross_check_cases(corpus):
+            S = dense_frame_matrix(g, lat)
+            ref = extract_walnut_from_matrix(np.linalg.inv(S), lat)[0].table
+            got = diagnostics._dense_inverse_table(g, lat)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), name
+
+    def test_cross_check_sees_a_changed_row(self, corpus, monkeypatch):
+        inverse_walnut = diagnostics._inverse_walnut
+
+        def one_row_off(g, lat):
+            W = inverse_walnut(g, lat)
+            table = W.table.copy()
+            table[-1] += 1e-6
+            return WalnutCoeffs(lat=lat, table=table, factor=W.factor)
+
+        monkeypatch.setattr(diagnostics, "_inverse_walnut", one_row_off)
+        for name, g, lat in self._cross_check_cases(corpus):
+            rep = dual_summability_report(g, lat, Weight.constant())
+            assert rep.cross_check_error > 1e-8, name
+
+    def test_never_inverts_the_dense_matrix(self, corpus, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cross-check inverted the dense matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        for name, g, lat in self._cross_check_cases(corpus):
+            rep = dual_summability_report(g, lat, Weight.constant())
+            assert rep.cross_check_error < 1e-12, name
 
     def test_solves_nothing(self, chi_lat, gauss64, corpus, monkeypatch):
         # the table is read off the inverted blocks: with every solver
