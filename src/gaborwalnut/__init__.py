@@ -11,7 +11,6 @@ from .bracket import (
     bracket_fourier_coeffs,
     bracket_product,
     correlation_G,
-    periodize,
 )
 from .core import (
     AdmissibilityReport,
@@ -80,7 +79,6 @@ from .invert import (
     duality_defect,
     frame_bounds,
     inverse_solve,
-    inverse_sqrt_matrix_contour,
     tight_window,
     verify_reconstruction,
 )

@@ -1,4 +1,4 @@
-"""Periodization, bracket products and the window correlation multipliers.
+"""Bracket products and the window correlation multipliers.
 
 The bracket of two signals at period ``p`` is the cyclic fold of ``f*conj(h)``
 onto one period.  Its Fourier-series coefficients are scaled inner products
@@ -20,7 +20,6 @@ from .errors import DivisibilityError, GridMismatchError
 
 __all__ = [
     "PeriodicVector",
-    "periodize",
     "bracket_product",
     "bracket_fourier_coeffs",
     "correlation_G",
@@ -38,21 +37,12 @@ class PeriodicVector(_Frozen):
     def _spec(self):
         return "values", (self.period,), DivisibilityError
 
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 def _fold(values: np.ndarray, p: int) -> np.ndarray:
     L = values.shape[0]
     if p < 1 or L % p != 0:
         raise DivisibilityError(f"period {p} does not divide length {L}")
     return values.reshape(L // p, p).sum(axis=0)
-
-
-def periodize(u: Signal, p: int) -> PeriodicVector:
-    """Cyclic fold of ``u`` onto one period: ``v(x) = sum_k u(x + k*p)``."""
-    return PeriodicVector(p, _fold(u.samples, p))
 
 
 def bracket_product(f: Signal, h: Signal, p: int) -> PeriodicVector:

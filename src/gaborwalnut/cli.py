@@ -120,10 +120,9 @@ def _build_window_spec(section) -> WindowSpec:
 def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     """Parse a key=value config file and validate it against the constructors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ParseError(f"config file {path!r} not found")
     try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ParseError(f"config file {path!r} not found")
         grid = build_grid(parser.getint("grid", "L"), parser.getint("grid", "s"))
         lattice = GaborLattice(grid, parser.getint("lattice", "a"),
                                parser.getint("lattice", "b"))
@@ -135,7 +134,9 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
             opts.get("tol", 1e-10))
         seed = overrides.seed if overrides.seed is not None else int(
             opts.get("seed", 0))
-    except (configparser.Error, ValueError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"bad configuration: no section {exc}") from exc
+    except (configparser.Error, ValueError) as exc:  # UnicodeDecodeError is one
         raise ParseError(f"bad configuration: {exc}") from exc
     out = Path(overrides.out) if overrides.out is not None else Path(
         opts.get("out", "gw-out"))

@@ -138,7 +138,7 @@ def extract_walnut_from_matrix(
         off_mass += float(np.max(np.abs(per - mean[None, :]), initial=0.0))
         table[r] = mean / factor
     off_mass += float(np.sum(np.abs(Mmat[~structure])))
-    return WalnutCoeffs(lat=lat, table=table, factor=factor), off_mass
+    return WalnutCoeffs(lat=lat, table=table), off_mass
 
 
 def _dense_inverse_table(g: Signal, lat: GaborLattice) -> np.ndarray:

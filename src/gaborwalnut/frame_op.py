@@ -110,24 +110,24 @@ def _zak_product(blocks: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarr
     return np.einsum("nij,nj->ni", blocks, z, out=out)
 
 
-def _zak_blocks(table: np.ndarray, lat: GaborLattice, factor: float) -> np.ndarray:
+def _zak_blocks(table: np.ndarray, lat: GaborLattice) -> np.ndarray:
     """The operator of a ``(b, a)`` multiplier table as ``(L/p, p, p)`` blocks.
 
     In the coordinates of :func:`_to_zak`, block ``(nu0, j0)`` has entry
     ``[t, t'] = D[nu0 + t'*b/p, (t - t') mod p, j0]``, where ``D`` is the
     DFT of the table along ``r`` read at the ``p`` columns
-    ``(j0 + rho*M) mod a`` and then along ``rho``, scaled by ``factor/p``.
+    ``(j0 + rho*M) mod a`` and then along ``rho``, scaled by ``M/(s*p)``.
     """
-    b, M = lat.b, lat.M
+    b, M, s = lat.b, lat.M, lat.grid.s
     p = _block_size(lat)
     cols = (np.arange(M) + M * np.arange(p)[:, None]) % lat.a
-    D = np.fft.fft(np.fft.fft(table, axis=0)[:, cols], axis=1) * (factor / p)
+    D = np.fft.fft(np.fft.fft(table, axis=0)[:, cols], axis=1) * (M / s / p)
     t = np.arange(p)
     D = D.reshape(p, b // p, p, M)[t, :, (t[:, None] - t) % p]
     return D.transpose(2, 3, 0, 1).reshape(-1, p, p)
 
 
-def _zak_table(blocks: np.ndarray, lat: GaborLattice, factor: float) -> np.ndarray:
+def _zak_table(blocks: np.ndarray, lat: GaborLattice) -> np.ndarray:
     """Inverse of :func:`_zak_blocks`: the ``(b, a)`` table of a block stack.
 
     Each entry of ``D`` is read back from its one block; the inverse DFT
@@ -141,7 +141,7 @@ def _zak_table(blocks: np.ndarray, lat: GaborLattice, factor: float) -> np.ndarr
     D = np.fft.ifft(D.transpose(2, 0, 3, 1).reshape(b, p, M), axis=1)
     F = np.empty((b, a), dtype=complex)
     F[:, (np.arange(a // p) + M * t[:, None]) % a] = D[:, :, :a // p]
-    return np.fft.ifft(F, axis=0) * (p / factor)
+    return np.fft.ifft(F, axis=0) * (p / (M / lat.grid.s))
 
 
 # Output samples per chunk of the direct row sum in WalnutCoeffs.apply:
@@ -170,9 +170,10 @@ class WalnutCoeffs(_Frozen):
     """Multiplier family of a frame operator as one read-only ``(b, a)`` table.
 
     Row ``r mod b`` holds one period of ``G_r``, so a signed ``r`` indexes its
-    row directly.  ``factor`` is the collapsed modulation count per sample,
-    ``M/s`` (the discrete inverse frequency step).  The table is the one
-    representation of the operator: :meth:`fibers` reads it once as
+    row directly.  :attr:`factor` is the collapsed modulation count per
+    sample, ``M/s`` of ``lat`` (the discrete inverse frequency step), so a
+    table cannot disagree with its lattice about its scale.  The table is
+    the one representation of the operator: :meth:`fibers` reads it once as
     ``p x p`` Zak-domain blocks, and :meth:`apply` either sums its few
     nonzero rows directly or multiplies by those blocks (see the module
     docstring).  The rule of ``core._Frozen`` applies; a table that is
@@ -181,15 +182,13 @@ class WalnutCoeffs(_Frozen):
 
     lat: GaborLattice
     table: np.ndarray
-    factor: float
 
     def _spec(self):
         return "table", (self.lat.b, self.lat.a), LatticeError
 
-    def sup_norms(self) -> dict[int, float]:
-        """Sup norm of each multiplier, keyed by signed index."""
-        sups = np.abs(self.table).max(axis=1)
-        return {r: float(sups[r]) for r in signed_range(self.lat.b)}
+    @property
+    def factor(self) -> float:
+        return self.lat.M / self.lat.grid.s
 
     @cached_property
     def _split(self) -> tuple[np.ndarray, list] | None:
@@ -208,7 +207,7 @@ class WalnutCoeffs(_Frozen):
 
     @cached_property
     def _fibers(self) -> np.ndarray:
-        blocks = _zak_blocks(self.table, self.lat, self.factor)
+        blocks = _zak_blocks(self.table, self.lat)
         blocks.flags.writeable = False
         return blocks
 
@@ -432,7 +431,7 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     table[:b // 2 + 1] = _pair_rows(g.samples, g.samples, lat, b // 2 + 1)
     r = np.arange(1, (b + 1) // 2)
     table[b - r] = np.conj(table[r[:, None], (np.arange(a) + M * r[:, None]) % a])
-    return _adopt(WalnutCoeffs, lat=lat, table=table, factor=M / lat.grid.s)
+    return _adopt(WalnutCoeffs, lat=lat, table=table)
 
 
 def frame_operator_walnut(W: WalnutCoeffs, f: Signal) -> Signal:

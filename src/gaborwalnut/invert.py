@@ -69,7 +69,6 @@ __all__ = [
     "inverse_solve",
     "dual_window",
     "tight_window",
-    "inverse_sqrt_matrix_contour",
     "duality_defect",
     "verify_reconstruction",
 ]
@@ -101,10 +100,6 @@ class FrameBounds:
     B: float
     method: str
     not_a_frame: bool
-
-    @property
-    def is_frame(self) -> bool:
-        return not self.not_a_frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,9 +430,8 @@ def _inverse_walnut(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     """Table of ``S^-1 = S_{gd,gd}`` without solving for ``gd``: the fiber
     blocks' ``V diag(1/ev) V^H`` mapped back by ``frame_op._zak_table``."""
     ev, V = _eigh_or_raise(g, lat, _method_for("fiber", lat, "fiber"))[:2]
-    factor = lat.M / lat.grid.s
-    inv = _zak_table((V / ev[:, None, :]) @ V.conj().swapaxes(1, 2), lat, factor)
-    return _adopt(WalnutCoeffs, lat=lat, table=inv, factor=factor)
+    inv = _zak_table((V / ev[:, None, :]) @ V.conj().swapaxes(1, 2), lat)
+    return _adopt(WalnutCoeffs, lat=lat, table=inv)
 
 
 def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
@@ -464,18 +458,6 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     else:
         y = V @ ((V.conj().swapaxes(1, 2) @ z) / np.sqrt(ev)[..., None])
     return _adopt(Signal, grid=lat.grid, samples=back(y[..., 0]))
-
-
-def inverse_sqrt_matrix_contour(S: np.ndarray, A: float, B: float,
-                                tol: float = 1e-10) -> np.ndarray:
-    """Dense inverse square root by the same contour quadrature, on ``S`` as
-    a one-block stack; used to check the quadrature against the
-    eigendecomposition at matrix level.  Bounds with ``A <= NOT_A_FRAME_RTOL
-    * B`` raise ``NotAFrameError``, the rule of every other path.
-    """
-    _frame_or_raise(_bounds(A, B, "contour"))
-    eye = np.eye(S.shape[0], dtype=complex)
-    return _contour_inverse_sqrt(S[None], eye[None], A, B, tol)[0]
 
 
 def duality_defect(g: Signal, gd: Signal, lat: GaborLattice) -> float:

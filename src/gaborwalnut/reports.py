@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .amalgam import AmalgamProfile
-from .bracket import PeriodicVector
 from .core import Signal, signed_range
 from .diagnostics import SummabilityReport
 from .frame_op import WalnutCoeffs
@@ -22,7 +21,6 @@ from .invert import FrameBounds, SolverReport
 __all__ = [
     "write_window_file",
     "write_profile_csv",
-    "write_periodic_csv",
     "write_walnut_csv",
     "write_bounds_csv",
     "write_solver_csv",
@@ -66,12 +64,6 @@ def write_profile_csv(profile: AmalgamProfile, path) -> None:
     _write_csv(path, "n,sup,weight,weighted_sup,cumsum",
                (f"{int(n)},{sup!r},{wgt!r},{sup * wgt!r},{cum!r}\r\n"
                 for n, sup, wgt, cum in rows))
-
-
-def write_periodic_csv(pv: PeriodicVector, path) -> None:
-    rows = zip(pv.values.real.tolist(), pv.values.imag.tolist())
-    _write_csv(path, "index,re,im",
-               (f"{i},{re!r},{im!r}\r\n" for i, (re, im) in enumerate(rows)))
 
 
 def write_walnut_csv(W: WalnutCoeffs, path) -> None:

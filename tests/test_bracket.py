@@ -13,7 +13,6 @@ from gaborwalnut import (
     build_window,
     correlation_G,
     inner_product,
-    periodize,
     tf_shift,
 )
 
@@ -32,24 +31,6 @@ def delta(grid, j=0):
     v = np.zeros(grid.L, dtype=complex)
     v[j] = 1.0
     return Signal(grid, v)
-
-
-class TestPeriodize:
-    def test_delta(self, grid84):
-        assert np.array_equal(periodize(delta(grid84), 2).values,
-                              np.array([1, 0], dtype=complex))
-
-    def test_constant(self, grid84):
-        assert np.array_equal(periodize(Signal(grid84, np.ones(8)), 2).values,
-                              np.array([4, 4], dtype=complex))
-
-    def test_chi(self, chi):
-        assert np.array_equal(periodize(chi, 2).values,
-                              np.array([2, 2], dtype=complex))
-
-    def test_divisibility(self, chi):
-        with pytest.raises(DivisibilityError):
-            periodize(chi, 3)
 
 
 class TestBracketProduct:
@@ -71,6 +52,10 @@ class TestBracketProduct:
         other = delta(build_grid(8, 2))
         with pytest.raises(GridMismatchError):
             bracket_product(chi, other, 2)
+
+    def test_divisibility(self, chi):
+        with pytest.raises(DivisibilityError):
+            bracket_product(chi, chi, 3)
 
     def test_self_bracket_real_nonnegative(self):
         grid = build_grid(24, 4)

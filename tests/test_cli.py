@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaborwalnut import build_grid, read_window_file
-from gaborwalnut.cli import main
+from gaborwalnut.cli import COMMANDS, main
 
 
 def write_config(path, *, L=8, s=4, a=2, b=2, window="characteristic",
@@ -88,6 +88,23 @@ def test_invalid_lattice_exits_2(tmp_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["analyze", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("case", ["no_window_section", "not_utf8"])
+def test_malformed_config_exits_2(tmp_path, capsys, command, case):
+    cfg = tmp_path / "run.cfg"
+    write_config(cfg, out=tmp_path / "out")
+    text = cfg.read_bytes()
+    if case == "no_window_section":
+        text = text.replace(b"[window]\nkind = characteristic\nunits = 1\n", b"")
+    else:
+        text = b"# caf\xe9\n" + text
+    cfg.write_bytes(text)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "Traceback" not in err
+    assert ("'window'" if case == "no_window_section" else "utf-8") in err
 
 
 def test_dual_scalar_instance(tmp_path):

@@ -116,7 +116,7 @@ _LAT = GaborLattice(_GRID, 4, 8)  # M = 8, N = 16
 _TYPES = [
     (Signal, {"grid": _GRID}, "samples", (64,), DimensionError),
     (Coeffs, {"lat": _LAT}, "values", (8, 16), DimensionError),
-    (WalnutCoeffs, {"lat": _LAT, "factor": 2.0}, "table", (8, 4), LatticeError),
+    (WalnutCoeffs, {"lat": _LAT}, "table", (8, 4), LatticeError),
     (PeriodicVector, {"period": 8}, "values", (8,), DivisibilityError),
 ]
 

@@ -8,7 +8,6 @@ import pytest
 from gaborwalnut import (
     GaborLattice,
     ParseError,
-    PeriodicVector,
     Signal,
     Weight,
     WindowSpec,
@@ -28,7 +27,6 @@ from gaborwalnut.frame_op import WalnutCoeffs
 from gaborwalnut.invert import FrameBounds, SolverReport
 from gaborwalnut.reports import (
     write_bounds_csv,
-    write_periodic_csv,
     write_profile_csv,
     write_solver_csv,
     write_summability_csv,
@@ -179,15 +177,6 @@ def test_profile_csv(tmp_path, chi_lat):
     assert set(rows[0]) == {"n", "sup", "weight", "weighted_sup", "cumsum"}
 
 
-def test_periodic_csv(tmp_path):
-    pv = PeriodicVector(3, np.array([1 + 2j, 0.5, -1j]))
-    path = tmp_path / "pv.csv"
-    write_periodic_csv(pv, path)
-    rows = list(csv.DictReader(path.open()))
-    assert len(rows) == 3
-    assert float(rows[0]["re"]) == 1.0 and float(rows[0]["im"]) == 2.0
-
-
 def test_walnut_csv(tmp_path, chi_lat):
     g, lat = chi_lat
     W = walnut_coefficients(g, lat)
@@ -282,15 +271,11 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     assert out.read_bytes() == _csv_writer_bytes(
         ref, ["n", "sup", "weight", "weighted_sup", "cumsum"], rows)
 
-    pv = PeriodicVector(n, _complex(x, y))
-    write_periodic_csv(pv, out)
-    assert out.read_bytes() == _csv_writer_bytes(ref, ["index", "re", "im"], [
-        [i, repr(float(v.real)), repr(float(v.imag))] for i, v in enumerate(pv.values)])
-
     lat = GaborLattice(build_grid(2 * n, 2), n, 2)
-    W = WalnutCoeffs(lat, np.stack([_complex(x, y), _complex(y, -x)]), factor=0.5)
+    W = WalnutCoeffs(lat, np.stack([_complex(x, y), _complex(y, -x)]))
     write_walnut_csv(W, out)
-    rows = [["factor", "a", "b", "M", "L"], ["0.5", n, 2, n, 2 * n],
+    # the factor is the lattice's M/s = n/2
+    rows = [["factor", "a", "b", "M", "L"], [repr(n / 2), n, 2, n, 2 * n],
             ["r", "x", "re", "im"]]
     rows += [[r, k, repr(float(W.table[r][k].real)), repr(float(W.table[r][k].imag))]
              for r in signed_range(2) for k in range(n)]
