@@ -45,6 +45,7 @@ from .errors import (
     NotAFrameError,
     NotAFrameWarning,
     ParseError,
+    SizeError,
 )
 from .frame_op import (
     _block_size,
@@ -72,6 +73,9 @@ COMMANDS = ("analyze", "dual", "tight", "verify", "counterexample",
 # Library methods each command accepts in its config section.
 METHODS = {"dual": ("fiber", "cg", "dense"),
            "tight": ("fiber", "contour", "dense")}
+# Terms M*N*L of the double sum that each `bench` case times at least three
+# times: that of 4096:16:32:32, the largest case of the README example.
+_BENCH_TERMS = 1 << 26
 
 
 @dataclass
@@ -363,21 +367,27 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _bench_cases(cfg: RunConfig):
+def _bench_lattices(cfg: RunConfig) -> list[GaborLattice]:
+    """The lattices of ``[bench] cases``, else the config's own; a case
+    whose double sum has more than ``_BENCH_TERMS`` terms raises
+    ``SizeError``."""
+    lattices = [cfg.lattice]
     if cfg.raw.has_section("bench") and cfg.raw["bench"].get("cases",
                                                              fallback=None):
-        cases = []
+        lattices = []
         for chunk in cfg.raw["bench"]["cases"].split(","):
             try:
-                case = tuple(int(p) for p in chunk.strip().split(":"))
+                L, s, a, b = (int(p) for p in chunk.strip().split(":"))
             except ValueError:
-                case = ()
-            if len(case) != 4:
-                raise ParseError(f"bench case {chunk!r} is not L:s:a:b")
-            cases.append(case)
-        return cases
-    lat = cfg.lattice
-    return [(cfg.grid.L, cfg.grid.s, lat.a, lat.b)]
+                raise ParseError(f"bench case {chunk!r} is not L:s:a:b") from None
+            lattices.append(GaborLattice(build_grid(L, s), a, b))
+    for lat in lattices:
+        L, terms = lat.grid.L, lat.M * lat.N * lat.grid.L
+        if terms > _BENCH_TERMS:
+            raise SizeError(f"bench case {L}:{lat.grid.s}:{lat.a}:{lat.b} has a "
+                            f"double sum of M*N*L = {terms} terms, above the "
+                            f"limit {_BENCH_TERMS}")
+    return lattices
 
 
 def cmd_bench(cfg: RunConfig) -> int:
@@ -391,12 +401,12 @@ def cmd_bench(cfg: RunConfig) -> int:
             raise ParseError(f"bad bench reps: {exc}") from exc
     if reps < 3:
         raise DomainError(f"benchmark needs at least 3 repetitions, got {reps}")
+    lattices = _bench_lattices(cfg)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     spec = _build_window_spec(cfg.raw["window"])
-    for (L, s, a, b) in _bench_cases(cfg):
-        grid = build_grid(L, s)
-        lat = GaborLattice(grid, a, b)
+    for lat in lattices:
+        grid, L, a, b = lat.grid, lat.grid.L, lat.a, lat.b
         g = build_window(spec, grid)
         W = walnut_coefficients(g, lat)
         f = Signal(grid, rng.standard_normal(L) + 1j * rng.standard_normal(L))

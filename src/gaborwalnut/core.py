@@ -10,7 +10,9 @@ counterparts exactly on piecewise-constant test cases.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Mapping
 
 import numpy as np
@@ -221,84 +223,67 @@ class WindowSpec:
         return cls(kind="file", path=path)
 
 
-# Bytes of whole lines a window file is parsed in at a time.  Larger blocks
-# gain no speed; at 16 KiB and up the token list and scan arrays of a block
-# raised the peak memory of a process reading L = 8192 files.
-_WINDOW_BLOCK = 1 << 13
+# Lines of a window file parsed at a time, about 8 KiB of written samples.
+# Larger batches gain little speed and hold more token lists at once: reading
+# an L = 8192 file raised a process's peak memory by 256 KiB at 256 lines,
+# 512 KiB at 1024 and 1.6 MiB at 4096.
+_WINDOW_LINES = 256
 
 
-def _read_well_formed(fh, L: int) -> np.ndarray | None:
-    """The ``L`` samples of a well-formed window file, else ``None``.
+def _parse_lines(path: str, lines: list[str], first: int) -> np.ndarray:
+    """The ``re, im`` values of window-file ``lines``, numbered from ``first``.
 
-    Reads blocks of whole lines.  Accepts exactly the files the
-    line-by-line reader accepts, with the same values: numpy converts each
-    token to float as ``float()`` does, and a byte scan checks that line
-    ``i`` of a block holds its tokens ``2i`` and ``2i + 1``.  Anything else,
-    non-ASCII text included, is left to that reader.
+    A batch whose every line holds two tokens that are finite floats is
+    converted by one numpy call, which parses each token as ``float()``
+    does.  Any other batch is walked line by line, and its first offending
+    line raises the ``ParseError`` that names it as ``path:lineno``.
     """
-    values = np.empty(2 * L)
-    n = 0
-    while lines := fh.readlines(_WINDOW_BLOCK):
-        text = "".join(lines)
-        tokens = text.split()
-        k = len(tokens)
-        if not text.isascii() or k != 2 * len(lines) or n + k > 2 * L:
-            return None
+    parts = list(map(str.split, lines))
+    with suppress(ValueError):  # a token that float() refuses
+        values = np.array(list(chain.from_iterable(parts)), dtype=float)
+        if list(map(len, parts)).count(2) == len(parts) and np.isfinite(values).all():
+            return values
+    values = []
+    for lineno, (line, pair) in enumerate(zip(lines, parts), start=first):
+        if len(pair) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 're im', got {line!r}")
         try:
-            values[n:n + k] = np.array(tokens, dtype=float)
-        except ValueError:
-            return None
-        # every token is a float, so exactly the bytes <= 32 are whitespace
-        ch = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        ink = ch > 32
-        starts = np.flatnonzero(ink[1:] & ~ink[:-1]) + 1
-        if ink[0]:
-            starts = np.concatenate([[0], starts])
-        line_of = np.searchsorted(np.flatnonzero(ch == 10), starts)
-        if not np.array_equal(line_of, np.arange(k) // 2):
-            return None
-        n += k
-    if n != 2 * L or not np.isfinite(values).all():
-        return None
-    return values.view(complex)
+            re, im = float(pair[0]), float(pair[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ParseError(f"{path}:{lineno}: non-finite sample {line!r}")
+        values += re, im
+    return np.array(values)
 
 
 def read_window_file(path: str, grid: Grid) -> Signal:
     """Read a window from a plain text file, one ``re im`` pair per line.
 
     The file must be UTF-8 text, its line count must equal ``grid.L``, and
-    blank lines and non-finite samples are not allowed.  A well-formed file
-    is parsed a block of lines at a time by numpy; any other is read again
-    line by line, which names the first offending line as ``path:lineno``.
+    blank lines and non-finite samples are not allowed.  The file is opened
+    once and its lines are parsed ``_WINDOW_LINES`` at a time by
+    :func:`_parse_lines`.  The first offending line is named as
+    ``path:lineno``; text that is not UTF-8 is reported only if every line
+    decoded before it is well formed, as a line-by-line read would.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            samples = _read_well_formed(fh, grid.L)
-    except UnicodeDecodeError:
-        samples = None  # the line-by-line reader meets it where it did before
-    if samples is not None:
-        return _adopt(Signal, grid=grid, samples=samples)
-    values = []
+    blocks, n, lines = [], 0, []
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ParseError(f"{path}:{lineno}: expected 're im', got {line!r}")
-                try:
-                    re, im = float(parts[0]), float(parts[1])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
-                if not (math.isfinite(re) and math.isfinite(im)):
-                    raise ParseError(f"{path}:{lineno}: non-finite sample {line!r}")
-                values.append(complex(re, im))
+            while True:
+                # extend keeps the lines decoded before a decoding error
+                lines.extend(islice(fh, _WINDOW_LINES))
+                if not lines:
+                    break
+                blocks.append(_parse_lines(path, lines, n + 1))
+                n += len(lines)
+                lines.clear()
         except UnicodeDecodeError as exc:
+            _parse_lines(path, lines, n + 1)
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    if len(values) != grid.L:
-        raise ParseError(
-            f"{path}: expected {grid.L} sample lines, found {len(values)}"
-        )
-    return _adopt(Signal, grid=grid, samples=np.array(values, dtype=complex))
+    if n != grid.L:
+        raise ParseError(f"{path}: expected {grid.L} sample lines, found {n}")
+    return _adopt(Signal, grid=grid, samples=np.concatenate(blocks).view(complex))
 
 
 def _require_finite(name: str, value: float) -> None:

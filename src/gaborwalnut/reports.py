@@ -8,6 +8,7 @@ and never feeds back into computation.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -133,16 +134,11 @@ def write_svg_lines(path, series: dict[str, tuple], title: str = "",
     ys_all = np.concatenate([np.asarray(ys, dtype=float) for _, ys in series.values()])
     x0, x1 = float(xs_all.min()), float(xs_all.max())
     y0, y1 = float(ys_all.min()), float(ys_all.max())
+    # a span of one, or of one step of the floats where x0 + 1.0 == x0
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = max(x0 + 1.0, math.nextafter(x0, math.inf))
     if y1 == y0:
-        y1 = y0 + 1.0
-
-    def sx(x):
-        return margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin)
+        y1 = max(y0 + 1.0, math.nextafter(y0, math.inf))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -170,9 +166,13 @@ def write_svg_lines(path, series: dict[str, tuple], title: str = "",
     ]
     for i, (label, (xs, ys)) in enumerate(series.items()):
         color = colors[i % len(colors)]
-        pts = " ".join(
-            f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys)
-        )
+        # the scalar formula's order of operations, as silent as floats
+        with np.errstate(all="ignore"):
+            px = margin + (np.asarray(xs, dtype=float) - x0) / (x1 - x0) * (
+                width - 2 * margin)
+            py = height - margin - (np.asarray(ys, dtype=float) - y0) / (
+                y1 - y0) * (height - 2 * margin)
+        pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

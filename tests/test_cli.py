@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 import warnings
 
 import numpy as np
@@ -419,6 +420,22 @@ def test_bench_bad_field_exits_2(tmp_path, capsys, field):
     assert main(["bench", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "ParseError" in err and "Traceback" not in err
+
+
+def test_bench_refuses_a_case_above_the_size_cap(tmp_path, capsys):
+    # 16384:16:32:64 sums M*N*L = 2**31 terms, where one direct apply takes
+    # seconds; the small case before it is not timed either
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=64, s=8, a=4, b=4,
+                       window="gaussian", window_extra="width = 1.0", out=out,
+                       extra="[bench]\ncases = 64:8:4:4, 16384:16:32:64")
+    t0 = time.perf_counter()
+    assert main(["bench", "--config", cfg]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("SizeError: bench case 16384:16:32:64 ")
+    assert f"M*N*L = {2**31} terms, above the limit {2**26}" in err
+    assert not (out / "bench.csv").exists()
 
 
 def test_seed_override(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from gaborwalnut import (
     read_window_file,
     walnut_coefficients,
 )
+import gaborwalnut.core
 from gaborwalnut.amalgam import AmalgamProfile
 from gaborwalnut.core import signed_range
 from gaborwalnut.diagnostics import SummabilityReport
 from gaborwalnut.frame_op import WalnutCoeffs
 from gaborwalnut.invert import FrameBounds, SolverReport
 from gaborwalnut.reports import (
+    _SVG_HEIGHT,
+    _SVG_WIDTH,
     write_bounds_csv,
     write_profile_csv,
     write_solver_csv,
@@ -166,6 +170,80 @@ def test_window_file_not_utf8(tmp_path):
         read_window_file(str(path), build_grid(4, 2))
 
 
+def line_by_line_message(path, L):
+    """The message the line-by-line reader fails with, a decoding error
+    reported as ``read_window_file`` words it."""
+    try:
+        read_line_by_line(path, L)
+    except ParseError as exc:
+        return str(exc)
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 text ({exc.reason})"
+    raise AssertionError(f"{path} is well formed")
+
+
+# 41 bytes a line: 200 of them reach past the 8 KiB that a text-mode read
+# decodes at a time, and 256 lines are one batch of the reader
+LONG = "0.12345678901234567 -0.12345678901234567\n"
+
+
+@pytest.mark.parametrize("lines, bad, expect", [
+    # the malformed line is decoded before the chunk that holds the bad
+    # byte, so it is read first and its message wins
+    ([LONG] * 99 + ["1 2 3\n"] + [LONG] * 110 + ["\xe9 1\n"] + [LONG] * 45,
+     "latin1", ":100: expected 're im'"),
+    # both in the first decoded chunk: the decoder fails before any of its
+    # lines is read
+    (["1 2\n", "3 4 5\n", "6 7\n", "8 \xe9\n"], "latin1", ": not UTF-8 text"),
+])
+def test_window_file_bad_line_and_bad_byte(tmp_path, lines, bad, expect):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes("".join(lines).encode(bad))
+    with pytest.raises(ParseError) as got:
+        read_window_file(str(path), build_grid(len(lines), 1))
+    assert str(got.value) == line_by_line_message(str(path), len(lines))
+    assert expect in str(got.value)
+
+
+@pytest.mark.parametrize("lineno, text", [
+    (257, "1 2 3"), (513, "1"), (700, "x 0"), (1000, "inf 0"), (600, "")])
+def test_window_file_first_bad_line_in_a_later_batch(tmp_path, lineno, text):
+    # 1000 lines are four batches; a second bad line after the first one
+    # changes nothing
+    grid = build_grid(1000, 4)
+    rng = np.random.default_rng(lineno)
+    path = tmp_path / "window.txt"
+    write_window_file(Signal(grid, rng.standard_normal(1000)
+                             + 1j * rng.standard_normal(1000)), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[lineno - 1] = text + "\n"
+    if lineno < 1000:
+        lines[-1] = "nan 0\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ParseError) as got:
+        read_window_file(str(path), grid)
+    assert str(got.value).startswith(f"{path}:{lineno}: ")
+    assert str(got.value) == line_by_line_message(str(path), 1000)
+
+
+@pytest.mark.parametrize("text", ["1 2\n3 4\n", "1 2\n3 x\n"])
+def test_window_file_opened_once(tmp_path, monkeypatch, text):
+    path = tmp_path / "window.txt"
+    path.write_text(text)
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(gaborwalnut.core, "open", counting_open, raising=False)
+    try:
+        read_window_file(str(path), build_grid(2, 1))
+    except ParseError:
+        pass
+    assert opened == [str(path)]
+
+
 def test_profile_csv(tmp_path, chi_lat):
     g, _ = chi_lat
     prof = amalgam_profile(g, 2, Weight.polynomial(1.0))
@@ -233,6 +311,49 @@ def test_svg_plot(tmp_path):
     assert text.startswith("<svg")
     assert text.count("<polyline") == 2
     assert "growth" in text
+
+
+def svg_points_reference(series):
+    """Each series' polyline points, formatted one point at a time."""
+    margin, width, height = 56, _SVG_WIDTH, _SVG_HEIGHT
+    xs_all = [float(x) for xs, _ in series.values() for x in xs]
+    ys_all = [float(y) for _, ys in series.values() for y in ys]
+    x0, x1, y0, y1 = min(xs_all), max(xs_all), min(ys_all), max(ys_all)
+    if x1 == x0:
+        x1 = x0 + 1.0
+    if y1 == y0:
+        y1 = y0 + 1.0
+
+    def sx(x):
+        return margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
+
+    def sy(y):
+        return height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin)
+
+    return [" ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
+                     for x, y in zip(xs, ys)).encode("utf-8")
+            for xs, ys in series.values()]
+
+
+def test_svg_points_match_per_point_reference(tmp_path):
+    rng = np.random.default_rng(11)
+    xs = np.arange(1, 1025)
+    cases = [
+        {"one": (xs, np.cumsum(rng.exponential(size=1024)))},
+        {"a": (xs, rng.standard_normal(1024) * 1e3),
+         "b": (np.arange(512) * 0.37, rng.standard_normal(512))},
+        {"constant": (np.arange(7), np.full(7, 2.5))},  # y1 == y0
+        {"point": ([3], [-7.25])},  # x1 == x0 and y1 == y0
+    ]
+    path = tmp_path / "plot.svg"
+    for series in cases:
+        write_svg_lines(path, series)
+        got = re.findall(rb'<polyline points="([^"]*)"', path.read_bytes())
+        assert got == svg_points_reference(series)
+    # a constant series where y0 + 1.0 == y0 gets a span of one float step,
+    # not a division by zero
+    write_svg_lines(path, {"huge": ([1, 2], [1e17, 1e17])})
+    assert b'<polyline points="56.00,364.00 584.00,364.00"' in path.read_bytes()
 
 
 # signed zeros, a subnormal, extremes, non-finite values and ordinary ones
