@@ -92,33 +92,41 @@ class RunConfig:
     raw: configparser.ConfigParser
 
 
-def _build_weight(section) -> Weight:
-    kind = section.get("kind", "constant").strip()
-    if kind == "constant":
-        return Weight.constant()
-    if kind == "polynomial":
-        return Weight.polynomial(section.getfloat("t", 0.0))
-    if kind == "subexponential":
-        return Weight.subexponential(section.getfloat("c", 1.0),
-                                     section.getfloat("gamma", 0.5))
-    raise ParseError(f"unknown weight kind {kind!r}")
+# Each kind of a [window] or [weight] section: its constructor and the keys it
+# takes, each with its value's parser; a key left out takes the default.
+_WINDOW_KINDS = {
+    "characteristic": (WindowSpec.characteristic, {"units": float}),
+    "gaussian": (WindowSpec.gaussian, {"width": float, "center": float}),
+    "hat": (WindowSpec.hat, {}),
+    "file": (WindowSpec.from_file, {"path": str}),
+}
+_WEIGHT_KINDS = {
+    "constant": (Weight.constant, {}),
+    "polynomial": (Weight.polynomial, {"t": float}),
+    "subexponential": (Weight.subexponential, {"c": float, "gamma": float}),
+}
 
 
-def _build_window_spec(section) -> WindowSpec:
-    kind = section.get("kind", "characteristic").strip()
-    if kind == "characteristic":
-        return WindowSpec.characteristic(section.getfloat("units", 1.0))
-    if kind == "gaussian":
-        center = section.getfloat("center", fallback=None)
-        return WindowSpec.gaussian(section.getfloat("width", 1.0), center)
-    if kind == "hat":
-        return WindowSpec.hat()
-    if kind == "file":
-        path = section.get("path", fallback=None)
-        if path is None:
-            raise ParseError("file window needs a 'path' key")
-        return WindowSpec.from_file(path)
-    raise ParseError(f"unknown window kind {kind!r}")
+def _from_section(parser: configparser.ConfigParser, name: str, kinds: dict,
+                  default: str):
+    """Section ``name`` built by its kind's constructor from the keys it has.
+    An unknown kind, a key of its own (not from ``[DEFAULT]``) the kind does
+    not take, or a missing key the constructor needs raises ``ParseError``."""
+    section = parser[name]
+    kind = section.get("kind", default).strip()
+    if kind not in kinds:
+        raise ParseError(f"unknown {name} kind {kind!r}")
+    make, keys = kinds[kind]
+    for key in section:
+        if key != "kind" and key not in keys and key not in parser.defaults():
+            raise ParseError(f"[{name}] key {key!r} is not one that kind {kind} "
+                             f"takes; it takes {', '.join(['kind', *keys])}")
+    args = {key: parse(section[key]) for key, parse in keys.items()
+            if key in section}
+    try:
+        return make(**args)
+    except TypeError as exc:  # it names the missing key that has no default
+        raise ParseError(f"[{name}] kind = {kind}: {exc}") from exc
 
 
 def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
@@ -130,9 +138,10 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         grid = build_grid(parser.getint("grid", "L"), parser.getint("grid", "s"))
         lattice = GaborLattice(grid, parser.getint("lattice", "a"),
                                parser.getint("lattice", "b"))
-        window = build_window(_build_window_spec(parser["window"]), grid)
-        weight = _build_weight(parser["weight"]) if parser.has_section("weight") \
-            else Weight.constant()
+        window = build_window(
+            _from_section(parser, "window", _WINDOW_KINDS, "characteristic"), grid)
+        weight = _from_section(parser, "weight", _WEIGHT_KINDS, "constant") \
+            if parser.has_section("weight") else Weight.constant()
         opts = parser["options"] if parser.has_section("options") else {}
         tol = overrides.tol if overrides.tol is not None else float(
             opts.get("tol", 1e-10))
@@ -256,24 +265,28 @@ def cmd_tight(cfg: RunConfig) -> int:
     return _dual_like(cfg, "tight")
 
 
+def _file_dual(cfg: RunConfig) -> Signal:
+    if not cfg.raw.has_option("verify", "path"):
+        raise ParseError("verify dual 'file' needs a 'path' key")
+    return build_window(WindowSpec.from_file(cfg.raw["verify"]["path"]), cfg.grid)
+
+
+_VERIFY_DUALS = {  # the dual that `verify` checks, by its `[verify] dual` mode
+    "canonical": lambda cfg: dual_window(cfg.window, cfg.lattice,
+                                         tol=min(cfg.tol, 1e-12)),
+    "generator": lambda cfg: cfg.window,  # deliberate negative control
+    "file": _file_dual,
+}
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     """Check the mixed-bracket identity and norm estimate for the instance."""
     out = _prepare_out(cfg)
     lat = cfg.lattice
-    mode = "canonical"
-    if cfg.raw.has_section("verify"):
-        mode = cfg.raw["verify"].get("dual", "canonical").strip()
-    if mode == "canonical":
-        gd = dual_window(cfg.window, lat, tol=min(cfg.tol, 1e-12))
-    elif mode == "generator":
-        gd = cfg.window  # deliberate negative control
-    elif mode == "file":
-        path = cfg.raw["verify"].get("path", fallback=None)
-        if path is None:
-            raise ParseError("verify dual 'file' needs a 'path' key")
-        gd = build_window(WindowSpec.from_file(path), cfg.grid)
-    else:
+    mode = cfg.raw.get("verify", "dual", fallback="canonical").strip()
+    if mode not in _VERIFY_DUALS:
         raise ParseError(f"unknown verify dual mode {mode!r}")
+    gd = _VERIFY_DUALS[mode](cfg)
     tables = _verify_tables(cfg.window, gd, lat)
     ident = _identity_residual(lat, *tables)
     lhs, rhs = _convest(lat, cfg.weight, *tables)
@@ -404,7 +417,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     lattices = _bench_lattices(cfg)
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    spec = _build_window_spec(cfg.raw["window"])
+    spec = _from_section(cfg.raw, "window", _WINDOW_KINDS, "characteristic")
     for lat in lattices:
         grid, L, a, b = lat.grid, lat.grid.L, lat.a, lat.b
         g = build_window(spec, grid)

@@ -196,31 +196,88 @@ class GaborLattice:
         return self.grid.L / (self.a * self.b)
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Recipe for a window signal; see :func:`build_window` for the samplers."""
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
 
-    kind: str
-    units: float = 1.0
-    width: float = 1.0
-    center: float | None = None
-    path: str | None = None
+
+@dataclass(frozen=True, eq=False)
+class WindowSpec:
+    """Recipe for a window signal: ``sample(grid)`` builds it on a grid.
+
+    Each kind is one classmethod that raises ``DomainError`` for a parameter
+    wrong on every grid (non-finite, or a non-positive width) and returns the
+    sampler closed over its parameters, which checks what depends on the grid.
+
+    * ``characteristic(units)``: 1 on the first ``units`` unit intervals,
+      0 elsewhere.
+    * ``gaussian(width, center)``: ``exp(-pi*((j/s - c)/w)**2)``, centered
+      at ``c`` units (default: mid-grid).
+    * ``hat()``: triangle of unit support, peak 1 at half a unit.
+    * ``from_file(path)``: samples read from a text file (see
+      :func:`read_window_file`).
+    """
+
+    sample: Callable[[Grid], Signal]
 
     @classmethod
     def characteristic(cls, units: float = 1.0) -> "WindowSpec":
-        return cls(kind="characteristic", units=units)
+        _require_finite("characteristic length", units)
+
+        def sample(grid: Grid) -> Signal:
+            L, s = grid.L, grid.s
+            n_samples = units * s
+            n_int = int(round(n_samples))
+            if abs(n_samples - n_int) > 1e-9 or n_int <= 0:
+                raise DomainError(f"characteristic length {units} units is not a "
+                                  f"positive integer number of samples at s={s}")
+            if n_int > L:
+                raise DomainError(f"characteristic support {n_int} samples "
+                                  f"exceeds grid length {L}")
+            v = np.zeros(L, dtype=complex)
+            v[:n_int] = 1.0
+            return _adopt(Signal, grid=grid, samples=v)
+
+        return cls(sample)
 
     @classmethod
     def gaussian(cls, width: float = 1.0, center: float | None = None) -> "WindowSpec":
-        return cls(kind="gaussian", width=width, center=center)
+        _require_finite("gaussian width", width)
+        if center is not None:
+            _require_finite("gaussian center", center)
+        if width <= 0:
+            raise DomainError(f"gaussian width must be positive, got {width}")
+
+        def sample(grid: Grid) -> Signal:
+            L, s = grid.L, grid.s
+            c = grid.units / 2 if center is None else center
+            # exp(-pi*u**2) is exactly 0.0 once pi*u**2 > 745.2, so only the
+            # run of j with pi*u**2 < 746 is evaluated and the rest stays 0.0
+            reach = width * math.sqrt(746 / math.pi)
+            lo, hi = np.clip(np.floor([s * (c - reach), s * (c + reach)]) + [0, 1],
+                             0, L).astype(int)
+            x = np.arange(lo, hi) / s
+            v = np.zeros(L, dtype=complex)
+            v.real[lo:hi] = np.exp(-np.pi * ((x - c) / width) ** 2)
+            return _adopt(Signal, grid=grid, samples=v)
+
+        return cls(sample)
 
     @classmethod
     def hat(cls) -> "WindowSpec":
-        return cls(kind="hat")
+        def sample(grid: Grid) -> Signal:
+            if grid.s > grid.L:
+                raise DomainError("hat support of one unit exceeds the grid extent")
+            x = np.arange(grid.L) / grid.s
+            v = np.where(x <= 0.5, 2.0 * x, np.where(x <= 1.0, 2.0 * (1.0 - x), 0.0))
+            return _adopt(Signal, grid=grid, samples=v.astype(complex))
+
+        return cls(sample)
 
     @classmethod
     def from_file(cls, path: str) -> "WindowSpec":
-        return cls(kind="file", path=path)
+        # read_window_file is looked up when the spec samples, not bound here
+        return cls(lambda grid: read_window_file(path, grid))
 
 
 # Lines of a window file parsed at a time, about 8 KiB of written samples.
@@ -286,68 +343,13 @@ def read_window_file(path: str, grid: Grid) -> Signal:
     return _adopt(Signal, grid=grid, samples=np.concatenate(blocks).view(complex))
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 def build_window(spec: WindowSpec, grid: Grid) -> Signal:
-    """Sample a window on the grid.
+    """Sample a window on the grid: ``spec.sample(grid)``.
 
-    Samplers:
-
-    * ``characteristic``: 1 on the first ``units`` unit intervals, 0 elsewhere.
-    * ``gaussian``: ``exp(-pi*((j/s - c)/w)**2)``, centered at ``c`` units
-      (default: mid-grid).
-    * ``hat``: triangle of unit support, peak 1 at half a unit.
-    * ``file``: samples read from a text file (see :func:`read_window_file`).
-
-    A non-finite ``units``, ``width`` or ``center`` raises ``DomainError``.
+    See :class:`WindowSpec` for the kinds and which checks each makes when
+    it is built and when it samples.
     """
-    L, s = grid.L, grid.s
-    if spec.kind == "characteristic":
-        _require_finite("characteristic length", spec.units)
-        n_samples = spec.units * s
-        n_int = int(round(n_samples))
-        if abs(n_samples - n_int) > 1e-9 or n_int <= 0:
-            raise DomainError(
-                f"characteristic length {spec.units} units is not a positive "
-                f"integer number of samples at s={s}"
-            )
-        if n_int > L:
-            raise DomainError(
-                f"characteristic support {n_int} samples exceeds grid length {L}"
-            )
-        v = np.zeros(L, dtype=complex)
-        v[:n_int] = 1.0
-        return _adopt(Signal, grid=grid, samples=v)
-    if spec.kind == "gaussian":
-        _require_finite("gaussian width", spec.width)
-        if spec.center is not None:
-            _require_finite("gaussian center", spec.center)
-        if spec.width <= 0:
-            raise DomainError(f"gaussian width must be positive, got {spec.width}")
-        c = grid.units / 2 if spec.center is None else spec.center
-        # exp(-pi*u**2) is exactly 0.0 once pi*u**2 > 745.2, so only the run
-        # of j with pi*u**2 < 746 is evaluated and the rest stays 0.0
-        reach = spec.width * math.sqrt(746 / math.pi)
-        lo, hi = np.clip(np.floor([s * (c - reach), s * (c + reach)]) + [0, 1],
-                         0, L).astype(int)
-        x = np.arange(lo, hi) / s
-        v = np.zeros(L, dtype=complex)
-        v.real[lo:hi] = np.exp(-np.pi * ((x - c) / spec.width) ** 2)
-        return _adopt(Signal, grid=grid, samples=v)
-    if spec.kind == "hat":
-        if s > L:
-            raise DomainError("hat support of one unit exceeds the grid extent")
-        x = np.arange(L) / s
-        v = np.where(x <= 0.5, 2.0 * x, np.where(x <= 1.0, 2.0 * (1.0 - x), 0.0))
-        return _adopt(Signal, grid=grid, samples=v.astype(complex))
-    if spec.kind == "file":
-        if spec.path is None:
-            raise ParseError("file window spec has no path")
-        return read_window_file(spec.path, grid)
-    raise DomainError(f"unknown window kind {spec.kind!r}")
+    return spec.sample(grid)
 
 
 def tf_shift(f: Signal, n: int, m: int) -> Signal:
@@ -379,88 +381,71 @@ def norm_l2(f: Signal) -> float:
     return math.sqrt(float(np.sum(np.abs(f.samples) ** 2)) / f.grid.s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weight:
-    """A symmetric weight ``nu`` on signed integer indices.
+    """A symmetric weight ``nu`` on signed integer indices: a ``label``
+    and a ``rule`` that maps an integer array to the float array of
+    ``nu`` on it.
 
-    Built-in kinds (all even, submultiplicative and of subexponential growth):
+    Built-in kinds, each checked when it is built (all even,
+    submultiplicative and of subexponential growth):
 
-    * ``constant``: ``nu(n) = 1``
-    * ``polynomial``: ``nu(n) = (1 + |n|)**t`` with ``t >= 0``
-    * ``subexponential``: ``nu(n) = exp(c * |n|**gamma)`` with ``c > 0``,
-      ``0 < gamma < 1``
+    * ``constant()``: ``nu(n) = 1``
+    * ``polynomial(t)``: ``nu(n) = (1 + |n|)**t`` with ``t >= 0``
+    * ``subexponential(c, gamma)``: ``nu(n) = exp(c * |n|**gamma)`` with
+      ``c > 0``, ``0 < gamma < 1``
 
     ``custom`` wraps an arbitrary integer-to-float rule; no property of it is
     assumed, which is exactly what :func:`check_admissible` is for.
     """
 
-    kind: str
-    t: float = 0.0
-    c: float = 0.0
-    gamma: float = 0.5
-    fn: Callable[[int], float] | None = None
-    label: str | None = None
+    label: str
+    rule: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def constant(cls) -> "Weight":
-        return cls(kind="constant")
+        return cls("constant", lambda n: np.ones_like(n, dtype=float))
 
     @classmethod
-    def polynomial(cls, t: float) -> "Weight":
+    def polynomial(cls, t: float = 0.0) -> "Weight":
         _require_finite("polynomial exponent", t)
         if t < 0:
             raise DomainError(f"polynomial exponent must be >= 0, got {t}")
-        return cls(kind="polynomial", t=float(t))
+        t = float(t)
+        return cls(f"polynomial(t={t:g})", lambda n: (1.0 + np.abs(n)) ** t)
 
     @classmethod
-    def subexponential(cls, c: float, gamma: float) -> "Weight":
+    def subexponential(cls, c: float = 1.0, gamma: float = 0.5) -> "Weight":
         _require_finite("subexponential rate", c)
         if c <= 0:
             raise DomainError(f"subexponential rate must be > 0, got {c}")
         if not 0 < gamma < 1:
             raise DomainError(f"subexponential power must lie in (0, 1), got {gamma}")
-        return cls(kind="subexponential", c=float(c), gamma=float(gamma))
+        c, gamma = float(c), float(gamma)
+        return cls(f"subexponential(c={c:g}, gamma={gamma:g})",
+                   lambda n: np.exp(c * np.abs(n).astype(float) ** gamma))
 
     @classmethod
     def custom(cls, fn: Callable[[int], float], label: str = "custom") -> "Weight":
-        return cls(kind="custom", fn=fn, label=label)
+        return cls(label or "custom", lambda n: np.array(
+            [fn(int(k)) for k in n.ravel()], dtype=float).reshape(n.shape))
 
     def __call__(self, n):
         """Evaluate ``nu`` at an integer or an integer array.
 
-        A scalar runs through the array loop as well (numpy's scalar loops
+        A scalar runs through the array rule as well (numpy's scalar loops
         for ``**`` and ``exp`` round differently), so ``w(n)`` equals the
-        entry of ``w(idx)`` at ``n`` bit for bit.  A ``custom`` rule that
-        overflows raises ``DomainError``.
+        entry of ``w(idx)`` at ``n`` bit for bit.  A rule that overflows
+        raises ``DomainError``.
         """
-        arr = np.atleast_1d(n)
-        if self.kind == "constant":
-            out = np.ones_like(arr, dtype=float)
-        elif self.kind == "polynomial":
-            out = (1.0 + np.abs(arr)) ** self.t
-        elif self.kind == "subexponential":
-            out = np.exp(self.c * np.abs(arr).astype(float) ** self.gamma)
-        elif self.kind == "custom":
-            try:
-                out = np.array([self.fn(int(k)) for k in arr.ravel()],
-                               dtype=float).reshape(arr.shape)
-            except OverflowError as exc:
-                raise DomainError(
-                    f"weight {self.describe()} overflows: {exc}") from exc
-        else:
-            raise DomainError(f"unknown weight kind {self.kind!r}")
-        if np.ndim(n) == 0:
-            return float(out[0])
-        return out
+        try:
+            out = self.rule(np.atleast_1d(n))
+        except OverflowError as exc:
+            raise DomainError(f"weight {self.label} overflows: {exc}") from exc
+        return float(out[0]) if np.ndim(n) == 0 else out
 
     def describe(self) -> str:
-        if self.kind == "constant":
-            return "constant"
-        if self.kind == "polynomial":
-            return f"polynomial(t={self.t:g})"
-        if self.kind == "subexponential":
-            return f"subexponential(c={self.c:g}, gamma={self.gamma:g})"
-        return self.label or "custom"
+        return self.label
 
 
 @dataclass(frozen=True, eq=False)

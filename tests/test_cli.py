@@ -1,13 +1,23 @@
 import csv
+import inspect
 import json
+import re
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaborwalnut import build_grid, read_window_file
-from gaborwalnut.cli import COMMANDS, main
+from gaborwalnut.cli import (
+    _VERIFY_DUALS,
+    _WEIGHT_KINDS,
+    _WINDOW_KINDS,
+    COMMANDS,
+    METHODS,
+    main,
+)
 
 
 def write_config(path, *, L=8, s=4, a=2, b=2, window="characteristic",
@@ -567,3 +577,110 @@ def test_dual_and_tight_at_north_star_size(tmp_path, command):
     assert main([command, "--config", cfg]) == 0
     payload = json.loads((out / f"{command}.json").read_text())
     assert payload["reconstruction_residual"] <= 1e-12
+
+
+# (window kind, window keys, weight kind, weight keys, stray key, keys taken)
+STRAY_KEYS = {
+    "window-misspelt": ("gaussian", "widht = 3.0", "constant", "", "widht",
+                        "kind, width, center"),
+    "window-other-kind": ("hat", "units = 1", "constant", "", "units",
+                          "kind"),
+    "weight-other-kind": ("gaussian", "width = 1.0", "polynomial",
+                          "t = 2\ngamma = 0.5", "gamma", "kind, t"),
+    "weight-constant": ("gaussian", "width = 1.0", "constant", "t = 2", "t",
+                        "kind"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_KEYS))
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+def test_key_the_kind_does_not_take_exits_2(tmp_path, capsys, command, case):
+    window, window_extra, weight, weight_extra, key, takes = STRAY_KEYS[case]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
+                       window=window, window_extra=window_extra, weight=weight,
+                       weight_extra=weight_extra, out=out)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "Traceback" not in err
+    assert f"key {key!r}" in err and f"it takes {takes}" in err
+    assert not out.exists()
+
+
+def test_default_section_keys_are_not_the_sections_own(tmp_path):
+    # units and note reach [window] and [weight] from [DEFAULT] without
+    # being refused; t from [DEFAULT] is the polynomial weight's exponent
+    runs = {}
+    for name, weight_extra, default in (("own", "t = 2", ""),
+                                        ("default", "", "t = 2\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        write_config(cfg, L=256, s=16, a=8, b=8, window="gaussian",
+                     window_extra="width = 1.0", weight="polynomial",
+                     weight_extra=weight_extra, out=tmp_path / name)
+        cfg.write_text(f"[DEFAULT]\nunits = 1\nnote = shared\n{default}"
+                       + cfg.read_text())
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        runs[name] = (tmp_path / name / "analyze.json").read_text()
+    assert runs["own"] == runs["default"]
+
+
+@pytest.mark.parametrize("section,kind,message", [
+    ("window", "gauss", "unknown window kind 'gauss'"),
+    ("weight", "exponential", "unknown weight kind 'exponential'"),
+    ("window", "file", "[window] kind = file: WindowSpec.from_file() missing 1 "
+                       "required positional argument: 'path'"),
+])
+def test_unknown_kind_or_missing_key_exits_2(tmp_path, capsys, section, kind,
+                                             message):
+    keys = {"window": kind, "window_extra": ""} if section == "window" \
+        else {"weight": kind}
+    cfg = write_config(tmp_path / "run.cfg", out=tmp_path / "out", **keys)
+    assert main(["analyze", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and message in err
+
+
+def _readme_config_vocabulary():
+    """``{(section, key): options}`` from the README's ini block comments
+    (``key = value  # a | b | c``), and ``{(section, kind): keys cell}``
+    from its table of window and weight kinds."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    ini = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    options, section = {}, None
+    for line in ini.splitlines():
+        if line.startswith("["):
+            section = line.split("]")[0][1:]
+        elif "|" in line and not line.startswith("#"):
+            key, comment = line.split("#", 1)
+            options[section, key.split("=")[0].strip()] = {
+                word.split()[0] for word in comment.split("|")}
+    kinds = {}
+    for row in re.findall(r"^\| `\[(\w+)\]` \| `(\w+)`[^|]*\|([^|]*)\|", text,
+                          re.MULTILINE):
+        kinds[row[0], row[1]] = row[2]
+    return options, kinds
+
+
+def test_readme_names_the_cli_vocabulary():
+    options, kinds = _readme_config_vocabulary()
+    assert options["window", "kind"] == set(_WINDOW_KINDS)
+    assert options["weight", "kind"] == set(_WEIGHT_KINDS)
+    assert options["dual", "method"] == set(METHODS["dual"])
+    assert options["tight", "method"] == set(METHODS["tight"])
+    assert options["verify", "dual"] == set(_VERIFY_DUALS)
+    tables = {"window": _WINDOW_KINDS, "weight": _WEIGHT_KINDS}
+    assert set(kinds) == {(section, kind) for section, table in tables.items()
+                          for kind in table}
+    # each key with the default that its constructor gives it
+    for (section, kind), cell in kinds.items():
+        make, keys = tables[section][kind]
+        params = inspect.signature(make).parameters
+        listed = re.findall(r"`(\w+)(?: = ([^`]+))?`", cell)
+        assert [name for name, _ in listed] == list(keys), (section, kind)
+        for name, default in listed:
+            expect = params[name].default
+            if expect is None or expect is params[name].empty:
+                assert default == "", (section, kind, name)
+            else:
+                assert default == repr(expect), (section, kind, name)

@@ -129,6 +129,23 @@ class TestWindows:
         with pytest.raises(DomainError, match="must be finite"):
             build_window(spec(value), build_grid(8, 4))
 
+    @pytest.mark.parametrize("build,match", [
+        (lambda: WindowSpec.characteristic(float("nan")), "must be finite"),
+        (lambda: WindowSpec.gaussian(width=float("inf")), "must be finite"),
+        (lambda: WindowSpec.gaussian(center=float("nan")), "must be finite"),
+        (lambda: WindowSpec.gaussian(width=0.0), "must be positive"),
+        (lambda: WindowSpec.gaussian(width=-1.0), "must be positive"),
+    ], ids=["units-nan", "width-inf", "center-nan", "width-0", "width-neg"])
+    def test_grid_independent_checks_run_when_built(self, build, match):
+        with pytest.raises(DomainError, match=match):
+            build()
+
+    def test_grid_dependent_checks_run_when_sampled(self):
+        spec = WindowSpec.characteristic(0.3)  # not whole samples at s = 4
+        assert build_window(spec, build_grid(80, 10)).samples[:3].sum() == 3
+        with pytest.raises(DomainError, match="integer number of samples"):
+            build_window(spec, build_grid(8, 4))
+
     def test_signal_length_checked(self):
         with pytest.raises(DimensionError):
             Signal(build_grid(8, 4), np.zeros(7))
@@ -266,6 +283,55 @@ class TestWeights:
         assert all(type(v) is float for v in scalars[:3])
         assert np.array_equal(np.array(scalars), vals)
         assert w(np.int64(7)) == vals[13]
+
+    # the formulas of the kind-dispatching Weight.__call__ that each kind's
+    # constructor replaced, kept here as the reference
+    REFERENCE = [
+        (Weight.constant, (), lambda n: np.ones_like(n, dtype=float),
+         "constant"),
+        *((Weight.polynomial, (t,),
+           lambda n, t=t: (1.0 + np.abs(n)) ** float(t), f"polynomial(t={t:g})")
+          for t in (0.0, 1, 1.5, 2.0, 3.7)),
+        *((Weight.subexponential, (c, g),
+           lambda n, c=c, g=g: np.exp(float(c) * np.abs(n).astype(float)
+                                      ** float(g)),
+           f"subexponential(c={c:g}, gamma={g:g})")
+          for c, g in ((1.0, 0.5), (0.5, 0.5), (0.7, 0.3), (2, 0.9))),
+    ]
+
+    @pytest.mark.parametrize("make,args,ref,label", REFERENCE,
+                             ids=lambda v: v if isinstance(v, str) else None)
+    def test_values_and_labels_match_the_reference(self, make, args, ref, label):
+        w = make(*args)
+        idx = np.array(signed_range(4096))
+        with np.errstate(over="ignore"):  # exp(2 * 2048**0.9) is inf
+            expect, got = ref(idx), w(idx)
+            scalars = [(w(k), ref(np.atleast_1d(k))[0])
+                       for k in (0, 1, -1, 7, -2048, 2047)]
+        assert got.dtype == float and np.array_equal(got, expect)
+        assert all(type(v) is float and v == r for v, r in scalars)
+        assert w.describe() == label
+
+    def test_constructor_defaults(self):
+        # the defaults a config section that leaves its keys out gets
+        assert Weight.polynomial().describe() == "polynomial(t=0)"
+        assert Weight.subexponential().describe() == "subexponential(c=1, gamma=0.5)"
+
+    @pytest.mark.parametrize("label,described", [
+        ("exp", "exp"), (None, "custom"), ("", "custom")])
+    def test_custom_label(self, label, described):
+        w = Weight.custom(lambda n: 2.0, label=label)
+        assert w.describe() == described
+        assert Weight.custom(lambda n: 2.0).describe() == "custom"
+
+    def test_no_field_bypasses_the_checks(self):
+        # a kind is its constructor: no settable kind or parameter fields
+        with pytest.raises(TypeError):
+            Weight(kind="polynomial", t=-3.0)
+        with pytest.raises(TypeError):
+            Weight(kind="subexponential", c=-1.0, gamma=2.0)
+        with pytest.raises(TypeError):
+            WindowSpec(kind="gaussian", units=7, path="x")
 
 
 class TestAdmissibility:
