@@ -67,12 +67,11 @@ EXIT_CONFIG = 2
 EXIT_NOT_A_FRAME = 3
 EXIT_CONTRACT = 4
 EXIT_CONVERGENCE = 5
+# The exit code of each error class; any other error's is EXIT_CONFIG.
+_EXIT_CODES = {NotAFrameError: EXIT_NOT_A_FRAME,
+               ContractViolationError: EXIT_CONTRACT,
+               ConvergenceError: EXIT_CONVERGENCE}
 
-COMMANDS = ("analyze", "dual", "tight", "verify", "counterexample",
-            "conjecture", "bench")
-# Library methods each command accepts in its config section.
-METHODS = {"dual": ("fiber", "cg", "dense"),
-           "tight": ("fiber", "contour", "dense")}
 # Terms M*N*L of the double sum that each `bench` case times at least three
 # times: that of 4096:16:32:32, the largest case of the README example.
 _BENCH_TERMS = 1 << 26
@@ -80,20 +79,46 @@ _BENCH_TERMS = 1 << 26
 
 @dataclass
 class RunConfig:
-    """Validated run configuration: instance objects plus common options."""
+    """Every section of a run config, read and checked by ``load_config``."""
 
     grid: Grid
+    window_spec: WindowSpec
     window: Signal
     lattice: GaborLattice
     weight: Weight
     tol: float
     seed: int
     out: Path
-    raw: configparser.ConfigParser
+    methods: dict[str, str | None]  # of `dual` and `tight`; None: the default
+    verify_dual: tuple[str, WindowSpec | None]  # the mode; `file`'s window
+    bench_reps: int
+    bench_cases: list[tuple[int, int, int, int]]  # (L, s, a, b) of each case
 
 
-# Each kind of a [window] or [weight] section: its constructor and the keys it
-# takes, each with its value's parser; a key left out takes the default.
+def _options(tol: float = 1e-10, seed: int = 0, out: str = "gw-out") -> tuple:
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return tol, seed, Path(out)
+
+
+def _bench(reps: int = 3, cases: str = "") -> tuple:
+    """``reps`` and each comma-separated ``L:s:a:b`` case as a tuple."""
+    if reps < 3:
+        raise DomainError(f"benchmark needs at least 3 repetitions, got {reps}")
+    parsed = []
+    for chunk in cases.split(",") if cases else ():
+        try:
+            L, s, a, b = (int(p) for p in chunk.strip().split(":"))
+        except ValueError:
+            raise ParseError(f"bench case {chunk!r} is not L:s:a:b") from None
+        parsed.append((L, s, a, b))
+    return reps, parsed
+
+
+# Each kind of a section: its constructor and the keys it takes, each with its
+# value's parser; a key left out takes the constructor's default.
 _WINDOW_KINDS = {
     "characteristic": (WindowSpec.characteristic, {"units": float}),
     "gaussian": (WindowSpec.gaussian, {"width": float, "center": float}),
@@ -105,70 +130,91 @@ _WEIGHT_KINDS = {
     "polynomial": (Weight.polynomial, {"t": float}),
     "subexponential": (Weight.subexponential, {"c": float, "gamma": float}),
 }
+_NAME_ONLY = (lambda: None, {})  # a kind that takes no key and builds nothing
+# the dual that `verify` checks; `file`'s window is read when `verify` runs
+_VERIFY_DUALS = {"canonical": _NAME_ONLY, "generator": _NAME_ONLY,
+                 "file": (WindowSpec.from_file, {"path": str})}
+# Every section the CLI reads: the key that chooses its kind (None for a
+# section of one kind) and its kinds, the first the default. Every command
+# reads every section; each but grid, lattice and window may be left out.
+_SECTIONS = {
+    "grid": (None, {None: (build_grid, {"L": int, "s": int})}),
+    "lattice": (None, {None: (GaborLattice, {"a": int, "b": int})}),
+    "window": ("kind", _WINDOW_KINDS),
+    "weight": ("kind", _WEIGHT_KINDS),
+    "options": (None, {None: (_options, {"tol": float, "seed": int,
+                                          "out": str})}),
+    "dual": ("method", dict.fromkeys((None, "fiber", "cg", "dense"), _NAME_ONLY)),
+    "tight": ("method",
+              dict.fromkeys((None, "fiber", "contour", "dense"), _NAME_ONLY)),
+    "verify": ("dual", _VERIFY_DUALS),
+    "bench": (None, {None: (_bench, {"reps": int, "cases": str})}),
+}
 
 
-def _from_section(parser: configparser.ConfigParser, name: str, kinds: dict,
-                  default: str):
-    """Section ``name`` built by its kind's constructor from the keys it has.
-    An unknown kind, a key of its own (not from ``[DEFAULT]``) the kind does
-    not take, or a missing key the constructor needs raises ``ParseError``."""
-    section = parser[name]
-    kind = section.get("kind", default).strip()
+def _from_section(parser: configparser.ConfigParser, name: str, **given):
+    """``(kind, value)`` of section ``name``: the kind's constructor called
+    with the section's keys and ``given``, which wins over them. An unknown
+    kind, a key of its own (not from ``[DEFAULT]``) it does not take, a bad
+    value or a missing key the constructor needs raises ``ParseError``."""
+    kind_key, kinds = _SECTIONS[name]
+    if name in ("grid", "lattice", "window") and not parser.has_section(name):
+        raise ParseError(f"bad configuration: no section {name!r}")
+    section = parser[name] if parser.has_section(name) else {}
+    kind = section.get(kind_key, next(iter(kinds))) if kind_key else None
     if kind not in kinds:
-        raise ParseError(f"unknown {name} kind {kind!r}")
+        raise ParseError(f"unknown {name} {kind_key} {kind!r}")
     make, keys = kinds[kind]
+    where = f"[{name}]" if kind is None else f"[{name}] {kind_key} = {kind}"
+    takes = [kind_key, *keys] if kind_key else [*keys]
     for key in section:
-        if key != "kind" and key not in keys and key not in parser.defaults():
-            raise ParseError(f"[{name}] key {key!r} is not one that kind {kind} "
-                             f"takes; it takes {', '.join(['kind', *keys])}")
-    args = {key: parse(section[key]) for key, parse in keys.items()
-            if key in section}
-    try:
-        return make(**args)
-    except TypeError as exc:  # it names the missing key that has no default
-        raise ParseError(f"[{name}] kind = {kind}: {exc}") from exc
+        if key not in map(parser.optionxform, takes) \
+                and key not in parser.defaults():
+            raise ParseError(f"{where}: key {key!r} is not one it takes; it "
+                             f"takes {', '.join(takes)}")
+    try:  # a TypeError names the missing key that has no default
+        args = {key: parse(section[key]) for key, parse in keys.items()
+                if key in section}
+        return kind, make(**{**args, **given})
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
-    """Parse a key=value config file and validate it against the constructors."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Read a key=value config file verbatim and check every section of it
+    against ``_SECTIONS``, whichever command runs."""
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#", ";"))
+    given = {key: getattr(overrides, key) for key in ("tol", "seed", "out")
+             if getattr(overrides, key) is not None}
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ParseError(f"config file {path!r} not found")
-        grid = build_grid(parser.getint("grid", "L"), parser.getint("grid", "s"))
-        lattice = GaborLattice(grid, parser.getint("lattice", "a"),
-                               parser.getint("lattice", "b"))
-        window = build_window(
-            _from_section(parser, "window", _WINDOW_KINDS, "characteristic"), grid)
-        weight = _from_section(parser, "weight", _WEIGHT_KINDS, "constant") \
-            if parser.has_section("weight") else Weight.constant()
-        opts = parser["options"] if parser.has_section("options") else {}
-        tol = overrides.tol if overrides.tol is not None else float(
-            opts.get("tol", 1e-10))
-        seed = overrides.seed if overrides.seed is not None else int(
-            opts.get("seed", 0))
-    except KeyError as exc:
-        raise ParseError(f"bad configuration: no section {exc}") from exc
+        for name in parser.sections():
+            if name not in _SECTIONS:
+                raise ParseError(f"[{name}] is not a section; the sections "
+                                 f"are {', '.join(_SECTIONS)}")
+        _, grid = _from_section(parser, "grid")
+        _, lattice = _from_section(parser, "lattice", grid=grid)
+        _, spec = _from_section(parser, "window")
+        _, weight = _from_section(parser, "weight")
+        _, (tol, seed, out) = _from_section(parser, "options", **given)
+        methods = {which: _from_section(parser, which)[0]
+                   for which in ("dual", "tight")}
+        verify_dual = _from_section(parser, "verify")
+        _, (reps, cases) = _from_section(parser, "bench")
+        window = build_window(spec, grid)
     except (configparser.Error, ValueError) as exc:  # UnicodeDecodeError is one
         raise ParseError(f"bad configuration: {exc}") from exc
-    out = Path(overrides.out) if overrides.out is not None else Path(
-        opts.get("out", "gw-out"))
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    return RunConfig(grid=grid, window=window, lattice=lattice, weight=weight,
-                     tol=tol, seed=seed, out=out, raw=parser)
-
-
-def _prepare_out(cfg: RunConfig) -> Path:
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    return cfg.out
+    return RunConfig(grid=grid, window_spec=spec, window=window,
+                     lattice=lattice, weight=weight, tol=tol, seed=seed,
+                     out=out, methods=methods, verify_dual=verify_dual,
+                     bench_reps=reps, bench_cases=cases)
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
     """Frame bounds, multiplier table, block norms and the empirical constant."""
-    out = _prepare_out(cfg)
+    out = cfg.out
     lat = cfg.lattice
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotAFrameWarning)
@@ -208,13 +254,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def _dual_like(cfg: RunConfig, which: str) -> int:
-    method = cfg.raw.get(which, "method", fallback=None)
-    if method is not None:
-        method = method.strip()
-        if method not in METHODS[which]:
-            raise ParseError(f"unknown {which} method {method!r}")
-    out = _prepare_out(cfg)
+    out = cfg.out
     lat = cfg.lattice
+    method = cfg.methods[which]
     extra = {}
     if which == "dual":
         gd, solver = inverse_solve(cfg.window, lat, cfg.window,
@@ -265,28 +307,15 @@ def cmd_tight(cfg: RunConfig) -> int:
     return _dual_like(cfg, "tight")
 
 
-def _file_dual(cfg: RunConfig) -> Signal:
-    if not cfg.raw.has_option("verify", "path"):
-        raise ParseError("verify dual 'file' needs a 'path' key")
-    return build_window(WindowSpec.from_file(cfg.raw["verify"]["path"]), cfg.grid)
-
-
-_VERIFY_DUALS = {  # the dual that `verify` checks, by its `[verify] dual` mode
-    "canonical": lambda cfg: dual_window(cfg.window, cfg.lattice,
-                                         tol=min(cfg.tol, 1e-12)),
-    "generator": lambda cfg: cfg.window,  # deliberate negative control
-    "file": _file_dual,
-}
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     """Check the mixed-bracket identity and norm estimate for the instance."""
-    out = _prepare_out(cfg)
+    out = cfg.out
     lat = cfg.lattice
-    mode = cfg.raw.get("verify", "dual", fallback="canonical").strip()
-    if mode not in _VERIFY_DUALS:
-        raise ParseError(f"unknown verify dual mode {mode!r}")
-    gd = _VERIFY_DUALS[mode](cfg)
+    mode, spec = cfg.verify_dual
+    gd = {"canonical": lambda: dual_window(cfg.window, lat,
+                                           tol=min(cfg.tol, 1e-12)),
+          "generator": lambda: cfg.window,  # deliberate negative control
+          "file": lambda: build_window(spec, cfg.grid)}[mode]()
     tables = _verify_tables(cfg.window, gd, lat)
     ident = _identity_residual(lat, *tables)
     lhs, rhs = _convest(lat, cfg.weight, *tables)
@@ -316,7 +345,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_counterexample(cfg: RunConfig) -> int:
     """Build the staircase perturbation and report orthogonality and growth."""
-    out = _prepare_out(cfg)
+    out = cfg.out
     grid = cfg.grid
     h = build_counterexample("harmonic", grid)
     g = build_window(WindowSpec.characteristic(1.0), grid)
@@ -348,7 +377,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 def cmd_conjecture(cfg: RunConfig) -> int:
     """Probe both block geometries of the dual window's multiplier sums; the
     stride-M series is the summability report's, read off ``S^-1``."""
-    out = _prepare_out(cfg)
+    out = cfg.out
     lat = cfg.lattice
     gd = dual_window(cfg.window, lat, tol=min(cfg.tol, 1e-12))
     alpha_seq = dual_summability_report(cfg.window, lat, cfg.weight,
@@ -380,47 +409,24 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _bench_lattices(cfg: RunConfig) -> list[GaborLattice]:
-    """The lattices of ``[bench] cases``, else the config's own; a case
-    whose double sum has more than ``_BENCH_TERMS`` terms raises
-    ``SizeError``."""
-    lattices = [cfg.lattice]
-    if cfg.raw.has_section("bench") and cfg.raw["bench"].get("cases",
-                                                             fallback=None):
-        lattices = []
-        for chunk in cfg.raw["bench"]["cases"].split(","):
-            try:
-                L, s, a, b = (int(p) for p in chunk.strip().split(":"))
-            except ValueError:
-                raise ParseError(f"bench case {chunk!r} is not L:s:a:b") from None
-            lattices.append(GaborLattice(build_grid(L, s), a, b))
-    for lat in lattices:
+def cmd_bench(cfg: RunConfig) -> int:
+    """Median wall times of the double-sum and multiplier applications on the
+    lattices of ``[bench] cases``, else the config's own; a case whose double
+    sum has more than ``_BENCH_TERMS`` terms raises ``SizeError``."""
+    out, reps = cfg.out, cfg.bench_reps
+    lattices = [GaborLattice(build_grid(L, s), a, b)
+                for L, s, a, b in cfg.bench_cases] or [cfg.lattice]
+    for lat in lattices:  # before any case is timed
         L, terms = lat.grid.L, lat.M * lat.N * lat.grid.L
         if terms > _BENCH_TERMS:
             raise SizeError(f"bench case {L}:{lat.grid.s}:{lat.a}:{lat.b} has a "
                             f"double sum of M*N*L = {terms} terms, above the "
                             f"limit {_BENCH_TERMS}")
-    return lattices
-
-
-def cmd_bench(cfg: RunConfig) -> int:
-    """Median wall times of the double-sum and multiplier applications."""
-    out = _prepare_out(cfg)
-    reps = 3
-    if cfg.raw.has_section("bench"):
-        try:
-            reps = cfg.raw["bench"].getint("reps", 3)
-        except ValueError as exc:
-            raise ParseError(f"bad bench reps: {exc}") from exc
-    if reps < 3:
-        raise DomainError(f"benchmark needs at least 3 repetitions, got {reps}")
-    lattices = _bench_lattices(cfg)
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    spec = _from_section(cfg.raw, "window", _WINDOW_KINDS, "characteristic")
     for lat in lattices:
         grid, L, a, b = lat.grid, lat.grid.L, lat.a, lat.b
-        g = build_window(spec, grid)
+        g = build_window(cfg.window_spec, grid)
         W = walnut_coefficients(g, lat)
         f = Signal(grid, rng.standard_normal(L) + 1j * rng.standard_normal(L))
         t_direct, t_walnut = [], []
@@ -461,6 +467,7 @@ _DISPATCH = {
     "conjecture": cmd_conjecture,
     "bench": cmd_bench,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 # built once: parse_args leaves the parser as it found it
@@ -480,19 +487,12 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, args)
+        cfg.out.mkdir(parents=True, exist_ok=True)
         return _DISPATCH[args.command](cfg)
-    except NotAFrameError as exc:
+    except (GaborToolkitError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NOT_A_FRAME
-    except ContractViolationError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except ConvergenceError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (GaborToolkitError, configparser.Error, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next((code for error, code in _EXIT_CODES.items()
+                     if isinstance(exc, error)), EXIT_CONFIG)
 
 
 def entry() -> None:

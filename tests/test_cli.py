@@ -11,27 +11,29 @@ import pytest
 
 from gaborwalnut import build_grid, read_window_file
 from gaborwalnut.cli import (
-    _VERIFY_DUALS,
+    _SECTIONS,
     _WEIGHT_KINDS,
     _WINDOW_KINDS,
     COMMANDS,
-    METHODS,
     main,
 )
 
 
 def write_config(path, *, L=8, s=4, a=2, b=2, window="characteristic",
                  window_extra="units = 1", weight="constant", weight_extra="",
-                 extra="", out=None, tol=None, seed=1234):
+                 extra="", out=None, tol=None, seed=1234, grid_extra="",
+                 options_extra=""):
     opts = [f"seed = {seed}"]
     if out is not None:
         opts.append(f"out = {out}")
     if tol is not None:
         opts.append(f"tol = {tol}")
+    opts.append(options_extra)
     text = f"""
 [grid]
 L = {L}
 s = {s}
+{grid_extra}
 
 [window]
 kind = {window}
@@ -579,31 +581,49 @@ def test_dual_and_tight_at_north_star_size(tmp_path, command):
     assert payload["reconstruction_residual"] <= 1e-12
 
 
-# (window kind, window keys, weight kind, weight keys, stray key, keys taken)
+# write_config keywords that put one fault into a config of a Gaussian window
+# and a constant weight, and what the message must name: the key (lower-cased,
+# as configparser reads it) and the keys it may be, or the section or value.
+# Every command reads every section, so each fault stops each command.
 STRAY_KEYS = {
-    "window-misspelt": ("gaussian", "widht = 3.0", "constant", "", "widht",
-                        "kind, width, center"),
-    "window-other-kind": ("hat", "units = 1", "constant", "", "units",
-                          "kind"),
-    "weight-other-kind": ("gaussian", "width = 1.0", "polynomial",
-                          "t = 2\ngamma = 0.5", "gamma", "kind, t"),
-    "weight-constant": ("gaussian", "width = 1.0", "constant", "t = 2", "t",
-                        "kind"),
+    "window-misspelt": (dict(window_extra="widht = 3.0"), "key 'widht'",
+                        "it takes kind, width, center"),
+    "window-other-kind": (dict(window="hat", window_extra="units = 1"),
+                          "key 'units'", "it takes kind"),
+    "weight-other-kind": (dict(weight="polynomial",
+                               weight_extra="t = 2\ngamma = 0.5"),
+                          "key 'gamma'", "it takes kind, t"),
+    "weight-constant": (dict(weight_extra="t = 2"), "key 't'", "it takes kind"),
+    "grid-misspelt": (dict(grid_extra="LL = 256"), "key 'll'", "it takes L, s"),
+    "options-misspelt": (dict(options_extra="toll = 1e-3\nsed = 5"),
+                         "key 'toll'", "it takes tol, seed, out"),
+    "dual-misspelt": (dict(extra="[dual]\nmethd = cg"), "key 'methd'",
+                      "it takes method"),
+    "tight-misspelt": (dict(extra="[tight]\nmethd = dense"), "key 'methd'",
+                       "it takes method"),
+    "verify-misspelt": (dict(extra="[verify]\ndula = generator"),
+                        "key 'dula'", "it takes dual"),
+    "bench-misspelt": (dict(extra="[bench]\nrep = 5"), "key 'rep'",
+                       "it takes reps, cases"),
+    "unknown-section": (dict(extra="[daul]\nmethod = cg"),
+                        "[daul] is not a section", "the sections are grid,"),
+    "bench-bad-case": (dict(extra="[bench]\ncases = 64:8:x:4"),
+                       "bench case '64:8:x:4'", "is not L:s:a:b"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STRAY_KEYS))
-@pytest.mark.parametrize("command", ["analyze", "dual"])
+@pytest.mark.parametrize("command", ["analyze", "dual", "verify"])
 def test_key_the_kind_does_not_take_exits_2(tmp_path, capsys, command, case):
-    window, window_extra, weight, weight_extra, key, takes = STRAY_KEYS[case]
+    keys, *named = STRAY_KEYS[case]
     out = tmp_path / "out"
-    cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
-                       window=window, window_extra=window_extra, weight=weight,
-                       weight_extra=weight_extra, out=out)
+    cfg = write_config(tmp_path / "run.cfg", **{
+        "L": 256, "s": 16, "a": 8, "b": 8, "window": "gaussian",
+        "window_extra": "width = 1.0", "out": out, **keys})
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "ParseError" in err and "Traceback" not in err
-    assert f"key {key!r}" in err and f"it takes {takes}" in err
+    assert all(piece in err for piece in named), err
     assert not out.exists()
 
 
@@ -640,35 +660,47 @@ def test_unknown_kind_or_missing_key_exits_2(tmp_path, capsys, section, kind,
     assert "ParseError" in err and message in err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_ini():
+    text = README.read_text(encoding="utf-8")
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_config_vocabulary():
-    """``{(section, key): options}`` from the README's ini block comments
-    (``key = value  # a | b | c``), and ``{(section, kind): keys cell}``
+    """``{section: keys}`` of the README's ini block, commented-out keys
+    included; ``{(section, key): options}`` from its comments
+    (``key = value  # a | b | c``); and ``{(section, kind): keys cell}``
     from its table of window and weight kinds."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8")
-    ini = text.split("```ini\n", 1)[1].split("```", 1)[0]
-    options, section = {}, None
-    for line in ini.splitlines():
+    keys, options, section = {}, {}, None
+    for line in _readme_ini().splitlines():
         if line.startswith("["):
             section = line.split("]")[0][1:]
-        elif "|" in line and not line.startswith("#"):
-            key, comment = line.split("#", 1)
-            options[section, key.split("=")[0].strip()] = {
-                word.split()[0] for word in comment.split("|")}
+            keys[section] = set()
+        elif "=" in line:
+            key = line.lstrip("# ").split("=")[0].strip()
+            keys[section].add(key)
+            if "|" in line and not line.startswith("#"):
+                options[section, key] = {
+                    word.split()[0] for word in line.split("#", 1)[1].split("|")}
     kinds = {}
-    for row in re.findall(r"^\| `\[(\w+)\]` \| `(\w+)`[^|]*\|([^|]*)\|", text,
-                          re.MULTILINE):
+    for row in re.findall(r"^\| `\[(\w+)\]` \| `(\w+)`[^|]*\|([^|]*)\|",
+                          README.read_text(encoding="utf-8"), re.MULTILINE):
         kinds[row[0], row[1]] = row[2]
-    return options, kinds
+    return keys, options, kinds
 
 
 def test_readme_names_the_cli_vocabulary():
-    options, kinds = _readme_config_vocabulary()
-    assert options["window", "kind"] == set(_WINDOW_KINDS)
-    assert options["weight", "kind"] == set(_WEIGHT_KINDS)
-    assert options["dual", "method"] == set(METHODS["dual"])
-    assert options["tight", "method"] == set(METHODS["tight"])
-    assert options["verify", "dual"] == set(_VERIFY_DUALS)
+    keys, options, kinds = _readme_config_vocabulary()
+    # each section with exactly the keys of the CLI's table, and each key that
+    # chooses a kind with exactly that section's kinds
+    assert keys == {name: {key for key in (kind_key, *(
+        key for _, taken in section_kinds.values() for key in taken)) if key}
+        for name, (kind_key, section_kinds) in _SECTIONS.items()}
+    for name, (kind_key, section_kinds) in _SECTIONS.items():
+        if kind_key:
+            assert options[name, kind_key] == set(section_kinds) - {None}
     tables = {"window": _WINDOW_KINDS, "weight": _WEIGHT_KINDS}
     assert set(kinds) == {(section, kind) for section, table in tables.items()
                           for kind in table}
@@ -684,3 +716,31 @@ def test_readme_names_the_cli_vocabulary():
                 assert default == "", (section, kind, name)
             else:
                 assert default == repr(expect), (section, kind, name)
+
+
+def test_readme_config_runs(tmp_path):
+    # the README's ini block as it stands, writing under tmp_path: every
+    # section of it passes the checks that every command makes
+    ini = _readme_ini()
+    assert "\nout = gw-out\n" in ini
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(ini.replace("\nout = gw-out\n",
+                               f"\nout = {tmp_path / 'gw-out'}\n"))
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    assert (tmp_path / "gw-out" / "analyze.json").exists()
+
+
+def test_percent_in_a_value_is_read_verbatim(tmp_path):
+    # no interpolation: '%' in a window path and an output directory is a
+    # character like any other
+    window = tmp_path / "w100%.txt"
+    window.write_text("1.0 0.0\n" * 4 + "0.0 0.0\n" * 4)
+    outs = tmp_path / "gw-100%", tmp_path / "plain"
+    write_config(tmp_path / "file.cfg", window="file",
+                 window_extra=f"path = {window}", out=outs[0])
+    write_config(tmp_path / "plain.cfg", out=outs[1])
+    for name, out in zip(("file", "plain"), outs):
+        assert main(["analyze", "--config", str(tmp_path / f"{name}.cfg")]) == 0
+    # the file holds the characteristic window of one unit
+    assert (outs[0] / "bounds.csv").read_bytes() == \
+        (outs[1] / "bounds.csv").read_bytes()
