@@ -65,7 +65,6 @@ from .frame_op import (
     WalnutCoeffs,
     analysis,
     dense_frame_matrix,
-    empirical_multiplier_ratio,
     frame_operator_direct,
     frame_operator_walnut,
     synthesis,

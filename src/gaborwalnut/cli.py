@@ -10,7 +10,6 @@ import configparser
 import math
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,11 +30,11 @@ from .core import (
 from .diagnostics import (
     _convest,
     _identity_residual,
+    _summability_report,
     _verify_tables,
     bracket_series,
     build_counterexample,
     counterexample_report,
-    dual_summability_report,
 )
 from .errors import (
     ContractViolationError,
@@ -43,23 +42,21 @@ from .errors import (
     DomainError,
     GaborToolkitError,
     NotAFrameError,
-    NotAFrameWarning,
     ParseError,
     SizeError,
 )
 from .frame_op import (
     _block_size,
-    empirical_multiplier_ratio,
     frame_operator_direct,
     frame_operator_walnut,
     walnut_coefficients,
 )
 from .invert import (
+    _frame_bounds,
+    _inverse_solve,
+    _tight_window,
     dual_window,
     duality_defect,
-    frame_bounds,
-    inverse_solve,
-    tight_window,
 )
 
 EXIT_OK = 0
@@ -213,13 +210,12 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    """Frame bounds, multiplier table, block norms and the empirical constant."""
+    """Frame bounds, multiplier table, block norms and the empirical constant,
+    all read off one operator value."""
     out = cfg.out
     lat = cfg.lattice
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NotAFrameWarning)
-        bounds = frame_bounds(cfg.window, lat, tol=cfg.tol)
     W = walnut_coefficients(cfg.window, lat)
+    bounds = _frame_bounds(W, tol=cfg.tol)
     reports.write_bounds_csv(bounds, out / "bounds.csv")
     reports.write_walnut_csv(W, out / "walnut_coeffs.csv")
     prof = _profile(W.table, cfg.weight)
@@ -229,6 +225,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
                               prof.weights.tolist()):
             fh.write(f"{r},{sup!r},{nu!r},{sup * nu!r}\n")
     am, l2, linf = embedding_check(cfg.window, lat.a, cfg.weight)
+    # the multiplier sum over the squared window norm; inf for a zero window
+    denom = am ** 2
+    ratio = prof.norm / denom if denom else (math.inf if prof.norm > 0 else 0.0)
     with open(out / "amalgam.csv", "w", encoding="utf-8") as fh:
         fh.write("norm,value\n")
         fh.write(f"amalgam,{am!r}\nl2,{l2!r}\nlinf,{linf!r}\n")
@@ -243,8 +242,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "redundancy": lat.redundancy,
             "weighted_multiplier_sum": prof.norm,
             "window_amalgam_norm": am,
-            "empirical_ratio": empirical_multiplier_ratio(cfg.window, lat,
-                                                          cfg.weight),
+            "empirical_ratio": ratio,
             "seed": cfg.seed,
         },
         out / "analyze.json",
@@ -258,17 +256,20 @@ def _dual_like(cfg: RunConfig, which: str) -> int:
     lat = cfg.lattice
     method = cfg.methods[which]
     extra = {}
+    # one operator value: the window, its verdict and the S^-1 report read
+    # one stack and one eigendecomposition
+    W = walnut_coefficients(cfg.window, lat)
     if which == "dual":
-        gd, solver = inverse_solve(cfg.window, lat, cfg.window,
-                                   method=method, tol=cfg.tol)
+        gd, solver = _inverse_solve(W, cfg.window, method, cfg.tol,
+                                    decompose=True)
         reports.write_solver_csv(solver, out / "solver.csv")
         extra["solver_converged"] = solver.converged
         residual = duality_defect(cfg.window, gd, lat)
     else:
-        gd = tight_window(cfg.window, lat, method=method, tol=cfg.tol)
+        gd = _tight_window(W, cfg.window, method, cfg.tol)
         residual = duality_defect(gd, gd, lat)
     # the multipliers of S^-1, whichever command and method ran
-    summ = dual_summability_report(cfg.window, lat, cfg.weight)
+    summ = _summability_report(W, cfg.weight)
     name = f"{which}_window.txt"
     reports.write_window_file(gd, out / name)
     reports.write_summability_csv(summ, out / "summability.csv")
@@ -379,9 +380,11 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     stride-M series is the summability report's, read off ``S^-1``."""
     out = cfg.out
     lat = cfg.lattice
-    gd = dual_window(cfg.window, lat, tol=min(cfg.tol, 1e-12))
-    alpha_seq = dual_summability_report(cfg.window, lat, cfg.weight,
-                                        cross_check=False).tail_profile
+    W = walnut_coefficients(cfg.window, lat)
+    gd = _inverse_solve(W, cfg.window, tol=min(cfg.tol, 1e-12),
+                        decompose=True)[0]
+    alpha_seq = _summability_report(W, cfg.weight,
+                                    cross_check=False).tail_profile
     invbeta_seq = bracket_series(gd, gd, lat, cfg.weight)
     sum_alpha, sum_invbeta = float(alpha_seq[-1]), float(invbeta_seq[-1])
     reports.write_svg_lines(

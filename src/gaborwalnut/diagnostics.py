@@ -35,8 +35,8 @@ from .errors import (
 )
 from .frame_op import (
     WalnutCoeffs,
+    _Dense,
     analysis,
-    dense_frame_matrix,
     frame_operator_walnut,
     walnut_coefficients,
     walnut_weighted_sum,
@@ -141,16 +141,18 @@ def extract_walnut_from_matrix(
     return WalnutCoeffs(lat=lat, table=table), off_mass
 
 
-def _dense_inverse_table(g: Signal, lat: GaborLattice) -> np.ndarray:
+def _dense_inverse_table(W: WalnutCoeffs) -> np.ndarray:
     """Multiplier table of ``S^-1`` from an LU solve of the dense frame
-    matrix for its first ``a`` columns, the ones the extraction reads.
+    matrix of ``W``'s table for its first ``a`` columns, the ones the
+    extraction reads; the fiber stack and its decomposition are not read.
 
     Column ``c`` of ``S^-1`` meets strided diagonal ``r`` in row
     ``(c + r*M) mod L``, which is entry ``(c + r*M) mod a`` of ``G~_r``;
     as ``c`` runs over one period those entries fill the row.
     """
+    lat = W.lat
     L, a = lat.grid.L, lat.a
-    X = np.linalg.solve(dense_frame_matrix(g, lat), np.eye(L, a, dtype=complex))
+    X = np.linalg.solve(_Dense(W).S, np.eye(L, a, dtype=complex))
     r = np.array(signed_range(lat.b))[:, None]
     c = np.arange(a)
     j = c + r * lat.M
@@ -176,14 +178,21 @@ def dual_summability_report(
     independent route to the same operator.
     """
     _check_tol(tol)
-    Wd = _inverse_walnut(g, lat)
+    return _summability_report(walnut_coefficients(g, lat), w, cross_check)
+
+
+def _summability_report(W: WalnutCoeffs, w: Weight,
+                        cross_check: bool = True) -> SummabilityReport:
+    """:func:`dual_summability_report` on the operator value ``W``."""
+    lat = W.lat
+    Wd = _inverse_walnut(W)
     prof = _profile(Wd.table, w)
     sups, weights = prof.block_sups, prof.weights
     per_r = zip(prof.indices.tolist(), sups.tolist(), weights.tolist(),
                 (sups * weights).tolist())
     err = None
     if cross_check and lat.grid.L <= DENSE_LIMIT:
-        err = float(np.max(np.abs(_dense_inverse_table(g, lat) - Wd.table)))
+        err = float(np.max(np.abs(_dense_inverse_table(W) - Wd.table)))
     return SummabilityReport(
         lattice=lat,
         weight=w.describe(),

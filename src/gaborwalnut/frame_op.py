@@ -16,8 +16,9 @@ DFT along each coset (the Zak domain) therefore splits the operator into
 Zeevi, ACHA 4, 1997).  With ``a | M`` the blocks are ``1 x 1``: the
 spectrum is the DFT of the multiplier table along ``r``.  The blocks give
 the bounds, inverse and inverse square root (``invert``) and every
-``apply`` that is not a short row sum; ``WalnutCoeffs.fibers`` builds them
-once per table.  ``_zak_table`` maps blocks back to a table.
+``apply`` that is not a short row sum; a ``WalnutCoeffs`` builds them and
+their eigendecomposition at most once.  ``_zak_table`` maps blocks back to a
+table.
 
 The multipliers are brackets ``G_r = [g, T_{r*M} g]_a`` formed by direct
 products over the window's support run (``_pair_rows``), so a window whose
@@ -45,7 +46,7 @@ import numpy as np
 from .bracket import _bracket_table, _residue_classes
 from .core import GaborLattice, Signal, Weight, _Frozen, _adopt, signed_range
 from .errors import DimensionError, GridMismatchError, LatticeError
-from .amalgam import _profile, amalgam_norm
+from .amalgam import _profile
 
 __all__ = [
     "Coeffs",
@@ -127,8 +128,17 @@ def _zak_blocks(table: np.ndarray, lat: GaborLattice) -> np.ndarray:
     return D.transpose(2, 3, 0, 1).reshape(-1, p, p)
 
 
+def _table_cosets(x: np.ndarray, lat: GaborLattice) -> np.ndarray:
+    """The part of a per-block array (a stack, or its eigenvalues) for the
+    blocks of cosets ``j0 < gcd(a, M)``, the only ones :func:`_zak_table`
+    reads: a ``(b/p, gcd(a, M), ...)`` view, ``1/P`` of the stack."""
+    p = _block_size(lat)
+    return x.reshape(lat.b // p, lat.M, *x.shape[1:])[:, :lat.a // p]
+
+
 def _zak_table(blocks: np.ndarray, lat: GaborLattice) -> np.ndarray:
-    """Inverse of :func:`_zak_blocks`: the ``(b, a)`` table of a block stack.
+    """Inverse of :func:`_zak_blocks`: the ``(b, a)`` table of a block stack,
+    from its blocks of cosets ``j0 < gcd(a, M)`` (:func:`_table_cosets`).
 
     Each entry of ``D`` is read back from its one block; the inverse DFT
     along ``rho`` at the columns ``(j0 + rho*M) mod a`` with
@@ -137,10 +147,10 @@ def _zak_table(blocks: np.ndarray, lat: GaborLattice) -> np.ndarray:
     a, b, M = lat.a, lat.b, lat.M
     p = _block_size(lat)
     t = np.arange(p)
-    D = blocks.reshape(b // p, M, p, p)[:, :, (t[:, None] + t) % p, t[:, None]]
-    D = np.fft.ifft(D.transpose(2, 0, 3, 1).reshape(b, p, M), axis=1)
+    D = blocks[:, :, (t[:, None] + t) % p, t[:, None]]
+    D = np.fft.ifft(D.transpose(2, 0, 3, 1).reshape(b, p, a // p), axis=1)
     F = np.empty((b, a), dtype=complex)
-    F[:, (np.arange(a // p) + M * t[:, None]) % a] = D[:, :, :a // p]
+    F[:, (np.arange(a // p) + M * t[:, None]) % a] = D
     return np.fft.ifft(F, axis=0) * (p / (M / lat.grid.s))
 
 
@@ -165,19 +175,41 @@ def _row_sum_max(p: int) -> int:
     return 5 if p == 1 else 7
 
 
+class _Spectral:
+    """The eigendecomposition ``_eigh = (ev, V)``, ``fibers() = V diag(ev)
+    V^H``, of an operator value's Hermitian block stack, built at most once
+    and read-only.  ``_spectrum`` is the eigenvalues alone: ``ev`` when it is
+    held, else one ``eigvalsh``, so bounds alone never pay for ``V``.
+    """
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        ev, V = np.linalg.eigh(self.fibers())
+        ev.flags.writeable = V.flags.writeable = False
+        return ev, V
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        held = self.__dict__.get("_eigh")
+        ev = np.linalg.eigvalsh(self.fibers()) if held is None else held[0]
+        ev.flags.writeable = False
+        return ev
+
+
 @dataclass(frozen=True, eq=False)
-class WalnutCoeffs(_Frozen):
+class WalnutCoeffs(_Frozen, _Spectral):
     """Multiplier family of a frame operator as one read-only ``(b, a)`` table.
 
     Row ``r mod b`` holds one period of ``G_r``, so a signed ``r`` indexes its
     row directly.  :attr:`factor` is the collapsed modulation count per
     sample, ``M/s`` of ``lat`` (the discrete inverse frequency step), so a
     table cannot disagree with its lattice about its scale.  The table is
-    the one representation of the operator: :meth:`fibers` reads it once as
-    ``p x p`` Zak-domain blocks, and :meth:`apply` either sums its few
-    nonzero rows directly or multiplies by those blocks (see the module
-    docstring).  The rule of ``core._Frozen`` applies; a table that is
-    not ``(b, a)`` raises ``LatticeError``.
+    the one value of the operator that every layer reads: :meth:`fibers`
+    reads it once as ``p x p`` Zak-domain blocks, whose eigendecomposition
+    is cached beside them (:class:`_Spectral`), and :meth:`apply` either
+    sums its few nonzero rows directly or multiplies by those blocks (see
+    the module docstring).  The rule of ``core._Frozen`` applies; a table
+    that is not ``(b, a)`` raises ``LatticeError``.
     """
 
     lat: GaborLattice
@@ -230,9 +262,8 @@ class WalnutCoeffs(_Frozen):
         L, a = lat.grid.L, lat.a
         split = self._split
         if split is None:
-            z = _to_zak(v, lat)
-            return _from_zak(_zak_product(self.fibers(), z, np.empty_like(z)),
-                             lat)
+            z = self._to(v)
+            return self._back(_zak_product(self.fibers(), z, np.empty_like(z)))
         diag, rows = split
         vb = v.reshape(-1, a)
         if not rows:
@@ -265,6 +296,12 @@ class WalnutCoeffs(_Frozen):
         every solver in ``invert`` read this one array.
         """
         return self._fibers
+
+    def _to(self, v: np.ndarray) -> np.ndarray:  # to the blocks' coordinates
+        return _to_zak(v, self.lat)
+
+    def _back(self, z: np.ndarray) -> np.ndarray:
+        return _from_zak(z, self.lat)
 
 
 def analysis(g: Signal, lat: GaborLattice, f: Signal) -> Coeffs:
@@ -446,27 +483,22 @@ def walnut_weighted_sum(W: WalnutCoeffs, w: Weight) -> float:
     return _profile(W.table, w).norm
 
 
+class _Dense(_Spectral):
+    """The dense oracle's own operator value: the ``L x L`` matrix assembled
+    from a table's strided diagonals, as one block on the samples.  It reads
+    the table only, never its fiber stack or their decomposition."""
+
+    def __init__(self, W: WalnutCoeffs):
+        lat, L = W.lat, W.lat.grid.L
+        rows = np.arange(L)
+        self.S = S = np.zeros((L, L), dtype=complex)
+        for r in signed_range(lat.b):
+            S[rows, (rows - r * lat.M) % L] += \
+                W.factor * W.table[r][rows % lat.a]
+        self.fibers, self.apply = (lambda: S[None]), (lambda v: S @ v)
+        self._to, self._back = (lambda v: v[None]), (lambda z: z[0])
+
+
 def dense_frame_matrix(g: Signal, lat: GaborLattice) -> np.ndarray:
     """Dense matrix of the frame operator, assembled from its multiplier form."""
-    L = lat.grid.L
-    W = walnut_coefficients(g, lat)
-    S = np.zeros((L, L), dtype=complex)
-    rows = np.arange(L)
-    for r in signed_range(lat.b):
-        cols = (rows - r * lat.M) % L
-        S[rows, cols] += W.factor * W.table[r][rows % lat.a]
-    return S
-
-
-def empirical_multiplier_ratio(g: Signal, lat: GaborLattice, w: Weight) -> float:
-    """Ratio of the weighted multiplier sum to the squared window block norm.
-
-    Reported as the empirical constant in the bound of the multiplier sums by
-    ``C * ||g||^2`` (block length ``a``); returns ``inf`` for a zero window.
-    """
-    W = walnut_coefficients(g, lat)
-    denom = amalgam_norm(g, lat.a, w) ** 2
-    num = walnut_weighted_sum(W, w)
-    if denom == 0.0:
-        return float("inf") if num > 0 else 0.0
-    return num / denom
+    return _Dense(walnut_coefficients(g, lat)).S

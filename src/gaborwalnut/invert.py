@@ -4,24 +4,22 @@ The one default engine is ``fiber``: in the Zak domain the frame operator
 splits into ``L/p`` Hermitian ``p x p`` blocks with ``p = a / gcd(a, M)``
 (:meth:`WalnutCoeffs.fibers`), so its bounds, inverse and inverse square
 root are exact batched eigen- and linear-algebra at ``O(L * p**2)``, plus
-one length-``b`` FFT per coset on the way in and out.  A lattice with
-``a | M`` (every power-of-two frame) has ``p = 1``: the blocks are scalars.
-The stack holds ``L*p`` entries, capped by ``FIBER_LIMIT``, above which
-every default raises ``SizeError``.  It is built once per table and is
-read-only: a fiber solve checks its residual with ``W.apply``, which on a
-table with many nonzero rows multiplies by the same stack.  The ``dense``
-oracle runs the same code on one ``L x L`` block, the assembled matrix,
-and takes its residual from that matrix too; it never builds the fiber
-blocks, so its bounds and not-a-frame verdict are its own.  ``contour``
-is quadrature on the fiber blocks.  Power iteration and conjugate
-gradients are explicit cross-checks, the only methods the cap does not
-refuse.  Conjugate gradients use only ``W.apply``.  Power iteration runs
-in the coordinates of ``_to_zak`` on ``W.fibers()`` and on its reflection,
-a second stack of the same size, so above the cap it needs more memory
-than ``fiber`` would, and at no size is it the cheaper route to the
-bounds.  Bounds passed to ``inverse_solve`` skip only the bounds that
-decide the not-a-frame verdict.  ``S^-1`` itself, in Walnut form, is the inverted fiber blocks
-mapped back to a table (``_inverse_walnut``); no dual is solved for it.
+one length-``b`` FFT per coset on the way in and out; at ``a | M`` the
+blocks are scalars.  The stack holds ``L*p`` entries, capped by
+``FIBER_LIMIT``, above which every default raises ``SizeError``.
+
+Every solver reads one operator value, the table ``W``, which holds the
+stack and its eigendecomposition, each built at most once; bounds alone
+come from that decomposition when ``W`` holds it, else from one
+``eigvalsh``.  A public function builds its ``W`` from ``(g, lat)``; the
+CLI builds one per window and command and hands it to the private
+functions that take ``W``.  The ``dense`` oracle runs the same code on its
+own value, the matrix assembled from the table (``frame_op._Dense``), so
+its bounds, verdict and residual are its own.  ``contour`` is quadrature on
+the fiber blocks; power iteration and conjugate gradients are explicit
+cross-checks, the only methods the cap does not refuse.  ``S^-1`` in
+Walnut form is the inverted fiber blocks mapped back to a table
+(``_inverse_walnut``); no dual is solved for it.
 
 A computed dual or tight window is checked exactly by
 ``duality_defect``, the Walnut-form biorthogonality defect of the pair at
@@ -51,13 +49,13 @@ from .errors import (
 from .frame_op import (
     WalnutCoeffs,
     _block_size,
-    _from_zak,
+    _Dense,
     _pair_rows,
+    _table_cosets,
     _to_zak,
     _zak_product,
     _zak_table,
     analysis,
-    dense_frame_matrix,
     synthesis,
     walnut_coefficients,
 )
@@ -135,23 +133,6 @@ def _method_for(method: str | None, lat: GaborLattice, extra: str) -> str:
     return method
 
 
-def _blocks(g: Signal, lat: GaborLattice, method: str):
-    """``(apply, blocks, to, back)``: the operator as a stack of Hermitian
-    blocks, ``S v = back((blocks @ to(v)[..., None])[..., 0])``, and the
-    ``S v`` that checks a solve's residual.
-
-    ``dense``: :func:`dense_frame_matrix` as a ``(1, L, L)`` stack, applied
-    as that matrix; any other method: the ``(L/p, p, p)`` Zak-domain
-    blocks ``W.fibers()``, applied as ``W.apply``.
-    """
-    if method == "dense":
-        S = dense_frame_matrix(g, lat)
-        return lambda v: S @ v, S[None], lambda v: v[None], lambda z: z[0]
-    W = walnut_coefficients(g, lat)
-    return (W.apply, W.fibers(), lambda v: _to_zak(v, lat),
-            lambda z: _from_zak(z, lat))
-
-
 def _gershgorin_upper(W: WalnutCoeffs) -> float:
     """Row-sum bound on the spectral radius of the multiplier-form operator."""
     return float(W.factor * np.abs(W.table).sum(axis=0).max())
@@ -207,12 +188,31 @@ def _power_extreme(blocks: np.ndarray, lat: GaborLattice, tol: float,
     )
 
 
-def _bounds(A: float, B: float, method: str) -> FrameBounds:
-    """Bounds from extreme eigenvalue estimates, with the not-a-frame rule."""
-    A = max(A, 0.0)
-    B = max(B, A)
+def _bounds(ev, method: str) -> FrameBounds:
+    """Bounds from eigenvalues (or extreme eigenvalue estimates), with the
+    not-a-frame rule."""
+    A = max(float(np.min(ev)), 0.0)
+    B = max(float(np.max(ev)), A)
     return FrameBounds(A=A, B=B, method=method,
                        not_a_frame=A <= NOT_A_FRAME_RTOL * B)
+
+
+def _frame_bounds(W: WalnutCoeffs, method: str | None = None,
+                  tol: float = 1e-10) -> FrameBounds:
+    """:func:`frame_bounds` on the operator value ``W``, without its warning."""
+    _check_tol(tol)
+    lat = W.lat
+    method = _method_for(method, lat, "power_iteration")
+    if method != "power_iteration":
+        op = _Dense(W) if method == "dense" else W
+        return _bounds(op._spectrum, method)
+    blocks = W.fibers()
+    B = _power_extreme(blocks, lat, tol, POWER_SEEDS[0])
+    # A from the reflection mu - S, a new stack beside the read-only one
+    mu = _gershgorin_upper(W)
+    reflected = mu * np.eye(blocks.shape[-1]) - blocks
+    A = mu - _power_extreme(reflected, lat, tol, POWER_SEEDS[1])
+    return _bounds((A, B), method)
 
 
 def frame_bounds(
@@ -234,20 +234,7 @@ def frame_bounds(
     ``fiber`` (7.3 against 3.6 MiB) and it takes hundreds of times as long.
     A tolerance that is not finite and positive raises ``DomainError``.
     """
-    _check_tol(tol)
-    method = _method_for(method, lat, "power_iteration")
-    if method in ("fiber", "dense"):
-        ev = np.linalg.eigvalsh(_blocks(g, lat, method)[1])
-        A, B = float(ev.min()), float(ev.max())
-    else:
-        W = walnut_coefficients(g, lat)
-        blocks = W.fibers()
-        B = _power_extreme(blocks, lat, tol, POWER_SEEDS[0])
-        # A from the reflection mu - S, a new stack beside the read-only one
-        mu = _gershgorin_upper(W)
-        reflected = mu * np.eye(blocks.shape[-1]) - blocks
-        A = mu - _power_extreme(reflected, lat, tol, POWER_SEEDS[1])
-    bounds = _bounds(A, B, method)
+    bounds = _frame_bounds(walnut_coefficients(g, lat), method, tol)
     if bounds.not_a_frame:
         warnings.warn(
             f"lower frame bound {bounds.A:.3e} vanishes relative to upper "
@@ -314,41 +301,50 @@ def inverse_solve(
     the report's ``converged`` says whether it is at most ``tol``.  ``cg``
     is matrix-free on the multiplier table.
     Without ``bounds`` the not-a-frame verdict comes from the eigenvalues
-    of the same blocks (``fiber``, ``dense``) or from the default
-    :func:`frame_bounds` (``cg``); supplied ``bounds`` skip that and decide
-    the verdict, so above ``FIBER_LIMIT``, where ``fiber`` raises
+    of the same blocks (``fiber``: those ``W`` caches; ``dense``: its own
+    matrix's) or from the default fiber bounds (``cg``); supplied
+    ``bounds`` skip that and decide the verdict, so above ``FIBER_LIMIT``, where ``fiber`` raises
     ``SizeError``, ``cg`` with ``bounds`` is the method that runs.  Raises
     ``GridMismatchError`` when ``rhs`` lives on another grid,
     ``DomainError`` for a tolerance that is not finite and positive,
     ``NotAFrameError`` when the lower frame bound vanishes and
     ``ConvergenceError`` on an exhausted iteration budget.
     """
+    return _inverse_solve(walnut_coefficients(g, lat), rhs, method, tol,
+                          max_iter, bounds)
+
+
+def _inverse_solve(W: WalnutCoeffs, rhs: Signal, method: str | None = None,
+                   tol: float = 1e-10, max_iter: int | None = None,
+                   bounds: FrameBounds | None = None, decompose: bool = False
+                   ) -> tuple[Signal, SolverReport]:
+    """:func:`inverse_solve` on the operator value ``W``; with ``decompose``
+    (for a caller that reads ``W``'s eigendecomposition next) the ``fiber``
+    verdict comes from that decomposition, not from its own ``eigvalsh``."""
+    lat = W.lat
     method = _method_for(method, lat, "cg")
     _check_tol(tol)
     if rhs.grid != lat.grid:
         raise GridMismatchError("right-hand side and lattice must share one grid")
-    L = lat.grid.L
-    if method in ("fiber", "dense"):
-        apply, blocks, to, back = _blocks(g, lat, method)
+    if method != "cg":
+        op = _Dense(W) if method == "dense" else W
         if bounds is None:
-            ev = np.linalg.eigvalsh(blocks)
-            bounds = _bounds(float(ev.min()), float(ev.max()), method)
+            ev = W._eigh[0] if decompose and op is W else op._spectrum
+            bounds = _bounds(ev, method)
         _frame_or_raise(bounds)
-        x = back(np.linalg.solve(blocks, to(rhs.samples)[..., None])[..., 0])
+        x = op._back(np.linalg.solve(op.fibers(),
+                                     op._to(rhs.samples)[..., None])[..., 0])
         rel = float(
-            np.linalg.norm(apply(x) - rhs.samples)
+            np.linalg.norm(op.apply(x) - rhs.samples)
             / max(np.linalg.norm(rhs.samples), 1e-300)
         )
         return (_adopt(Signal, grid=lat.grid, samples=x),
                 SolverReport(method, 1, np.array([rel]), bool(rel <= tol)))
     if bounds is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NotAFrameWarning)
-            bounds = frame_bounds(g, lat, tol=min(tol, 1e-10))
+        bounds = _frame_bounds(W, tol=min(tol, 1e-10))
     _frame_or_raise(bounds)
     if max_iter is None:
-        max_iter = max(1000, 10 * L)
-    W = walnut_coefficients(g, lat)
+        max_iter = max(1000, 10 * lat.grid.L)
     x, hist, ok = _cg_hermitian(W.apply, rhs.samples, tol, max_iter)
     if not ok:
         raise ConvergenceError(
@@ -417,20 +413,16 @@ def _contour_inverse_sqrt(blocks: np.ndarray, rhs: np.ndarray, A: float,
     )
 
 
-def _eigh_or_raise(g: Signal, lat: GaborLattice, method: str):
-    """``(ev, V, bounds, blocks, to, back)``: ``blocks = V diag(ev) V^H`` for
-    :func:`_blocks`, whose extreme ``ev`` decide the not-a-frame verdict."""
-    _, blocks, to, back = _blocks(g, lat, method)
-    ev, V = np.linalg.eigh(blocks)
-    bounds = _bounds(float(ev.min()), float(ev.max()), method)
-    return ev, V, _frame_or_raise(bounds), blocks, to, back
-
-
-def _inverse_walnut(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
+def _inverse_walnut(W: WalnutCoeffs) -> WalnutCoeffs:
     """Table of ``S^-1 = S_{gd,gd}`` without solving for ``gd``: the fiber
-    blocks' ``V diag(1/ev) V^H`` mapped back by ``frame_op._zak_table``."""
-    ev, V = _eigh_or_raise(g, lat, _method_for("fiber", lat, "fiber"))[:2]
-    inv = _zak_table((V / ev[:, None, :]) @ V.conj().swapaxes(1, 2), lat)
+    blocks' ``V diag(1/ev) V^H`` from ``W``'s one decomposition, mapped back
+    by ``frame_op._zak_table``, which reads ``1/P`` of the blocks; only
+    those are inverted."""
+    lat = W.lat
+    _method_for("fiber", lat, "fiber")
+    _frame_or_raise(_bounds(W._eigh[0], "fiber"))
+    ev, V = (_table_cosets(x, lat) for x in W._eigh)
+    inv = _zak_table((V / ev[..., None, :]) @ V.conj().swapaxes(-1, -2), lat)
     return _adopt(WalnutCoeffs, lat=lat, table=inv)
 
 
@@ -439,25 +431,33 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     """Canonical tight window: the inverse square root of the frame operator
     applied to ``g``.
 
-    ``fiber`` (the default) diagonalizes each fiber block, takes the frame
-    bounds from those eigenvalues and maps them through ``ev**-0.5``;
-    ``dense`` does the same on the full matrix as one block (the oracle).
-    ``contour`` takes the same bounds from the fiber blocks and evaluates
+    ``fiber`` (the default) diagonalizes each fiber block once (the
+    decomposition ``W`` caches), takes the frame bounds from those
+    eigenvalues and maps them through ``ev**-0.5``; ``dense`` does the same
+    on the full matrix as one block (the oracle).  ``contour`` takes the same bounds from the fiber blocks and evaluates
     ``blocks**-0.5`` as a circle integral around the spectrum with the
     trapezoid rule, one batched block solve per node (see
     :func:`_contour_inverse_sqrt`).  ``fiber`` and ``contour`` raise
     ``SizeError`` above ``FIBER_LIMIT``.  A tolerance that is not finite and
     positive raises ``DomainError``.
     """
-    method = _method_for(method, lat, "contour")
+    return _tight_window(walnut_coefficients(g, lat), g, method, tol)
+
+
+def _tight_window(W: WalnutCoeffs, g: Signal, method: str | None = None,
+                  tol: float = 1e-10) -> Signal:
+    """:func:`tight_window` of ``g`` on its operator value ``W``."""
+    method = _method_for(method, W.lat, "contour")
     _check_tol(tol)
-    ev, V, bounds, blocks, to, back = _eigh_or_raise(g, lat, method)
-    z = to(g.samples)[..., None]
+    op = _Dense(W) if method == "dense" else W
+    ev, V = op._eigh
+    bounds = _frame_or_raise(_bounds(ev, method))
+    z = op._to(g.samples)[..., None]
     if method == "contour":
-        y = _contour_inverse_sqrt(blocks, z, bounds.A, bounds.B, tol)
+        y = _contour_inverse_sqrt(op.fibers(), z, bounds.A, bounds.B, tol)
     else:
         y = V @ ((V.conj().swapaxes(1, 2) @ z) / np.sqrt(ev)[..., None])
-    return _adopt(Signal, grid=lat.grid, samples=back(y[..., 0]))
+    return _adopt(Signal, grid=W.lat.grid, samples=op._back(y[..., 0]))
 
 
 def duality_defect(g: Signal, gd: Signal, lat: GaborLattice) -> float:

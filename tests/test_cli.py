@@ -82,6 +82,33 @@ def test_analyze_gaussian_decaying_sups(tmp_path):
     assert sups[0] > sups[1] > sups[2]
 
 
+def test_analyze_gaussian_ratio_finite(tmp_path):
+    # the empirical constant is the multiplier sum over the squared window
+    # norm, both read off the sums analyze.json reports
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
+                       window="gaussian", window_extra="width = 1.0",
+                       weight="polynomial", weight_extra="t = 2", out=out)
+    assert main(["analyze", "--config", cfg]) == 0
+    payload = json.loads((out / "analyze.json").read_text())
+    total, ratio = payload["weighted_multiplier_sum"], payload["empirical_ratio"]
+    assert 0 < total < np.inf
+    assert 0 < ratio < np.inf
+    assert ratio == total / payload["window_amalgam_norm"] ** 2
+
+
+def test_analyze_zero_window_ratio(tmp_path):
+    # a zero window has a zero multiplier sum: the ratio reads 0.0, not NaN
+    (tmp_path / "zero.txt").write_text("0 0\n" * 8)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", window="file",
+                       window_extra=f"path = {tmp_path / 'zero.txt'}", out=out)
+    assert main(["analyze", "--config", cfg]) == 0
+    payload = json.loads((out / "analyze.json").read_text())
+    assert payload["weighted_multiplier_sum"] == 0.0
+    assert payload["empirical_ratio"] == 0.0
+
+
 def test_analyze_reports_non_frame_without_failing(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.cfg", a=4, b=4, out=out)
@@ -136,17 +163,18 @@ def test_dual_scalar_instance(tmp_path):
 
 
 def _count_solves(monkeypatch):
-    """Record the method of every ``inverse_solve`` call the CLI makes."""
+    """Record the method of every solve the CLI makes: each goes through
+    ``invert._inverse_solve``, on the table the command built."""
     from gaborwalnut import cli, invert
-    real = invert.inverse_solve
+    real = invert._inverse_solve
     solves = []
 
-    def counting(*args, **kwargs):
-        solves.append(kwargs.get("method"))
-        return real(*args, **kwargs)
+    def counting(W, rhs, method=None, *args, **kwargs):
+        solves.append(method)
+        return real(W, rhs, method, *args, **kwargs)
 
-    monkeypatch.setattr(invert, "inverse_solve", counting)
-    monkeypatch.setattr(cli, "inverse_solve", counting)
+    monkeypatch.setattr(invert, "_inverse_solve", counting)
+    monkeypatch.setattr(cli, "_inverse_solve", counting)
     return solves
 
 
@@ -195,6 +223,43 @@ def test_summability_json_same_for_every_method_and_command(tmp_path,
             assert solves == ([method] if which == "dual" else []), method
             written.append((out / "summability.json").read_bytes())
     assert len(set(written)) == 1
+
+
+# (tables, stacks, eigh, eigvalsh) of each command on an L = 1536 Gaussian
+# with a = b = 32: M = 48, so p = 2, above DENSE_LIMIT.  Each builds one
+# operator value; tight builds a second table for gt's self-pair defect.
+@pytest.mark.parametrize("command,counts", [
+    ("analyze", (1, 1, 0, 1)),
+    ("dual", (1, 1, 1, 0)),
+    ("conjecture", (1, 1, 1, 0)),
+    ("tight", (2, 1, 1, 0)),
+    ("verify", (1, 1, 0, 1)),
+])
+def test_each_command_builds_one_operator_value(tmp_path, monkeypatch,
+                                                command, counts):
+    from gaborwalnut import cli, diagnostics, frame_op, invert
+    calls = dict.fromkeys(("tables", "stacks", "eigh", "eigvalsh"), 0)
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    tables = counted("tables", frame_op.walnut_coefficients)
+    for module in (cli, diagnostics, frame_op, invert):
+        monkeypatch.setattr(module, "walnut_coefficients", tables)
+    monkeypatch.setattr(frame_op, "_zak_blocks",
+                        counted("stacks", frame_op._zak_blocks))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=1536, s=16, a=32, b=32,
+                       window="gaussian", window_extra="width = 1.0",
+                       weight="polynomial", weight_extra="t = 2", out=out)
+    assert main([command, "--config", cfg]) == 0
+    assert tuple(calls.values()) == counts
 
 
 def test_conjecture_reads_the_summability_series(tmp_path):

@@ -166,17 +166,16 @@ class TestDualSummability:
         for name, g, lat in self._cross_check_cases(corpus):
             S = dense_frame_matrix(g, lat)
             ref = extract_walnut_from_matrix(np.linalg.inv(S), lat)[0].table
-            got = diagnostics._dense_inverse_table(g, lat)
+            got = diagnostics._dense_inverse_table(walnut_coefficients(g, lat))
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), name
 
     def test_cross_check_sees_a_changed_row(self, corpus, monkeypatch):
         inverse_walnut = diagnostics._inverse_walnut
 
-        def one_row_off(g, lat):
-            W = inverse_walnut(g, lat)
-            table = W.table.copy()
+        def one_row_off(W):
+            table = inverse_walnut(W).table.copy()
             table[-1] += 1e-6
-            return WalnutCoeffs(lat=lat, table=table)
+            return WalnutCoeffs(lat=W.lat, table=table)
 
         monkeypatch.setattr(diagnostics, "_inverse_walnut", one_row_off)
         for name, g, lat in self._cross_check_cases(corpus):
@@ -376,7 +375,7 @@ class TestLoopEquivalence:
             g = rand_signal(grid, L)
             gd = dual_window(g, lat)
             W = walnut_coefficients(g, lat)
-            Wd = invert._inverse_walnut(g, lat)  # the report's S^-1 table
+            Wd = invert._inverse_walnut(W)  # the report's S^-1 table
             assert amalgam_norm(g, a, w) == \
                 _loop_series(g.samples.reshape(-1, a), w)[-1]
             assert walnut_weighted_sum(W, w) == _loop_series(W.table, w)[-1]

@@ -16,7 +16,6 @@ from gaborwalnut import (
     correlation_G,
     dense_frame_matrix,
     dual_window,
-    empirical_multiplier_ratio,
     frame_operator_direct,
     frame_operator_walnut,
     norm_l2,
@@ -334,7 +333,8 @@ class TestWalnut:
     def test_zak_table_inverts_zak_blocks(self):
         # table -> blocks -> table on every divisor lattice, p = 2, 3 and 8
         # among them; a random table uses every entry of the block stack
-        from gaborwalnut.frame_op import _block_size, _zak_blocks, _zak_table
+        from gaborwalnut.frame_op import (_block_size, _table_cosets,
+                                          _zak_blocks, _zak_table)
         rng = np.random.default_rng(7)
         seen = set()
         for L, s in ((24, 4), (36, 6), (32, 8)):
@@ -345,7 +345,8 @@ class TestWalnut:
                     lat = GaborLattice(grid, a, b)
                     T = rng.standard_normal((b, a)) \
                         + 1j * rng.standard_normal((b, a))
-                    back = _zak_table(_zak_blocks(T, lat), lat)
+                    blocks = _table_cosets(_zak_blocks(T, lat), lat)
+                    back = _zak_table(blocks, lat)
                     assert np.abs(back - T).max() <= 1e-15 * np.abs(T).max(), \
                         (L, a, b)
                     seen.add(_block_size(lat))
@@ -532,16 +533,6 @@ class TestWeightedSum:
         _, lat = chi_lat
         W = walnut_coefficients(Signal(lat.grid, np.zeros(8)), lat)
         assert walnut_weighted_sum(W, Weight.constant()) == 0.0
-
-    def test_gaussian_ratio_finite(self):
-        grid = build_grid(256, 16)
-        lat = GaborLattice(grid, 8, 8)
-        g = build_window(WindowSpec.gaussian(width=1.0), grid)
-        w = Weight.polynomial(2.0)
-        total = walnut_weighted_sum(walnut_coefficients(g, lat), w)
-        ratio = empirical_multiplier_ratio(g, lat, w)
-        assert 0 < total < np.inf
-        assert 0 < ratio < np.inf
 
 
 class TestOperatorStructure:

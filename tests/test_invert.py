@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaborwalnut import frame_op, invert
+from gaborwalnut import diagnostics, frame_op, invert
 from gaborwalnut.frame_op import _from_zak, _pair_rows, _to_zak
 from gaborwalnut import (
     ConvergenceError,
@@ -17,11 +17,13 @@ from gaborwalnut import (
     NotAFrameWarning,
     Signal,
     SizeError,
+    Weight,
     WindowSpec,
     analysis,
     build_grid,
     build_window,
     dense_frame_matrix,
+    dual_summability_report,
     dual_window,
     duality_defect,
     frame_bounds,
@@ -207,7 +209,7 @@ class TestPowerIteration:
         from_zak = counted("from", frame_op._from_zak)
         for module in (frame_op, invert):
             monkeypatch.setattr(module, "_to_zak", to_zak)
-            monkeypatch.setattr(module, "_from_zak", from_zak)
+        monkeypatch.setattr(frame_op, "_from_zak", from_zak)
         monkeypatch.setattr(invert, "_zak_product",
                             counted("steps", frame_op._zak_product))
         frame_bounds(g, lat, method="power_iteration")
@@ -539,7 +541,7 @@ class TestInverseWalnut:
     def test_matches_the_dual_windows_table(self, L, a, b):
         g, lat = gauss_lattice(L, a, b)
         ref = walnut_coefficients(dual_window(g, lat), lat)
-        W = invert._inverse_walnut(g, lat)
+        W = invert._inverse_walnut(walnut_coefficients(g, lat))
         assert W.factor == ref.factor
         assert np.abs(W.table - ref.table).max() <= \
             1e-13 * np.abs(ref.table).max()
@@ -551,7 +553,7 @@ class TestInverseWalnut:
         g = rand_signal(grid, 4)
         f = rand_signal(grid, 5).samples
         Sf = walnut_coefficients(g, lat).apply(f)
-        back = invert._inverse_walnut(g, lat).apply(Sf)
+        back = invert._inverse_walnut(walnut_coefficients(g, lat)).apply(Sf)
         assert np.linalg.norm(back - f) <= 1e-12 * np.linalg.norm(f)
 
     def test_refuses_non_frames_and_sizes_above_the_cap(self, gauss64,
@@ -559,10 +561,11 @@ class TestInverseWalnut:
         grid = build_grid(2048, 16)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
         with pytest.raises(NotAFrameError):
-            invert._inverse_walnut(g, GaborLattice(grid, 64, 64))
+            invert._inverse_walnut(
+                walnut_coefficients(g, GaborLattice(grid, 64, 64)))
         monkeypatch.setattr(invert, "FIBER_LIMIT", 32)
         with pytest.raises(SizeError, match="got 64$"):
-            invert._inverse_walnut(*gauss64)
+            invert._inverse_walnut(walnut_coefficients(*gauss64))
 
 
 class TestAboveDenseLimit:
@@ -890,6 +893,55 @@ class TestSharedStack:
         assert np.array_equal(W.fibers(), ref)
         assert fb.B == pytest.approx(float(np.linalg.eigvalsh(ref).max()),
                                      rel=1e-9)
+
+
+class TestOneOperatorValue:
+    """``W`` holds one read-only eigendecomposition that the fiber paths
+    read; the dense oracle reads none of it."""
+
+    @pytest.fixture
+    def gauss240(self):
+        # L = 240, a = 16, b = 10: p = 2, below DENSE_LIMIT
+        grid = build_grid(240, 16)
+        return (build_window(WindowSpec.gaussian(width=1.0), grid),
+                GaborLattice(grid, 16, 10))
+
+    def test_dense_oracle_ignores_a_corrupted_decomposition(self, gauss240):
+        g, lat = gauss240
+        rhs = rand_signal(lat.grid, 7)
+        # one eigenvalue of W's cached decomposition scaled by 1 + 1e-6
+        W = walnut_coefficients(g, lat)
+        ev, V = W._eigh
+        bad = ev.copy()
+        bad[np.unravel_index(np.argmin(ev), ev.shape)] *= 1 + 1e-6
+        W.__dict__["_eigh"] = (bad, V)
+        # the S^-1 report reads the corruption, its dense cross-check not
+        rep = diagnostics._summability_report(W, Weight.constant())
+        assert rep.cross_check_error > 1e-12
+        assert dual_summability_report(
+            g, lat, Weight.constant()).cross_check_error <= 1e-12
+        assert not np.array_equal(invert._tight_window(W, g).samples,
+                                  tight_window(g, lat).samples)
+        # the dense paths return exactly what they return on a clean W
+        assert invert._frame_bounds(W, "dense") == \
+            frame_bounds(g, lat, method="dense")
+        x, solver = invert._inverse_solve(W, rhs, "dense")
+        ref, ref_solver = inverse_solve(g, lat, rhs, method="dense")
+        assert np.array_equal(x.samples, ref.samples)
+        assert np.array_equal(solver.residuals, ref_solver.residuals)
+        assert np.array_equal(invert._tight_window(W, g, "dense").samples,
+                              tight_window(g, lat, method="dense").samples)
+
+    def test_held_decomposition_is_read_only_and_gives_the_bounds(self,
+                                                                   gauss240):
+        W = walnut_coefficients(*gauss240)
+        ev, V = W._eigh
+        assert W._eigh[1] is V
+        with pytest.raises(ValueError):
+            V[0, 0, 0] = 0.0
+        # bounds alone take the eigenvalues W holds: no eigvalsh
+        assert W._spectrum is ev
+        assert invert._frame_bounds(W).A == float(ev.min())
 
 
 class TestDenseResidual:

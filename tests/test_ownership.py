@@ -107,7 +107,7 @@ class TestHandedOver:
             _owned(x.samples, rhs.samples, g.samples)
         for method in ("fiber", "dense", "contour"):
             _owned(tight_window(g, lat, method=method).samples, g.samples)
-        _owned(_inverse_walnut(g, lat).table, g.samples)
+        _owned(_inverse_walnut(walnut_coefficients(g, lat)).table, g.samples)
 
 
 _GRID = build_grid(64, 8)
