@@ -44,13 +44,17 @@ class AmalgamProfile:
 def _profile(rows: np.ndarray, w: Weight) -> AmalgamProfile:
     """Weighted sup series of the rows of a table, row ``n mod len(rows)``
     being block ``n``, summed cumulatively in :func:`signed_range` order.
-    A weight or a series that overflows raises ``DomainError``."""
+    Rows that are not finite, or a weight or a series that overflows,
+    raise ``DomainError`` saying which."""
     nblocks = rows.shape[0]
     indices = np.array(signed_range(nblocks), dtype=int)
-    sups = np.abs(rows).max(axis=1)[indices % nblocks]
     with np.errstate(over="ignore", invalid="ignore"):
+        sups = np.abs(rows).max(axis=1)[indices % nblocks]
         weights = w(indices)
         cumsums = np.cumsum(sups * weights)
+    bad = np.count_nonzero(~np.isfinite(sups))
+    if bad:
+        raise DomainError(f"rows are not finite on {bad} of {nblocks} blocks")
     if not (np.isfinite(weights).all() and math.isfinite(cumsums[-1])):
         raise DomainError(f"weight {w.describe()} overflows on {nblocks} blocks")
     return AmalgamProfile(

@@ -28,10 +28,8 @@ from .core import (
     norm_l2,
 )
 from .diagnostics import (
-    _convest,
-    _identity_residual,
     _summability_report,
-    _verify_tables,
+    _verify_pass,
     bracket_series,
     build_counterexample,
     counterexample_report,
@@ -317,15 +315,14 @@ def cmd_verify(cfg: RunConfig) -> int:
                                            tol=min(cfg.tol, 1e-12)),
           "generator": lambda: cfg.window,  # deliberate negative control
           "file": lambda: build_window(spec, cfg.grid)}[mode]()
-    tables = _verify_tables(cfg.window, gd, lat)
-    ident = _identity_residual(lat, *tables)
-    lhs, rhs = _convest(lat, cfg.weight, *tables)
+    ident, lhs, rhs = _verify_pass(cfg.window, gd, lat, cfg.weight)
     ok = ident.max_abs_error < cfg.tol and lhs <= rhs
     reports.write_json(
         {
             "max_abs_error": ident.max_abs_error,
             "worst_k": ident.worst_k,
             "worst_x": ident.worst_x,
+            "residue_classes": lat.M // math.gcd(lat.a, lat.M),
             "norm_estimate_lhs": lhs,
             "norm_estimate_rhs": rhs,
             "tolerance": cfg.tol,

@@ -16,7 +16,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .amalgam import AmalgamProfile, _profile, amalgam_norm, amalgam_profile
-from .bracket import PeriodicVector, _bracket_table, bracket_product
+from .bracket import (
+    PeriodicVector,
+    _bracket_cosets,
+    _bracket_table,
+    _residue_classes,
+    bracket_product,
+)
 from .core import (
     GaborLattice,
     Grid,
@@ -223,18 +229,9 @@ def bracket_series(f: Signal, h: Signal, lat: GaborLattice, w: Weight) -> np.nda
     return _profile(_bracket_table(f, h, lat), w).weighted_cumsums
 
 
-def _verify_tables(
-    g: Signal, gd: Signal, lat: GaborLattice
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bracket tables ``[gd, T g]``, ``[g, T g]`` and ``[gd, T gd]``.
-
-    Both the convolution identity and the norm estimate read these three;
-    ``cli`` builds them once for both.
-    """
-    if g.grid != gd.grid or g.grid != lat.grid:
-        raise GridMismatchError("windows and lattice must share one grid")
-    return (_bracket_table(gd, g, lat), _bracket_table(g, g, lat),
-            _bracket_table(gd, gd, lat))
+# Entries of one table block of _verify_pass: whole column cosets, at
+# least one (cf. frame_op._CHUNK)
+_CHUNK = 2 ** 14
 
 
 def convo_identity_residual(g: Signal, gd: Signal, lat: GaborLattice) -> IdentityResidual:
@@ -245,46 +242,13 @@ def convo_identity_residual(g: Signal, gd: Signal, lat: GaborLattice) -> Identit
     ``(M/s) * sum_n conj([g, T_{n*a} g])(x - k*a) * [gd, T_{(k+n)*a} gd](x)``.
     Exact (to rounding) when ``gd`` is the canonical dual of ``g``.
 
-    For each residue class of ``k`` modulo ``P = M / gcd(a, M)`` the column
-    shift ``k*a mod M`` is fixed, so the sum over ``n`` is a cyclic
-    correlation along the rows of the tables: one elementwise product of
-    their length-``N`` FFTs, folded to length ``N / P`` and inverted there.
-    That costs ``O(P*N*M + N*M*log N)`` against ``N**2 * M`` for the direct
-    sum, and holds a few ``N x M`` arrays.  Ties go to the first maximum in
-    sorted signed ``k``, then in ``x``.
+    The sum over ``n`` is a cyclic correlation along the rows of the
+    tables, which :func:`_verify_pass` streams a block of column cosets at a
+    time: ``O(P*N*M + N*M*log N)`` operations with ``P = M / gcd(a, M)``
+    against ``N**2 * M`` for the direct sum, and no ``N x M`` array held.
+    Ties go to the first maximum in sorted signed ``k``, then in ``x``.
     """
-    return _identity_residual(lat, *_verify_tables(g, gd, lat))
-
-
-def _identity_residual(lat: GaborLattice, mixed: np.ndarray, Bg: np.ndarray,
-                       Bgd: np.ndarray) -> IdentityResidual:
-    M, N = lat.M, lat.N
-    P = M // math.gcd(lat.a, M)  # k*a mod M depends on k mod P, and P | N
-    Q = N // P
-    Fg = np.fft.fft(Bg, axis=0)
-    np.conj(Fg, out=Fg)
-    Fgd = np.fft.fft(Bgd, axis=0)
-    prod = np.empty((N, M), dtype=complex)
-    # rows in sorted signed-k order: row k mod N sits at position k + half
-    half = (N - 1) // 2
-    err = np.empty((N, M))
-    q = np.arange(P)
-    j0 = np.arange(Q)
-    for c in range(P):
-        # spectra of column x - c*a of conj(Bg) and column x of Bgd
-        shift = (c * lat.a) % M
-        np.multiply(Fg[:, :M - shift], Fgd[:, shift:], out=prod[:, shift:])
-        np.multiply(Fg[:, M - shift:], Fgd[:, :shift], out=prod[:, :shift])
-        # rows c::P of the length-N inverse FFT, as a length-Q one of the
-        # spectrum folded over j = j0 + q*Q with the twiddles of row c
-        fold = np.exp(2j * np.pi * (c * q % P) / P) * (M / lat.grid.s / P)
-        z = (fold @ prod.reshape(P, Q * M)).reshape(Q, M)
-        z *= np.exp(2j * np.pi * (c * j0) / N)[:, None]
-        rows = np.arange(c, N, P)
-        err[(rows + half) % N] = np.abs(mixed[c::P] - np.fft.ifft(z, axis=0))
-    worst_p, worst_x = divmod(int(np.argmax(err)), M)
-    return IdentityResidual(max_abs_error=float(err[worst_p, worst_x]),
-                            worst_k=worst_p - half, worst_x=worst_x)
+    return _verify_pass(g, gd, lat, Weight.constant())[0]
 
 
 def estimate_convest(
@@ -297,13 +261,98 @@ def estimate_convest(
     and ``gd``.  The contract ``lhs <= rhs`` holds for every even
     submultiplicative weight.
     """
-    return _convest(lat, w, *_verify_tables(g, gd, lat))
+    _, lhs, rhs = _verify_pass(g, gd, lat, w)
+    return lhs, rhs
 
 
-def _convest(lat: GaborLattice, w: Weight, mixed: np.ndarray, Bg: np.ndarray,
-             Bgd: np.ndarray) -> tuple[float, float]:
-    lhs, sum_g, sum_gd = (_profile(t, w).norm for t in (mixed, Bg, Bgd))
-    return lhs, (lat.M / lat.grid.s) * sum_g * sum_gd
+def _verify_pass(g: Signal, gd: Signal, lat: GaborLattice,
+                 w: Weight) -> tuple[IdentityResidual, float, float]:
+    """The identity residual and both sides of the norm estimate, in one
+    pass over the tables ``[gd, T g]``, ``[g, T g]`` and ``[gd, T gd]``.
+
+    Every class shift ``k*a mod M`` is a multiple of ``d = gcd(a, M)``, so
+    the tables are built a block of whole column cosets ``x0 + d*y`` at a
+    time (:func:`bracket._bracket_cosets`) and each block goes to
+    :func:`_block_residual`.  Each table keeps the running elementwise
+    maximum of its moduli, whose row sups ``amalgam._profile`` prices, so
+    both series equal those of the whole tables bit for bit.  Only the
+    spectra of ``g`` and ``gd`` and one block stay resident.  A table that
+    is not finite raises ``DomainError`` naming it.
+    """
+    if g.grid != gd.grid or g.grid != lat.grid:
+        raise GridMismatchError("windows and lattice must share one grid")
+    M, N = lat.M, lat.N
+    d = math.gcd(lat.a, M)
+    P = M // d
+    Fg, Fgd = (np.fft.fft(f.samples.reshape(lat.b, M), axis=0) for f in (g, gd))
+    cls_g, cls_gd = (list(_residue_classes(f.samples, lat)) for f in (g, gd))
+    tables = (("[gd, T g]", Fgd, cls_g), ("[g, T g]", Fg, cls_g),
+              ("[gd, T gd]", Fgd, cls_gd))
+    step = min(d, max(1, _CHUNK // (N * P)))  # cosets per block
+    moduli = [np.zeros((N, P, step)) for _ in tables]
+    best = IdentityResidual(max_abs_error=-1.0, worst_k=0, worst_x=0)
+    for x0 in range(0, d, step):
+        xs = slice(x0, min(x0 + step, d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = [_bracket_cosets(F, cls, lat, xs) for _, F, cls in tables]
+            for (name, _, _), block, m in zip(tables, blocks, moduli):
+                part = m[:, :, :block.shape[2]]
+                np.maximum(part, np.abs(block), out=part)
+                if not np.isfinite(part).all():
+                    raise DomainError(f"bracket table {name} is not finite")
+            best = _block_residual(lat, x0, *blocks, best)
+    lhs, sum_g, sum_gd = (_profile(m.reshape(N, -1), w).norm for m in moduli)
+    return best, lhs, (M / lat.grid.s) * sum_g * sum_gd
+
+
+def _block_residual(lat: GaborLattice, x0: int, mixed: np.ndarray,
+                    Bg: np.ndarray, Bgd: np.ndarray,
+                    best: IdentityResidual) -> IdentityResidual:
+    """The running maximum ``best`` updated by the identity residual on a
+    block of the tables: columns ``x0 + i + d*y`` laid out as ``[n, y, i]``,
+    which is ascending in ``x`` along the last two axes.
+
+    With ``P = M/d``, ``Q = N/P`` and ``tau`` the inverse of ``a/d`` modulo
+    ``P``, class ``c`` of ``k mod P`` shifts the columns by
+    ``d*(c*a/d mod P)``.  Per ``(j0, i)`` the class sum of the row spectra
+    at ``j = j0 + q*Q`` is one ``P x P`` product, whose entry ``(y, x1)``
+    pairs column ``y`` of ``conj([g, T g])`` with column ``x1`` of
+    ``[gd, T gd]`` in class ``tau*(x1 - y) mod P``; one length-``Q``
+    inverse FFT then gives rows ``c::P``.  A larger value wins, an equal
+    one only if it comes first in signed ``k``, then ``x``.  A residual
+    that is not finite raises ``DomainError``.
+    """
+    M, N = lat.M, lat.N
+    d = math.gcd(lat.a, M)
+    P = M // d  # k*a mod M depends on k mod P, and P | N
+    Q, nx = N // P, mixed.shape[2]
+    c = np.arange(P)
+    # entry (y, x1) of the class product is in class c at y = x1 - c*a/d
+    y_of = (c - (lat.a // d) * c[:, None]) % P
+    phase = np.exp(2j * np.pi * (pow(lat.a // d, -1, P) * np.outer(c, c) % P) / P)
+    twiddle = np.exp(2j * np.pi * np.outer(np.arange(Q), c) / N) \
+        * (M / lat.grid.s / P)
+    # row spectra at j = j0 + q*Q as [q, j0, y, i], times the class phases
+    # exp(2*pi*i*tau*q*y/P)
+    Sg, Sgd = (np.fft.fft(B.reshape(N, P * nx), axis=0).reshape(P, Q, P, nx)
+               * phase[:, None, :, None] for B in (Bg, Bgd))
+    Z = np.conj(Sg.transpose(1, 3, 2, 0)) @ Sgd.transpose(1, 3, 0, 2)
+    Z = Z[:, :, y_of, c] * twiddle[:, None, :, None]  # [j0, i, c, x1]
+    R = np.fft.ifft(Z, axis=0).transpose(0, 2, 3, 1).reshape(N, P * nx)
+    err = np.abs(mixed.reshape(N, P * nx) - R)
+    top = float(err.max())
+    if not math.isfinite(top):
+        raise DomainError("identity residual is not finite")
+    if top < best.max_abs_error:
+        return best
+    # rows in sorted signed-k order: row k mod N sits at position k + half
+    half = (N - 1) // 2
+    p, i = divmod(int(np.argmax(np.roll(err, half, axis=0))), P * nx)
+    y, i = divmod(i, nx)
+    new = IdentityResidual(max_abs_error=top, worst_k=p - half,
+                           worst_x=x0 + i + d * y)
+    return max(best, new,
+               key=lambda r: (r.max_abs_error, -r.worst_k, -r.worst_x))
 
 
 def conjecture_probe(gd: Signal, lat: GaborLattice, w: Weight) -> tuple[float, float]:

@@ -19,6 +19,7 @@ from gaborwalnut import (
     build_window,
     embedding_check,
 )
+from gaborwalnut.amalgam import _profile
 
 
 @pytest.fixture
@@ -171,6 +172,19 @@ def test_weight_not_finite_on_the_blocks_refused(chi):
         with pytest.raises(DomainError, match="overflows"):
             amalgam_norm(chi, 2, Weight.custom(lambda n: 1e308))
         assert amalgam_norm(chi, 8, Weight.polynomial(1e6)) == 1.0
+
+
+def test_rows_not_finite_are_named_not_the_weight():
+    # a finite constant weight over rows holding inf or nan: the rows are
+    # blamed, and numpy warns about nothing
+    rows = np.ones((4, 2), dtype=complex)
+    for bad in (np.inf, np.nan, complex(np.inf, np.nan)):
+        rows[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match="rows are not finite on 1 of 4 blocks"):
+                _profile(rows, Weight.constant())
 
 
 def test_custom_rule_that_overflows_refused():

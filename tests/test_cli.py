@@ -405,30 +405,24 @@ def test_verify_above_dense_limit(tmp_path, mode, code):
         assert payload["max_abs_error"] > 1e-2
 
 
-def test_verify_builds_each_bracket_table_once(tmp_path, monkeypatch):
-    # the identity and the norm estimate share the three tables; the written
-    # numbers are those of the two public functions
+def test_verify_builds_no_whole_bracket_table(tmp_path, monkeypatch):
+    # verify streams the three tables by column cosets; the written numbers
+    # are those of the two public functions
     import argparse
 
     from gaborwalnut import convo_identity_residual, diagnostics, estimate_convest
     from gaborwalnut.cli import load_config
 
-    real = diagnostics._bracket_table
-    builds = []
-
-    def counting(f, h, lat):
-        builds.append((f, h))
-        return real(f, h, lat)
+    def whole_table(f, h, lat):
+        raise AssertionError("verify built a whole bracket table")
 
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
                        window="gaussian", window_extra="width = 1.0",
                        weight="polynomial", weight_extra="t = 2", out=out,
                        tol=1e-10, extra="[verify]\ndual = generator")
-    monkeypatch.setattr(diagnostics, "_bracket_table", counting)
+    monkeypatch.setattr(diagnostics, "_bracket_table", whole_table)
     assert main(["verify", "--config", cfg]) == 4
-    assert len(builds) == 3
-    monkeypatch.setattr(diagnostics, "_bracket_table", real)
     run = load_config(cfg, argparse.Namespace(out=None, seed=None, tol=None))
     g, lat = run.window, run.lattice
     ident = convo_identity_residual(g, g, lat)
@@ -437,6 +431,32 @@ def test_verify_builds_each_bracket_table_once(tmp_path, monkeypatch):
     assert (payload["max_abs_error"], payload["worst_k"], payload["worst_x"]) \
         == (ident.max_abs_error, ident.worst_k, ident.worst_x)
     assert (payload["norm_estimate_lhs"], payload["norm_estimate_rhs"]) == (lhs, rhs)
+    # M = 32 and gcd(a, M) = 8: k*a mod M takes P = 4 values
+    assert payload["residue_classes"] == 4
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e300])
+def test_verify_dual_with_non_finite_brackets_exits_2(tmp_path, capsys, scale):
+    # a finite dual file whose bracket [gd, T gd] overflows: exit 2 naming
+    # that table, with no numpy warning, no traceback and no verify.json
+    from gaborwalnut import Signal, WindowSpec, build_window
+    from gaborwalnut.reports import write_window_file
+
+    grid = build_grid(256, 16)
+    g = build_window(WindowSpec.gaussian(width=1.0), grid)
+    dual_path = tmp_path / "huge.txt"
+    write_window_file(Signal(grid, g.samples * scale), dual_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
+                       window="gaussian", window_extra="width = 1.0", out=out,
+                       extra=f"[verify]\ndual = file\npath = {dual_path}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "DomainError" in err and "[gd, T gd] is not finite" in err
+    assert "Traceback" not in err and "overflows" not in err
+    assert not (out / "verify.json").exists()
 
 
 def test_counterexample(tmp_path):

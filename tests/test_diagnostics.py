@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,7 +42,7 @@ from gaborwalnut import (
 )
 from gaborwalnut import diagnostics, invert
 from gaborwalnut.bracket import _bracket_table, bracket_product
-from gaborwalnut.diagnostics import IdentityResidual, _identity_residual
+from gaborwalnut.diagnostics import IdentityResidual, _block_residual
 
 
 @pytest.fixture
@@ -256,17 +260,72 @@ class TestConvoIdentity:
         res = convo_identity_residual(g, g, lat)
         assert res.max_abs_error > 1e-2
 
-    def test_tie_rule(self):
+    @staticmethod
+    def _tie_residual(ties):
         # with [g, T g] = 0 the right side is exactly 0, so the residual is
-        # |mixed|: ties go to the first signed k in sorted order, then first x
-        lat = GaborLattice(build_grid(24, 4), 2, 3)  # N = 12, M = 8, P = 4
+        # |mixed|, 1 at each tied entry (k, x).  The kernel of the verify
+        # pass takes one column coset x0 + d*y at a time, as [n, y, 1]
+        # blocks, in the pass's order.
+        lat = GaborLattice(build_grid(24, 4), 2, 3)  # N = 12, M = 8, P = 4, d = 2
         rng = np.random.default_rng(3)
         Bgd = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
         mixed = np.zeros((12, 8), dtype=complex)
-        for k, x in ((3, 1), (-2, 5), (-2, 2), (6, 0)):
+        for k, x in ties:
             mixed[k % 12, x] = 1.0
-        res = _identity_residual(lat, mixed, np.zeros((12, 8), dtype=complex), Bgd)
-        assert res == IdentityResidual(max_abs_error=1.0, worst_k=-2, worst_x=2)
+        best = IdentityResidual(max_abs_error=-1.0, worst_k=0, worst_x=0)
+        for x0 in range(2):
+            blocks = (t.reshape(12, 4, 2)[:, :, x0:x0 + 1]
+                      for t in (mixed, np.zeros((12, 8), dtype=complex), Bgd))
+            best = _block_residual(lat, x0, *blocks, best)
+        return best
+
+    def test_tie_rule(self):
+        # ties go to the first signed k in sorted order, then first x, also
+        # when the winner sits in the second coset (odd x), after an equal
+        # value in the first at the same k and a larger x, or at a larger k
+        for ties, worst in ((((3, 1), (-2, 5), (-2, 2), (6, 0)), (-2, 2)),
+                            (((-2, 4), (-2, 3), (6, 0)), (-2, 3)),
+                            (((5, 0), (-4, 7), (2, 2)), (-4, 7))):
+            res = self._tie_residual(ties)
+            assert res == IdentityResidual(max_abs_error=1.0, worst_k=worst[0],
+                                           worst_x=worst[1]), ties
+
+    def test_residual_that_overflows_is_refused(self):
+        # tables of order 1e200 are finite, their products are not: the
+        # residual raises DomainError, and numpy warns about nothing
+        grid = build_grid(256, 16)
+        lat = GaborLattice(grid, 8, 8)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        big = Signal(grid, g.samples * 1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="identity residual is not finite"):
+                convo_identity_residual(big, big, lat)
+
+    def test_streamed_pass_does_not_depend_on_the_block(self, monkeypatch):
+        # the divisor-lattice sweep at one coset per block and at the whole
+        # table in one block: the same residual, location and series, bit
+        # for bit
+        rng = np.random.default_rng(5)
+        w = Weight.polynomial(1.5)
+        checked = 0
+        for L, s in ((24, 4), (36, 6), (48, 4), (64, 8)):
+            grid = build_grid(L, s)
+            divisors = [d for d in range(1, L + 1) if L % d == 0]
+            for a in divisors:
+                for b in divisors:
+                    if L // (a * b) < 1:
+                        continue
+                    lat = GaborLattice(grid, a, b)
+                    g = rand_signal(grid, int(rng.integers(2**31)))
+                    h = rand_signal(grid, int(rng.integers(2**31)))
+                    runs = []
+                    for chunk in (1, L * L):
+                        monkeypatch.setattr(diagnostics, "_CHUNK", chunk)
+                        runs.append(diagnostics._verify_pass(g, h, lat, w))
+                    assert runs[0] == runs[1], (L, s, a, b)
+                    checked += math.gcd(a, lat.M) > 1
+        assert checked > 40
 
     def test_random_geometry_sweep(self):
         # exact identity on every random frame, including lattices where the
@@ -285,6 +344,24 @@ class TestConvoIdentity:
                     gd = dual_window(g, lat, method="dense")
                     res = convo_identity_residual(g, gd, lat)
                     assert res.max_abs_error < 1e-9, (L, s, a, b)
+
+
+def test_identity_residual_memory_at_size():
+    # L = 65536, a = 32, b = 64 (P = 32): a complex N x M table is 32 MiB,
+    # so holding the three tables and their row spectra takes over 200 MiB.
+    # The streamed pass holds the spectra of g and gd and one coset.
+    grid = build_grid(65536, 16)
+    lat = GaborLattice(grid, 32, 64)
+    g = build_window(WindowSpec.gaussian(width=1.0), grid)
+    gd = dual_window(g, lat)
+    tracemalloc.start()
+    try:
+        res = convo_identity_residual(g, gd, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.max_abs_error < 1e-12
+    assert peak <= 32 * 2**20
 
 
 # Per-index loop versions of the bracket diagnostics, kept as references for
