@@ -46,7 +46,6 @@ from .diagnostics import (
     mixed_bracket,
 )
 from .errors import (
-    BranchError,
     ContractViolationError,
     ConvergenceError,
     DimensionError,

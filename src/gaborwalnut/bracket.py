@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaborLattice, Signal, _Frozen, signed_rep
-from .errors import DivisibilityError, GridMismatchError
+from .core import GaborLattice, Signal, _Frozen, _same_grid, signed_rep
+from .errors import DivisibilityError
 
 __all__ = [
     "PeriodicVector",
@@ -50,8 +50,7 @@ def bracket_product(f: Signal, h: Signal, p: int) -> PeriodicVector:
 
     No Riemann scaling enters the fold; scaling lives in inner products only.
     """
-    if f.grid != h.grid:
-        raise GridMismatchError(f"grids differ: {f.grid} vs {h.grid}")
+    _same_grid(f.grid, h)
     return PeriodicVector(p, _fold(f.samples * np.conj(h.samples), p))
 
 

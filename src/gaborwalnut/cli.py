@@ -52,6 +52,7 @@ from .frame_op import (
 from .invert import (
     _frame_bounds,
     _inverse_solve,
+    _inverse_walnut,
     _tight_window,
     dual_window,
     duality_defect,
@@ -209,23 +210,24 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     """Frame bounds, multiplier table, block norms and the empirical constant,
-    all read off one operator value."""
+    all read off one operator value and all computed before the first file
+    is written."""
     out = cfg.out
     lat = cfg.lattice
     W = walnut_coefficients(cfg.window, lat)
     bounds = _frame_bounds(W, tol=cfg.tol)
+    prof = _profile(W.table, cfg.weight)
+    am, l2, linf = embedding_check(cfg.window, lat.a, cfg.weight)
+    # the multiplier sum over the squared window norm; inf for a zero window
+    denom = am ** 2
+    ratio = prof.norm / denom if denom else (math.inf if prof.norm > 0 else 0.0)
     reports.write_bounds_csv(bounds, out / "bounds.csv")
     reports.write_walnut_csv(W, out / "walnut_coeffs.csv")
-    prof = _profile(W.table, cfg.weight)
     with open(out / "walnut.csv", "w", encoding="utf-8") as fh:
         fh.write("r,sup,weight,product\n")
         for r, sup, nu in zip(prof.indices.tolist(), prof.block_sups.tolist(),
                               prof.weights.tolist()):
             fh.write(f"{r},{sup!r},{nu!r},{sup * nu!r}\n")
-    am, l2, linf = embedding_check(cfg.window, lat.a, cfg.weight)
-    # the multiplier sum over the squared window norm; inf for a zero window
-    denom = am ** 2
-    ratio = prof.norm / denom if denom else (math.inf if prof.norm > 0 else 0.0)
     with open(out / "amalgam.csv", "w", encoding="utf-8") as fh:
         fh.write("norm,value\n")
         fh.write(f"amalgam,{am!r}\nl2,{l2!r}\nlinf,{linf!r}\n")
@@ -250,39 +252,38 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def _dual_like(cfg: RunConfig, which: str) -> int:
+    """``dual`` or ``tight`` on one operator value ``W``, read in dependency
+    order: the ``S^-1`` report first (the fiber cap, the not-a-frame
+    verdict and the one decomposition of ``W``), then the window, whose
+    verdict reads the eigenvalues ``W`` now holds, and every file last."""
     out = cfg.out
     lat = cfg.lattice
     method = cfg.methods[which]
-    extra = {}
-    # one operator value: the window, its verdict and the S^-1 report read
-    # one stack and one eigendecomposition
     W = walnut_coefficients(cfg.window, lat)
-    if which == "dual":
-        gd, solver = _inverse_solve(W, cfg.window, method, cfg.tol,
-                                    decompose=True)
-        reports.write_solver_csv(solver, out / "solver.csv")
-        extra["solver_converged"] = solver.converged
-        residual = duality_defect(cfg.window, gd, lat)
-    else:
-        gd = _tight_window(W, cfg.window, method, cfg.tol)
-        residual = duality_defect(gd, gd, lat)
-    # the multipliers of S^-1, whichever command and method ran
     summ = _summability_report(W, cfg.weight)
+    if which == "dual":
+        gd, solver = _inverse_solve(W, cfg.window, method, cfg.tol)
+        residual = duality_defect(cfg.window, gd, lat)
+        extra = {"solver_converged": solver.converged}
+    else:
+        gd, solver = _tight_window(W, cfg.window, method, cfg.tol), None
+        residual = duality_defect(gd, gd, lat)
+        extra = {}
     name = f"{which}_window.txt"
+    payload = {
+        "window_file": name,
+        "reconstruction_residual": residual,
+        "amalgam_norm": amalgam_norm(gd, lat.a, cfg.weight),
+        "l2_norm": norm_l2(gd),
+        "seed": cfg.seed,
+        **extra,
+    }
+    if solver is not None:
+        reports.write_solver_csv(solver, out / "solver.csv")
     reports.write_window_file(gd, out / name)
     reports.write_summability_csv(summ, out / "summability.csv")
     reports.write_summability_json(summ, out / "summability.json")
-    reports.write_json(
-        {
-            "window_file": name,
-            "reconstruction_residual": residual,
-            "amalgam_norm": amalgam_norm(gd, lat.a, cfg.weight),
-            "l2_norm": norm_l2(gd),
-            "seed": cfg.seed,
-            **extra,
-        },
-        out / f"{which}.json",
-    )
+    reports.write_json(payload, out / f"{which}.json")
     print(f"{which}: residual={residual:.3e} -> {out}")
     return EXIT_OK
 
@@ -373,15 +374,15 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 
 
 def cmd_conjecture(cfg: RunConfig) -> int:
-    """Probe both block geometries of the dual window's multiplier sums; the
-    stride-M series is the summability report's, read off ``S^-1``."""
+    """Probe both block geometries of the dual window's multiplier sums.
+    ``S^-1`` is read first: the stride-M series is the summability
+    report's, off its table, which builds ``W``'s one eigendecomposition;
+    the dual's verdict then reads the eigenvalues ``W`` holds."""
     out = cfg.out
     lat = cfg.lattice
     W = walnut_coefficients(cfg.window, lat)
-    gd = _inverse_solve(W, cfg.window, tol=min(cfg.tol, 1e-12),
-                        decompose=True)[0]
-    alpha_seq = _summability_report(W, cfg.weight,
-                                    cross_check=False).tail_profile
+    alpha_seq = _profile(_inverse_walnut(W).table, cfg.weight).weighted_cumsums
+    gd = _inverse_solve(W, cfg.window, tol=min(cfg.tol, 1e-12))[0]
     invbeta_seq = bracket_series(gd, gd, lat, cfg.weight)
     sum_alpha, sum_invbeta = float(alpha_seq[-1]), float(invbeta_seq[-1])
     reports.write_svg_lines(

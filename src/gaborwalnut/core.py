@@ -365,14 +365,16 @@ def tf_shift(f: Signal, n: int, m: int) -> Signal:
     return _adopt(Signal, grid=f.grid, samples=shifted)
 
 
-def _require_same_grid(f: Signal, h: Signal) -> None:
-    if f.grid != h.grid:
-        raise GridMismatchError(f"grids differ: {f.grid} vs {h.grid}")
+def _same_grid(grid: Grid, *signals: Signal) -> None:
+    """Raise ``GridMismatchError`` unless all ``signals`` are on ``grid``."""
+    for f in signals:
+        if f.grid != grid:
+            raise GridMismatchError(f"grids differ: {grid} vs {f.grid}")
 
 
 def inner_product(f: Signal, h: Signal) -> complex:
     """Riemann-scaled inner product ``(1/s) * sum_j f(j) * conj(h(j))``."""
-    _require_same_grid(f, h)
+    _same_grid(f.grid, h)
     return complex(np.vdot(h.samples, f.samples) / f.grid.s)
 
 

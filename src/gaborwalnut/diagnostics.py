@@ -28,6 +28,7 @@ from .core import (
     Grid,
     Signal,
     Weight,
+    _same_grid,
     signed_range,
     signed_rep,
     tf_shift,
@@ -35,7 +36,6 @@ from .core import (
 from .errors import (
     DimensionError,
     DomainError,
-    GridMismatchError,
     LatticeError,
     SizeError,
 )
@@ -76,7 +76,7 @@ class SummabilityReport:
     ``weighted_sum``.  ``cross_check_error`` is the worst deviation between
     the block-inverse multipliers and those read off an LU solve of the
     dense matrix for the ``a`` columns that the extraction reads (``None``
-    when skipped, and above ``DENSE_LIMIT``).
+    above ``DENSE_LIMIT``).
     """
 
     lattice: GaborLattice
@@ -172,24 +172,25 @@ def dual_summability_report(
     lat: GaborLattice,
     w: Weight,
     tol: float = 1e-12,
-    cross_check: bool = True,
 ) -> SummabilityReport:
     """Weighted multiplier series of ``S^-1``, the canonical dual's.
 
     The multipliers are read off the inverted fiber blocks of ``S``
     (:func:`invert._inverse_walnut`): nothing is solved, and ``tol`` is only
-    validated.  When the grid is small enough they are cross-checked against
-    those read off an LU solve of the dense frame matrix for the ``a``
-    columns that the extraction reads (:func:`_dense_inverse_table`), an
-    independent route to the same operator.
+    validated.  At ``L <= DENSE_LIMIT`` they are always cross-checked
+    against those read off an LU solve of the dense frame matrix for the
+    ``a`` columns that the extraction reads (:func:`_dense_inverse_table`),
+    an independent route to the same operator.
     """
     _check_tol(tol)
-    return _summability_report(walnut_coefficients(g, lat), w, cross_check)
+    return _summability_report(walnut_coefficients(g, lat), w)
 
 
-def _summability_report(W: WalnutCoeffs, w: Weight,
-                        cross_check: bool = True) -> SummabilityReport:
-    """:func:`dual_summability_report` on the operator value ``W``."""
+def _summability_report(W: WalnutCoeffs, w: Weight) -> SummabilityReport:
+    """:func:`dual_summability_report` on the operator value ``W``.  The CLI
+    calls it first on ``W``: it checks the fiber cap and the not-a-frame
+    verdict and builds the one eigendecomposition of ``W`` that every
+    reader after it takes."""
     lat = W.lat
     Wd = _inverse_walnut(W)
     prof = _profile(Wd.table, w)
@@ -197,7 +198,7 @@ def _summability_report(W: WalnutCoeffs, w: Weight,
     per_r = zip(prof.indices.tolist(), sups.tolist(), weights.tolist(),
                 (sups * weights).tolist())
     err = None
-    if cross_check and lat.grid.L <= DENSE_LIMIT:
+    if lat.grid.L <= DENSE_LIMIT:
         err = float(np.max(np.abs(_dense_inverse_table(W) - Wd.table)))
     return SummabilityReport(
         lattice=lat,
@@ -215,8 +216,7 @@ def mixed_bracket(g: Signal, gd: Signal, lat: GaborLattice, k: int) -> PeriodicV
     Its Fourier-series coefficients are the Gabor coefficients of ``gd``
     against the system generated by ``g``, which the tests verify.
     """
-    if g.grid != gd.grid or g.grid != lat.grid:
-        raise GridMismatchError("windows and lattice must share one grid")
+    _same_grid(lat.grid, g, gd)
     pv = bracket_product(gd, tf_shift(g, k * lat.a, 0), lat.M)
     return PeriodicVector(lat.M, (lat.M / lat.grid.s) * pv.values)
 
@@ -279,8 +279,7 @@ def _verify_pass(g: Signal, gd: Signal, lat: GaborLattice,
     spectra of ``g`` and ``gd`` and one block stay resident.  A table that
     is not finite raises ``DomainError`` naming it.
     """
-    if g.grid != gd.grid or g.grid != lat.grid:
-        raise GridMismatchError("windows and lattice must share one grid")
+    _same_grid(lat.grid, g, gd)
     M, N = lat.M, lat.N
     d = math.gcd(lat.a, M)
     P = M // d
@@ -417,8 +416,7 @@ def counterexample_report(
             f"lattice (a={lat.a}, b={lat.b}) is not the half-unit/unit-frequency "
             f"geometry (a={s // 2}, b={K}) this construction is tied to"
         )
-    if h.grid != grid or g.grid != grid:
-        raise GridMismatchError("signals and lattice must share one grid")
+    _same_grid(grid, h, g)
     # the adjoint lattice: unit time step s, frequency step 2K (s even
     # makes 2K divide L), so M = s/2 modulations
     inner = analysis(g, GaborLattice(grid, s, 2 * K), h).values

@@ -41,10 +41,6 @@ class ConvergenceError(GaborToolkitError):
     """An iterative solver exhausted its iteration or node budget."""
 
 
-class BranchError(GaborToolkitError):
-    """An integration contour touched the branch cut of the square root."""
-
-
 class ContractViolationError(GaborToolkitError):
     """A verified identity failed its tolerance; signals an implementation bug."""
 

@@ -44,8 +44,9 @@ from functools import cached_property
 import numpy as np
 
 from .bracket import _bracket_table, _residue_classes
-from .core import GaborLattice, Signal, Weight, _Frozen, _adopt, signed_range
-from .errors import DimensionError, GridMismatchError, LatticeError
+from .core import (GaborLattice, Signal, Weight, _Frozen, _adopt, _same_grid,
+                   signed_range)
+from .errors import DimensionError, DomainError, LatticeError
 from .amalgam import _profile
 
 __all__ = [
@@ -312,8 +313,7 @@ def analysis(g: Signal, lat: GaborLattice, f: Signal) -> Coeffs:
     bracket table costs ``O(P*L*log b)`` and the DFTs ``O(N*M*log M)``;
     no ``M x L`` phase matrix is built.
     """
-    if g.grid != f.grid or g.grid != lat.grid:
-        raise GridMismatchError("window, signal and lattice must share one grid")
+    _same_grid(lat.grid, g, f)
     coeffs = np.fft.fft(_bracket_table(f, g, lat), axis=1)
     coeffs /= lat.grid.s
     # the transposed view is kept, so synthesis reads the rows back as laid out
@@ -329,8 +329,7 @@ def synthesis(g: Signal, lat: GaborLattice, c: Coeffs) -> Signal:
     bracket table: per residue class, rows ``q`` of a ``(b, M)`` array
     convolved along the columns with ``T_{rho} g``, summed as spectra.
     """
-    if g.grid != lat.grid:
-        raise GridMismatchError("window and lattice must share one grid")
+    _same_grid(lat.grid, g)
     if c.lat != lat:
         raise DimensionError("coefficient matrix belongs to a different lattice")
     periods = np.fft.ifft(c.values.T, axis=1, norm="forward")
@@ -358,8 +357,7 @@ def frame_operator_direct(g: Signal, lat: GaborLattice, f: Signal) -> Signal:
     so apart from two phase matrices no array holds more than about
     ``2**16`` entries.
     """
-    if g.grid != f.grid or g.grid != lat.grid:
-        raise GridMismatchError("window, signal and lattice must share one grid")
+    _same_grid(lat.grid, g, f)
     L = lat.grid.L
     E = _phases(lat)
     Ec = np.conj(E).T
@@ -421,7 +419,10 @@ def _pair_rows(f: np.ndarray, h: np.ndarray, lat: GaborLattice,
     left at zero and costs nothing.  A full support is the run ``(0, L)``,
     so such a pair costs ``L`` products per row.  ``rows`` is at most
     ``b``; since ``T_{b*M}`` is the identity, row ``r`` also stands for
-    ``r - b``.
+    ``r - b``.  Products that overflow are summed without a warning, and a
+    row that is then not finite raises ``DomainError`` naming the Walnut
+    table, the one check of :func:`walnut_coefficients` and
+    :func:`invert.duality_defect`.
     """
     L, a, M = lat.grid.L, lat.a, lat.M
     out = np.zeros((rows, a), dtype=complex)
@@ -444,10 +445,13 @@ def _pair_rows(f: np.ndarray, h: np.ndarray, lat: GaborLattice,
         run = np.conj(_cyclic(h, sh, n))
         other = _cyclic(f, base, min(nf + 2 * n, L + n))
     run = run.reshape(-1, a)
-    for r in meet:
-        o = (start + step * r - base) % L
-        row = (run * other[o:o + n].reshape(-1, a)).sum(axis=0)
-        out[r] = row if step < 0 else np.roll(row, r * M % a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in meet:
+            o = (start + step * r - base) % L
+            row = (run * other[o:o + n].reshape(-1, a)).sum(axis=0)
+            out[r] = row if step < 0 else np.roll(row, r * M % a)
+    if not np.isfinite(out).all():
+        raise DomainError("Walnut table is not finite: products overflow")
     return out
 
 
@@ -459,10 +463,9 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     ``O((b/2)*n)`` when the nonzero samples fit in a cyclic run of ``n``.
     The other rows follow from ``G_{-r}(x) = conj(G_r((x + r*M) mod a))``.
     Every row is a sum of products, so a multiplier that vanishes is an
-    exact zero.
+    exact zero; a table that is not finite raises ``DomainError``.
     """
-    if g.grid != lat.grid:
-        raise GridMismatchError("window and lattice must share one grid")
+    _same_grid(lat.grid, g)
     a, b, M = lat.a, lat.b, lat.M
     table = np.empty((b, a), dtype=complex)
     table[:b // 2 + 1] = _pair_rows(g.samples, g.samples, lat, b // 2 + 1)
@@ -473,8 +476,7 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
 
 def frame_operator_walnut(W: WalnutCoeffs, f: Signal) -> Signal:
     """Apply the frame operator in multiplier form (see :meth:`WalnutCoeffs.apply`)."""
-    if f.grid != W.lat.grid:
-        raise GridMismatchError("signal grid does not match the operator grid")
+    _same_grid(W.lat.grid, f)
     return _adopt(Signal, grid=f.grid, samples=W.apply(f.samples))
 
 

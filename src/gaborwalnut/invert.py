@@ -36,12 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaborLattice, Signal, _adopt
+from .core import GaborLattice, Signal, _adopt, _same_grid
 from .errors import (
-    BranchError,
     ConvergenceError,
     DomainError,
-    GridMismatchError,
     NotAFrameError,
     NotAFrameWarning,
     SizeError,
@@ -316,21 +314,20 @@ def inverse_solve(
 
 def _inverse_solve(W: WalnutCoeffs, rhs: Signal, method: str | None = None,
                    tol: float = 1e-10, max_iter: int | None = None,
-                   bounds: FrameBounds | None = None, decompose: bool = False
+                   bounds: FrameBounds | None = None
                    ) -> tuple[Signal, SolverReport]:
-    """:func:`inverse_solve` on the operator value ``W``; with ``decompose``
-    (for a caller that reads ``W``'s eigendecomposition next) the ``fiber``
-    verdict comes from that decomposition, not from its own ``eigvalsh``."""
+    """:func:`inverse_solve` on the operator value ``W``.  Its verdict reads
+    ``op._spectrum``: the eigenvalues of the eigendecomposition ``W`` holds
+    when a reader before it (the CLI's ``S^-1`` report) built one, else
+    one ``eigvalsh``."""
     lat = W.lat
     method = _method_for(method, lat, "cg")
     _check_tol(tol)
-    if rhs.grid != lat.grid:
-        raise GridMismatchError("right-hand side and lattice must share one grid")
+    _same_grid(lat.grid, rhs)
     if method != "cg":
         op = _Dense(W) if method == "dense" else W
         if bounds is None:
-            ev = W._eigh[0] if decompose and op is W else op._spectrum
-            bounds = _bounds(ev, method)
+            bounds = _bounds(op._spectrum, method)
         _frame_or_raise(bounds)
         x = op._back(np.linalg.solve(op.fibers(),
                                      op._to(rhs.samples)[..., None])[..., 0])
@@ -362,14 +359,10 @@ def dual_window(g: Signal, lat: GaborLattice, method: str | None = None,
 
 
 def _contour_nodes(A: float, B: float, n: int):
-    """Quadrature nodes on the circle enclosing ``[A, B]`` with 10% margin."""
+    """Quadrature nodes on the circle enclosing ``[A, B]`` with 10% margin,
+    which clears the branch cut: its left edge is ``0.9*A > 0`` on a frame."""
     center = 0.5 * (A + B)
     radius = 0.5 * (B - A) + 0.1 * A
-    if center - radius <= 0.0:
-        raise BranchError(
-            f"contour with center {center:.3e} and radius {radius:.3e} "
-            "crosses the branch cut"
-        )
     theta = 2.0 * np.pi * np.arange(n) / n
     lam = center + radius * np.exp(1j * theta)
     # d(lambda)/(2*pi*i) collapses to radius*e^{i*theta}/n per node
@@ -472,10 +465,10 @@ def duality_defect(g: Signal, gd: Signal, lat: GaborLattice) -> float:
     windows are dual (Wexler-Raz/Janssen biorthogonality; Janssen, JFAA 1,
     1995).  Costs ``b*n`` products, ``n`` the shorter support run of the
     two windows: the rows of :func:`frame_op._pair_rows`, of which a
-    self-pair ``gd is g`` sums ``b/2 + 1`` (its Walnut table).
+    self-pair ``gd is g`` sums ``b/2 + 1`` (its Walnut table).  Rows that
+    are not finite raise ``DomainError`` there.
     """
-    if g.grid != gd.grid or g.grid != lat.grid:
-        raise GridMismatchError("windows and lattice must share one grid")
+    _same_grid(lat.grid, g, gd)
     # the self-pair's rows are the Walnut table, half of them summed
     rows = walnut_coefficients(g, lat).table if gd is g else \
         _pair_rows(gd.samples, g.samples, lat, lat.b)
@@ -496,8 +489,7 @@ def verify_reconstruction(g: Signal, gd: Signal, lat: GaborLattice,
     the defect ``D`` beyond rounding.  Needs at least one trial: with none
     there is nothing to check.
     """
-    if g.grid != gd.grid or g.grid != lat.grid:
-        raise GridMismatchError("windows and lattice must share one grid")
+    _same_grid(lat.grid, g, gd)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)

@@ -228,16 +228,20 @@ def test_summability_json_same_for_every_method_and_command(tmp_path,
 # (tables, stacks, eigh, eigvalsh) of each command on an L = 1536 Gaussian
 # with a = b = 32: M = 48, so p = 2, above DENSE_LIMIT.  Each builds one
 # operator value; tight builds a second table for gt's self-pair defect.
+# The S^-1 report decomposes W first, so the cg dual's not-a-frame verdict
+# reads the eigenvalues W holds: no eigvalsh.
 @pytest.mark.parametrize("command,counts", [
     ("analyze", (1, 1, 0, 1)),
     ("dual", (1, 1, 1, 0)),
     ("conjecture", (1, 1, 1, 0)),
     ("tight", (2, 1, 1, 0)),
     ("verify", (1, 1, 0, 1)),
+    ("dual cg", (1, 1, 1, 0)),
 ])
 def test_each_command_builds_one_operator_value(tmp_path, monkeypatch,
                                                 command, counts):
     from gaborwalnut import cli, diagnostics, frame_op, invert
+    command, _, method = command.partition(" ")  # "dual cg": that method
     calls = dict.fromkeys(("tables", "stacks", "eigh", "eigvalsh"), 0)
 
     def counted(key, real):
@@ -257,7 +261,9 @@ def test_each_command_builds_one_operator_value(tmp_path, monkeypatch,
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.cfg", L=1536, s=16, a=32, b=32,
                        window="gaussian", window_extra="width = 1.0",
-                       weight="polynomial", weight_extra="t = 2", out=out)
+                       weight="polynomial", weight_extra="t = 2", out=out,
+                       extra=f"[{command}]\nmethod = {method}" if method
+                       else "")
     assert main([command, "--config", cfg]) == 0
     assert tuple(calls.values()) == counts
 
@@ -578,6 +584,44 @@ def test_weight_overflowing_on_the_grid_exits_2(tmp_path, capsys, command):
     assert not (out / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "dual", "tight",
+                                     "conjecture"])
+def test_failed_check_leaves_no_output(tmp_path, capsys, command):
+    # nu(n) = exp(1000 * |n|**0.9) overflows on the rows of the tables; every
+    # value is computed before the first file is written
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
+                       window="gaussian", window_extra="width = 1.0",
+                       weight="subexponential",
+                       weight_extra="c = 1000\ngamma = 0.9", out=out)
+    assert main([command, "--config", cfg]) == 2
+    assert re.search(r"DomainError: weight .* overflows",
+                     capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual", "tight",
+                                     "conjecture"])
+def test_overflowing_walnut_table_exits_2(tmp_path, capsys, command):
+    # a finite window file whose Walnut products overflow: one message that
+    # names the table, no warning and no file
+    from gaborwalnut import Signal, WindowSpec, build_window, reports
+    grid = build_grid(256, 16)
+    g = build_window(WindowSpec.gaussian(width=1.0), grid)
+    window = tmp_path / "window.txt"
+    reports.write_window_file(Signal(grid, 1e300 * g.samples), window)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
+                       window="file", window_extra=f"path = {window}",
+                       out=out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "DomainError: Walnut table is not finite: products overflow"]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["analyze", "dual"])
 def test_non_finite_window_file_exits_2(tmp_path, capsys, command):
     window = tmp_path / "window.txt"
@@ -625,6 +669,18 @@ def test_each_library_method_accepted(tmp_path, command, method):
     assert payload["reconstruction_residual"] < 1e-8
 
 
+@pytest.mark.parametrize("command", ["dual", "tight"])
+def test_dense_not_a_frame_above_dense_limit_exits_3(tmp_path, capsys,
+                                                     command):
+    # the S^-1 report's verdict comes before the dense method's size cap
+    cfg = write_config(tmp_path / "run.cfg", L=2048, s=16, a=64, b=64,
+                       window="gaussian", window_extra="width = 1.0",
+                       out=tmp_path / "out",
+                       extra=f"[{command}]\nmethod = dense")
+    assert main([command, "--config", cfg]) == 3
+    assert "NotAFrameError" in capsys.readouterr().err
+
+
 def test_tight_not_a_frame_above_dense_limit_exits_3(tmp_path, capsys):
     # redundancy 1/2 at L = 2048: the fiber bounds see the rank deficit
     cfg = write_config(tmp_path / "run.cfg", L=2048, s=16, a=64, b=64,
@@ -645,13 +701,15 @@ def test_fiber_above_its_limit_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_default_dual_above_fiber_limit_exits_2(tmp_path, capsys,
                                                 monkeypatch):
-    # the default refuses above the cap and names the explicit method
+    # the S^-1 report refuses above the cap first and names it; it offers
+    # no library argument (bounds=) that the CLI cannot pass
     from gaborwalnut import invert
     monkeypatch.setattr(invert, "FIBER_LIMIT", 8)  # the instance has L*p = 16
     cfg = write_config(tmp_path / "run.cfg", L=16, out=tmp_path / "out")
     assert main(["dual", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "SizeError" in err and "'cg' with bounds=" in err
+    assert "SizeError" in err and "L*p <= 8" in err
+    assert "bounds=" not in err
 
 
 @pytest.mark.parametrize("command", ["dual", "tight"])

@@ -465,7 +465,7 @@ class TestLoopEquivalence:
                                   _loop_series(table, w))
             lhs, _ = estimate_convest(g, gd, lat, w)
             assert lhs == _loop_series(table, w)[-1]
-            rep = dual_summability_report(g, lat, w, cross_check=False)
+            rep = dual_summability_report(g, lat, w)
             sups = np.abs(Wd.table).max(axis=1).tolist()
             assert rep.per_r == tuple((r, sups[r], w(r), sups[r] * w(r))
                                       for r in signed_range(b))

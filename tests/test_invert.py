@@ -535,6 +535,23 @@ class TestDualityDefect:
             duality_defect(g, other, lat)
 
 
+def test_overflowing_walnut_table_is_refused():
+    # the width-1 Gaussian times 1e300 is finite, its Walnut products are not:
+    # each call stops at the table, with no warning and no NaN returned
+    grid = build_grid(256, 16)
+    lat = GaborLattice(grid, 8, 8)
+    g = Signal(grid, 1e300 * build_window(WindowSpec.gaussian(1.0),
+                                          grid).samples)
+    calls = (frame_bounds, dual_window, tight_window,
+             lambda g, lat: duality_defect(g, g, lat))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError,
+                               match="^Walnut table is not finite"):
+                call(g, lat)
+
+
 class TestInverseWalnut:
     # S^-1 read off the inverted fiber blocks is S_{gd,gd}
     @pytest.mark.parametrize("L,a,b", [(4096, 32, 32), (240, 16, 6)])
