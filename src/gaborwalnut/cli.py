@@ -50,6 +50,7 @@ from .frame_op import (
     walnut_coefficients,
 )
 from .invert import (
+    _check_tol,
     _frame_bounds,
     _inverse_solve,
     _inverse_walnut,
@@ -92,8 +93,7 @@ class RunConfig:
 
 
 def _options(tol: float = 1e-10, seed: int = 0, out: str = "gw-out") -> tuple:
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    _check_tol(tol)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return tol, seed, Path(out)

@@ -40,14 +40,14 @@ from .errors import (
     SizeError,
 )
 from .frame_op import (
+    DENSE_LIMIT,
     WalnutCoeffs,
-    _Dense,
     analysis,
     frame_operator_walnut,
     walnut_coefficients,
     walnut_weighted_sum,
 )
-from .invert import DENSE_LIMIT, _check_tol, _inverse_walnut
+from .invert import _check_tol, _inverse_walnut
 
 __all__ = [
     "SummabilityReport",
@@ -150,7 +150,8 @@ def extract_walnut_from_matrix(
 def _dense_inverse_table(W: WalnutCoeffs) -> np.ndarray:
     """Multiplier table of ``S^-1`` from an LU solve of the dense frame
     matrix of ``W``'s table for its first ``a`` columns, the ones the
-    extraction reads; the fiber stack and its decomposition are not read.
+    extraction reads, of ``W._dense``, which a dense method reads too; the
+    fiber stack and its decomposition are not read.
 
     Column ``c`` of ``S^-1`` meets strided diagonal ``r`` in row
     ``(c + r*M) mod L``, which is entry ``(c + r*M) mod a`` of ``G~_r``;
@@ -158,7 +159,7 @@ def _dense_inverse_table(W: WalnutCoeffs) -> np.ndarray:
     """
     lat = W.lat
     L, a = lat.grid.L, lat.a
-    X = np.linalg.solve(_Dense(W).S, np.eye(L, a, dtype=complex))
+    X = np.linalg.solve(W._dense.S, np.eye(L, a, dtype=complex))
     r = np.array(signed_range(lat.b))[:, None]
     c = np.arange(a)
     j = c + r * lat.M

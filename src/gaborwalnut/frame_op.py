@@ -46,7 +46,7 @@ import numpy as np
 from .bracket import _bracket_table, _residue_classes
 from .core import (GaborLattice, Signal, Weight, _Frozen, _adopt, _same_grid,
                    signed_range)
-from .errors import DimensionError, DomainError, LatticeError
+from .errors import DimensionError, DomainError, LatticeError, SizeError
 from .amalgam import _profile
 
 __all__ = [
@@ -155,6 +155,8 @@ def _zak_table(blocks: np.ndarray, lat: GaborLattice) -> np.ndarray:
     return np.fft.ifft(F, axis=0) * (p / (M / lat.grid.s))
 
 
+# Largest grid whose L x L frame matrix the dense oracle assembles: 16 MiB.
+DENSE_LIMIT = 1024
 # Output samples per chunk of the direct row sum in WalnutCoeffs.apply:
 # 64 KiB, which stays in cache and below the allocator's mmap threshold.
 _CHUNK = 4096
@@ -209,7 +211,8 @@ class WalnutCoeffs(_Frozen, _Spectral):
     reads it once as ``p x p`` Zak-domain blocks, whose eigendecomposition
     is cached beside them (:class:`_Spectral`), and :meth:`apply` either
     sums its few nonzero rows directly or multiplies by those blocks (see
-    the module docstring).  The rule of ``core._Frozen`` applies; a table
+    the module docstring); the dense oracle's matrix, ``_dense``, is built
+    once too.  The rule of ``core._Frozen`` applies; a table
     that is not ``(b, a)`` raises ``LatticeError``.
     """
 
@@ -237,6 +240,11 @@ class WalnutCoeffs(_Frozen, _Spectral):
             return None
         return (self.factor * self.table[0],
                 [(r * M % L, self.factor * self.table[r]) for r in nz])
+
+    @cached_property
+    def _dense(self) -> _Dense:
+        """The dense oracle's value of this table (:class:`_Dense`)."""
+        return _Dense(self)
 
     @cached_property
     def _fibers(self) -> np.ndarray:
@@ -486,21 +494,26 @@ def walnut_weighted_sum(W: WalnutCoeffs, w: Weight) -> float:
 
 
 class _Dense(_Spectral):
-    """The dense oracle's own operator value: the ``L x L`` matrix assembled
-    from a table's strided diagonals, as one block on the samples.  It reads
-    the table only, never its fiber stack or their decomposition."""
+    """The dense oracle's own operator value: the read-only ``L x L`` matrix
+    ``S`` assembled from a table's strided diagonals, as one block on the
+    samples, with its own eigen-cache.  It reads the table only, never its
+    fiber stack; above ``DENSE_LIMIT`` it raises ``SizeError`` first."""
 
     def __init__(self, W: WalnutCoeffs):
         lat, L = W.lat, W.lat.grid.L
+        if L > DENSE_LIMIT:
+            raise SizeError(f"dense path limited to L <= {DENSE_LIMIT}, got {L}")
         rows = np.arange(L)
         self.S = S = np.zeros((L, L), dtype=complex)
         for r in signed_range(lat.b):
             S[rows, (rows - r * lat.M) % L] += \
                 W.factor * W.table[r][rows % lat.a]
+        S.flags.writeable = False
         self.fibers, self.apply = (lambda: S[None]), (lambda v: S @ v)
         self._to, self._back = (lambda v: v[None]), (lambda z: z[0])
 
 
 def dense_frame_matrix(g: Signal, lat: GaborLattice) -> np.ndarray:
-    """Dense matrix of the frame operator, assembled from its multiplier form."""
-    return _Dense(walnut_coefficients(g, lat)).S
+    """Read-only dense matrix of the frame operator, assembled from its
+    multiplier form (:class:`_Dense`; ``SizeError`` above ``DENSE_LIMIT``)."""
+    return walnut_coefficients(g, lat)._dense.S

@@ -8,16 +8,18 @@ one length-``b`` FFT per coset on the way in and out; at ``a | M`` the
 blocks are scalars.  The stack holds ``L*p`` entries, capped by
 ``FIBER_LIMIT``, above which every default raises ``SizeError``.
 
-Every solver reads one operator value, the table ``W``, which holds the
-stack and its eigendecomposition, each built at most once; bounds alone
-come from that decomposition when ``W`` holds it, else from one
-``eigvalsh``.  A public function builds its ``W`` from ``(g, lat)``; the
-CLI builds one per window and command and hands it to the private
-functions that take ``W``.  The ``dense`` oracle runs the same code on its
-own value, the matrix assembled from the table (``frame_op._Dense``), so
-its bounds, verdict and residual are its own.  ``contour`` is quadrature on
-the fiber blocks; power iteration and conjugate gradients are explicit
-cross-checks, the only methods the cap does not refuse.  ``S^-1`` in
+Every solver reads one operator value, which :func:`_operator` picks for
+its method: the table ``W``, which holds the stack and its
+eigendecomposition, each built at most once, or for ``dense`` ``W._dense``,
+the matrix assembled once from the table (``frame_op._Dense``) with its
+own; bounds alone come from a value's decomposition when it holds one,
+else from one ``eigvalsh``, and every residual from the value's apply.  A
+public function builds its ``W`` from ``(g, lat)``; the CLI builds one per
+window and command and hands it to the private functions that take ``W``.
+So the ``dense`` oracle's bounds, verdict and residual are its own.
+``contour`` is quadrature on the fiber blocks; power iteration and
+conjugate gradients are explicit cross-checks, the only methods the cap
+does not refuse.  ``S^-1`` in
 Walnut form is the inverted fiber blocks mapped back to a table
 (``_inverse_walnut``); no dual is solved for it.
 
@@ -45,9 +47,9 @@ from .errors import (
     SizeError,
 )
 from .frame_op import (
+    DENSE_LIMIT,  # also read as invert.DENSE_LIMIT
     WalnutCoeffs,
     _block_size,
-    _Dense,
     _pair_rows,
     _table_cosets,
     _to_zak,
@@ -69,7 +71,6 @@ __all__ = [
     "verify_reconstruction",
 ]
 
-DENSE_LIMIT = 1024
 # Entries of the fiber block stack, L*p: 2**22 complex values are 64 MiB.
 FIBER_LIMIT = 2**22
 # A lower bound this far below B (relatively) is treated as zero.
@@ -78,10 +79,6 @@ NOT_A_FRAME_RTOL = 1e-12
 POWER_MAX_ITER = 400_000
 POWER_SEEDS = (0, 1)
 _TINY = np.finfo(float).tiny
-# What the cap does not refuse, by the caller's own method.
-_ABOVE_CAP = {"power_iteration": "; method='power_iteration' is not refused "
-                                  "but builds that stack and a reflected copy",
-              "cg": "; method='cg' with bounds= runs matrix-free"}
 
 
 @dataclass(frozen=True)
@@ -113,22 +110,19 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
 
 
-def _method_for(method: str | None, lat: GaborLattice, extra: str) -> str:
-    """Resolve ``method`` (``fiber`` when None; ``extra`` is the caller's own
-    method besides ``fiber`` and ``dense``) and refuse a size its storage
-    cannot hold.  ``contour`` runs on the fiber blocks and has their cap.
-    """
-    L = lat.grid.L
-    entries = L * _block_size(lat)
+def _operator(W: WalnutCoeffs, method: str | None, *others: str):
+    """``(method, op)``: ``method`` resolved (``fiber`` when None; ``others``
+    are the caller's besides ``fiber`` and ``dense``) and the value it reads,
+    ``W._dense`` for ``dense`` (capped there), else ``W``; ``fiber`` and
+    ``contour`` read the fiber stack and are refused above ``FIBER_LIMIT``."""
     method = "fiber" if method is None else method
-    if method not in ("fiber", "dense", extra):
+    if method not in ("fiber", "dense", *others):
         raise ValueError(f"unknown method {method!r}")
+    entries = W.lat.grid.L * _block_size(W.lat)
     if method in ("fiber", "contour") and entries > FIBER_LIMIT:
         raise SizeError(f"fiber blocks limited to L*p <= {FIBER_LIMIT}, "
-                        f"got {entries}{_ABOVE_CAP.get(extra, '')}")
-    if method == "dense" and L > DENSE_LIMIT:
-        raise SizeError(f"dense path limited to L <= {DENSE_LIMIT}, got {L}")
-    return method
+                        f"got {entries}")
+    return method, W._dense if method == "dense" else W
 
 
 def _gershgorin_upper(W: WalnutCoeffs) -> float:
@@ -200,9 +194,8 @@ def _frame_bounds(W: WalnutCoeffs, method: str | None = None,
     """:func:`frame_bounds` on the operator value ``W``, without its warning."""
     _check_tol(tol)
     lat = W.lat
-    method = _method_for(method, lat, "power_iteration")
+    method, op = _operator(W, method, "power_iteration")
     if method != "power_iteration":
-        op = _Dense(W) if method == "dense" else W
         return _bounds(op._spectrum, method)
     blocks = W.fibers()
     B = _power_extreme(blocks, lat, tol, POWER_SEEDS[0])
@@ -223,7 +216,7 @@ def frame_bounds(
 
     ``fiber`` (the default) takes the extreme eigenvalues of the fiber
     blocks and raises ``SizeError`` above ``FIBER_LIMIT``; ``dense`` those
-    of the full matrix as one block (grid length at most ``DENSE_LIMIT``);
+    of the full matrix as one block (``SizeError`` above ``DENSE_LIMIT``);
     ``power_iteration`` iterates on the operator and on its reflection
     below a row-sum upper estimate (``POWER_MAX_ITER`` steps each, start
     vectors seeded by ``POWER_SEEDS``); the cap does not refuse it, but it
@@ -249,9 +242,7 @@ def _cg_hermitian(apply_op, rhs: np.ndarray, tol: float, max_iter: int):
     r = rhs - apply_op(x)
     p = r.copy()
     rs = float(np.real(np.vdot(r, r)))
-    nrhs = float(np.linalg.norm(rhs))
-    if nrhs == 0.0:
-        return x, np.zeros(0), True
+    nrhs = max(float(np.linalg.norm(rhs)), 1e-300)  # a zero rhs stops at once
     history = []
     for _ in range(max_iter):
         rel = math.sqrt(rs) / nrhs
@@ -294,10 +285,10 @@ def inverse_solve(
     """Solve ``S x = rhs`` for the frame operator of ``g``; returns the report too.
 
     ``fiber`` (the default) solves each fiber block; ``dense`` solves the
-    full matrix as one block by LU.  Both report the relative residual,
-    ``fiber`` through ``W.apply`` and ``dense`` through its own matrix, and
-    the report's ``converged`` says whether it is at most ``tol``.  ``cg``
-    is matrix-free on the multiplier table.
+    full matrix as one block by LU; ``cg`` is matrix-free on the table.
+    Each report ends in the solution's true relative residual (``dense``
+    through its own matrix, the others through ``W.apply``; for ``cg`` in
+    place of the recurrence's), and ``converged`` is that ``<= tol``.
     Without ``bounds`` the not-a-frame verdict comes from the eigenvalues
     of the same blocks (``fiber``: those ``W`` caches; ``dense``: its own
     matrix's) or from the default fiber bounds (``cg``); supplied
@@ -316,40 +307,35 @@ def _inverse_solve(W: WalnutCoeffs, rhs: Signal, method: str | None = None,
                    tol: float = 1e-10, max_iter: int | None = None,
                    bounds: FrameBounds | None = None
                    ) -> tuple[Signal, SolverReport]:
-    """:func:`inverse_solve` on the operator value ``W``.  Its verdict reads
-    ``op._spectrum``: the eigenvalues of the eigendecomposition ``W`` holds
-    when a reader before it (the CLI's ``S^-1`` report) built one, else
-    one ``eigvalsh``."""
+    """:func:`inverse_solve` on the operator value ``W``, cheap checks first.
+    Its verdict reads ``op._spectrum``: the eigenvalues of the decomposition
+    the value holds when a reader before it (the CLI's ``S^-1`` report)
+    built one, else one ``eigvalsh``."""
     lat = W.lat
-    method = _method_for(method, lat, "cg")
     _check_tol(tol)
     _same_grid(lat.grid, rhs)
-    if method != "cg":
-        op = _Dense(W) if method == "dense" else W
-        if bounds is None:
-            bounds = _bounds(op._spectrum, method)
-        _frame_or_raise(bounds)
+    method, op = _operator(W, method, "cg")
+    if bounds is None:
+        bounds = _frame_bounds(W, tol=min(tol, 1e-10)) if method == "cg" \
+            else _bounds(op._spectrum, method)
+    _frame_or_raise(bounds)
+    if method == "cg":
+        if max_iter is None:
+            max_iter = max(1000, 10 * lat.grid.L)
+        x, hist, ok = _cg_hermitian(W.apply, rhs.samples, tol, max_iter)
+        if not ok:
+            raise ConvergenceError(
+                f"{method} stalled at relative residual {hist[-1]:.3e} "
+                f"after {len(hist)} iterations (tol {tol:.1e})")
+    else:
         x = op._back(np.linalg.solve(op.fibers(),
                                      op._to(rhs.samples)[..., None])[..., 0])
-        rel = float(
-            np.linalg.norm(op.apply(x) - rhs.samples)
-            / max(np.linalg.norm(rhs.samples), 1e-300)
-        )
-        return (_adopt(Signal, grid=lat.grid, samples=x),
-                SolverReport(method, 1, np.array([rel]), bool(rel <= tol)))
-    if bounds is None:
-        bounds = _frame_bounds(W, tol=min(tol, 1e-10))
-    _frame_or_raise(bounds)
-    if max_iter is None:
-        max_iter = max(1000, 10 * lat.grid.L)
-    x, hist, ok = _cg_hermitian(W.apply, rhs.samples, tol, max_iter)
-    if not ok:
-        raise ConvergenceError(
-            f"{method} stalled at relative residual {hist[-1]:.3e} "
-            f"after {len(hist)} iterations (tol {tol:.1e})"
-        )
+        hist = np.zeros(1)
+    # every method's last residual is its solution's own, on its value
+    hist[-1] = np.linalg.norm(op.apply(x) - rhs.samples) / max(
+        np.linalg.norm(rhs.samples), 1e-300)
     return (_adopt(Signal, grid=lat.grid, samples=x),
-            SolverReport(method, len(hist), hist, True))
+            SolverReport(method, len(hist), hist, bool(hist[-1] <= tol)))
 
 
 def dual_window(g: Signal, lat: GaborLattice, method: str | None = None,
@@ -412,7 +398,7 @@ def _inverse_walnut(W: WalnutCoeffs) -> WalnutCoeffs:
     by ``frame_op._zak_table``, which reads ``1/P`` of the blocks; only
     those are inverted."""
     lat = W.lat
-    _method_for("fiber", lat, "fiber")
+    _operator(W, "fiber")
     _frame_or_raise(_bounds(W._eigh[0], "fiber"))
     ev, V = (_table_cosets(x, lat) for x in W._eigh)
     inv = _zak_table((V / ev[..., None, :]) @ V.conj().swapaxes(-1, -2), lat)
@@ -440,9 +426,8 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
 def _tight_window(W: WalnutCoeffs, g: Signal, method: str | None = None,
                   tol: float = 1e-10) -> Signal:
     """:func:`tight_window` of ``g`` on its operator value ``W``."""
-    method = _method_for(method, W.lat, "contour")
     _check_tol(tol)
-    op = _Dense(W) if method == "dense" else W
+    method, op = _operator(W, method, "contour")
     ev, V = op._eigh
     bounds = _frame_or_raise(_bounds(ev, method))
     z = op._to(g.samples)[..., None]

@@ -268,6 +268,27 @@ def test_each_command_builds_one_operator_value(tmp_path, monkeypatch,
     assert tuple(calls.values()) == counts
 
 
+@pytest.mark.parametrize("command,method", [("dual", "dense"),
+                                            ("tight", "dense"),
+                                            ("dual", None)])
+def test_dense_matrix_assembled_once(tmp_path, monkeypatch, command, method):
+    # the S^-1 report's dense cross-check and a dense method read one
+    # matrix, W._dense; the default dual assembles it for the cross-check
+    from gaborwalnut import frame_op
+    builds = []
+    init = frame_op._Dense.__init__
+
+    def counted(self, W):
+        builds.append(W.lat)
+        init(self, W)
+
+    monkeypatch.setattr(frame_op._Dense, "__init__", counted)
+    cfg, _ = _gauss256_config(
+        tmp_path, "out", f"[{command}]\nmethod = {method}" if method else "")
+    assert main([command, "--config", cfg]) == 0
+    assert len(builds) == 1
+
+
 def test_conjecture_reads_the_summability_series(tmp_path):
     # the stride-M series of conjecture and the summability report of dual
     # read one S^-1 table
@@ -699,17 +720,20 @@ def test_fiber_above_its_limit_exits_2(tmp_path, capsys, monkeypatch):
     assert "SizeError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "dual", "tight",
+                                     "conjecture"])
 def test_default_dual_above_fiber_limit_exits_2(tmp_path, capsys,
-                                                monkeypatch):
-    # the S^-1 report refuses above the cap first and names it; it offers
-    # no library argument (bounds=) that the CLI cannot pass
+                                                monkeypatch, command):
+    # every default command refuses above the cap and names it; none offers
+    # a library method (power_iteration) or argument (bounds=) that the CLI
+    # cannot pass
     from gaborwalnut import invert
     monkeypatch.setattr(invert, "FIBER_LIMIT", 8)  # the instance has L*p = 16
     cfg = write_config(tmp_path / "run.cfg", L=16, out=tmp_path / "out")
-    assert main(["dual", "--config", cfg]) == 2
+    assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "SizeError" in err and "L*p <= 8" in err
-    assert "bounds=" not in err
+    assert "power_iteration" not in err and "bounds=" not in err
 
 
 @pytest.mark.parametrize("command", ["dual", "tight"])

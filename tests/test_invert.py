@@ -113,6 +113,18 @@ class TestFrameBounds:
         with pytest.raises(SizeError):
             frame_bounds(g, lat, method="dense")
 
+    def test_dense_frame_matrix_size_limit(self):
+        # the matrix itself is refused above DENSE_LIMIT: 64 MiB at L = 2048
+        grid = build_grid(2048, 16)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        with pytest.raises(SizeError, match=r"^dense path limited to "
+                                            r"L <= 1024, got 2048$"):
+            dense_frame_matrix(g, GaborLattice(grid, 16, 16))
+        # below it the matrix is the dense value's own, read-only
+        grid = build_grid(64, 8)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        assert not dense_frame_matrix(g, GaborLattice(grid, 4, 4)).flags.writeable
+
     def test_coefficient_energy_between_bounds(self, corpus):
         # two-sided energy inequality: the coefficient energy of any signal
         # sits between A and B times its squared norm, and equals the
@@ -672,18 +684,20 @@ class TestFiberLimit:
         fb = frame_bounds(g, lat)
         gd = inverse_solve(g, lat, g)[0]
         monkeypatch.setattr(invert, "FIBER_LIMIT", 32)
+        # every refusal names the cap and nothing else
+        cap = r"^fiber blocks limited to L\*p <= 32, got 64$"
         for method in (None, "fiber"):
-            with pytest.raises(SizeError, match="'power_iteration'"):
+            with pytest.raises(SizeError, match=cap):
                 frame_bounds(g, lat, method=method)
-            with pytest.raises(SizeError, match="'cg' with bounds="):
+            with pytest.raises(SizeError, match=cap):
                 inverse_solve(g, lat, g, method=method)
-            with pytest.raises(SizeError, match="got 64$"):
+            with pytest.raises(SizeError, match=cap):
                 tight_window(g, lat, method=method)
-        with pytest.raises(SizeError):
+        with pytest.raises(SizeError, match=cap):
             dual_window(g, lat)
-        with pytest.raises(SizeError, match="got 64$"):
+        with pytest.raises(SizeError, match=cap):
             tight_window(g, lat, method="contour")
-        with pytest.raises(SizeError):  # cg needs bounds from elsewhere
+        with pytest.raises(SizeError, match=cap):  # cg needs bounds from elsewhere
             inverse_solve(g, lat, g, method="cg")
         # the explicit cross-checks are not refused there
         fp = frame_bounds(g, lat, method="power_iteration")
@@ -981,7 +995,8 @@ class TestDenseResidual:
 
 
 class TestDirectSolveConverged:
-    """``converged`` of a fiber or dense solve is ``residual <= tol``."""
+    """``converged`` of every solve is ``residual <= tol``, the residual
+    recomputed from the solution on the method's own operator value."""
 
     @pytest.mark.parametrize("method", ["fiber", "dense"])
     def test_flag_follows_the_residual(self, method):
@@ -997,6 +1012,21 @@ class TestDirectSolveConverged:
         # a tolerance below the residual reached is reported as missed
         _, rep = inverse_solve(g, lat, g, method=method, tol=rel / 2)
         assert rep.residuals[-1] == rel and rep.converged is False
+
+    def test_cg_reports_the_true_residual(self):
+        # L = 256, a = b = 8 Gaussian at tol 1e-20, below what rounding
+        # allows: cg's recurrence reaches it (about 1e-22), the solution
+        # does not (about 2e-16), so cg, like fiber, claims no convergence
+        grid = build_grid(256, 16)
+        lat = GaborLattice(grid, 8, 8)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        x, rep = inverse_solve(g, lat, g, method="cg", tol=1e-20)
+        W = walnut_coefficients(g, lat)
+        true = np.linalg.norm(W.apply(x.samples) - g.samples) / \
+            np.linalg.norm(g.samples)
+        assert rep.residuals[-1] == true and true > 1e-20
+        assert rep.converged is False
+        assert rep.iterations == len(rep.residuals)
 
 
 class TestFiberOracle:
