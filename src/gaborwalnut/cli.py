@@ -1,6 +1,12 @@
 """Command-line front end: build instances from a config file, run analyses,
 emit CSV/JSON reports and SVG plots, and benchmark the two operator paths.
 
+A command only computes: it returns its files, each a name and the
+``reports`` call that writes it, with the text it prints.  ``main`` writes
+the files after the command has returned, so a failed check leaves none, and
+then prints; a contract ``verify`` finds broken is raised after its
+``verify.json`` is written.
+
 Exit codes: 0 success, 2 configuration or validation error, 3 not a frame,
 4 contract violation, 5 convergence failure.
 """
@@ -10,7 +16,10 @@ import configparser
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +35,7 @@ from .core import (
     build_grid,
     build_window,
     norm_l2,
+    signed_range,
 )
 from .diagnostics import (
     _summability_report,
@@ -90,6 +100,23 @@ class RunConfig:
     verify_dual: tuple[str, WindowSpec | None]  # the mode; `file`'s window
     bench_reps: int
     bench_cases: list[tuple[int, int, int, int]]  # (L, s, a, b) of each case
+
+
+@dataclass
+class Outputs:
+    """What a command computed: each file's name and the call that writes it
+    to a given path, in writing order (called once: a call may read its
+    rows as it writes them); the text it prints after them; and the check
+    it failed, if any, raised after the text."""
+
+    files: dict[str, Callable[[Path], None]]
+    text: str
+    failed: ContractViolationError | None = None
+
+
+def _csv(header, rows) -> Callable[[Path], None]:
+    """The write of a CSV file of ``header`` and ``rows`` to a given path."""
+    return partial(reports.write_csv, header=header, rows=rows)
 
 
 def _options(tol: float = 1e-10, seed: int = 0, out: str = "gw-out") -> tuple:
@@ -208,11 +235,9 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
                      bench_reps=reps, bench_cases=cases)
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(cfg: RunConfig) -> Outputs:
     """Frame bounds, multiplier table, block norms and the empirical constant,
-    all read off one operator value and all computed before the first file
-    is written."""
-    out = cfg.out
+    all read off one operator value."""
     lat = cfg.lattice
     W = walnut_coefficients(cfg.window, lat)
     bounds = _frame_bounds(W, tol=cfg.tol)
@@ -221,52 +246,59 @@ def cmd_analyze(cfg: RunConfig) -> int:
     # the multiplier sum over the squared window norm; inf for a zero window
     denom = am ** 2
     ratio = prof.norm / denom if denom else (math.inf if prof.norm > 0 else 0.0)
-    reports.write_bounds_csv(bounds, out / "bounds.csv")
-    reports.write_walnut_csv(W, out / "walnut_coeffs.csv")
-    with open(out / "walnut.csv", "w", encoding="utf-8") as fh:
-        fh.write("r,sup,weight,product\n")
-        for r, sup, nu in zip(prof.indices.tolist(), prof.block_sups.tolist(),
-                              prof.weights.tolist()):
-            fh.write(f"{r},{sup!r},{nu!r},{sup * nu!r}\n")
-    with open(out / "amalgam.csv", "w", encoding="utf-8") as fh:
-        fh.write("norm,value\n")
-        fh.write(f"amalgam,{am!r}\nl2,{l2!r}\nlinf,{linf!r}\n")
-    reports.write_json(
-        {
-            "A": bounds.A,
-            "B": bounds.B,
-            "not_a_frame": bounds.not_a_frame,
-            "cond": None if bounds.not_a_frame else bounds.B / bounds.A,
-            "bounds_method": bounds.method,
-            "block_size": _block_size(lat),
-            "redundancy": lat.redundancy,
-            "weighted_multiplier_sum": prof.norm,
-            "window_amalgam_norm": am,
-            "empirical_ratio": ratio,
-            "seed": cfg.seed,
-        },
-        out / "analyze.json",
-    )
-    print(f"analyze: A={bounds.A:.12g} B={bounds.B:.12g} -> {out}")
-    return EXIT_OK
+    table = ((r, x, re, im) for r in signed_range(lat.b)
+             for x, (re, im) in enumerate(zip(W.table[r].real.tolist(),
+                                              W.table[r].imag.tolist())))
+    sups = ((r, sup, nu, sup * nu) for r, sup, nu in
+            zip(prof.indices.tolist(), prof.block_sups.tolist(),
+                prof.weights.tolist()))
+    payload = {
+        "A": bounds.A,
+        "B": bounds.B,
+        "not_a_frame": bounds.not_a_frame,
+        "cond": None if bounds.not_a_frame else bounds.B / bounds.A,
+        "bounds_method": bounds.method,
+        "block_size": _block_size(lat),
+        "redundancy": lat.redundancy,
+        "weighted_multiplier_sum": prof.norm,
+        "window_amalgam_norm": am,
+        "empirical_ratio": ratio,
+        "seed": cfg.seed,
+    }
+    return Outputs({
+        "bounds.csv": _csv(("A", "B", "method", "not_a_frame"),
+                           [(bounds.A, bounds.B, bounds.method,
+                             int(bounds.not_a_frame))]),
+        "walnut_coeffs.csv": _csv(
+            ("factor", "a", "b", "M", "L"),
+            chain([(float(W.factor), lat.a, lat.b, lat.M, lat.grid.L),
+                   ("r", "x", "re", "im")], table)),
+        "walnut.csv": _csv(("r", "sup", "weight", "product"), sups),
+        "amalgam.csv": _csv(("norm", "value"), [("amalgam", am), ("l2", l2),
+                                                ("linf", linf)]),
+        "analyze.json": partial(reports.write_json, payload),
+    }, f"analyze: A={bounds.A:.12g} B={bounds.B:.12g} -> {cfg.out}")
 
 
-def _dual_like(cfg: RunConfig, which: str) -> int:
+def _dual_like(cfg: RunConfig, which: str) -> Outputs:
     """``dual`` or ``tight`` on one operator value ``W``, read in dependency
     order: the ``S^-1`` report first (the fiber cap, the not-a-frame
     verdict and the one decomposition of ``W``), then the window, whose
-    verdict reads the eigenvalues ``W`` now holds, and every file last."""
-    out = cfg.out
+    verdict reads the eigenvalues ``W`` now holds.  Returns the window,
+    the ``S^-1`` report and, for ``dual``, the solver's residual history."""
     lat = cfg.lattice
     method = cfg.methods[which]
     W = walnut_coefficients(cfg.window, lat)
     summ = _summability_report(W, cfg.weight)
+    files = {}
     if which == "dual":
         gd, solver = _inverse_solve(W, cfg.window, method, cfg.tol)
         residual = duality_defect(cfg.window, gd, lat)
         extra = {"solver_converged": solver.converged}
+        files["solver.csv"] = _csv(("iteration", "relative_residual"),
+                                   enumerate(solver.residuals.tolist()))
     else:
-        gd, solver = _tight_window(W, cfg.window, method, cfg.tol), None
+        gd = _tight_window(W, cfg.window, method, cfg.tol)
         residual = duality_defect(gd, gd, lat)
         extra = {}
     name = f"{which}_window.txt"
@@ -278,17 +310,27 @@ def _dual_like(cfg: RunConfig, which: str) -> int:
         "seed": cfg.seed,
         **extra,
     }
-    if solver is not None:
-        reports.write_solver_csv(solver, out / "solver.csv")
-    reports.write_window_file(gd, out / name)
-    reports.write_summability_csv(summ, out / "summability.csv")
-    reports.write_summability_json(summ, out / "summability.json")
-    reports.write_json(payload, out / f"{which}.json")
-    print(f"{which}: residual={residual:.3e} -> {out}")
-    return EXIT_OK
+    summary = {
+        "lattice": {"L": lat.grid.L, "s": lat.grid.s, "a": lat.a, "b": lat.b},
+        "weight": summ.weight,
+        "per_r": [{"r": r, "sup": sup, "nu": nu, "product": prod}
+                  for (r, sup, nu, prod) in summ.per_r],
+        "weighted_sum": summ.weighted_sum,
+        "cross_check_error": summ.cross_check_error,
+    }
+    files.update({
+        name: partial(reports.write_window_file, gd),
+        "summability.csv": _csv(
+            ("r", "sup", "weight", "product", "cumsum"),
+            ((*row, cum) for row, cum in
+             zip(summ.per_r, summ.tail_profile.tolist()))),
+        "summability.json": partial(reports.write_json, summary),
+        f"{which}.json": partial(reports.write_json, payload),
+    })
+    return Outputs(files, f"{which}: residual={residual:.3e} -> {cfg.out}")
 
 
-def cmd_dual(cfg: RunConfig) -> int:
+def cmd_dual(cfg: RunConfig) -> Outputs:
     """Canonical dual window with its duality defect and summability reports.
 
     ``reconstruction_residual`` in ``dual.json`` is
@@ -297,7 +339,7 @@ def cmd_dual(cfg: RunConfig) -> int:
     return _dual_like(cfg, "dual")
 
 
-def cmd_tight(cfg: RunConfig) -> int:
+def cmd_tight(cfg: RunConfig) -> Outputs:
     """Canonical tight window with its self-duality defect and the
     summability reports of ``S^-1``; no dual window is solved.
 
@@ -307,9 +349,9 @@ def cmd_tight(cfg: RunConfig) -> int:
     return _dual_like(cfg, "tight")
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    """Check the mixed-bracket identity and norm estimate for the instance."""
-    out = cfg.out
+def cmd_verify(cfg: RunConfig) -> Outputs:
+    """Check the mixed-bracket identity and norm estimate for the instance;
+    a failed check is returned with ``verify.json``, which records it."""
     lat = cfg.lattice
     mode, spec = cfg.verify_dual
     gd = {"canonical": lambda: dual_window(cfg.window, lat,
@@ -318,103 +360,93 @@ def cmd_verify(cfg: RunConfig) -> int:
           "file": lambda: build_window(spec, cfg.grid)}[mode]()
     ident, lhs, rhs = _verify_pass(cfg.window, gd, lat, cfg.weight)
     ok = ident.max_abs_error < cfg.tol and lhs <= rhs
-    reports.write_json(
-        {
-            "max_abs_error": ident.max_abs_error,
-            "worst_k": ident.worst_k,
-            "worst_x": ident.worst_x,
-            "residue_classes": lat.M // math.gcd(lat.a, lat.M),
-            "norm_estimate_lhs": lhs,
-            "norm_estimate_rhs": rhs,
-            "tolerance": cfg.tol,
-            "dual_mode": mode,
-            "passed": ok,
-        },
-        out / "verify.json",
-    )
-    print(f"verify: residual={ident.max_abs_error:.3e} lhs={lhs:.6g} "
-          f"rhs={rhs:.6g} -> {out}")
-    if not ok:
-        raise ContractViolationError(
-            f"identity residual {ident.max_abs_error:.3e} (tol {cfg.tol:.1e}) "
-            f"or norm estimate lhs={lhs:.6g} > rhs={rhs:.6g}"
-        )
-    return EXIT_OK
+    payload = {
+        "max_abs_error": ident.max_abs_error,
+        "worst_k": ident.worst_k,
+        "worst_x": ident.worst_x,
+        "residue_classes": lat.M // math.gcd(lat.a, lat.M),
+        "norm_estimate_lhs": lhs,
+        "norm_estimate_rhs": rhs,
+        "tolerance": cfg.tol,
+        "dual_mode": mode,
+        "passed": ok,
+    }
+    failed = None if ok else ContractViolationError(
+        f"identity residual {ident.max_abs_error:.3e} (tol {cfg.tol:.1e}) "
+        f"or norm estimate lhs={lhs:.6g} > rhs={rhs:.6g}")
+    return Outputs({"verify.json": partial(reports.write_json, payload)},
+                   f"verify: residual={ident.max_abs_error:.3e} "
+                   f"lhs={lhs:.6g} rhs={rhs:.6g} -> {cfg.out}", failed)
 
 
-def cmd_counterexample(cfg: RunConfig) -> int:
+def cmd_counterexample(cfg: RunConfig) -> Outputs:
     """Build the staircase perturbation and report orthogonality and growth."""
-    out = cfg.out
     grid = cfg.grid
     h = build_counterexample("harmonic", grid)
     g = build_window(WindowSpec.characteristic(1.0), grid)
     lat = GaborLattice(grid, grid.s // 2, grid.units)
     max_inner, profile = counterexample_report(h, g, lat, cfg.weight)
-    reports.write_profile_csv(profile, out / "profile.csv")
     radii = np.arange(1, len(profile.weighted_cumsums) + 1)
-    reports.write_svg_lines(
-        out / "growth.svg",
-        {"weighted cumsum": (radii, profile.weighted_cumsums)},
-        title="Block-norm partial sums of the staircase perturbation",
-        xlabel="blocks included",
-        ylabel="cumulative weighted sup",
-    )
-    reports.write_json(
-        {
-            "max_inner_product": max_inner,
-            "profile_total": profile.norm,
-            "units": grid.units,
-            "seed": cfg.seed,
-        },
-        out / "counterexample.json",
-    )
-    print(f"counterexample: max inner={max_inner:.3e} "
-          f"profile total={profile.norm:.6g} -> {out}")
-    return EXIT_OK
+    payload = {
+        "max_inner_product": max_inner,
+        "profile_total": profile.norm,
+        "units": grid.units,
+        "seed": cfg.seed,
+    }
+    rows = ((n, sup, wgt, sup * wgt, cum) for n, sup, wgt, cum in
+            zip(profile.indices.tolist(), profile.block_sups.tolist(),
+                profile.weights.tolist(), profile.weighted_cumsums.tolist()))
+    return Outputs({
+        "profile.csv": _csv(("n", "sup", "weight", "weighted_sup", "cumsum"),
+                            rows),
+        "growth.svg": partial(
+            reports.write_svg_lines,
+            series={"weighted cumsum": (radii, profile.weighted_cumsums)},
+            title="Block-norm partial sums of the staircase perturbation",
+            xlabel="blocks included", ylabel="cumulative weighted sup"),
+        "counterexample.json": partial(reports.write_json, payload),
+    }, f"counterexample: max inner={max_inner:.3e} "
+       f"profile total={profile.norm:.6g} -> {cfg.out}")
 
 
-def cmd_conjecture(cfg: RunConfig) -> int:
-    """Probe both block geometries of the dual window's multiplier sums.
-    ``S^-1`` is read first: the stride-M series is the summability
-    report's, off its table, which builds ``W``'s one eigendecomposition;
-    the dual's verdict then reads the eigenvalues ``W`` holds."""
-    out = cfg.out
+def cmd_conjecture(cfg: RunConfig) -> Outputs:
+    """Probe both block geometries of the dual window's multiplier sums and
+    return their chart and totals.  ``S^-1`` is read first: the stride-M
+    series is read off its table, as ``dual``'s summability report reads
+    it, which builds ``W``'s one eigendecomposition; the dual's verdict
+    then reads the eigenvalues ``W`` holds."""
     lat = cfg.lattice
     W = walnut_coefficients(cfg.window, lat)
     alpha_seq = _profile(_inverse_walnut(W).table, cfg.weight).weighted_cumsums
     gd = _inverse_solve(W, cfg.window, tol=min(cfg.tol, 1e-12))[0]
     invbeta_seq = bracket_series(gd, gd, lat, cfg.weight)
     sum_alpha, sum_invbeta = float(alpha_seq[-1]), float(invbeta_seq[-1])
-    reports.write_svg_lines(
-        out / "bracket_sums.svg",
-        {
-            "stride-M at period a": (np.arange(1, len(alpha_seq) + 1), alpha_seq),
-            "stride-a at period M": (np.arange(1, len(invbeta_seq) + 1),
-                                     invbeta_seq),
-        },
-        title="Weighted multiplier partial sums in both block geometries",
-        xlabel="terms included",
-        ylabel="partial sum",
-    )
-    reports.write_json(
-        {
-            "sum_alpha_blocks": sum_alpha,
-            "sum_invbeta_blocks": sum_invbeta,
-            "ratio": (sum_invbeta / sum_alpha) if sum_alpha else None,
-            "seed": cfg.seed,
-        },
-        out / "conjecture.json",
-    )
-    print(f"conjecture: alpha-blocks={sum_alpha:.6g} "
-          f"invbeta-blocks={sum_invbeta:.6g} -> {out}")
-    return EXIT_OK
+    series = {
+        "stride-M at period a": (np.arange(1, len(alpha_seq) + 1), alpha_seq),
+        "stride-a at period M": (np.arange(1, len(invbeta_seq) + 1),
+                                 invbeta_seq),
+    }
+    payload = {
+        "sum_alpha_blocks": sum_alpha,
+        "sum_invbeta_blocks": sum_invbeta,
+        "ratio": (sum_invbeta / sum_alpha) if sum_alpha else None,
+        "seed": cfg.seed,
+    }
+    return Outputs({
+        "bracket_sums.svg": partial(
+            reports.write_svg_lines, series=series,
+            title="Weighted multiplier partial sums in both block geometries",
+            xlabel="terms included", ylabel="partial sum"),
+        "conjecture.json": partial(reports.write_json, payload),
+    }, f"conjecture: alpha-blocks={sum_alpha:.6g} "
+       f"invbeta-blocks={sum_invbeta:.6g} -> {cfg.out}")
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(cfg: RunConfig) -> Outputs:
     """Median wall times of the double-sum and multiplier applications on the
     lattices of ``[bench] cases``, else the config's own; a case whose double
     sum has more than ``_BENCH_TERMS`` terms raises ``SizeError``."""
-    out, reps = cfg.out, cfg.bench_reps
+    reps = cfg.bench_reps
     lattices = [GaborLattice(build_grid(L, s), a, b)
                 for L, s, a, b in cfg.bench_cases] or [cfg.lattice]
     for lat in lattices:  # before any case is timed
@@ -438,25 +470,23 @@ def cmd_bench(cfg: RunConfig) -> int:
             t0 = time.perf_counter()
             y_walnut = frame_operator_walnut(W, f)
             t_walnut.append(time.perf_counter() - t0)
+            # a zero window gives zero outputs, and a NaN fails the check
             rel = np.linalg.norm(y_walnut.samples - y_direct.samples) / \
-                np.linalg.norm(y_direct.samples)
-            if rel > 1e-10:
+                max(np.linalg.norm(y_direct.samples), 1e-300)
+            if not rel <= 1e-10:
                 raise ContractViolationError(
                     f"walnut/direct mismatch {rel:.3e} at L={L}, a={a}, b={b}"
                 )
         med_d = sorted(t_direct)[reps // 2]
         med_w = sorted(t_walnut)[reps // 2]
         rows.append((L, a, b, med_d, med_w, med_d / med_w))
-    with open(out / "bench.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# seed={cfg.seed} reps={reps}\n")
-        fh.write("L,a,b,t_direct,t_walnut,speedup\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-    for L, a, b, td, tw, sp in rows:
-        print(f"bench: L={L} a={a} b={b} direct={td:.4f}s walnut={tw:.6f}s "
-              f"speedup={sp:.1f}x")
-    return EXIT_OK
+    return Outputs({
+        "bench.csv": _csv((f"# seed={cfg.seed} reps={reps}",),
+                          [("L", "a", "b", "t_direct", "t_walnut", "speedup"),
+                           *rows]),
+    }, "\n".join(f"bench: L={L} a={a} b={b} direct={td:.4f}s "
+                 f"walnut={tw:.6f}s speedup={sp:.1f}x"
+                 for L, a, b, td, tw, sp in rows))
 
 
 _DISPATCH = {
@@ -489,7 +519,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args)
         cfg.out.mkdir(parents=True, exist_ok=True)
-        return _DISPATCH[args.command](cfg)
+        done = _DISPATCH[args.command](cfg)
+        for name, write in done.files.items():
+            write(cfg.out / name)
+        print(done.text)
+        if done.failed is not None:
+            raise done.failed
+        return EXIT_OK
     except (GaborToolkitError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return next((code for error, code in _EXIT_CODES.items()

@@ -1,35 +1,24 @@
-"""Serialization of profiles, multiplier tables and reports to CSV/JSON/SVG.
+"""File formats: CSV rows, JSON payloads, SVG line charts and window files.
 
-All CSV output is comma-separated UTF-8 with a header row.  Plots are
-written as self-contained SVG polyline charts; plotting is presentation-only
-and never feeds back into computation.
+Four primitives and no knowledge of the values they format: the CLI builds
+each file's rows or payload and calls one of them on the output path.  All
+CSV output is comma-separated UTF-8 with a header row and ``\\r\\n`` line
+ends.  Plots are self-contained SVG polyline charts; plotting is
+presentation-only and never feeds back into computation.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .amalgam import AmalgamProfile
-from .core import Signal, signed_range
-from .diagnostics import SummabilityReport
-from .frame_op import WalnutCoeffs
-from .invert import FrameBounds, SolverReport
+from .core import Signal
 
-__all__ = [
-    "write_window_file",
-    "write_profile_csv",
-    "write_walnut_csv",
-    "write_bounds_csv",
-    "write_solver_csv",
-    "write_summability_csv",
-    "write_summability_json",
-    "write_json",
-    "write_svg_lines",
-]
+__all__ = ["write_window_file", "write_csv", "write_json", "write_svg_lines"]
 
 
 # Lines of a window file formatted by one join; a bigger block only holds
@@ -51,68 +40,15 @@ def write_window_file(sig: Signal, path) -> None:
             fh.write("".join(out))
 
 
-def _write_csv(path, header: str, lines) -> None:
-    """Write a header and preformatted rows, joined once, with the ``\\r\\n``
-    line ends of ``csv.writer``.  Every field is a number or a method name,
-    so none needs quoting."""
+def write_csv(path, header, rows) -> None:
+    """Write a header row and ``rows``, joined once, with the ``\\r\\n`` line
+    ends of ``csv.writer``: a float field as ``repr(float(v))``, so that a
+    numpy scalar is written as its value, and any other field as ``str``.
+    Every field is a number or a name, so none needs quoting."""
+    lines = [",".join([repr(float(v)) if isinstance(v, float) else str(v)
+                       for v in row]) for row in chain([header], rows)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\r\n" + "".join(lines))
-
-
-def write_profile_csv(profile: AmalgamProfile, path) -> None:
-    rows = zip(profile.indices.tolist(), profile.block_sups.tolist(),
-               profile.weights.tolist(), profile.weighted_cumsums.tolist())
-    _write_csv(path, "n,sup,weight,weighted_sup,cumsum",
-               (f"{int(n)},{sup!r},{wgt!r},{sup * wgt!r},{cum!r}\r\n"
-                for n, sup, wgt, cum in rows))
-
-
-def write_walnut_csv(W: WalnutCoeffs, path) -> None:
-    """Full multiplier table, preceded by a lattice header row."""
-    lat = W.lat
-    head = (f"factor,a,b,M,L\r\n{float(W.factor)!r},{lat.a},{lat.b},{lat.M},"
-            f"{lat.grid.L}\r\nr,x,re,im")
-    _write_csv(path, head, (
-        f"{r},{x},{re!r},{im!r}\r\n"
-        for r in signed_range(lat.b)
-        for x, (re, im) in enumerate(zip(W.table[r].real.tolist(),
-                                         W.table[r].imag.tolist()))))
-
-
-def write_bounds_csv(bounds: FrameBounds, path) -> None:
-    _write_csv(path, "A,B,method,not_a_frame",
-               [f"{bounds.A!r},{bounds.B!r},{bounds.method},"
-                f"{int(bounds.not_a_frame)}\r\n"])
-
-
-def write_solver_csv(report: SolverReport, path) -> None:
-    _write_csv(path, "iteration,relative_residual",
-               (f"{i},{r!r}\r\n" for i, r in enumerate(report.residuals.tolist())))
-
-
-def write_summability_csv(report: SummabilityReport, path) -> None:
-    rows = zip(report.per_r, report.tail_profile.tolist())
-    _write_csv(path, "r,sup,weight,product,cumsum",
-               (f"{r},{sup!r},{nu!r},{prod!r},{cum!r}\r\n"
-                for (r, sup, nu, prod), cum in rows))
-
-
-def _summability_dict(report: SummabilityReport) -> dict:
-    lat = report.lattice
-    return {
-        "lattice": {"L": lat.grid.L, "s": lat.grid.s, "a": lat.a, "b": lat.b},
-        "weight": report.weight,
-        "per_r": [
-            {"r": r, "sup": sup, "nu": nu, "product": prod}
-            for (r, sup, nu, prod) in report.per_r
-        ],
-        "weighted_sum": report.weighted_sum,
-        "cross_check_error": report.cross_check_error,
-    }
-
-
-def write_summability_json(report: SummabilityReport, path) -> None:
-    write_json(_summability_dict(report), path)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_json(payload: dict, path) -> None:

@@ -187,6 +187,19 @@ def _gauss256_config(tmp_path, name, extra=""):
     return cfg, out
 
 
+def summability_payload(report):
+    """The ``summability.json`` payload of a ``SummabilityReport``."""
+    lat = report.lattice
+    return {
+        "lattice": {"L": lat.grid.L, "s": lat.grid.s, "a": lat.a, "b": lat.b},
+        "weight": report.weight,
+        "per_r": [{"r": r, "sup": sup, "nu": nu, "product": prod}
+                  for (r, sup, nu, prod) in report.per_r],
+        "weighted_sum": report.weighted_sum,
+        "cross_check_error": report.cross_check_error,
+    }
+
+
 @pytest.mark.parametrize("method", [None, "cg", "dense"])
 def test_dual_solves_once(tmp_path, monkeypatch, method):
     # one solve, for dual_window.txt; the summability report is S^-1's
@@ -202,7 +215,7 @@ def test_dual_solves_once(tmp_path, monkeypatch, method):
     g = build_window(WindowSpec.gaussian(width=1.0), grid)
     expect = dual_summability_report(g, GaborLattice(grid, 8, 8),
                                      Weight.polynomial(2.0))
-    reports.write_summability_json(expect, tmp_path / "expect.json")
+    reports.write_json(summability_payload(expect), tmp_path / "expect.json")
     assert (out / "summability.json").read_bytes() == \
         (tmp_path / "expect.json").read_bytes()
 
@@ -525,6 +538,37 @@ def test_bench_single_case(tmp_path):
     assert lines[1] == "L,a,b,t_direct,t_walnut,speedup"
     assert len(lines) == 3
     assert lines[2].startswith("64,4,4,")
+
+
+def test_bench_zero_window_passes_without_warning(tmp_path, capsys):
+    # a Gaussian centred at 1e300 is zero on the grid: both outputs are zero,
+    # which agree, with no 0/0 (pytest raises a RuntimeWarning)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
+                       window="gaussian", window_extra="center = 1e300",
+                       out=out)
+    assert main(["bench", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "bench.csv").read_text().splitlines()[2].startswith(
+        "256,8,8,")
+
+
+def test_bench_nan_walnut_output_exits_4(tmp_path, monkeypatch, capsys):
+    from gaborwalnut import Signal, cli
+    real = cli.frame_operator_walnut
+
+    def nan_walnut(W, f):
+        y = real(W, f)
+        return Signal(y.grid, np.full_like(y.samples, np.nan))
+
+    monkeypatch.setattr(cli, "frame_operator_walnut", nan_walnut)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=64, s=8, a=4, b=4,
+                       window="gaussian", window_extra="width = 1.0", out=out)
+    assert main(["bench", "--config", cfg]) == 4
+    assert capsys.readouterr().err.startswith(
+        "ContractViolationError: walnut/direct mismatch nan at L=64")
+    assert list(out.iterdir()) == []
 
 
 def test_bench_rejects_too_few_reps(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import re
@@ -12,31 +13,23 @@ from gaborwalnut import (
     Signal,
     Weight,
     WindowSpec,
-    amalgam_profile,
+    build_counterexample,
     build_grid,
     build_window,
+    counterexample_report,
     dual_summability_report,
-    frame_bounds,
     inverse_solve,
     read_window_file,
+    reports,
+    signed_range,
     walnut_coefficients,
 )
 import gaborwalnut.core
-from gaborwalnut.amalgam import AmalgamProfile
-from gaborwalnut.core import signed_range
-from gaborwalnut.diagnostics import SummabilityReport
-from gaborwalnut.frame_op import WalnutCoeffs
-from gaborwalnut.invert import FrameBounds, SolverReport
+from gaborwalnut.cli import main
 from gaborwalnut.reports import (
     _SVG_HEIGHT,
     _SVG_WIDTH,
-    write_bounds_csv,
-    write_profile_csv,
-    write_solver_csv,
-    write_summability_csv,
-    write_summability_json,
     write_svg_lines,
-    write_walnut_csv,
     write_window_file,
 )
 
@@ -244,62 +237,112 @@ def test_window_file_opened_once(tmp_path, monkeypatch, text):
     assert opened == [str(path)]
 
 
-def test_profile_csv(tmp_path, chi_lat):
-    g, _ = chi_lat
-    prof = amalgam_profile(g, 2, Weight.polynomial(1.0))
-    path = tmp_path / "profile.csv"
-    write_profile_csv(prof, path)
-    rows = list(csv.DictReader(path.open()))
-    assert [r["n"] for r in rows] == ["0", "1", "-1", "2"]
+CHI_CONFIG = """
+[grid]
+L = {L}
+s = 4
+
+[window]
+kind = characteristic
+units = 1
+
+[lattice]
+a = 2
+b = 2
+
+[weight]
+{weight}
+
+{extra}
+"""
+
+
+def run_cli(tmp_path, command, weight="kind = constant", extra=""):
+    """Run one CLI command on the ``chi_lat`` instance (``counterexample``,
+    which needs 4 units, on L = 16) and return its output directory."""
+    L = 16 if command == "counterexample" else 8
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(CHI_CONFIG.format(L=L, weight=weight, extra=extra))
+    out = tmp_path / command
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def test_profile_csv(tmp_path):
+    # counterexample's profile.csv: every row is counterexample_report's
+    out = run_cli(tmp_path, "counterexample", "kind = polynomial\nt = 1")
+    grid = build_grid(16, 4)
+    g = build_window(WindowSpec.characteristic(1.0), grid)
+    _, prof = counterexample_report(build_counterexample("harmonic", grid), g,
+                                    GaborLattice(grid, 2, 4),
+                                    Weight.polynomial(1.0))
+    rows = list(csv.DictReader((out / "profile.csv").open()))
+    assert [r["n"] for r in rows] == ["0", "1", "-1", "2", "-2", "3", "-3", "4"]
     assert float(rows[-1]["cumsum"]) == pytest.approx(prof.norm)
-    assert set(rows[0]) == {"n", "sup", "weight", "weighted_sup", "cumsum"}
+    assert list(rows[0]) == ["n", "sup", "weight", "weighted_sup", "cumsum"]
+    assert [list(r.values()) for r in rows] == [
+        [str(n), repr(s), repr(w), repr(s * w), repr(c)] for n, s, w, c in
+        zip(prof.indices.tolist(), prof.block_sups.tolist(),
+            prof.weights.tolist(), prof.weighted_cumsums.tolist())]
 
 
 def test_walnut_csv(tmp_path, chi_lat):
+    # analyze's walnut_coeffs.csv: a lattice header row, then the table
     g, lat = chi_lat
     W = walnut_coefficients(g, lat)
-    path = tmp_path / "walnut.csv"
-    write_walnut_csv(W, path)
-    lines = path.read_text().strip().splitlines()
+    out = run_cli(tmp_path, "analyze")
+    lines = (out / "walnut_coeffs.csv").read_text().strip().splitlines()
     assert lines[0].split(",") == ["factor", "a", "b", "M", "L"]
     header_vals = lines[1].split(",")
-    assert header_vals[1:] == ["2", "2", "4", "8"]
+    assert header_vals == [repr(float(W.factor)), "2", "2", "4", "8"]
     assert lines[2].split(",") == ["r", "x", "re", "im"]
     assert len(lines) == 3 + lat.b * lat.a
+    assert lines[3:] == [f"{r},{x},{float(W.table[r][x].real)!r},"
+                         f"{float(W.table[r][x].imag)!r}"
+                         for r in signed_range(lat.b) for x in range(lat.a)]
 
 
-def test_bounds_csv(tmp_path, chi_lat):
-    g, lat = chi_lat
-    path = tmp_path / "bounds.csv"
-    write_bounds_csv(frame_bounds(g, lat, method="dense"), path)
-    rows = list(csv.DictReader(path.open()))
+def test_bounds_csv(tmp_path):
+    out = run_cli(tmp_path, "analyze")
+    rows = list(csv.DictReader((out / "bounds.csv").open()))
+    assert len(rows) == 1
     assert float(rows[0]["A"]) == pytest.approx(2.0)
     assert float(rows[0]["B"]) == pytest.approx(2.0)
+    assert (rows[0]["method"], rows[0]["not_a_frame"]) == ("fiber", "0")
 
 
 def test_solver_csv(tmp_path, chi_lat):
+    # dual's solver.csv under cg: the library solve's residual history
     g, lat = chi_lat
     _, report = inverse_solve(g, lat, g, method="cg", tol=1e-12)
-    path = tmp_path / "solver.csv"
-    write_solver_csv(report, path)
-    rows = list(csv.DictReader(path.open()))
+    out = run_cli(tmp_path, "dual", extra="[dual]\nmethod = cg\n"
+                                          "[options]\ntol = 1e-12")
+    rows = list(csv.DictReader((out / "solver.csv").open()))
     assert len(rows) == report.iterations
     assert float(rows[-1]["relative_residual"]) <= 1e-12
+    assert [(r["iteration"], r["relative_residual"]) for r in rows] == [
+        (str(i), repr(r)) for i, r in enumerate(report.residuals.tolist())]
 
 
 def test_summability_outputs(tmp_path, chi_lat):
+    # dual's summability.csv and .json: dual_summability_report's values
     g, lat = chi_lat
     rep = dual_summability_report(g, lat, Weight.constant())
-    cpath = tmp_path / "summ.csv"
-    jpath = tmp_path / "summ.json"
-    write_summability_csv(rep, cpath)
-    write_summability_json(rep, jpath)
-    rows = list(csv.DictReader(cpath.open()))
+    out = run_cli(tmp_path, "dual")
+    rows = list(csv.DictReader((out / "summability.csv").open()))
     assert len(rows) == lat.b
-    payload = json.loads(jpath.read_text())
+    assert [list(r.values()) for r in rows] == [
+        [str(r), repr(s), repr(w), repr(p), repr(c)] for (r, s, w, p), c in
+        zip(rep.per_r, rep.tail_profile.tolist())]
+    payload = json.loads((out / "summability.json").read_text())
     assert payload["lattice"] == {"L": 8, "s": 4, "a": 2, "b": 2}
     assert payload["weighted_sum"] == pytest.approx(0.5)
+    assert payload["weighted_sum"] == rep.weighted_sum
     assert {e["r"] for e in payload["per_r"]} == {0, 1}
+    assert payload["per_r"] == [{"r": r, "sup": s, "nu": w, "product": p}
+                                for r, s, w, p in rep.per_r]
+    assert payload["weight"] == rep.weight
+    assert payload["cross_check_error"] == rep.cross_check_error
 
 
 def test_svg_plot(tmp_path):
@@ -361,12 +404,6 @@ ODD = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1e-300, math.inf, -math.inf,
        math.nan, 1.0, 2.5, -1 / 3, 1e16, 123456789.0]
 
 
-def _complex(re, im):
-    z = np.empty(len(re), dtype=complex)
-    z.real, z.imag = re, im
-    return z
-
-
 def _csv_writer_bytes(path, header, rows) -> bytes:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
@@ -376,49 +413,49 @@ def _csv_writer_bytes(path, header, rows) -> bytes:
 
 
 def test_csv_bytes_match_csv_writer(tmp_path):
-    # each joined writer against csv.writer on the same fields, \r\n ends
-    # included
+    # write_csv against csv.writer on the same fields, \r\n ends included:
+    # ints, Python floats, np.float64 values and names, each float written
+    # as repr(float(v)) and never as numpy's "np.float64(...)"
     ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
     x = np.array(ODD)
-    y = x[::-1].copy()
     n = len(ODD)
-    with np.errstate(all="ignore"):
-        prof = AmalgamProfile(2, np.array([0, 1, -1] + list(range(2, n - 2))),
-                              x, y, np.cumsum(x))
-        rows = [[int(k), repr(float(s)), repr(float(w)), repr(float(s * w)),
-                 repr(float(c))] for k, s, w, c in
-                zip(prof.indices, x, y, prof.weighted_cumsums)]
-    write_profile_csv(prof, out)
+    rows = [[k, v, np.float64(w), name, np.int64(-k), bool(k % 2)]
+            for k, v, w, name in zip(range(n), ODD, x[::-1],
+                                     ("fiber", "dense", "power_iteration") * n)]
+    header = ["n", "float", "np.float64", "method", "np.int64", "flag"]
+    reports.write_csv(out, header, rows)
     assert out.read_bytes() == _csv_writer_bytes(
-        ref, ["n", "sup", "weight", "weighted_sup", "cumsum"], rows)
+        ref, header, [[str(k), repr(float(v)), repr(float(w)), name, str(m),
+                       str(flag)] for k, v, w, name, m, flag in rows])
+    assert b"np." not in out.read_bytes().split(b"\r\n", 1)[1]
+    # rows may be any iterable, read once; no rows leaves the header alone
+    reports.write_csv(out, ("a", "b"), iter([(1, 2.5)]))
+    assert out.read_bytes() == b"a,b\r\n1,2.5\r\n"
+    reports.write_csv(out, ("a",), [])
+    assert out.read_bytes() == b"a\r\n"
 
-    lat = GaborLattice(build_grid(2 * n, 2), n, 2)
-    W = WalnutCoeffs(lat, np.stack([_complex(x, y), _complex(y, -x)]))
-    write_walnut_csv(W, out)
-    # the factor is the lattice's M/s = n/2
-    rows = [["factor", "a", "b", "M", "L"], [repr(n / 2), n, 2, n, 2 * n],
-            ["r", "x", "re", "im"]]
-    rows += [[r, k, repr(float(W.table[r][k].real)), repr(float(W.table[r][k].imag))]
-             for r in signed_range(2) for k in range(n)]
-    assert out.read_bytes() == _csv_writer_bytes(ref, rows[0], rows[1:])
 
-    rep = SolverReport("cg", n, x, False)
-    write_solver_csv(rep, out)
-    assert out.read_bytes() == _csv_writer_bytes(
-        ref, ["iteration", "relative_residual"],
-        [[i, repr(float(r))] for i, r in enumerate(x)])
+def test_cli_csv_files_are_csv_writer_bytes(tmp_path):
+    # every CSV file the CLI writes reads back through csv.reader and writes
+    # out through csv.writer to the same bytes
+    outs = [run_cli(tmp_path, "analyze"),
+            run_cli(tmp_path, "dual", extra="[dual]\nmethod = cg"),
+            run_cli(tmp_path, "counterexample"),
+            run_cli(tmp_path, "bench", extra="[bench]\nreps = 3")]
+    names = sorted(p.name for out in outs for p in out.glob("*.csv"))
+    assert names == ["amalgam.csv", "bench.csv", "bounds.csv", "profile.csv",
+                     "solver.csv", "summability.csv", "walnut.csv",
+                     "walnut_coeffs.csv"]
+    for path in (p for out in outs for p in out.glob("*.csv")):
+        with path.open(newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert path.read_bytes() == _csv_writer_bytes(
+            tmp_path / "ref.csv", header, rows), path.name
 
-    per_r = tuple((r, s, w, s * w) for r, s, w in zip(range(n), ODD, ODD[::-1]))
-    rep = SummabilityReport(lat, "constant", per_r, 1.0, np.cumsum(y), None)
-    write_summability_csv(rep, out)
-    assert out.read_bytes() == _csv_writer_bytes(
-        ref, ["r", "sup", "weight", "product", "cumsum"],
-        [[r, repr(s), repr(w), repr(p), repr(float(c))]
-         for (r, s, w, p), c in zip(per_r, rep.tail_profile)])
 
-    for method in ("fiber", "dense", "power_iteration"):
-        for A, B, flag in zip(ODD, ODD[::-1], (False, True) * n):
-            write_bounds_csv(FrameBounds(A, B, method, flag), out)
-            assert out.read_bytes() == _csv_writer_bytes(
-                ref, ["A", "B", "method", "not_a_frame"],
-                [[repr(A), repr(B), method, int(flag)]])
+def test_reports_exports_four_writers_taking_path():
+    # perfbench/tracing.py binds each writer's ``path`` argument by name
+    assert reports.__all__ == ["write_window_file", "write_csv", "write_json",
+                               "write_svg_lines"]
+    for name in reports.__all__:
+        assert "path" in inspect.signature(getattr(reports, name)).parameters
