@@ -43,7 +43,8 @@ class AmalgamProfile:
 
 def _profile(rows: np.ndarray, w: Weight) -> AmalgamProfile:
     """Weighted sup series of the rows of a table, row ``n mod len(rows)``
-    being block ``n``, summed cumulatively in :func:`signed_range` order.
+    being block ``n``, summed cumulatively in :func:`signed_range` order;
+    a column of row sups, ``(n, 1)``, is priced as the table it came from.
     Rows that are not finite, or a weight or a series that overflows,
     raise ``DomainError`` saying which."""
     nblocks = rows.shape[0]

@@ -84,35 +84,39 @@ def _residue_classes(h: np.ndarray, lat: GaborLattice):
                spectra[:, M - rho:2 * M - rho])
 
 
+def _class_rows(F: np.ndarray, H: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rows ``q`` of one residue class of ``[f, T_{n*a} h]``, the cyclic
+    correlation ``ifft(F * conj(H))`` along the columns of ``F``, the DFT
+    along the columns of ``f`` as a ``(b, M)`` array, and of ``H``, the
+    class's spectrum (:func:`_residue_classes`), or of one view of both.
+    The kernel of every bracket table; each column is its own correlation,
+    so a view's rows are bit for bit those columns of the whole table."""
+    return np.fft.ifft(F * np.conj(H), axis=0)[q]
+
+
 def _bracket_cosets(F: np.ndarray, classes, lat: GaborLattice,
                   xs: slice) -> np.ndarray:
     """Columns ``x0 + d*y`` (``d = gcd(a, M)``, ``y < M/d``, ``x0`` in
-    ``xs``) of ``[f, T_{n*a} h]`` as ``[n, y, x0]``, from ``F``, the DFT
-    along the columns of ``f`` as a ``(b, M)`` array, and the classes of
-    :func:`_residue_classes` of ``h``.  Every class shift is a multiple of
-    ``d``, so each class reads its spectrum on the same cosets, as a view;
-    each column is its own correlation, so a block is bit for bit those
-    columns of the whole table (``xs = slice(None)``).
+    ``xs``) of ``[f, T_{n*a} h]`` as ``[n, y, x0]``, from ``F`` and the
+    classes of :func:`_residue_classes` of ``h``.  Every class shift is a
+    multiple of ``d``, so each class reads its spectrum on the same cosets,
+    as a view (:func:`_class_rows`).
     """
     d = math.gcd(lat.a, lat.M)
     shape = (lat.b, lat.M // d, d)
     Fc = F.reshape(shape)[:, :, xs]
     out = np.empty((lat.N,) + Fc.shape[1:], dtype=complex)
     for rows, q, H in classes:
-        out[rows] = np.fft.ifft(Fc * np.conj(H.reshape(shape)[:, :, xs]),
-                                axis=0)[q]
+        out[rows] = _class_rows(Fc, H.reshape(shape)[:, :, xs], q)
     return out
 
 
 def _bracket_table(f: Signal, h: Signal, lat: GaborLattice) -> np.ndarray:
-    """Rows ``n = 0..N-1`` of ``[f, T_{n*a} h]`` at period ``M``.
-
-    The one builder of bracket tables: the Gabor coefficients are the DFTs of
-    its rows (``frame_op.analysis``) and the diagnostics read their series
-    off it, or off blocks of its cosets (:func:`_bracket_cosets`).  Each class
-    of :func:`_residue_classes` is one cyclic correlation along the columns,
-    one inverse FFT: ``O(P*L*log b)`` in all (Zibulski & Zeevi, ACHA 4, 1997).
-    """
+    """Rows ``n = 0..N-1`` of ``[f, T_{n*a} h]`` at period ``M``, whose DFTs
+    are the Gabor coefficients (``frame_op.analysis``): the block of all
+    cosets (:func:`_bracket_cosets`), one inverse FFT per class,
+    ``O(P*L*log b)`` in all (Zibulski & Zeevi, ACHA 4, 1997).  The
+    diagnostics read the same kernel a class or a block at a time."""
     F = np.fft.fft(f.samples.reshape(lat.b, lat.M), axis=0)
     return _bracket_cosets(F, _residue_classes(h.samples, lat), lat,
                          slice(None)).reshape(lat.N, lat.M)

@@ -19,7 +19,7 @@ from .amalgam import AmalgamProfile, _profile, amalgam_norm, amalgam_profile
 from .bracket import (
     PeriodicVector,
     _bracket_cosets,
-    _bracket_table,
+    _class_rows,
     _residue_classes,
     bracket_product,
 )
@@ -225,9 +225,17 @@ def mixed_bracket(g: Signal, gd: Signal, lat: GaborLattice, k: int) -> PeriodicV
 def bracket_series(f: Signal, h: Signal, lat: GaborLattice, w: Weight) -> np.ndarray:
     """Running sums of ``sup|[f, T_{n*a} h]_M| * nu(n)`` over signed ``n``.
 
-    The last entry is the weighted sup-norm series itself.
+    The last entry is the weighted sup-norm series itself.  The sups are
+    taken a residue class at a time (:func:`bracket._class_rows`), so no
+    ``N x M`` table is held; ``amalgam._profile`` refuses one not finite.
     """
-    return _profile(_bracket_table(f, h, lat), w).weighted_cumsums
+    _same_grid(lat.grid, f, h)
+    F = np.fft.fft(f.samples.reshape(lat.b, lat.M), axis=0)
+    sups = np.empty(lat.N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, q, H in _residue_classes(h.samples, lat):
+            sups[rows] = np.abs(_class_rows(F, H, q)).max(axis=1)
+    return _profile(sups[:, None], w).weighted_cumsums
 
 
 # Entries of one table block of _verify_pass: whole column cosets, at
@@ -274,11 +282,11 @@ def _verify_pass(g: Signal, gd: Signal, lat: GaborLattice,
     Every class shift ``k*a mod M`` is a multiple of ``d = gcd(a, M)``, so
     the tables are built a block of whole column cosets ``x0 + d*y`` at a
     time (:func:`bracket._bracket_cosets`) and each block goes to
-    :func:`_block_residual`.  Each table keeps the running elementwise
-    maximum of its moduli, whose row sups ``amalgam._profile`` prices, so
-    both series equal those of the whole tables bit for bit.  Only the
-    spectra of ``g`` and ``gd`` and one block stay resident.  A table that
-    is not finite raises ``DomainError`` naming it.
+    :func:`_block_residual`.  Each table keeps the running maxima of its
+    row moduli, which ``amalgam._profile`` prices, so both series equal
+    those of the whole tables bit for bit.  Only the spectra of ``g`` and
+    ``gd``, one block and ``3*N`` sups stay resident.  A table that is not
+    finite raises ``DomainError`` naming it.
     """
     _same_grid(lat.grid, g, gd)
     M, N = lat.M, lat.N
@@ -289,19 +297,18 @@ def _verify_pass(g: Signal, gd: Signal, lat: GaborLattice,
     tables = (("[gd, T g]", Fgd, cls_g), ("[g, T g]", Fg, cls_g),
               ("[gd, T gd]", Fgd, cls_gd))
     step = min(d, max(1, _CHUNK // (N * P)))  # cosets per block
-    moduli = [np.zeros((N, P, step)) for _ in tables]
+    sups = [np.zeros(N) for _ in tables]
     best = IdentityResidual(max_abs_error=-1.0, worst_k=0, worst_x=0)
     for x0 in range(0, d, step):
         xs = slice(x0, min(x0 + step, d))
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = [_bracket_cosets(F, cls, lat, xs) for _, F, cls in tables]
-            for (name, _, _), block, m in zip(tables, blocks, moduli):
-                part = m[:, :, :block.shape[2]]
-                np.maximum(part, np.abs(block), out=part)
-                if not np.isfinite(part).all():
+            for (name, _, _), block, m in zip(tables, blocks, sups):
+                np.maximum(m, np.abs(block).reshape(N, -1).max(axis=1), out=m)
+                if not np.isfinite(m).all():
                     raise DomainError(f"bracket table {name} is not finite")
             best = _block_residual(lat, x0, *blocks, best)
-    lhs, sum_g, sum_gd = (_profile(m.reshape(N, -1), w).norm for m in moduli)
+    lhs, sum_g, sum_gd = (_profile(m[:, None], w).norm for m in sups)
     return best, lhs, (M / lat.grid.s) * sum_g * sum_gd
 
 

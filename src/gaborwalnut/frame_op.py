@@ -112,6 +112,17 @@ def _zak_product(blocks: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarr
     return np.einsum("nij,nj->ni", blocks, z, out=out)
 
 
+def _zak_solve(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``S^-1 z`` for ``S`` and ``z`` as in :func:`_zak_product`.
+
+    At ``p = 1`` one elementwise division; otherwise one batched LU solve,
+    which the dense value's one ``L x L`` block takes too.
+    """
+    if blocks.shape[-1] == 1:
+        return z / blocks[..., 0]
+    return np.linalg.solve(blocks, z[..., None])[..., 0]
+
+
 def _zak_blocks(table: np.ndarray, lat: GaborLattice) -> np.ndarray:
     """The operator of a ``(b, a)`` multiplier table as ``(L/p, p, p)`` blocks.
 

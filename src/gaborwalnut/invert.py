@@ -54,6 +54,7 @@ from .frame_op import (
     _table_cosets,
     _to_zak,
     _zak_product,
+    _zak_solve,
     _zak_table,
     analysis,
     synthesis,
@@ -328,8 +329,7 @@ def _inverse_solve(W: WalnutCoeffs, rhs: Signal, method: str | None = None,
                 f"{method} stalled at relative residual {hist[-1]:.3e} "
                 f"after {len(hist)} iterations (tol {tol:.1e})")
     else:
-        x = op._back(np.linalg.solve(op.fibers(),
-                                     op._to(rhs.samples)[..., None])[..., 0])
+        x = op._back(_zak_solve(op.fibers(), op._to(rhs.samples)))
         hist = np.zeros(1)
     # every method's last residual is its solution's own, on its value
     hist[-1] = np.linalg.norm(op.apply(x) - rhs.samples) / max(
@@ -363,9 +363,11 @@ CONTOUR_NODES_MAX = 4096
 def _contour_inverse_sqrt(blocks: np.ndarray, rhs: np.ndarray, A: float,
                           B: float, tol: float) -> np.ndarray:
     """Contour quadrature of ``blocks**-0.5 @ rhs`` for a stack of Hermitian
-    blocks whose spectrum lies inside ``[A, B]``.
+    blocks whose spectrum lies inside ``[A, B]``, ``rhs`` one vector per
+    block.
 
-    Every node ``lam`` is one batched solve ``(lam I - blocks) x = rhs``.
+    Every node ``lam`` is one batched solve ``(lam I - blocks) x = rhs``
+    (:func:`frame_op._zak_solve`).
     Trapezoid rule on the circle around ``[A, B]``, doubling the node count
     from ``CONTOUR_NODES_START`` (a level halves the sum of the one before
     and adds its new nodes) until two levels agree to ``tol`` (cap
@@ -377,7 +379,7 @@ def _contour_inverse_sqrt(blocks: np.ndarray, rhs: np.ndarray, A: float,
     while n <= CONTOUR_NODES_MAX:
         lam, dweight = _contour_nodes(A, B, n)
         new = slice(None) if prev is None else slice(1, None, 2)
-        acc = sum(wgt * lm ** -0.5 * np.linalg.solve(lm * eye - blocks, rhs)
+        acc = sum(wgt * lm ** -0.5 * _zak_solve(lm * eye - blocks, rhs)
                   for lm, wgt in zip(lam[new], dweight[new]))
         if prev is not None:
             acc = acc + 0.5 * prev
@@ -430,12 +432,13 @@ def _tight_window(W: WalnutCoeffs, g: Signal, method: str | None = None,
     method, op = _operator(W, method, "contour")
     ev, V = op._eigh
     bounds = _frame_or_raise(_bounds(ev, method))
-    z = op._to(g.samples)[..., None]
+    z = op._to(g.samples)
     if method == "contour":
         y = _contour_inverse_sqrt(op.fibers(), z, bounds.A, bounds.B, tol)
     else:
-        y = V @ ((V.conj().swapaxes(1, 2) @ z) / np.sqrt(ev)[..., None])
-    return _adopt(Signal, grid=W.lat.grid, samples=op._back(y[..., 0]))
+        y = (V @ ((V.conj().swapaxes(1, 2) @ z[..., None])
+                  / np.sqrt(ev)[..., None]))[..., 0]
+    return _adopt(Signal, grid=W.lat.grid, samples=op._back(y))
 
 
 def duality_defect(g: Signal, gd: Signal, lat: GaborLattice) -> float:

@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import re
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -445,23 +446,35 @@ def test_verify_above_dense_limit(tmp_path, mode, code):
         assert payload["max_abs_error"] > 1e-2
 
 
+def _forbid_whole_tables(monkeypatch, command):
+    """Make the whole-table builder of ``bracket`` raise, in every module of
+    the package that holds it."""
+    from gaborwalnut import bracket
+
+    def whole_table(f, h, lat):
+        raise AssertionError(f"{command} built a whole bracket table")
+
+    builder = bracket._bracket_table
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gaborwalnut") \
+                and getattr(mod, "_bracket_table", None) is builder:
+            monkeypatch.setattr(mod, "_bracket_table", whole_table)
+
+
 def test_verify_builds_no_whole_bracket_table(tmp_path, monkeypatch):
     # verify streams the three tables by column cosets; the written numbers
     # are those of the two public functions
     import argparse
 
-    from gaborwalnut import convo_identity_residual, diagnostics, estimate_convest
+    from gaborwalnut import convo_identity_residual, estimate_convest
     from gaborwalnut.cli import load_config
-
-    def whole_table(f, h, lat):
-        raise AssertionError("verify built a whole bracket table")
 
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.cfg", L=256, s=16, a=8, b=8,
                        window="gaussian", window_extra="width = 1.0",
                        weight="polynomial", weight_extra="t = 2", out=out,
                        tol=1e-10, extra="[verify]\ndual = generator")
-    monkeypatch.setattr(diagnostics, "_bracket_table", whole_table)
+    _forbid_whole_tables(monkeypatch, "verify")
     assert main(["verify", "--config", cfg]) == 4
     run = load_config(cfg, argparse.Namespace(out=None, seed=None, tol=None))
     g, lat = run.window, run.lattice
@@ -473,6 +486,26 @@ def test_verify_builds_no_whole_bracket_table(tmp_path, monkeypatch):
     assert (payload["norm_estimate_lhs"], payload["norm_estimate_rhs"]) == (lhs, rhs)
     # M = 32 and gcd(a, M) = 8: k*a mod M takes P = 4 values
     assert payload["residue_classes"] == 4
+
+
+def test_conjecture_builds_no_whole_bracket_table(tmp_path, monkeypatch):
+    # conjecture reads the stride-a series of the dual a residue class at a
+    # time; the written sum is the one priced off the whole table
+    from gaborwalnut import (GaborLattice, Weight, WindowSpec, bracket,
+                             build_window, dual_window)
+    from gaborwalnut.amalgam import _profile
+
+    cfg, out = _gauss256_config(tmp_path, "out")
+    grid = build_grid(256, 16)
+    lat = GaborLattice(grid, 8, 8)
+    gd = dual_window(build_window(WindowSpec.gaussian(width=1.0), grid), lat,
+                     tol=1e-12)
+    whole = _profile(bracket._bracket_table(gd, gd, lat),
+                     Weight.polynomial(2.0)).norm
+    _forbid_whole_tables(monkeypatch, "conjecture")
+    assert main(["conjecture", "--config", cfg]) == 0
+    payload = json.loads((out / "conjecture.json").read_text())
+    assert payload["sum_invbeta_blocks"] == whole
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e300])

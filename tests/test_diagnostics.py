@@ -8,6 +8,7 @@ import pytest
 from gaborwalnut import (
     DomainError,
     GaborLattice,
+    GridMismatchError,
     LatticeError,
     Signal,
     SizeError,
@@ -364,6 +365,23 @@ def test_identity_residual_memory_at_size():
     assert peak <= 32 * 2**20
 
 
+def test_bracket_series_memory_at_size():
+    # the same lattice: the whole N x M table is 32 MiB and its moduli 16
+    # MiB more.  The series holds the spectra, one class's correlation and
+    # N sups.
+    grid = build_grid(65536, 16)
+    lat = GaborLattice(grid, 32, 64)
+    gd = dual_window(build_window(WindowSpec.gaussian(width=1.0), grid), lat)
+    tracemalloc.start()
+    try:
+        series = bracket_series(gd, gd, lat, Weight.polynomial(2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(series[-1]) and series[-1] > 0
+    assert peak <= 16 * 2**20
+
+
 # Per-index loop versions of the bracket diagnostics, kept as references for
 # the sliced array code in the package.
 
@@ -576,6 +594,18 @@ class TestConvest:
 
 
 class TestConjectureProbe:
+    @pytest.mark.parametrize("L,s", [(8, 2), (16, 4)])
+    def test_grid_mismatch(self, chi_lat, L, s):
+        # another s on the same L, and another L: both refused, never a
+        # silent series or a reshape error
+        g, lat = chi_lat
+        other = rand_signal(build_grid(L, s), 0)
+        for call in (lambda: bracket_series(g, other, lat, Weight.constant()),
+                     lambda: bracket_series(other, g, lat, Weight.constant()),
+                     lambda: conjecture_probe(other, lat, Weight.constant())):
+            with pytest.raises(GridMismatchError):
+                call()
+
     def test_chi_dual(self, chi_lat):
         g, lat = chi_lat
         gd = Signal(g.grid, g.samples / 2)
