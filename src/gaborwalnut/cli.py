@@ -16,6 +16,7 @@ import configparser
 import math
 import sys
 import time
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -38,11 +39,11 @@ from .core import (
     signed_range,
 )
 from .diagnostics import (
-    _summability_report,
     _verify_pass,
     bracket_series,
     build_counterexample,
     counterexample_report,
+    dual_summability_report,
 )
 from .errors import (
     ContractViolationError,
@@ -50,6 +51,7 @@ from .errors import (
     DomainError,
     GaborToolkitError,
     NotAFrameError,
+    NotAFrameWarning,
     ParseError,
     SizeError,
 )
@@ -61,12 +63,12 @@ from .frame_op import (
 )
 from .invert import (
     _check_tol,
-    _frame_bounds,
-    _inverse_solve,
     _inverse_walnut,
-    _tight_window,
     dual_window,
     duality_defect,
+    frame_bounds,
+    inverse_solve,
+    tight_window,
 )
 
 EXIT_OK = 0
@@ -237,10 +239,13 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
 def cmd_analyze(cfg: RunConfig) -> Outputs:
     """Frame bounds, multiplier table, block norms and the empirical constant,
-    all read off one operator value."""
+    all read off one operator value.  A system that is not a frame is a
+    result here, recorded in ``analyze.json``, not a warning."""
     lat = cfg.lattice
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotAFrameWarning)
+        bounds = frame_bounds(cfg.window, lat, tol=cfg.tol)
     W = walnut_coefficients(cfg.window, lat)
-    bounds = _frame_bounds(W, tol=cfg.tol)
     prof = _profile(W.table, cfg.weight)
     am, l2, linf = embedding_check(cfg.window, lat.a, cfg.weight)
     # the multiplier sum over the squared window norm; inf for a zero window
@@ -281,24 +286,25 @@ def cmd_analyze(cfg: RunConfig) -> Outputs:
 
 
 def _dual_like(cfg: RunConfig, which: str) -> Outputs:
-    """``dual`` or ``tight`` on one operator value ``W``, read in dependency
-    order: the ``S^-1`` report first (the fiber cap, the not-a-frame
-    verdict and the one decomposition of ``W``), then the window, whose
-    verdict reads the eigenvalues ``W`` now holds.  Returns the window,
-    the ``S^-1`` report and, for ``dual``, the solver's residual history."""
+    """``dual`` or ``tight`` on the one operator value of the window, read
+    in dependency order: the ``S^-1`` report first (the fiber cap, the
+    not-a-frame verdict and the one decomposition of ``W``), then the
+    window, whose verdict reads the eigenvalues ``W`` now holds.  Returns
+    the window, the ``S^-1`` report and, for ``dual``, the solver's
+    residual history."""
     lat = cfg.lattice
     method = cfg.methods[which]
-    W = walnut_coefficients(cfg.window, lat)
-    summ = _summability_report(W, cfg.weight)
+    summ = dual_summability_report(cfg.window, lat, cfg.weight)
     files = {}
     if which == "dual":
-        gd, solver = _inverse_solve(W, cfg.window, method, cfg.tol)
+        gd, solver = inverse_solve(cfg.window, lat, cfg.window, method,
+                                   cfg.tol)
         residual = duality_defect(cfg.window, gd, lat)
         extra = {"solver_converged": solver.converged}
         files["solver.csv"] = _csv(("iteration", "relative_residual"),
                                    enumerate(solver.residuals.tolist()))
     else:
-        gd = _tight_window(W, cfg.window, method, cfg.tol)
+        gd = tight_window(cfg.window, lat, method, cfg.tol)
         residual = duality_defect(gd, gd, lat)
         extra = {}
     name = f"{which}_window.txt"
@@ -354,8 +360,7 @@ def cmd_verify(cfg: RunConfig) -> Outputs:
     a failed check is returned with ``verify.json``, which records it."""
     lat = cfg.lattice
     mode, spec = cfg.verify_dual
-    gd = {"canonical": lambda: dual_window(cfg.window, lat,
-                                           tol=min(cfg.tol, 1e-12)),
+    gd = {"canonical": lambda: dual_window(cfg.window, lat, tol=cfg.tol),
           "generator": lambda: cfg.window,  # deliberate negative control
           "file": lambda: build_window(spec, cfg.grid)}[mode]()
     ident, lhs, rhs = _verify_pass(cfg.window, gd, lat, cfg.weight)
@@ -418,7 +423,7 @@ def cmd_conjecture(cfg: RunConfig) -> Outputs:
     lat = cfg.lattice
     W = walnut_coefficients(cfg.window, lat)
     alpha_seq = _profile(_inverse_walnut(W).table, cfg.weight).weighted_cumsums
-    gd = _inverse_solve(W, cfg.window, tol=min(cfg.tol, 1e-12))[0]
+    gd = dual_window(cfg.window, lat, tol=cfg.tol)
     invbeta_seq = bracket_series(gd, gd, lat, cfg.weight)
     sum_alpha, sum_invbeta = float(alpha_seq[-1]), float(invbeta_seq[-1])
     series = {

@@ -140,7 +140,8 @@ def _adopt(cls, **fields):
 @dataclass(frozen=True, eq=False)
 class Signal(_Frozen):
     """``grid.L`` complex samples on a grid, read-only (:class:`_Frozen`);
-    a wrong shape raises ``DimensionError``."""
+    a wrong shape raises ``DimensionError``.  A window keeps the Walnut
+    table last built from it (``frame_op.walnut_coefficients``)."""
 
     grid: Grid
     samples: np.ndarray

@@ -181,18 +181,11 @@ def dual_summability_report(
     validated.  At ``L <= DENSE_LIMIT`` they are always cross-checked
     against those read off an LU solve of the dense frame matrix for the
     ``a`` columns that the extraction reads (:func:`_dense_inverse_table`),
-    an independent route to the same operator.
+    an independent route to the same operator.  It reads the table ``g``
+    keeps, whose one eigendecomposition the solvers after it read too.
     """
     _check_tol(tol)
-    return _summability_report(walnut_coefficients(g, lat), w)
-
-
-def _summability_report(W: WalnutCoeffs, w: Weight) -> SummabilityReport:
-    """:func:`dual_summability_report` on the operator value ``W``.  The CLI
-    calls it first on ``W``: it checks the fiber cap and the not-a-frame
-    verdict and builds the one eigendecomposition of ``W`` that every
-    reader after it takes."""
-    lat = W.lat
+    W = walnut_coefficients(g, lat)
     Wd = _inverse_walnut(W)
     prof = _profile(Wd.table, w)
     sups, weights = prof.block_sups, prof.weights

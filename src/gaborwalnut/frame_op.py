@@ -483,14 +483,23 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     The other rows follow from ``G_{-r}(x) = conj(G_r((x + r*M) mod a))``.
     Every row is a sum of products, so a multiplier that vanishes is an
     exact zero; a table that is not finite raises ``DomainError``.
+
+    ``g`` keeps the table for the last lattice asked for, so every caller
+    on one ``(g, lat)`` reads one value, whose stack, decomposition and
+    dense matrix are built at most once.  The table holds no reference to
+    ``g`` and is freed with it.
     """
     _same_grid(lat.grid, g)
+    held = g.__dict__.get("_walnut")
+    if held is not None and held.lat == lat:
+        return held
     a, b, M = lat.a, lat.b, lat.M
     table = np.empty((b, a), dtype=complex)
     table[:b // 2 + 1] = _pair_rows(g.samples, g.samples, lat, b // 2 + 1)
     r = np.arange(1, (b + 1) // 2)
     table[b - r] = np.conj(table[r[:, None], (np.arange(a) + M * r[:, None]) % a])
-    return _adopt(WalnutCoeffs, lat=lat, table=table)
+    W = g.__dict__["_walnut"] = _adopt(WalnutCoeffs, lat=lat, table=table)
+    return W
 
 
 def frame_operator_walnut(W: WalnutCoeffs, f: Signal) -> Signal:

@@ -9,14 +9,14 @@ blocks are scalars.  The stack holds ``L*p`` entries, capped by
 ``FIBER_LIMIT``, above which every default raises ``SizeError``.
 
 Every solver reads one operator value, which :func:`_operator` picks for
-its method: the table ``W``, which holds the stack and its
-eigendecomposition, each built at most once, or for ``dense`` ``W._dense``,
-the matrix assembled once from the table (``frame_op._Dense``) with its
-own; bounds alone come from a value's decomposition when it holds one,
-else from one ``eigvalsh``, and every residual from the value's apply.  A
-public function builds its ``W`` from ``(g, lat)``; the CLI builds one per
-window and command and hands it to the private functions that take ``W``.
-So the ``dense`` oracle's bounds, verdict and residual are its own.
+its method: the table ``W = walnut_coefficients(g, lat)``, which ``g``
+keeps, so every call on the same ``(g, lat)`` reads one stack and one
+eigendecomposition, each built at most once; or for ``dense``
+``W._dense``, the matrix assembled once from the table
+(``frame_op._Dense``) with its own.  Bounds alone come from a value's
+decomposition when it holds one, else from one ``eigvalsh``, and every
+residual from the value's apply.  So the ``dense`` oracle's bounds,
+verdict and residual are its own.
 ``contour`` is quadrature on the fiber blocks; power iteration and
 conjugate gradients are explicit cross-checks, the only methods the cap
 does not refuse.  ``S^-1`` in
@@ -190,23 +190,6 @@ def _bounds(ev, method: str) -> FrameBounds:
                        not_a_frame=A <= NOT_A_FRAME_RTOL * B)
 
 
-def _frame_bounds(W: WalnutCoeffs, method: str | None = None,
-                  tol: float = 1e-10) -> FrameBounds:
-    """:func:`frame_bounds` on the operator value ``W``, without its warning."""
-    _check_tol(tol)
-    lat = W.lat
-    method, op = _operator(W, method, "power_iteration")
-    if method != "power_iteration":
-        return _bounds(op._spectrum, method)
-    blocks = W.fibers()
-    B = _power_extreme(blocks, lat, tol, POWER_SEEDS[0])
-    # A from the reflection mu - S, a new stack beside the read-only one
-    mu = _gershgorin_upper(W)
-    reflected = mu * np.eye(blocks.shape[-1]) - blocks
-    A = mu - _power_extreme(reflected, lat, tol, POWER_SEEDS[1])
-    return _bounds((A, B), method)
-
-
 def frame_bounds(
     g: Signal,
     lat: GaborLattice,
@@ -226,7 +209,19 @@ def frame_bounds(
     ``fiber`` (7.3 against 3.6 MiB) and it takes hundreds of times as long.
     A tolerance that is not finite and positive raises ``DomainError``.
     """
-    bounds = _frame_bounds(walnut_coefficients(g, lat), method, tol)
+    _check_tol(tol)
+    W = walnut_coefficients(g, lat)
+    method, op = _operator(W, method, "power_iteration")
+    if method != "power_iteration":
+        bounds = _bounds(op._spectrum, method)
+    else:
+        blocks = W.fibers()
+        B = _power_extreme(blocks, lat, tol, POWER_SEEDS[0])
+        # A from the reflection mu - S, a new stack beside the read-only one
+        mu = _gershgorin_upper(W)
+        reflected = mu * np.eye(blocks.shape[-1]) - blocks
+        A = mu - _power_extreme(reflected, lat, tol, POWER_SEEDS[1])
+        bounds = _bounds((A, B), method)
     if bounds.not_a_frame:
         warnings.warn(
             f"lower frame bound {bounds.A:.3e} vanishes relative to upper "
@@ -292,7 +287,8 @@ def inverse_solve(
     place of the recurrence's), and ``converged`` is that ``<= tol``.
     Without ``bounds`` the not-a-frame verdict comes from the eigenvalues
     of the same blocks (``fiber``: those ``W`` caches; ``dense``: its own
-    matrix's) or from the default fiber bounds (``cg``); supplied
+    matrix's) or from the fiber blocks' (``cg``), the decomposition ``W``
+    holds when a reader before it built one, else one ``eigvalsh``; supplied
     ``bounds`` skip that and decide the verdict, so above ``FIBER_LIMIT``, where ``fiber`` raises
     ``SizeError``, ``cg`` with ``bounds`` is the method that runs.  Raises
     ``GridMismatchError`` when ``rhs`` lives on another grid,
@@ -300,25 +296,13 @@ def inverse_solve(
     ``NotAFrameError`` when the lower frame bound vanishes and
     ``ConvergenceError`` on an exhausted iteration budget.
     """
-    return _inverse_solve(walnut_coefficients(g, lat), rhs, method, tol,
-                          max_iter, bounds)
-
-
-def _inverse_solve(W: WalnutCoeffs, rhs: Signal, method: str | None = None,
-                   tol: float = 1e-10, max_iter: int | None = None,
-                   bounds: FrameBounds | None = None
-                   ) -> tuple[Signal, SolverReport]:
-    """:func:`inverse_solve` on the operator value ``W``, cheap checks first.
-    Its verdict reads ``op._spectrum``: the eigenvalues of the decomposition
-    the value holds when a reader before it (the CLI's ``S^-1`` report)
-    built one, else one ``eigvalsh``."""
-    lat = W.lat
     _check_tol(tol)
     _same_grid(lat.grid, rhs)
+    W = walnut_coefficients(g, lat)
     method, op = _operator(W, method, "cg")
     if bounds is None:
-        bounds = _frame_bounds(W, tol=min(tol, 1e-10)) if method == "cg" \
-            else _bounds(op._spectrum, method)
+        verdict = _operator(W, "fiber")[1] if method == "cg" else op
+        bounds = _bounds(verdict._spectrum, method)
     _frame_or_raise(bounds)
     if method == "cg":
         if max_iter is None:
@@ -422,14 +406,8 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     ``SizeError`` above ``FIBER_LIMIT``.  A tolerance that is not finite and
     positive raises ``DomainError``.
     """
-    return _tight_window(walnut_coefficients(g, lat), g, method, tol)
-
-
-def _tight_window(W: WalnutCoeffs, g: Signal, method: str | None = None,
-                  tol: float = 1e-10) -> Signal:
-    """:func:`tight_window` of ``g`` on its operator value ``W``."""
     _check_tol(tol)
-    method, op = _operator(W, method, "contour")
+    method, op = _operator(walnut_coefficients(g, lat), method, "contour")
     ev, V = op._eigh
     bounds = _frame_or_raise(_bounds(ev, method))
     z = op._to(g.samples)
@@ -438,7 +416,7 @@ def _tight_window(W: WalnutCoeffs, g: Signal, method: str | None = None,
     else:
         y = (V @ ((V.conj().swapaxes(1, 2) @ z[..., None])
                   / np.sqrt(ev)[..., None]))[..., 0]
-    return _adopt(Signal, grid=W.lat.grid, samples=op._back(y))
+    return _adopt(Signal, grid=lat.grid, samples=op._back(y))
 
 
 def duality_defect(g: Signal, gd: Signal, lat: GaborLattice) -> float:

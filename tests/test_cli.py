@@ -120,6 +120,18 @@ def test_analyze_reports_non_frame_without_failing(tmp_path):
     assert "Infinity" not in text and json.loads(text)["cond"] is None
 
 
+def test_analyze_non_frame_writes_nothing_to_stderr(tmp_path, capsys):
+    # analyze reads the public frame_bounds, which warns on a non-frame;
+    # the command records the verdict and lets no warning through
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", a=4, b=4, out=out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "analyze.json").read_text())["not_a_frame"]
+
+
 def test_invalid_lattice_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", a=3, out=tmp_path / "out")
     assert main(["analyze", "--config", cfg]) == 2
@@ -165,17 +177,20 @@ def test_dual_scalar_instance(tmp_path):
 
 def _count_solves(monkeypatch):
     """Record the method of every solve the CLI makes: each goes through
-    ``invert._inverse_solve``, on the table the command built."""
+    ``invert.inverse_solve``, on the table the window keeps."""
     from gaborwalnut import cli, invert
-    real = invert._inverse_solve
+    real = invert.inverse_solve
+    signature = inspect.signature(real)
     solves = []
 
-    def counting(W, rhs, method=None, *args, **kwargs):
-        solves.append(method)
-        return real(W, rhs, method, *args, **kwargs)
+    def counting(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        solves.append(bound.arguments["method"])
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(invert, "_inverse_solve", counting)
-    monkeypatch.setattr(cli, "_inverse_solve", counting)
+    monkeypatch.setattr(invert, "inverse_solve", counting)
+    monkeypatch.setattr(cli, "inverse_solve", counting)
     return solves
 
 
@@ -239,11 +254,12 @@ def test_summability_json_same_for_every_method_and_command(tmp_path,
     assert len(set(written)) == 1
 
 
-# (tables, stacks, eigh, eigvalsh) of each command on an L = 1536 Gaussian
-# with a = b = 32: M = 48, so p = 2, above DENSE_LIMIT.  Each builds one
-# operator value; tight builds a second table for gt's self-pair defect.
-# The S^-1 report decomposes W first, so the cg dual's not-a-frame verdict
-# reads the eigenvalues W holds: no eigvalsh.
+# (tables, stacks, eigh, eigvalsh) built by each command on an L = 1536
+# Gaussian with a = b = 32: M = 48, so p = 2, above DENSE_LIMIT.  Each
+# builds one operator value per window, however many layers ask for it;
+# tight builds a second table for gt's self-pair defect.  The S^-1 report
+# decomposes W first, so the cg dual's not-a-frame verdict reads the
+# eigenvalues W holds: no eigvalsh.
 @pytest.mark.parametrize("command,counts", [
     ("analyze", (1, 1, 0, 1)),
     ("dual", (1, 1, 1, 0)),
@@ -264,7 +280,16 @@ def test_each_command_builds_one_operator_value(tmp_path, monkeypatch,
             return real(*args, **kwargs)
         return wrapper
 
-    tables = counted("tables", frame_op.walnut_coefficients)
+    real_tables, built = frame_op.walnut_coefficients, []
+
+    def tables(*args):
+        # a table is counted when it is new: a held one comes back as is
+        W = real_tables(*args)
+        if not any(W is seen for seen in built):
+            built.append(W)
+            calls["tables"] += 1
+        return W
+
     for module in (cli, diagnostics, frame_op, invert):
         monkeypatch.setattr(module, "walnut_coefficients", tables)
     monkeypatch.setattr(frame_op, "_zak_blocks",

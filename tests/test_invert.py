@@ -1,12 +1,14 @@
+import gc
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaborwalnut import diagnostics, frame_op, invert
+from gaborwalnut import frame_op, invert
 from gaborwalnut.frame_op import _from_zak, _pair_rows, _to_zak
 from gaborwalnut import (
     ConvergenceError,
@@ -41,6 +43,15 @@ def chi_lat():
     grid = build_grid(8, 4)
     return build_window(WindowSpec.characteristic(1.0), grid), \
         GaborLattice(grid, 2, 2)
+
+
+@pytest.fixture
+def gauss240():
+    """A window of its own per test: L = 240, a = 16, b = 10, so p = 2,
+    below DENSE_LIMIT."""
+    grid = build_grid(240, 16)
+    return (build_window(WindowSpec.gaussian(width=1.0), grid),
+            GaborLattice(grid, 16, 10))
 
 
 def rand_signal(grid, seed):
@@ -528,7 +539,9 @@ class TestDualityDefect:
             assert abs(duality_defect(v, v, lat) - ref) <= 1e-15 * scale
         ref, _ = full_rows(g)
         assert duality_defect(g, g, lat) == pytest.approx(ref, rel=1e-15)
-        # the only rows summed are the half table's
+        # the only rows summed are the half table's, once per window: a
+        # fresh window sums them, and its second defect reads the table
+        # it keeps
         seen = []
 
         def counting(*args):
@@ -537,7 +550,9 @@ class TestDualityDefect:
 
         monkeypatch.setattr(invert, "_pair_rows", counting)
         monkeypatch.setattr(frame_op, "_pair_rows", counting)
-        duality_defect(g, g, lat)
+        v = Signal(grid, g.samples)
+        assert duality_defect(v, v, lat) == duality_defect(g, g, lat)
+        assert duality_defect(v, v, lat) == duality_defect(g, g, lat)
         assert seen == [b // 2 + 1]
 
     def test_grid_mismatch(self, chi_lat):
@@ -763,8 +778,9 @@ def _fiber_vs_dense(g, lat):
 
 
 class TestFiberOnce:
-    """The fiber paths build the block stack once, residual included, and
-    take the bounds from it."""
+    """The fiber paths build the block stack once per window and lattice,
+    residual included, and take the bounds from it.  Each test makes its
+    own window: a window keeps its table, and the table its stack."""
 
     @pytest.fixture
     def fiber_calls(self, monkeypatch):
@@ -779,8 +795,14 @@ class TestFiberOnce:
         monkeypatch.setattr(frame_op, "_zak_blocks", counted)
         return calls
 
-    def test_inverse_solve_builds_one_stack(self, gauss64, fiber_calls):
-        g, _ = gauss64
+    @staticmethod
+    def gauss64():
+        grid = build_grid(64, 8)
+        return build_window(WindowSpec.gaussian(width=1.0), grid), \
+            GaborLattice(grid, 4, 4)
+
+    def test_inverse_solve_builds_one_stack(self, fiber_calls):
+        g, _ = self.gauss64()
         # a = 4, b = 8: p = 1 with seven nonzero rows r != 0, more than the
         # direct sum takes, so the residual's apply reads the same stack
         lat = GaborLattice(g.grid, 4, 8)
@@ -793,15 +815,19 @@ class TestFiberOnce:
         assert blocks.shape == (64, 1, 1)  # a | M: p = 1
         z = np.linalg.solve(blocks, _to_zak(f.samples, lat)[..., None])
         assert np.array_equal(x.samples, _from_zak(z[..., 0], lat))
-        fiber_calls.clear()
+        # the dual of the same window reads that stack; a new window's
+        # dual builds its own
         dual_window(g, lat)
         assert len(fiber_calls) == 1
+        dual_window(Signal(g.grid, g.samples), lat)
+        assert len(fiber_calls) == 2
 
-    def test_tight_window_builds_one_stack(self, gauss64, fiber_calls):
-        g, lat = gauss64
+    def test_tight_window_builds_one_stack(self, fiber_calls):
+        g, lat = self.gauss64()
         gt = tight_window(g, lat)
         assert len(fiber_calls) == 1
         ev, V = np.linalg.eigh(walnut_coefficients(g, lat).fibers())
+        assert len(fiber_calls) == 1
         c = V.conj().swapaxes(1, 2) @ _to_zak(g.samples, lat)[..., None]
         y = V @ (c / np.sqrt(ev)[..., None])
         assert np.array_equal(gt.samples, _from_zak(y[..., 0], lat))
@@ -818,22 +844,28 @@ class TestFiberOnce:
         blocks = W.fibers()
         assert blocks.shape == (120, 2, 2)
         assert np.allclose(blocks, blocks.conj().swapaxes(1, 2), atol=1e-15)
-        fiber_calls.clear()
+        # the solves, the dual and the tight window all read that stack
         _, rep = inverse_solve(g, lat, g)
-        assert len(fiber_calls) == 1 and rep.residuals[-1] <= 1e-14
-        fiber_calls.clear()
+        assert rep.residuals[-1] <= 1e-14
         dual_window(g, lat)
-        assert len(fiber_calls) == 1
-        fiber_calls.clear()
         tight_window(g, lat)
         assert len(fiber_calls) == 1
 
-    def test_supplied_bounds_skip_the_eigenvalues(self, gauss64, fiber_calls):
-        g, lat = gauss64
+    def test_supplied_bounds_skip_the_eigenvalues(self, fiber_calls,
+                                                  monkeypatch):
+        g, lat = self.gauss64()
         fb = frame_bounds(g, lat)
+        # a new window with the same samples: its solve builds a stack but
+        # decomposes nothing
+        v = Signal(g.grid, g.samples)
+        decompositions = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *args, real=real:
+                                decompositions.append(1) or real(*args))
         fiber_calls.clear()
-        x = inverse_solve(g, lat, g, bounds=fb)[0]
-        assert len(fiber_calls) == 1
+        x = inverse_solve(v, lat, v, bounds=fb)[0]
+        assert len(fiber_calls) == 1 and decompositions == []
         assert np.array_equal(x.samples, inverse_solve(g, lat, g)[0].samples)
 
     def test_non_frames_and_bad_tol_still_refused(self, fiber_calls):
@@ -844,6 +876,7 @@ class TestFiberOnce:
             inverse_solve(g, lat, g, method="fiber")
         with pytest.raises(NotAFrameError):
             tight_window(g, lat, method="fiber")
+        g = Signal(grid, g.samples)  # a window that holds no stack yet
         fiber_calls.clear()
         with pytest.raises(DomainError):
             inverse_solve(g, lat, g, method="fiber", tol=float("nan"))
@@ -930,38 +963,32 @@ class TestOneOperatorValue:
     """``W`` holds one read-only eigendecomposition that the fiber paths
     read; the dense oracle reads none of it."""
 
-    @pytest.fixture
-    def gauss240(self):
-        # L = 240, a = 16, b = 10: p = 2, below DENSE_LIMIT
-        grid = build_grid(240, 16)
-        return (build_window(WindowSpec.gaussian(width=1.0), grid),
-                GaborLattice(grid, 16, 10))
-
     def test_dense_oracle_ignores_a_corrupted_decomposition(self, gauss240):
         g, lat = gauss240
+        clean = Signal(g.grid, g.samples)  # the same samples, its own table
         rhs = rand_signal(lat.grid, 7)
-        # one eigenvalue of W's cached decomposition scaled by 1 + 1e-6
+        # one eigenvalue of g's held decomposition scaled by 1 + 1e-6
         W = walnut_coefficients(g, lat)
         ev, V = W._eigh
         bad = ev.copy()
         bad[np.unravel_index(np.argmin(ev), ev.shape)] *= 1 + 1e-6
         W.__dict__["_eigh"] = (bad, V)
         # the S^-1 report reads the corruption, its dense cross-check not
-        rep = diagnostics._summability_report(W, Weight.constant())
-        assert rep.cross_check_error > 1e-12
-        assert dual_summability_report(
-            g, lat, Weight.constant()).cross_check_error <= 1e-12
-        assert not np.array_equal(invert._tight_window(W, g).samples,
-                                  tight_window(g, lat).samples)
+        w = Weight.constant()
+        assert dual_summability_report(g, lat, w).cross_check_error > 1e-12
+        assert dual_summability_report(clean, lat, w).cross_check_error \
+            <= 1e-12
+        assert not np.array_equal(tight_window(g, lat).samples,
+                                  tight_window(clean, lat).samples)
         # the dense paths return exactly what they return on a clean W
-        assert invert._frame_bounds(W, "dense") == \
-            frame_bounds(g, lat, method="dense")
-        x, solver = invert._inverse_solve(W, rhs, "dense")
-        ref, ref_solver = inverse_solve(g, lat, rhs, method="dense")
+        assert frame_bounds(g, lat, method="dense") == \
+            frame_bounds(clean, lat, method="dense")
+        x, solver = inverse_solve(g, lat, rhs, method="dense")
+        ref, ref_solver = inverse_solve(clean, lat, rhs, method="dense")
         assert np.array_equal(x.samples, ref.samples)
         assert np.array_equal(solver.residuals, ref_solver.residuals)
-        assert np.array_equal(invert._tight_window(W, g, "dense").samples,
-                              tight_window(g, lat, method="dense").samples)
+        assert np.array_equal(tight_window(g, lat, method="dense").samples,
+                              tight_window(clean, lat, method="dense").samples)
 
     def test_held_decomposition_is_read_only_and_gives_the_bounds(self,
                                                                    gauss240):
@@ -972,7 +999,87 @@ class TestOneOperatorValue:
             V[0, 0, 0] = 0.0
         # bounds alone take the eigenvalues W holds: no eigvalsh
         assert W._spectrum is ev
-        assert invert._frame_bounds(W).A == float(ev.min())
+        assert frame_bounds(*gauss240).A == float(ev.min())
+
+
+class TestWindowKeepsItsTable:
+    """``walnut_coefficients`` keeps the table it builds with the window,
+    for one lattice at a time: the solvers on one ``(g, lat)`` read one
+    table, one stack and one decomposition, and the table goes with the
+    window.  Each test makes its own window."""
+
+    def test_every_solver_reads_one_table_and_stack(self, gauss240,
+                                                    monkeypatch):
+        g, lat = gauss240
+        built = dict.fromkeys(("tables", "stacks", "eigh", "eigvalsh"), 0)
+
+        def counted(key, real):
+            def wrapper(*args):
+                built[key] += 1
+                return real(*args)
+            return wrapper
+
+        # every table is summed by _pair_rows, every stack by _zak_blocks
+        monkeypatch.setattr(frame_op, "_pair_rows",
+                            counted("tables", frame_op._pair_rows))
+        monkeypatch.setattr(frame_op, "_zak_blocks",
+                            counted("stacks", frame_op._zak_blocks))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name,
+                                counted(name, getattr(np.linalg, name)))
+        fb = frame_bounds(g, lat)
+        gd, _ = inverse_solve(g, lat, g)
+        gt = tight_window(g, lat)
+        rep = dual_summability_report(g, lat, Weight.constant())
+        # the bounds take the eigenvalues alone, the tight window the one
+        # eigh, which the S^-1 report reads too
+        assert built == {"tables": 1, "stacks": 1, "eigh": 1, "eigvalsh": 1}
+        # the same answers as on windows that build their own tables
+        fresh = lambda: Signal(g.grid, g.samples)  # noqa: E731
+        assert frame_bounds(fresh(), lat) == fb
+        assert np.array_equal(inverse_solve(fresh(), lat, g)[0].samples,
+                              gd.samples)
+        assert np.array_equal(tight_window(fresh(), lat).samples, gt.samples)
+        assert dual_summability_report(fresh(), lat, Weight.constant()) \
+            .per_r == rep.per_r
+
+    def test_another_lattice_replaces_the_held_table(self, gauss240):
+        g, lat = gauss240
+        other = GaborLattice(g.grid, 8, 10)
+        W = walnut_coefficients(g, lat)
+        fb, gd = frame_bounds(g, lat), dual_window(g, lat)
+        assert walnut_coefficients(g, GaborLattice(g.grid, 16, 10)) is W
+        W2 = walnut_coefficients(g, other)
+        assert W2.lat == other and walnut_coefficients(g, other) is W2
+        # the first lattice is built again, with the same answers
+        again = walnut_coefficients(g, lat)
+        assert again is not W and np.array_equal(again.table, W.table)
+        assert frame_bounds(g, lat) == fb
+        assert np.array_equal(dual_window(g, lat).samples, gd.samples)
+
+    def test_held_table_goes_with_the_window(self):
+        # no reference cycle: the table, its stack, decomposition and dense
+        # matrix are freed with the window, without the cyclic collector.
+        # The window is built here: pytest holds a fixture's value
+        grid = build_grid(240, 16)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        lat = GaborLattice(grid, 16, 10)
+        inverse_solve(g, lat, g)
+        tight_window(g, lat)
+        frame_bounds(g, lat, method="dense")
+        W = walnut_coefficients(g, lat)
+        assert {"_fibers", "_eigh", "_spectrum", "_dense"} <= W.__dict__.keys()
+        held = weakref.ref(W)
+        del W
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert held() is not None
+            del g
+            assert held() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDenseResidual:
