@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Signal, Weight, signed_range
+from .core import Signal, Weight, norm_l2, signed_range
 from .errors import DivisibilityError, DomainError
 
 __all__ = ["AmalgamProfile", "amalgam_norm", "amalgam_profile", "embedding_check"]
@@ -89,6 +89,4 @@ def embedding_check(f: Signal, block_len: int, w: Weight) -> tuple[float, float,
     Euclidean norm up to the block-geometry factor ``sqrt(block_len/s)``.
     """
     prof = amalgam_profile(f, block_len, w)
-    l2 = math.sqrt(float(np.sum(np.abs(f.samples) ** 2)) / f.grid.s)
-    linf = float(np.max(np.abs(f.samples))) if f.grid.L else 0.0
-    return prof.norm, l2, linf
+    return prof.norm, norm_l2(f), float(np.max(np.abs(f.samples)))

@@ -130,6 +130,24 @@ WINDOW_TEXTS = {
     "bom": "\ufeff1 2\n3 4\n5 6\n7 8\n",
     "arabic-digits": "\u0661 2\n3 4\n5 6\n7 8\n",
     "empty": "",
+    # edges of the np.loadtxt path: files it reads, files it refuses and
+    # files it never sees
+    "whitespace-line-of-five": "1 2\n3 4\n \t \n5 6\n7 8\n",
+    "whitespace-line-of-four": "1 2\n \t\n5 6\n7 8\n",
+    "crlf-no-final-newline": "1 2\r\n3 4\r\n5 6\r\n7 8",
+    "crlf-and-lf": "1 2\r\n3 4\n5 6\r\n7 8\n",
+    "cr-and-lf": "1 2\r3 4\n5 6\n7 8\n",
+    "cr-and-crlf-of-five": "1 2\r\r\n3 4\n5 6\n7 8\n",
+    "leading-plus": "+1 +2\n+3.5 -4\n+.5e+1 6\n7 +8E-0\n",
+    "plus-inf": "1 2\n+inf 4\n5 6\n7 8\n",
+    "nul-between": "1 2\n3\x004\n5 6\n7 8\n",
+    "hash-token": "1 2\n3 #\n5 6\n7 8\n",
+    "hash-comment": "1 2\n3 4 # five\n5 6\n7 8\n",
+    "hash-line": "1 2\n# 3 4\n5 6\n7 8\n",
+    "signs-only": "1 2\n+ -\n5 6\n7 8\n",
+    "exponent-only": "1 2\n3 e\n5 6\n7 8\n",
+    "two-points": "1 2\n3 4..\n5 6\n7 8\n",
+    "sign-inside": "1 2\n3-4 5\n5 6\n7 8\n",
 }
 
 
@@ -176,7 +194,7 @@ def line_by_line_message(path, L):
 
 
 # 41 bytes a line: 200 of them reach past the 8 KiB that a text-mode read
-# decodes at a time, and 256 lines are one batch of the reader
+# decodes at a time
 LONG = "0.12345678901234567 -0.12345678901234567\n"
 
 
@@ -188,6 +206,8 @@ LONG = "0.12345678901234567 -0.12345678901234567\n"
     # both in the first decoded chunk: the decoder fails before any of its
     # lines is read
     (["1 2\n", "3 4 5\n", "6 7\n", "8 \xe9\n"], "latin1", ": not UTF-8 text"),
+    # a latin-1 NBSP, which np.loadtxt would take for a blank
+    (["1\xa02\n", "3 4\n", "5 6\n", "7 8\n"], "latin1", ": not UTF-8 text"),
 ])
 def test_window_file_bad_line_and_bad_byte(tmp_path, lines, bad, expect):
     path = tmp_path / "mixed.txt"
@@ -201,8 +221,8 @@ def test_window_file_bad_line_and_bad_byte(tmp_path, lines, bad, expect):
 @pytest.mark.parametrize("lineno, text", [
     (257, "1 2 3"), (513, "1"), (700, "x 0"), (1000, "inf 0"), (600, "")])
 def test_window_file_first_bad_line_in_a_later_batch(tmp_path, lineno, text):
-    # 1000 lines are four batches; a second bad line after the first one
-    # changes nothing
+    # the first bad line past the start of the file is the one named; a
+    # second bad line after it changes nothing
     grid = build_grid(1000, 4)
     rng = np.random.default_rng(lineno)
     path = tmp_path / "window.txt"
@@ -235,6 +255,41 @@ def test_window_file_opened_once(tmp_path, monkeypatch, text):
     except ParseError:
         pass
     assert opened == [str(path)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_window_file_all_blank_warns_nothing(tmp_path):
+    # np.loadtxt warns on a file with no data: an all-blank file of L lines
+    # is walked instead, and refused at its first line without a warning
+    path = tmp_path / "blank.txt"
+    path.write_bytes(b"\n \n\t\n  \n")
+    with pytest.raises(ParseError, match=r"blank\.txt:1: expected 're im'"):
+        read_window_file(str(path), build_grid(4, 2))
+
+
+@pytest.mark.parametrize("newline, final", [("\n", True), ("\r\n", True), ("\n", False)])
+def test_window_file_plain_is_one_loadtxt(tmp_path, monkeypatch, newline, final):
+    # a written window, its CRLF copy and a copy without the last line end
+    # are converted by one np.loadtxt call whose array the signal keeps: no
+    # silent fall back to the line walk
+    grid = build_grid(300, 4)
+    rng = np.random.default_rng(8)
+    sig = Signal(grid, rng.standard_normal(300) + 1j * rng.standard_normal(300))
+    path = tmp_path / "window.txt"
+    write_window_file(sig, path)
+    text = path.read_bytes().replace(b"\n", newline.encode())
+    path.write_bytes(text if final else text.rstrip())
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        calls.append(loadtxt(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(gaborwalnut.core.np, "loadtxt", counting_loadtxt)
+    back = read_window_file(str(path), grid)
+    assert len(calls) == 1 and np.shares_memory(back.samples, calls[0])
+    assert np.array_equal(back.samples, sig.samples)
 
 
 CHI_CONFIG = """
