@@ -292,25 +292,30 @@ def read_window_file(path: str, grid: Grid) -> Signal:
     The file must be UTF-8 text, its line count must equal ``grid.L``, and
     blank lines and non-finite samples are not allowed.  It is opened and
     read once, and its bytes are held while it is read: 0.24 MB at
-    L = 8192, 31.6 MB for the b = 8192 dual at L = 2**20.  A file of
-    ``grid.L`` lines of digits, signs, points, exponents and blanks, with
-    ``\\n`` or ``\\r\\n`` line ends, is converted by one ``np.loadtxt`` call,
-    kept if it gives ``grid.L`` finite pairs.  Any other file is walked
-    line by line, decoded as a text-mode read decodes it: the first
-    offending line is named as ``path:lineno``, and text that is not UTF-8
-    is reported only if every line decoded before it is well formed.
+    L = 8192, 31.6 MB for the b = 8192 dual at L = 2**20.  A file of lines
+    of digits, signs, points, exponents and blanks, with ``\\n`` or
+    ``\\r\\n`` line ends, is converted by one ``np.loadtxt`` call.  If that
+    gives one finite pair per line, it is kept when there are ``grid.L``
+    lines and refused with the walk's own count message when there are
+    not.  Any other file is walked line by line, decoded as a text-mode
+    read decodes it: the first offending line is named as
+    ``path:lineno``, and text that is not UTF-8 is reported only if every
+    line decoded before it is well formed.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    # plain bytes in grid.L lines, counted as text mode counts them (no lone
-    # \r); an all-blank file is left to the walk, as np.loadtxt warns on it
-    if (not data.translate(None, _PLAIN_BYTES) and not data.isspace()
-            and data.count(b"\r") == data.count(b"\r\n")
-            and data.count(b"\n") + (not data.endswith(b"\n")) == grid.L):
+    # plain bytes, in lines counted as text mode counts them (no lone \r);
+    # an empty or all-blank file is left to the walk, as np.loadtxt warns on it
+    if (data and not data.isspace() and not data.translate(None, _PLAIN_BYTES)
+            and data.count(b"\r") == data.count(b"\r\n")):
+        count = data.count(b"\n") + (not data.endswith(b"\n"))
         with suppress(ValueError):  # a token or a row that np.loadtxt refuses
             values = np.loadtxt(io.BytesIO(data), comments=None, ndmin=2)
-            if values.shape == (grid.L, 2) and np.isfinite(values).all():
-                return _adopt(Signal, grid=grid, samples=values.view(complex).ravel())
+            # a pair on every line: np.loadtxt skipped no blank line
+            if values.shape == (count, 2) and np.isfinite(values).all():
+                if count == grid.L:
+                    return _adopt(Signal, grid=grid, samples=values.view(complex).ravel())
+                raise ParseError(f"{path}: expected {grid.L} sample lines, found {count}")
     # the walk decodes in the chunks, and splits the lines, of an open file
     samples = []
     lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")

@@ -168,9 +168,18 @@ def _zak_table(blocks: np.ndarray, lat: GaborLattice) -> np.ndarray:
 
 # Largest grid whose L x L frame matrix the dense oracle assembles: 16 MiB.
 DENSE_LIMIT = 1024
-# Output samples per chunk of the direct row sum in WalnutCoeffs.apply:
-# 64 KiB, which stays in cache and below the allocator's mmap threshold.
+# Output samples per chunk of the direct row sum in WalnutCoeffs.apply, and
+# the length its multipliers are tiled to: 64 KiB per array, which stays in
+# cache and below the allocator's mmap threshold.
 _CHUNK = 4096
+
+
+def _tiled(row: np.ndarray, L: int) -> np.ndarray:
+    """A length-``a`` multiplier row repeated to the chunk length of
+    :meth:`WalnutCoeffs.apply`, ``C = a * max(1, _CHUNK // a)`` but at most
+    ``L``, as one flat contiguous array."""
+    a = row.shape[0]
+    return np.tile(row, min(max(1, _CHUNK // a), L // a))
 
 
 def _row_sum_max(p: int) -> int:
@@ -179,12 +188,15 @@ def _row_sum_max(p: int) -> int:
 
     Measured on random tables with ``k`` nonzero rows at L = 16384 and
     65536, b = 64 to 1024, p = 1 and 2 (one BLAS thread, 2-vCPU VM, best
-    of 25 interleaved runs each): each row adds about 50 us at L = 16384
-    and 220-330 us at L = 65536, where the product on the cached blocks
-    takes 0.25-0.44 ms and 1.4-2.0 ms at p = 1, 0.33-0.53 ms and 1.8-2.7
-    ms at p = 2.  The direct sum wins up to k = 4-6 at p = 1 and k = 6-8 at
-    p = 2, with no trend in b; the rule's worst measured loss is about 17%
-    (L = 16384, b = 128, p = 1, k = 5).
+    of 25 interleaved runs each).  On the flat kernel each row adds about
+    25 us at L = 16384 and 85-100 us at L = 65536, where the product on
+    the cached blocks takes 0.21-0.26 ms and 0.97-1.3 ms at p = 1,
+    0.31-0.40 ms and 1.2-1.8 ms at p = 2.  The direct sum wins up to
+    k = 7-9 (L = 16384) and 8-12 (L = 65536) at p = 1, and k = 11-13 and
+    14 or more at p = 2, with no trend in b.  The rule was set when a row
+    cost about twice as much and the direct sum won up to k = 4-6 and 6-8;
+    it stays, since moving it would send tables of 6 to 9 rows through the
+    other path and change their outputs by rounding.
     """
     return 5 if p == 1 else 7
 
@@ -239,18 +251,24 @@ class WalnutCoeffs(_Frozen, _Spectral):
 
     @cached_property
     def _split(self) -> tuple[np.ndarray, list] | None:
-        """``(factor * G_0, rows)`` for the direct row sum of :meth:`apply`,
-        or None when more than ``_row_sum_max(p)`` rows ``r != 0`` are
-        nonzero.  One scan finds those rows; ``rows`` lists ``(r*M mod L,
-        factor * G_r)`` per nonzero row, at most ``b*a`` entries.
+        """``(G0, rows)`` for the direct row sum of :meth:`apply`, or None
+        when more than ``_row_sum_max(p)`` rows ``r != 0`` are nonzero.
+
+        One scan finds those rows.  ``G0`` is ``factor * G_0`` and ``rows``
+        lists ``(r*M mod L, factor * G_r)`` per nonzero row, each tiled once
+        to the chunk length ``C`` (:func:`_tiled`): ``(k+1)*C`` entries for
+        ``k`` rows.  A painless table (``k = 0``) keeps its length-``a`` row,
+        which :meth:`apply` tiles per call.
         """
         lat = self.lat
         M, L = lat.M, lat.grid.L
         nz = (np.flatnonzero(self.table[1:].any(axis=1)) + 1).tolist()
         if len(nz) > _row_sum_max(_block_size(lat)):
             return None
-        return (self.factor * self.table[0],
-                [(r * M % L, self.factor * self.table[r]) for r in nz])
+        if not nz:
+            return self.factor * self.table[0], []
+        G = [_tiled(self.factor * self.table[r], L) for r in [0, *nz]]
+        return G[0], [(r * M % L, Gr) for r, Gr in zip(nz, G[1:])]
 
     @cached_property
     def _dense(self) -> _Dense:
@@ -267,42 +285,43 @@ class WalnutCoeffs(_Frozen, _Spectral):
         """``factor * sum_r G_r * T_{r*M} v`` on a length-``L`` array.
 
         A table with at most :func:`_row_sum_max` nonzero rows ``r != 0``
-        is summed in the time domain, ``_CHUNK`` output samples at a time:
-        the exact product ``factor * G_0 * v``, then per row one product of
-        ``factor * G_r`` with the read of ``v`` translated by ``r*M``,
-        aligned to ``a``, and one add.  That is ``O(k*L)`` for ``k`` rows,
-        with no FFT, no full-length temporary and a cache of ``k*a``
-        entries (:attr:`_split`).  A painless operator (``G_r = 0`` for all
+        is summed in the time domain, one chunk of ``C`` output samples at
+        a time (:attr:`_split`): the exact product of the tiled
+        ``factor * G_0`` with ``v``, then per row one product of the tiled
+        ``factor * G_r`` with the read of ``v`` translated by ``r*M`` and
+        one add, each on flat contiguous arrays.  That is ``O(k*L)`` for
+        ``k`` rows, with no FFT, no full-length temporary and a cache of
+        ``(k+1)*C`` entries.  A painless operator (``G_r = 0`` for all
         ``r != 0``, window support at most ``M``) is the case ``k = 0``:
-        ``factor * G_0 * v``, exact.  Any other table is the block product
-        on :meth:`fibers`, ``r = 0`` term included: one length-``b`` FFT
-        along each coset, one product per block, one inverse FFT.
+        ``factor * G_0 * v``, exact, with ``G_0`` tiled per call.  Any other
+        table is the block product on :meth:`fibers`, ``r = 0`` term
+        included: one length-``b`` FFT along each coset, one product per
+        block, one inverse FFT.
         """
-        lat = self.lat
-        L, a = lat.grid.L, lat.a
         split = self._split
         if split is None:
             z = self._to(v)
             return self._back(_zak_product(self.fibers(), z, np.empty_like(z)))
-        diag, rows = split
-        vb = v.reshape(-1, a)
+        # C is a multiple of a, so sample t of a chunk and of each
+        # translated read of v meets G_r(t mod a) at entry t of the tiles.
+        # A painless table holds no tile that outlives the call: one kept
+        # beside the outputs of 32 painless applies at L = 65536 made them
+        # take 10-13 ms instead of 7 ms in some heap layouts, as glibc gave
+        # pages back and faulted them in again
+        G0, rows = split
+        L = v.shape[0]
         if not rows:
-            return np.multiply(diag, vb).reshape(L)
-        # one output chunk of C samples at a time, so that it stays in
-        # cache while every row adds to it.  C is a multiple of a, so
-        # sample t of a chunk and of each translated read of v meets
-        # G_r(t mod a): the product is aligned to a as it stands.
-        C = a * max(1, _CHUNK // a)
+            G0 = _tiled(G0, L)
+        C = G0.shape[0]
         out = np.empty(L, dtype=complex)
-        buf = np.empty((C // a, a), dtype=complex)
+        buf = np.empty(C if rows else 0, dtype=complex)
         for j in range(0, L, C):
             n = min(C, L - j)
-            o = out[j:j + n].reshape(-1, a)
-            np.multiply(diag, vb[j // a:(j + n) // a], out=o)
+            o = out[j:j + n]
+            np.multiply(G0[:n], v[j:j + n], out=o)
             for shift, G in rows:
-                np.multiply(G, _cyclic(v, j - shift, n).reshape(-1, a),
-                            out=buf[:n // a])
-                o += buf[:n // a]
+                np.multiply(G[:n], _cyclic(v, j - shift, n), out=buf[:n])
+                o += buf[:n]
         return out
 
     def fibers(self) -> np.ndarray:
@@ -399,7 +418,8 @@ def _support_run(v: np.ndarray, a: int) -> tuple[int, int]:
     zero block ``(0, L)``.
     """
     L = v.shape[0]
-    blocks = v.reshape(L // a, a).any(axis=1)
+    # the real and imaginary parts side by side: -0.0 is zero, NaN is not
+    blocks = (v.view(float) != 0).reshape(L // a, 2 * a).any(axis=1)
     if blocks.all():
         return 0, L
     nz = np.flatnonzero(blocks)

@@ -359,6 +359,20 @@ class TestWalnut:
             WalnutCoeffs(lat, np.ones((1, 2)))
 
 
+def _run_of_blocks(blocks, a):
+    """The support run of a window from its nonzero length-``a`` blocks,
+    as ``_support_run`` derives it (the reference for the scan)."""
+    L = blocks.size * a
+    if blocks.all():
+        return 0, L
+    nz = np.flatnonzero(blocks)
+    if nz.size == 0:
+        return 0, 0
+    gaps = np.diff(nz, append=nz[0] + L // a)
+    i = int(np.argmax(gaps))
+    return int(nz[(i + 1) % nz.size]) * a, L - (int(gaps[i]) - 1) * a
+
+
 def _masked(grid, seed, keep):
     """A random signal that is exactly 0.0 outside the samples ``keep``."""
     v = np.zeros(grid.L, dtype=complex)
@@ -393,6 +407,31 @@ class TestSupportRuns:
         v = np.zeros(64, dtype=complex)
         v[keep] = 1.0 - 2.0j
         assert _support_run(v, a) == run
+
+    def test_run_equals_complex_scan(self):
+        # the scan of the real and imaginary parts as floats finds the runs
+        # of the complex any() it replaced: -0.0 is zero, NaN and inf are
+        # not, on sparse, wrapping and full windows
+        from gaborwalnut.frame_op import _support_run
+        rng = np.random.default_rng(17)
+        specials = [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0),
+                    np.nan, complex(0.0, np.nan), np.inf, complex(-np.inf, 0.0),
+                    5e-324, complex(0.0, -5e-324), 1.0 - 2.0j]
+        for L, a in ((64, 4), (240, 8), (96, 32), (7, 7), (4096, 64)):
+            for trial in range(60):
+                v = np.zeros(L, dtype=complex)
+                kind = trial % 4
+                if kind == 0:    # a few samples anywhere
+                    keep = rng.choice(L, size=rng.integers(0, 4), replace=False)
+                elif kind == 1:  # a run across the grid end
+                    keep = (L - rng.integers(1, L) + np.arange(rng.integers(1, L))) % L
+                elif kind == 2:  # everywhere
+                    keep = np.arange(L)
+                else:            # many samples
+                    keep = rng.choice(L, size=rng.integers(1, L), replace=False)
+                v[keep] = rng.choice(specials, size=len(keep))
+                ref_blocks = v.reshape(L // a, a).any(axis=1)
+                assert _support_run(v, a) == _run_of_blocks(ref_blocks, a), (L, a)
 
     @pytest.mark.parametrize("a,b,p", [(8, 10, 1), (16, 10, 2), (24, 15, 3),
                                        (8, 16, 8)])
@@ -521,6 +560,110 @@ class TestRowSum:
         blocks = np.einsum("nij,nj->ni", W.fibers(), _to_zak(f, lat))
         zak = _from_zak(blocks, lat)
         assert np.linalg.norm(out - zak) <= 1e-13 * np.linalg.norm(zak)
+
+
+def _broadcast_apply(W, v):
+    """The row sum of ``WalnutCoeffs.apply`` as it was once written: each
+    product broadcasts a length-``a`` multiplier over an ``(n/a, a)`` view of
+    a chunk, in the same order.  The reference the flat kernel must equal
+    byte for byte."""
+    from gaborwalnut.frame_op import _CHUNK, _cyclic
+    lat = W.lat
+    L, a, M = lat.grid.L, lat.a, lat.M
+    nz = [r for r in range(1, lat.b) if W.table[r].any()]
+    diag = W.factor * W.table[0]
+    rows = [(r * M % L, W.factor * W.table[r]) for r in nz]
+    vb = v.reshape(-1, a)
+    if not rows:
+        return np.multiply(diag, vb).reshape(L)
+    C = a * max(1, _CHUNK // a)
+    out = np.empty(L, dtype=complex)
+    buf = np.empty((C // a, a), dtype=complex)
+    for j in range(0, L, C):
+        n = min(C, L - j)
+        o = out[j:j + n].reshape(-1, a)
+        np.multiply(diag, vb[j // a:(j + n) // a], out=o)
+        for shift, G in rows:
+            np.multiply(G, _cyclic(v, j - shift, n).reshape(-1, a),
+                        out=buf[:n // a])
+            o += buf[:n // a]
+    return out
+
+
+def _table_with_rows(lat, rows, rng):
+    """A random ``(b, a)`` table that is nonzero on ``rows`` only."""
+    T = np.zeros((lat.b, lat.a), dtype=complex)
+    T[rows] = rng.standard_normal((len(rows), lat.a)) \
+        + 1j * rng.standard_normal((len(rows), lat.a))
+    return WalnutCoeffs(lat, T)
+
+
+class TestFlatKernel:
+    @pytest.mark.parametrize("periods", [0, 1, 3])
+    @pytest.mark.parametrize("L,s,a,b,p", [(64, 8, 4, 8, 1), (240, 16, 16, 10, 2),
+                                           (36, 6, 9, 6, 3), (480, 16, 16, 20, 2),
+                                           (12288, 16, 12, 768, 3),
+                                           (10240, 16, 32, 40, 1)])
+    def test_equals_broadcast_form(self, monkeypatch, periods, L, s, a, b, p):
+        # every k = 0 .. _row_sum_max(p) at p = 1, 2 and 3, with chunks of
+        # a and 3a samples, one chunk longer than L (the first four grids)
+        # and L not a multiple of the chunk (the last two).  Row r reads v
+        # from r*M samples before each chunk, across the grid end at the
+        # first one
+        from gaborwalnut import frame_op
+        if periods:
+            monkeypatch.setattr(frame_op, "_CHUNK", periods * a)
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        assert frame_op._block_size(lat) == p
+        rng = np.random.default_rng(L + b + periods)
+        f = rand_signal(grid, 15).samples
+        for k in range(min(frame_op._row_sum_max(p), b - 1) + 1):
+            rows = [0] + rng.choice(np.arange(1, b), size=k, replace=False).tolist()
+            W = _table_with_rows(lat, rows, rng)
+            assert W._split is not None and len(W._split[1]) == k
+            assert W.apply(f).tobytes() == _broadcast_apply(W, f).tobytes(), k
+
+    @pytest.mark.parametrize("L,a,b,k", [(65536, 32, 512, 5), (16384, 32, 64, 2),
+                                         (65536, 64, 64, 0), (480, 16, 20, 7)])
+    def test_tiles_hold_one_chunk_per_row(self, L, a, b, k):
+        # the cache of the direct row sum: k + 1 tiles of C entries each,
+        # C = a * max(1, _CHUNK // a) but at most L, and nothing else; a
+        # painless table keeps its one row of a entries
+        import tracemalloc
+        from gaborwalnut import frame_op
+        lat = GaborLattice(build_grid(L, 16), a, b)
+        rows = [0] + list(range(2, 2 + k))
+        W = _table_with_rows(lat, rows, np.random.default_rng(k))
+        C = min(a * max(1, frame_op._CHUNK // a), L) if k else a
+        tracemalloc.start()
+        try:
+            G0, pairs = W._split
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tiles = [G0, *(G for _, G in pairs)]
+        assert len(tiles) == k + 1
+        assert all(G.shape == (C,) and G.dtype == complex for G in tiles)
+        assert peak <= 16 * ((k + 1) * C + 2 * a) + 4096
+
+    def test_painless_apply_allocates_its_output_and_one_tile(self):
+        # k = 0 takes no chunk buffer and keeps no tile: the allocations of
+        # a call are its output and the tile of G_0, one chunk long
+        import tracemalloc
+        from gaborwalnut import frame_op
+        L = 65536
+        lat = GaborLattice(build_grid(L, 16), 64, 64)
+        W = _table_with_rows(lat, [0], np.random.default_rng(4))
+        f = rand_signal(lat.grid, 18).samples
+        W.apply(f)
+        tracemalloc.start()
+        try:
+            W.apply(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (L + frame_op._CHUNK) + 4096
 
 
 class TestWeightedSum:

@@ -292,6 +292,64 @@ def test_window_file_plain_is_one_loadtxt(tmp_path, monkeypatch, newline, final)
     assert np.array_equal(back.samples, sig.samples)
 
 
+def _written_window(tmp_path, L, newline="\n"):
+    """The lines of a written window of ``L`` random integer samples, as
+    bytes with ``newline`` ends, and the path to write them to."""
+    grid = build_grid(L, 4)
+    rng = np.random.default_rng(L)
+    path = tmp_path / "window.txt"
+    write_window_file(Signal(grid, rng.integers(-9, 9, L)
+                             + 1j * rng.integers(-9, 9, L)), path)
+    lines = path.read_bytes().replace(b"\n", newline.encode())
+    return lines.splitlines(keepends=True), path
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_window_file_wrong_count_is_the_walks_message(tmp_path, newline, extra):
+    # a plain file one line short or one line long is counted by
+    # np.loadtxt and refused with the message of the line walk
+    lines, path = _written_window(tmp_path, 300, newline)
+    lines = lines[:-1] if extra < 0 else lines + lines[:1]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError) as got:
+        read_window_file(str(path), build_grid(300, 4))
+    assert str(got.value) == line_by_line_message(str(path), 300)
+    assert str(got.value).endswith(f"expected 300 sample lines, found {300 + extra}")
+
+
+@pytest.mark.parametrize("text", ["1 2 3", "", "1e999 0", "4"])
+def test_window_file_wrong_count_names_the_bad_line(tmp_path, text):
+    # a malformed, blank or overflowing line in a plain file one line short
+    # is still named, as the walk names it, before the count
+    lines, path = _written_window(tmp_path, 1000)
+    lines[699] = text.encode() + b"\n"
+    path.write_bytes(b"".join(lines[:-1]))
+    with pytest.raises(ParseError) as got:
+        read_window_file(str(path), build_grid(1000, 4))
+    assert str(got.value).startswith(f"{path}:700: ")
+    assert str(got.value) == line_by_line_message(str(path), 1000)
+
+
+def test_window_file_wrong_count_holds_no_line_list(tmp_path):
+    # the count of a plain file one line short comes from the one
+    # np.loadtxt array, 16 bytes a line, not from a list of Python floats
+    # (64 bytes a line) built by the walk
+    import tracemalloc
+    L = 2 ** 15
+    lines, path = _written_window(tmp_path, L)
+    data = b"".join(lines[:-1])
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"found {L - 1}$"):
+            read_window_file(str(path), build_grid(L, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(data) + 32 * L
+
+
 CHI_CONFIG = """
 [grid]
 L = {L}
