@@ -73,10 +73,12 @@ class SummabilityReport:
 
     ``per_r`` lists ``(signed r, sup|G~_r|, nu(r), product)`` in the fixed
     signed order; ``tail_profile`` holds the running partial sums, ending at
-    ``weighted_sum``.  ``cross_check_error`` is the worst deviation between
-    the block-inverse multipliers and those read off an LU solve of the
-    dense matrix for the ``a`` columns that the extraction reads (``None``
-    above ``DENSE_LIMIT``).
+    ``weighted_sum``.  ``cross_check_error`` is the largest absolute
+    difference, over the table's entries, between the block-inverse
+    multipliers and those read off LU solves of the ``b x b`` blocks of the
+    dense matrix on the cosets that hold the ``a`` columns the extraction
+    reads (``None`` above ``DENSE_LIMIT``); it is not scaled by the size of
+    the multipliers.
     """
 
     lattice: GaborLattice
@@ -148,23 +150,27 @@ def extract_walnut_from_matrix(
 
 
 def _dense_inverse_table(W: WalnutCoeffs) -> np.ndarray:
-    """Multiplier table of ``S^-1`` from an LU solve of the dense frame
-    matrix of ``W``'s table for its first ``a`` columns, the ones the
-    extraction reads, of ``W._dense``, which a dense method reads too; the
-    fiber stack and its decomposition are not read.
+    """Multiplier table of ``S^-1`` from LU solves of ``b x b`` blocks of
+    ``W._dense.S``, the dense frame matrix of ``W``'s table that a dense
+    method reads too; the fiber stack and its decomposition are not read.
 
-    Column ``c`` of ``S^-1`` meets strided diagonal ``r`` in row
-    ``(c + r*M) mod L``, which is entry ``(c + r*M) mod a`` of ``G~_r``;
-    as ``c`` runs over one period those entries fill the row.
+    ``S`` couples sample ``j`` only with ``j - r*M``, so column ``c`` of
+    ``S^-1`` is the solution, against ``e_0``, of the ``b x b`` block of
+    ``S`` on the coset ``c + k*M (mod L)``, ``k < b``; the ``a`` columns
+    ``c < a <= M`` lie in ``a`` different cosets and are solved as one
+    stack.  Column ``c`` meets strided diagonal ``r`` in row
+    ``(c + r*M) mod L``, entry ``k = r mod b`` of its solution, which is
+    entry ``(c + k*M) mod a`` of ``G~_r``; as ``c`` runs over one period
+    those entries fill the row.
     """
     lat = W.lat
-    L, a = lat.grid.L, lat.a
-    X = np.linalg.solve(W._dense.S, np.eye(L, a, dtype=complex))
-    r = np.array(signed_range(lat.b))[:, None]
-    c = np.arange(a)
-    j = c + r * lat.M
-    table = np.empty((lat.b, a), dtype=complex)
-    table[r % lat.b, j % a] = X[j % L, c]
+    L, a, b = lat.grid.L, lat.a, lat.b
+    k = np.arange(b)[:, None]
+    rows = (np.arange(a) + k * lat.M) % L  # rows[k, c]: sample k of c's coset
+    blocks = W._dense.S[rows.T[:, :, None], rows.T[:, None, :]]  # (a, b, b)
+    X = np.linalg.solve(blocks, np.eye(b, 1, dtype=complex))
+    table = np.empty((b, a), dtype=complex)
+    table[k, rows % a] = X[..., 0].T
     return table / (lat.M / lat.grid.s)
 
 
@@ -179,10 +185,12 @@ def dual_summability_report(
     The multipliers are read off the inverted fiber blocks of ``S``
     (:func:`invert._inverse_walnut`): nothing is solved, and ``tol`` is only
     validated.  At ``L <= DENSE_LIMIT`` they are always cross-checked
-    against those read off an LU solve of the dense frame matrix for the
-    ``a`` columns that the extraction reads (:func:`_dense_inverse_table`),
-    an independent route to the same operator.  It reads the table ``g``
-    keeps, whose one eigendecomposition the solvers after it read too.
+    against those read off LU solves of the ``b x b`` blocks of the dense
+    frame matrix on the cosets that hold the ``a`` columns the extraction
+    reads (:func:`_dense_inverse_table`), an independent route to the same
+    operator; ``cross_check_error`` is the largest absolute difference.
+    It reads the table ``g`` keeps, whose one eigendecomposition the
+    solvers after it read too.
     """
     _check_tol(tol)
     W = walnut_coefficients(g, lat)

@@ -163,7 +163,19 @@ class TestDualSummability:
         grid = build_grid(1024, 16)  # the dense limit, B/A about 268
         cases.append(("gauss1024", build_window(WindowSpec.gaussian(width=1.0), grid),
                       GaborLattice(grid, 32, 16)))
+        grid = build_grid(144, 8)  # p = 3
+        cases.append(("gauss144", build_window(WindowSpec.gaussian(width=1.0), grid),
+                      GaborLattice(grid, 9, 12)))
         return cases
+
+    def test_dense_matrix_vanishes_off_the_cosets(self, corpus):
+        # the cross-check solves S on the cosets j + M*Z_L only: every
+        # nonzero of the assembled matrix must lie in one of their blocks
+        for name, g, lat in self._cross_check_cases(corpus):
+            S = dense_frame_matrix(g, lat)
+            j = np.arange(lat.grid.L)
+            off = (j[:, None] - j[None, :]) % lat.M != 0
+            assert np.count_nonzero(S[off]) == 0, name
 
     def test_a_columns_match_the_full_inverse(self, corpus):
         # the extraction from the whole inverse is the reference: reading
@@ -191,7 +203,16 @@ class TestDualSummability:
         def refuse(*args, **kwargs):
             raise AssertionError("the cross-check inverted the dense matrix")
 
+        solve = np.linalg.solve
+
+        def coset_sized(A, B):
+            # no system larger than one coset block, b x b, is solved
+            if A.shape[-1] > lat.b:
+                raise AssertionError(f"solved a {A.shape[-1]}-unknown system")
+            return solve(A, B)
+
         monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(np.linalg, "solve", coset_sized)
         for name, g, lat in self._cross_check_cases(corpus):
             rep = dual_summability_report(g, lat, Weight.constant())
             assert rep.cross_check_error < 1e-12, name
