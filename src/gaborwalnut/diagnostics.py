@@ -168,7 +168,9 @@ def _dense_inverse_table(W: WalnutCoeffs) -> np.ndarray:
     k = np.arange(b)[:, None]
     rows = (np.arange(a) + k * lat.M) % L  # rows[k, c]: sample k of c's coset
     blocks = W._dense.S[rows.T[:, :, None], rows.T[:, None, :]]  # (a, b, b)
-    X = np.linalg.solve(blocks, np.eye(b, 1, dtype=complex))
+    # e_0 as a (1, b, 1) stack: NumPy < 2 reads a 2-d right-hand side as a
+    # stack of vectors
+    X = np.linalg.solve(blocks, np.eye(b, 1, dtype=complex)[None])
     table = np.empty((b, a), dtype=complex)
     table[k, rows % a] = X[..., 0].T
     return table / (lat.M / lat.grid.s)

@@ -209,6 +209,9 @@ class TestDualSummability:
             # no system larger than one coset block, b x b, is solved
             if A.shape[-1] > lat.b:
                 raise AssertionError(f"solved a {A.shape[-1]}-unknown system")
+            # a stacked right-hand side with one dimension fewer than A is
+            # read as a stack of vectors by NumPy < 2
+            assert np.ndim(B) == np.ndim(A), "right-hand side not a stack of matrices"
             return solve(A, B)
 
         monkeypatch.setattr(np.linalg, "inv", refuse)
