@@ -137,11 +137,25 @@ def _adopt(cls, **fields):
     return obj
 
 
+def _with_nonzero(grid: Grid, v: np.ndarray, lo: int, hi: int) -> "Signal":
+    """The window ``v``, adopted (:func:`_adopt`), holding ``(lo, hi)`` as
+    the interval of its nonzero samples: the sampler that wrote ``v`` vouches
+    that every sample outside ``[lo, hi)`` is exactly 0.0 and none inside
+    is.  ``frame_op`` reads its support run from it in ``O(1)``."""
+    g = _adopt(Signal, grid=grid, samples=v)
+    g.__dict__["_nonzero"] = (int(lo), int(hi))
+    return g
+
+
 @dataclass(frozen=True, eq=False)
 class Signal(_Frozen):
     """``grid.L`` complex samples on a grid, read-only (:class:`_Frozen`);
     a wrong shape raises ``DimensionError``.  A window keeps the Walnut
-    table last built from it (``frame_op.walnut_coefficients``)."""
+    table last built from it (``frame_op.walnut_coefficients``).  A window
+    sampled by :class:`WindowSpec` from a formula also holds ``_nonzero``,
+    the interval ``(lo, hi)`` outside which every sample is exactly 0.0
+    and inside which none is (:func:`_with_nonzero`); a signal built any
+    other way holds none, and its support is found by a scan."""
 
     grid: Grid
     samples: np.ndarray
@@ -217,6 +231,11 @@ class WindowSpec:
     * ``hat()``: triangle of unit support, peak 1 at half a unit.
     * ``from_file(path)``: samples read from a text file (see
       :func:`read_window_file`).
+
+    The three formula kinds write only the stretch of samples they can make
+    nonzero, and record on the window the interval that holds its nonzero
+    samples (``Signal._nonzero``), so a Walnut table of the window costs its
+    support, not ``L``.  A window read from a file records none.
     """
 
     sample: Callable[[Grid], Signal]
@@ -237,7 +256,7 @@ class WindowSpec:
                                   f"exceeds grid length {L}")
             v = np.zeros(L, dtype=complex)
             v[:n_int] = 1.0
-            return _adopt(Signal, grid=grid, samples=v)
+            return _with_nonzero(grid, v, 0, n_int)
 
         return cls(sample)
 
@@ -259,8 +278,13 @@ class WindowSpec:
                              0, L).astype(int)
             x = np.arange(lo, hi) / s
             v = np.zeros(L, dtype=complex)
-            v.real[lo:hi] = np.exp(-np.pi * ((x - c) / width) ** 2)
-            return _adopt(Signal, grid=grid, samples=v)
+            v.real[lo:hi] = y = np.exp(-np.pi * ((x - c) / width) ** 2)
+            # the tails of the run may still underflow; between its first
+            # and last nonzero sample the bell is nonzero throughout
+            nz = np.flatnonzero(y)
+            if nz.size == 0:
+                return _with_nonzero(grid, v, 0, 0)
+            return _with_nonzero(grid, v, lo + nz[0], lo + nz[-1] + 1)
 
         return cls(sample)
 
@@ -269,9 +293,11 @@ class WindowSpec:
         def sample(grid: Grid) -> Signal:
             if grid.s > grid.L:
                 raise DomainError("hat support of one unit exceeds the grid extent")
-            x = np.arange(grid.L) / grid.s
-            v = np.where(x <= 0.5, 2.0 * x, np.where(x <= 1.0, 2.0 * (1.0 - x), 0.0))
-            return _adopt(Signal, grid=grid, samples=v.astype(complex))
+            # samples j = 1 .. s-1 of the unit are nonzero, all others 0.0
+            x = np.arange(1, grid.s) / grid.s
+            v = np.zeros(grid.L, dtype=complex)
+            v.real[1:grid.s] = np.where(x <= 0.5, 2.0 * x, 2.0 * (1.0 - x))
+            return _with_nonzero(grid, v, 1, grid.s)
 
         return cls(sample)
 
@@ -350,12 +376,17 @@ def build_window(spec: WindowSpec, grid: Grid) -> Signal:
 def tf_shift(f: Signal, n: int, m: int) -> Signal:
     """Time-frequency shift: translate by ``n`` samples, then modulate by ``m`` bins.
 
-    ``(M_m T_n f)(j) = exp(2*pi*i*m*j/L) * f(j - n mod L)``.
+    ``(M_m T_n f)(j) = exp(2*pi*i*m*j/L) * f(j - n mod L)``.  The phase is
+    taken at ``(m*j) mod L``, reduced in integers, so its argument stays
+    below ``2*pi`` and its error does not grow with ``m*j``.
     """
     L = f.grid.L
     shifted = np.roll(f.samples, n % L)
     if m % L != 0:
-        phase = np.exp(2j * np.pi * (m % L) * np.arange(L) / L)
+        k = np.arange(L)
+        k *= m % L
+        k %= L
+        phase = np.exp(2j * np.pi * k / L)
         np.multiply(phase, shifted, out=shifted)
     return _adopt(Signal, grid=f.grid, samples=shifted)
 

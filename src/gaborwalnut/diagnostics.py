@@ -42,6 +42,7 @@ from .errors import (
 from .frame_op import (
     DENSE_LIMIT,
     WalnutCoeffs,
+    _coset_blocks,
     analysis,
     frame_operator_walnut,
     walnut_coefficients,
@@ -151,8 +152,10 @@ def extract_walnut_from_matrix(
 
 def _dense_inverse_table(W: WalnutCoeffs) -> np.ndarray:
     """Multiplier table of ``S^-1`` from LU solves of ``b x b`` blocks of
-    ``W._dense.S``, the dense frame matrix of ``W``'s table that a dense
-    method reads too; the fiber stack and its decomposition are not read.
+    the dense frame matrix ``S`` of ``W``'s table, gathered from the table
+    by the formula ``_Dense`` assembles ``S`` by
+    (:func:`frame_op._coset_blocks`); ``S`` itself is not assembled, and
+    the fiber stack and its decomposition are not read.
 
     ``S`` couples sample ``j`` only with ``j - r*M``, so column ``c`` of
     ``S^-1`` is the solution, against ``e_0``, of the ``b x b`` block of
@@ -164,15 +167,14 @@ def _dense_inverse_table(W: WalnutCoeffs) -> np.ndarray:
     those entries fill the row.
     """
     lat = W.lat
-    L, a, b = lat.grid.L, lat.a, lat.b
+    a, b = lat.a, lat.b
     k = np.arange(b)[:, None]
-    rows = (np.arange(a) + k * lat.M) % L  # rows[k, c]: sample k of c's coset
-    blocks = W._dense.S[rows.T[:, :, None], rows.T[:, None, :]]  # (a, b, b)
+    blocks = _coset_blocks(W, np.arange(a))  # (a, b, b)
     # e_0 as a (1, b, 1) stack: NumPy < 2 reads a 2-d right-hand side as a
     # stack of vectors
     X = np.linalg.solve(blocks, np.eye(b, 1, dtype=complex)[None])
     table = np.empty((b, a), dtype=complex)
-    table[k, rows % a] = X[..., 0].T
+    table[k, (np.arange(a) + k * lat.M) % a] = X[..., 0].T
     return table / (lat.M / lat.grid.s)
 
 

@@ -22,7 +22,9 @@ table.
 
 The multipliers are brackets ``G_r = [g, T_{r*M} g]_a`` formed by direct
 products over the window's support run (``_pair_rows``), so a window whose
-nonzero samples fit in ``n`` costs ``O(b*n)``, not ``O(b*L)``.  For a
+nonzero samples fit in ``n`` costs ``O(b*n)``, not ``O(b*L)``.  A window
+from ``core.build_window`` records where it is nonzero, so its run comes
+free; any other signal's run takes one scan of its ``L`` samples.  For a
 window in W(L^inf, l^1) ``sum_r sup|G_r|`` is finite (Walnut, J. Math.
 Anal. Appl. 165, 1992), and for a well-localized one only the few rows
 ``r`` whose translated support meets its own are nonzero at all.
@@ -44,8 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .bracket import _bracket_table, _residue_classes
-from .core import (GaborLattice, Signal, Weight, _Frozen, _adopt, _same_grid,
-                   signed_range)
+from .core import GaborLattice, Signal, Weight, _Frozen, _adopt, _same_grid
 from .errors import DimensionError, DomainError, LatticeError, SizeError
 from .amalgam import _profile
 
@@ -381,9 +382,13 @@ def synthesis(g: Signal, lat: GaborLattice, c: Coeffs) -> Signal:
 
 
 def _phases(lat: GaborLattice) -> np.ndarray:
+    """The ``M x L`` matrix ``exp(-2*pi*i*m*b*j/L)``, read from a table of the
+    ``L`` roots of unity at ``(m*b*j) mod L``, reduced in integers in place:
+    every entry is one root evaluated at an argument below ``2*pi``."""
     L = lat.grid.L
-    j = np.arange(L)
-    return np.exp(-2j * np.pi * np.outer(np.arange(lat.M) * lat.b, j) / L)
+    k = np.outer(np.arange(lat.M) * lat.b, np.arange(L))
+    k %= L
+    return np.exp(-2j * np.pi * np.arange(L) / L)[k]
 
 
 def frame_operator_direct(g: Signal, lat: GaborLattice, f: Signal) -> Signal:
@@ -391,9 +396,9 @@ def frame_operator_direct(g: Signal, lat: GaborLattice, f: Signal) -> Signal:
 
     Multiplies the ``M x L`` phase matrix and the translates of ``g``
     densely, ``O(M*N*L)``, and shares no code with :func:`analysis` or
-    :func:`synthesis`.  The translates are formed ``2**16 // L`` at a time,
-    so apart from two phase matrices no array holds more than about
-    ``2**16`` entries.
+    :func:`synthesis`.  The translates are gathered ``2**16 // L`` at a
+    time, each chunk by one index array, so apart from two phase matrices
+    no array holds more than about ``2**16`` entries.
     """
     _same_grid(lat.grid, g, f)
     L = lat.grid.L
@@ -402,9 +407,10 @@ def frame_operator_direct(g: Signal, lat: GaborLattice, f: Signal) -> Signal:
     E *= f.samples / lat.grid.s  # so E @ conj(W).T holds the coefficients
     out = np.zeros(L, dtype=complex)
     step = max(1, 2**16 // L)
+    j = np.arange(L)
     for n0 in range(0, lat.N, step):
-        W = np.stack([np.roll(g.samples, n * lat.a)
-                      for n in range(n0, min(n0 + step, lat.N))])
+        n = np.arange(n0, min(n0 + step, lat.N))[:, None]
+        W = g.samples[(j - n * lat.a) % L]  # row n is T_{n*a} g
         out += np.einsum("jn,nj->j", Ec @ (E @ np.conj(W).T), W)
     return Signal(g.grid, out)
 
@@ -415,7 +421,10 @@ def _support_run(v: np.ndarray, a: int) -> tuple[int, int]:
     ``start`` and ``n`` are multiples of ``a``: the run is the complement of
     the longest cyclic gap between the length-``a`` blocks of ``v`` that hold
     a nonzero sample.  A zero signal gives ``(0, 0)`` and a signal with no
-    zero block ``(0, L)``.
+    zero block ``(0, L)``.  A scan of all ``L`` samples: the run of a window
+    that records its nonzero interval is read off that instead
+    (:func:`_window_run`), and this scan is the reference it is tested
+    against.
     """
     L = v.shape[0]
     # the real and imaginary parts side by side: -0.0 is zero, NaN is not
@@ -430,6 +439,25 @@ def _support_run(v: np.ndarray, a: int) -> tuple[int, int]:
     return int(nz[(i + 1) % nz.size]) * a, L - (int(gaps[i]) - 1) * a
 
 
+def _window_run(g: Signal, a: int) -> tuple[int, int]:
+    """:func:`_support_run` of ``g.samples``, in ``O(1)`` when ``g`` holds
+    the interval ``(lo, hi)`` of its nonzero samples (``core.Signal``).
+
+    The interval is one contiguous run that does not wrap, so its blocks
+    ``lo // a .. (hi - 1) // a`` all hold a nonzero sample and the scan's
+    longest gap is the one around them.  Any other signal is scanned.
+    """
+    held = g.__dict__.get("_nonzero")
+    if held is None:
+        return _support_run(g.samples, a)
+    lo, hi = held
+    if hi <= lo:
+        return 0, 0
+    first = lo // a
+    n = ((hi - 1) // a - first + 1) * a
+    return (0, n) if n == g.grid.L else (first * a, n)
+
+
 def _cyclic(v: np.ndarray, start: int, n: int) -> np.ndarray:
     """``n`` samples of ``v`` from ``start`` on, read cyclically; a view
     unless the read wraps, and ``O(n)`` either way."""
@@ -442,14 +470,16 @@ def _cyclic(v: np.ndarray, start: int, n: int) -> np.ndarray:
     return np.concatenate((v[start:], np.resize(v, start + n - L)))
 
 
-def _pair_rows(f: np.ndarray, h: np.ndarray, lat: GaborLattice,
+def _pair_rows(f: Signal, h: Signal, lat: GaborLattice,
                rows: int) -> np.ndarray:
     """Rows ``r = 0..rows-1`` of ``[f, T_{r*M} h]_a``, shape ``(rows, a)``.
 
     Row ``r`` is the direct product ``f * T_{r*M} conj(h)`` folded to
     period ``a``, summed over the shorter of the two support runs
-    (:func:`_support_run`) only: ``O(rows*n)`` products for runs of ``n``
-    samples and no FFT, so a bracket that vanishes is an exact zero.  Over
+    (:func:`_window_run`) only: ``O(rows*n)`` products for runs of ``n``
+    samples and no FFT, so a bracket that vanishes is an exact zero.  A
+    window from ``core.build_window`` hands its run over in ``O(1)``; any
+    other signal's run is one scan of its ``L`` samples.  Over
     f's run the translate is a length-``n`` read of ``conj(h)``; over h's
     run the row is ``sum_i f[i + r*M] * conj(h[i])``, rolled by
     ``r*M mod a``.  Every read that meets the other run lies within ``n``
@@ -465,8 +495,9 @@ def _pair_rows(f: np.ndarray, h: np.ndarray, lat: GaborLattice,
     """
     L, a, M = lat.grid.L, lat.a, lat.M
     out = np.zeros((rows, a), dtype=complex)
-    sf, nf = _support_run(f, a)
-    sh, nh = (sf, nf) if h is f else _support_run(h, a)
+    sf, nf = _window_run(f, a)
+    sh, nh = (sf, nf) if h is f else _window_run(h, a)
+    f, h = f.samples, h.samples
     if nf == 0 or nh == 0:
         return out
     # T_{r*M} h's run starts d samples after f's; the runs meet when either
@@ -500,6 +531,9 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     Rows ``r = 0..b/2`` are the brackets ``[g, T_{r*M} g]_a`` by direct
     products over the support run of ``g`` (:func:`_pair_rows`),
     ``O((b/2)*n)`` when the nonzero samples fit in a cyclic run of ``n``.
+    For a window from ``core.build_window`` that run is read off the
+    interval the sampler recorded, so the build costs the support alone;
+    for any other signal one scan of its ``L`` samples finds it.
     The other rows follow from ``G_{-r}(x) = conj(G_r((x + r*M) mod a))``.
     Every row is a sum of products, so a multiplier that vanishes is an
     exact zero; a table that is not finite raises ``DomainError``.
@@ -515,7 +549,7 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
         return held
     a, b, M = lat.a, lat.b, lat.M
     table = np.empty((b, a), dtype=complex)
-    table[:b // 2 + 1] = _pair_rows(g.samples, g.samples, lat, b // 2 + 1)
+    table[:b // 2 + 1] = _pair_rows(g, g, lat, b // 2 + 1)
     r = np.arange(1, (b + 1) // 2)
     table[b - r] = np.conj(table[r[:, None], (np.arange(a) + M * r[:, None]) % a])
     W = g.__dict__["_walnut"] = _adopt(WalnutCoeffs, lat=lat, table=table)
@@ -533,21 +567,34 @@ def walnut_weighted_sum(W: WalnutCoeffs, w: Weight) -> float:
     return _profile(W.table, w).norm
 
 
+def _coset_blocks(W: WalnutCoeffs, c: np.ndarray) -> np.ndarray:
+    """The ``b x b`` blocks of the dense frame matrix ``S`` of ``W``'s table
+    on the cosets ``c + M*Z_L``, ``c < M``, gathered from the table alone:
+    entry ``[i, k, k']`` is ``S[c_i + k*M, c_i + k'*M] =
+    factor * G_{(k-k') mod b}((c_i + k*M) mod a)``.  ``S`` couples ``j``
+    only with ``j - r*M``, so these blocks over all ``M`` cosets are all of
+    its nonzero entries."""
+    lat = W.lat
+    k = np.arange(lat.b)
+    cols = (c[:, None] + k * lat.M) % lat.a
+    return W.factor * W.table[(k[:, None] - k) % lat.b, cols[:, :, None]]
+
+
 class _Dense(_Spectral):
     """The dense oracle's own operator value: the read-only ``L x L`` matrix
-    ``S`` assembled from a table's strided diagonals, as one block on the
-    samples, with its own eigen-cache.  It reads the table only, never its
-    fiber stack; above ``DENSE_LIMIT`` it raises ``SizeError`` first."""
+    ``S``, its coset blocks (:func:`_coset_blocks`) scattered into place,
+    as one block on the samples, with its own eigen-cache.  It reads the
+    table only, never its fiber stack; above ``DENSE_LIMIT`` it raises
+    ``SizeError`` first."""
 
     def __init__(self, W: WalnutCoeffs):
         lat, L = W.lat, W.lat.grid.L
         if L > DENSE_LIMIT:
             raise SizeError(f"dense path limited to L <= {DENSE_LIMIT}, got {L}")
-        rows = np.arange(L)
+        c = np.arange(lat.M)
+        rows = c[:, None] + lat.M * np.arange(lat.b)  # rows[c, k] = c + k*M
         self.S = S = np.zeros((L, L), dtype=complex)
-        for r in signed_range(lat.b):
-            S[rows, (rows - r * lat.M) % L] += \
-                W.factor * W.table[r][rows % lat.a]
+        S[rows[:, :, None], rows[:, None, :]] = _coset_blocks(W, c)
         S.flags.writeable = False
         self.fibers, self.apply = (lambda: S[None]), (lambda v: S @ v)
         self._to, self._back = (lambda v: v[None]), (lambda z: z[0])

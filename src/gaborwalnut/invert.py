@@ -437,7 +437,7 @@ def duality_defect(g: Signal, gd: Signal, lat: GaborLattice) -> float:
     _same_grid(lat.grid, g, gd)
     # the self-pair's rows are the Walnut table, half of them summed
     rows = walnut_coefficients(g, lat).table if gd is g else \
-        _pair_rows(gd.samples, g.samples, lat, lat.b)
+        _pair_rows(gd, g, lat, lat.b)
     rows = (lat.M / lat.grid.s) * rows
     rows[0] -= 1.0
     return float(np.abs(rows).max(axis=1).sum())

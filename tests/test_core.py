@@ -202,6 +202,17 @@ class TestTfShift:
         assert np.allclose(lhs.samples, phase * rhs.samples, atol=1e-12)
 
 
+    @pytest.mark.parametrize("m", [65535, 12345])
+    def test_phase_taken_at_m_times_j_mod_L(self, m):
+        # at L = 65536 a phase taken at m*j itself drifts 1e-11 off
+        L = 65536
+        grid = build_grid(L, 16)
+        j = np.arange(L)
+        ref = np.exp(2j * np.pi * ((m * j) % L) / L)
+        out = tf_shift(Signal(grid, np.ones(L)), 0, m).samples
+        assert np.abs(out - ref).max() <= 4 * np.finfo(float).eps
+
+
 class TestInnerProduct:
     def test_unit_window(self):
         g = build_window(WindowSpec.characteristic(1.0), build_grid(8, 4))

@@ -177,6 +177,17 @@ class TestDualSummability:
             off = (j[:, None] - j[None, :]) % lat.M != 0
             assert np.count_nonzero(S[off]) == 0, name
 
+    def test_dense_matrix_equals_the_strided_diagonal_sum(self, corpus):
+        # S scattered from the coset blocks is, byte for byte, the sum of
+        # the b strided diagonals factor * G_r(j) at (j, j - r*M)
+        for name, g, lat in self._cross_check_cases(corpus):
+            W = walnut_coefficients(g, lat)
+            L, j = lat.grid.L, np.arange(lat.grid.L)
+            ref = np.zeros((L, L), dtype=complex)
+            for r in signed_range(lat.b):
+                ref[j, (j - r * lat.M) % L] += W.factor * W.table[r][j % lat.a]
+            assert dense_frame_matrix(g, lat).tobytes() == ref.tobytes(), name
+
     def test_a_columns_match_the_full_inverse(self, corpus):
         # the extraction from the whole inverse is the reference: reading
         # each multiplier once off the solved columns lands within rounding

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,19 @@ class TestDirectOperator:
         f = rand_signal(grid, 2)
         out = frame_operator_direct(g, lat, f)
         assert np.allclose(out.samples, 2 * f.samples, atol=1e-12)
+
+
+    def test_matches_walnut_to_rounding(self):
+        # the phases are roots of unity read at (m*b*j) mod L, so the double
+        # sum keeps to rounding at L = 4096 (it drifted to 2e-13 when each
+        # phase was taken at m*b*j itself)
+        grid = build_grid(4096, 16)
+        lat = GaborLattice(grid, 16, 32)
+        g = build_window(WindowSpec.gaussian(1.0), grid)
+        f = rand_signal(grid, 11)
+        d = frame_operator_direct(g, lat, f).samples
+        w = frame_operator_walnut(walnut_coefficients(g, lat), f).samples
+        assert np.linalg.norm(d - w) <= 1e-15 * np.linalg.norm(w)
 
 
 def _roll_loop(W, f):
@@ -447,7 +462,7 @@ class TestSupportRuns:
         lat = GaborLattice(grid, a, b)
         assert _block_size(lat) == p
         f, h = RUN_WINDOWS[fk](grid), RUN_WINDOWS[hk](grid)
-        rows = _pair_rows(f, h, lat, b)
+        rows = _pair_rows(Signal(grid, f), Signal(grid, h), lat, b)
         ref = np.array([(f * np.conj(np.roll(h, r * lat.M))).reshape(-1, a)
                         .sum(axis=0) for r in range(b)])
         if fk == hk:
@@ -488,6 +503,100 @@ class TestSupportRuns:
         f = rand_signal(grid, 7).samples
         assert np.array_equal(W.apply(f),
                               W.factor * np.tile(W.table[0], grid.L // 64) * f)
+
+
+def _recorded_windows(grid, rng):
+    """Windows from ``build_window`` of every formula kind on ``grid``:
+    Gaussians of widths 0.05 to 10 at centres mid-grid, at the edges (cut
+    by the grid), with subnormal or underflowed tails, entirely off the
+    grid and at random; characteristic functions up to the whole grid; the
+    hat."""
+    u = grid.units
+    reach = math.sqrt(746 / math.pi)  # of a width-1 Gaussian
+    specs = [WindowSpec.gaussian(w, c) for w in (0.05, 0.3, 1.0, 4.0, 10.0)
+             for c in (None, 0.0, u, 0.5 / grid.s, u - 1 / grid.s)]
+    specs += [WindowSpec.gaussian(1.0, c)
+              for c in (-15.0, -15.3, -reach + 0.5 / grid.s, -reach, -40.0,
+                        u + 15.3, u + reach, u + 40.0)]
+    specs += [WindowSpec.gaussian(10 ** rng.uniform(math.log10(0.05), 1.0),
+                                  rng.uniform(-20.0, u + 20.0))
+              for _ in range(30)]
+    specs += [WindowSpec.characteristic(n) for n in (1 / grid.s, 0.5, 1.0, 2.0, u)
+              if n <= u]
+    specs.append(WindowSpec.hat())
+    return [build_window(spec, grid) for spec in specs]
+
+
+class TestRecordedRuns:
+    """A window from ``build_window`` records the interval of its nonzero
+    samples, and its support run is read off that, not scanned."""
+
+    @pytest.mark.parametrize("L", [48, 240, 256, 960, 4096, 65536])
+    def test_run_equals_the_scan(self, L):
+        from gaborwalnut.frame_op import _support_run, _window_run
+        grid = build_grid(L, 16)
+        divisors = [a for a in range(1, 257) if L % a == 0]
+        for g in _recorded_windows(grid, np.random.default_rng(L)):
+            lo, hi = g.__dict__["_nonzero"]
+            v = g.samples
+            assert 0 <= lo <= hi <= L
+            assert np.count_nonzero(v[lo:hi]) == hi - lo
+            assert not v[:lo].any() and not v[hi:].any()
+            for a in divisors:
+                assert _window_run(g, a) == _support_run(v, a), (lo, hi, a)
+
+    def test_other_signals_record_none(self, tmp_path):
+        from gaborwalnut import read_window_file, tight_window
+        from gaborwalnut.reports import write_window_file
+        grid = build_grid(240, 16)
+        lat = GaborLattice(grid, 16, 10)
+        g = build_window(WindowSpec.gaussian(1.0), grid)
+        path = tmp_path / "g.txt"
+        write_window_file(g, path)
+        for x in (Signal(grid, g.samples), read_window_file(str(path), grid),
+                  build_window(WindowSpec.from_file(str(path)), grid),
+                  tf_shift(g, 3, 0), tf_shift(g, 0, 2), dual_window(g, lat),
+                  tight_window(g, lat)):
+            assert "_nonzero" not in x.__dict__
+
+    def test_table_of_a_recorded_window_scans_nothing(self, monkeypatch):
+        from gaborwalnut import duality_defect, frame_op
+
+        def refuse(*args):
+            raise AssertionError("scanned the window for its support")
+
+        monkeypatch.setattr(frame_op, "_support_run", refuse)
+        grid = build_grid(4096, 16)
+        lat = GaborLattice(grid, 32, 64)
+        g = build_window(WindowSpec.gaussian(1.0), grid)
+        h = build_window(WindowSpec.hat(), grid)
+        assert walnut_coefficients(g, lat).table[0].any()
+        assert duality_defect(g, h, lat) > 0
+        with pytest.raises(AssertionError, match="scanned"):
+            walnut_coefficients(Signal(grid, g.samples), lat)
+
+    @pytest.mark.parametrize("L,s,a,b", [(48, 16, 16, 2), (240, 16, 16, 10),
+                                         (256, 16, 8, 8), (960, 16, 12, 60),
+                                         (4096, 16, 16, 32),
+                                         (65536, 16, 32, 512)])
+    def test_tables_and_defects_equal_a_copy(self, L, s, a, b):
+        # the recorded run is the scanned one, so every sum is the same
+        from gaborwalnut import duality_defect
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        u = grid.units
+        windows = [build_window(spec, grid) for spec in (
+            WindowSpec.gaussian(1.0), WindowSpec.gaussian(0.3, 0.0),
+            WindowSpec.gaussian(2.0, u - 0.5), WindowSpec.characteristic(1.0),
+            WindowSpec.hat())]
+        copies = [Signal(grid, g.samples) for g in windows]
+        for g, c in zip(windows, copies):
+            assert walnut_coefficients(g, lat).table.tobytes() == \
+                walnut_coefficients(c, lat).table.tobytes()
+        for (g, cg), (h, ch) in zip(zip(windows, copies),
+                                    zip(windows[1:], copies[1:])):
+            assert duality_defect(g, h, lat) == duality_defect(cg, ch, lat)
+            assert duality_defect(h, g, lat) == duality_defect(ch, cg, lat)
 
 
 class TestRowSum:

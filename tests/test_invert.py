@@ -513,7 +513,7 @@ class TestDualityDefect:
     def test_pair_rows_are_the_walnut_half_table(self, L, a, b):
         for g in (gauss_lattice(L, a, b)[0], rand_signal(build_grid(L, 16), 3)):
             lat = GaborLattice(g.grid, a, b)
-            rows = _pair_rows(g.samples, g.samples, lat, b // 2 + 1)
+            rows = _pair_rows(g, g, lat, b // 2 + 1)
             assert np.array_equal(rows,
                                   walnut_coefficients(g, lat).table[:b // 2 + 1])
 
@@ -528,7 +528,7 @@ class TestDualityDefect:
         factor = lat.M / lat.grid.s
 
         def full_rows(v):
-            rows = factor * _pair_rows(v.samples, v.samples, lat, b)
+            rows = factor * _pair_rows(v, v, lat, b)
             scale = np.abs(rows).max(axis=1).sum()
             rows[0] -= 1.0
             return float(np.abs(rows).max(axis=1).sum()), scale
