@@ -445,7 +445,8 @@ def _window_run(g: Signal, a: int) -> tuple[int, int]:
 
     The interval is one contiguous run that does not wrap, so its blocks
     ``lo // a .. (hi - 1) // a`` all hold a nonzero sample and the scan's
-    longest gap is the one around them.  Any other signal is scanned.
+    longest gap is the one around them (with no gap, they start at block
+    0 and the run is ``(0, L)``).  Any other signal is scanned.
     """
     held = g.__dict__.get("_nonzero")
     if held is None:
@@ -454,8 +455,7 @@ def _window_run(g: Signal, a: int) -> tuple[int, int]:
     if hi <= lo:
         return 0, 0
     first = lo // a
-    n = ((hi - 1) // a - first + 1) * a
-    return (0, n) if n == g.grid.L else (first * a, n)
+    return first * a, ((hi - 1) // a - first + 1) * a
 
 
 def _cyclic(v: np.ndarray, start: int, n: int) -> np.ndarray:

@@ -201,7 +201,6 @@ class TestDirectOperator:
         out = frame_operator_direct(g, lat, f)
         assert np.allclose(out.samples, 2 * f.samples, atol=1e-12)
 
-
     def test_matches_walnut_to_rounding(self):
         # the phases are roots of unity read at (m*b*j) mod L, so the double
         # sum keeps to rounding at L = 4096 (it drifted to 2e-13 when each
