@@ -26,7 +26,7 @@ class DimensionError(GaborToolkitError):
 
 
 class SizeError(GaborToolkitError):
-    """A dense-path operation was requested above its size limit."""
+    """A dense matrix, fiber stack or bench double sum above its size cap."""
 
 
 class ParseError(GaborToolkitError):

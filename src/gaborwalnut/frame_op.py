@@ -169,6 +169,8 @@ def _zak_table(blocks: np.ndarray, lat: GaborLattice) -> np.ndarray:
 
 # Largest grid whose L x L frame matrix the dense oracle assembles: 16 MiB.
 DENSE_LIMIT = 1024
+# Entries of the fiber block stack, L*p: 2**22 complex values are 64 MiB.
+FIBER_LIMIT = 2**22
 # Output samples per chunk of the direct row sum in WalnutCoeffs.apply, and
 # the length its multipliers are tiled to: 64 KiB per array, which stays in
 # cache and below the allocator's mmap threshold.
@@ -278,6 +280,10 @@ class WalnutCoeffs(_Frozen, _Spectral):
 
     @cached_property
     def _fibers(self) -> np.ndarray:
+        entries = self.lat.grid.L * _block_size(self.lat)
+        if entries > FIBER_LIMIT:
+            raise SizeError(f"fiber blocks limited to L*p <= {FIBER_LIMIT}, "
+                            f"got {entries}")
         blocks = _zak_blocks(self.table, self.lat)
         blocks.flags.writeable = False
         return blocks
@@ -297,7 +303,8 @@ class WalnutCoeffs(_Frozen, _Spectral):
         ``factor * G_0 * v``, exact, with ``G_0`` tiled per call.  Any other
         table is the block product on :meth:`fibers`, ``r = 0`` term
         included: one length-``b`` FFT along each coset, one product per
-        block, one inverse FFT.
+        block, one inverse FFT; above ``FIBER_LIMIT`` that stack is refused
+        (``SizeError``), while a direct row sum runs at any size.
         """
         split = self._split
         if split is None:
@@ -333,7 +340,8 @@ class WalnutCoeffs(_Frozen, _Spectral):
         acts block by block, so ``S v = _from_zak(blocks @ _to_zak(v))``.
         The eigenvalues of the stack are the spectrum of the operator.  The
         stack is built once per table and is read-only: :meth:`apply` and
-        every solver in ``invert`` read this one array.
+        every solver in ``invert`` read this one array.  Above
+        ``FIBER_LIMIT`` entries it raises ``SizeError`` before it allocates.
         """
         return self._fibers
 

@@ -5,8 +5,8 @@ splits into ``L/p`` Hermitian ``p x p`` blocks with ``p = a / gcd(a, M)``
 (:meth:`WalnutCoeffs.fibers`), so its bounds, inverse and inverse square
 root are exact batched eigen- and linear-algebra at ``O(L * p**2)``, plus
 one length-``b`` FFT per coset on the way in and out; at ``a | M`` the
-blocks are scalars.  The stack holds ``L*p`` entries, capped by
-``FIBER_LIMIT``, above which every default raises ``SizeError``.
+blocks are scalars.  The stack holds ``L*p`` entries, capped where it is
+built by ``frame_op.FIBER_LIMIT``: above it every reader raises ``SizeError``.
 
 Every solver reads one operator value, which :func:`_operator` picks for
 its method: the table ``W = walnut_coefficients(g, lat)``, which ``g``
@@ -18,8 +18,7 @@ decomposition when it holds one, else from one ``eigvalsh``, and every
 residual from the value's apply.  So the ``dense`` oracle's bounds,
 verdict and residual are its own.
 ``contour`` is quadrature on the fiber blocks; power iteration and
-conjugate gradients are explicit cross-checks, the only methods the cap
-does not refuse.  ``S^-1`` in
+conjugate gradients are explicit cross-checks.  ``S^-1`` in
 Walnut form is the inverted fiber blocks mapped back to a table
 (``_inverse_walnut``); no dual is solved for it.
 
@@ -44,12 +43,10 @@ from .errors import (
     DomainError,
     NotAFrameError,
     NotAFrameWarning,
-    SizeError,
 )
 from .frame_op import (
     DENSE_LIMIT,  # also read as invert.DENSE_LIMIT
     WalnutCoeffs,
-    _block_size,
     _pair_rows,
     _table_cosets,
     _to_zak,
@@ -72,8 +69,6 @@ __all__ = [
     "verify_reconstruction",
 ]
 
-# Entries of the fiber block stack, L*p: 2**22 complex values are 64 MiB.
-FIBER_LIMIT = 2**22
 # A lower bound this far below B (relatively) is treated as zero.
 NOT_A_FRAME_RTOL = 1e-12
 # Power-iteration steps, and the seeds of its start vectors for B and for A.
@@ -114,15 +109,10 @@ def _check_tol(tol: float) -> None:
 def _operator(W: WalnutCoeffs, method: str | None, *others: str):
     """``(method, op)``: ``method`` resolved (``fiber`` when None; ``others``
     are the caller's besides ``fiber`` and ``dense``) and the value it reads,
-    ``W._dense`` for ``dense`` (capped there), else ``W``; ``fiber`` and
-    ``contour`` read the fiber stack and are refused above ``FIBER_LIMIT``."""
+    ``W._dense`` for ``dense``, else ``W``; each caps the array it builds."""
     method = "fiber" if method is None else method
     if method not in ("fiber", "dense", *others):
         raise ValueError(f"unknown method {method!r}")
-    entries = W.lat.grid.L * _block_size(W.lat)
-    if method in ("fiber", "contour") and entries > FIBER_LIMIT:
-        raise SizeError(f"fiber blocks limited to L*p <= {FIBER_LIMIT}, "
-                        f"got {entries}")
     return method, W._dense if method == "dense" else W
 
 
@@ -199,15 +189,15 @@ def frame_bounds(
     """Lower and upper frame bounds of the system generated by ``g`` on ``lat``.
 
     ``fiber`` (the default) takes the extreme eigenvalues of the fiber
-    blocks and raises ``SizeError`` above ``FIBER_LIMIT``; ``dense`` those
-    of the full matrix as one block (``SizeError`` above ``DENSE_LIMIT``);
-    ``power_iteration`` iterates on the operator and on its reflection
-    below a row-sum upper estimate (``POWER_MAX_ITER`` steps each, start
-    vectors seeded by ``POWER_SEEDS``); the cap does not refuse it, but it
-    steps on the same stack ``W.fibers()`` as ``fiber`` and on a reflected
-    copy: at L = 49152, p = 2 its tracemalloc peak is twice that of
-    ``fiber`` (7.3 against 3.6 MiB) and it takes hundreds of times as long.
-    A tolerance that is not finite and positive raises ``DomainError``.
+    blocks; ``dense`` those of the full matrix as one block (``SizeError``
+    above ``DENSE_LIMIT``); ``power_iteration`` iterates on the operator and
+    on its reflection below a row-sum upper estimate (``POWER_MAX_ITER``
+    steps each, start vectors seeded by ``POWER_SEEDS``), on the stack
+    ``W.fibers()`` and a reflected copy: at L = 49152, p = 2 its tracemalloc
+    peak is twice that of ``fiber`` (7.3 against 3.6 MiB) and it takes
+    hundreds of times as long.  Both stack readers raise ``SizeError`` above
+    ``frame_op.FIBER_LIMIT``.  A tolerance that is not finite and positive
+    raises ``DomainError``.
     """
     _check_tol(tol)
     W = walnut_coefficients(g, lat)
@@ -285,12 +275,13 @@ def inverse_solve(
     Each report ends in the solution's true relative residual (``dense``
     through its own matrix, the others through ``W.apply``; for ``cg`` in
     place of the recurrence's), and ``converged`` is that ``<= tol``.
-    Without ``bounds`` the not-a-frame verdict comes from the eigenvalues
-    of the same blocks (``fiber``: those ``W`` caches; ``dense``: its own
-    matrix's) or from the fiber blocks' (``cg``), the decomposition ``W``
-    holds when a reader before it built one, else one ``eigvalsh``; supplied
-    ``bounds`` skip that and decide the verdict, so above ``FIBER_LIMIT``, where ``fiber`` raises
-    ``SizeError``, ``cg`` with ``bounds`` is the method that runs.  Raises
+    Without ``bounds`` the not-a-frame verdict comes from the eigenvalues of
+    the value's blocks (``fiber`` and ``cg``: the fiber blocks ``W`` caches;
+    ``dense``: its own matrix's), the decomposition held when a reader
+    before it built one, else one ``eigvalsh``; supplied ``bounds`` skip
+    that and decide the verdict.  Above ``frame_op.FIBER_LIMIT`` only ``cg``
+    with ``bounds``, on a table whose apply sums its rows directly, escapes
+    the stack's ``SizeError``.  Raises
     ``GridMismatchError`` when ``rhs`` lives on another grid,
     ``DomainError`` for a tolerance that is not finite and positive,
     ``NotAFrameError`` when the lower frame bound vanishes and
@@ -301,8 +292,7 @@ def inverse_solve(
     W = walnut_coefficients(g, lat)
     method, op = _operator(W, method, "cg")
     if bounds is None:
-        verdict = _operator(W, "fiber")[1] if method == "cg" else op
-        bounds = _bounds(verdict._spectrum, method)
+        bounds = _bounds(op._spectrum, method)
     _frame_or_raise(bounds)
     if method == "cg":
         if max_iter is None:
@@ -384,7 +374,6 @@ def _inverse_walnut(W: WalnutCoeffs) -> WalnutCoeffs:
     by ``frame_op._zak_table``, which reads ``1/P`` of the blocks; only
     those are inverted."""
     lat = W.lat
-    _operator(W, "fiber")
     _frame_or_raise(_bounds(W._eigh[0], "fiber"))
     ev, V = (_table_cosets(x, lat) for x in W._eigh)
     inv = _zak_table((V / ev[..., None, :]) @ V.conj().swapaxes(-1, -2), lat)
@@ -403,8 +392,8 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     ``blocks**-0.5`` as a circle integral around the spectrum with the
     trapezoid rule, one batched block solve per node (see
     :func:`_contour_inverse_sqrt`).  ``fiber`` and ``contour`` raise
-    ``SizeError`` above ``FIBER_LIMIT``.  A tolerance that is not finite and
-    positive raises ``DomainError``.
+    ``SizeError`` above ``frame_op.FIBER_LIMIT``.  A tolerance that is not
+    finite and positive raises ``DomainError``.
     """
     _check_tol(tol)
     method, op = _operator(walnut_coefficients(g, lat), method, "contour")

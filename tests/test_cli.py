@@ -815,8 +815,8 @@ def test_tight_not_a_frame_above_dense_limit_exits_3(tmp_path, capsys):
 
 
 def test_fiber_above_its_limit_exits_2(tmp_path, capsys, monkeypatch):
-    from gaborwalnut import invert
-    monkeypatch.setattr(invert, "FIBER_LIMIT", 8)  # the instance has L*p = 16
+    from gaborwalnut import frame_op
+    monkeypatch.setattr(frame_op, "FIBER_LIMIT", 8)  # the instance has L*p = 16
     cfg = write_config(tmp_path / "run.cfg", L=16, out=tmp_path / "out",
                        extra="[dual]\nmethod = fiber")
     assert main(["dual", "--config", cfg]) == 2
@@ -830,8 +830,8 @@ def test_default_dual_above_fiber_limit_exits_2(tmp_path, capsys,
     # every default command refuses above the cap and names it; none offers
     # a library method (power_iteration) or argument (bounds=) that the CLI
     # cannot pass
-    from gaborwalnut import invert
-    monkeypatch.setattr(invert, "FIBER_LIMIT", 8)  # the instance has L*p = 16
+    from gaborwalnut import frame_op
+    monkeypatch.setattr(frame_op, "FIBER_LIMIT", 8)  # the instance has L*p = 16
     cfg = write_config(tmp_path / "run.cfg", L=16, out=tmp_path / "out")
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 import warnings
 import weakref
@@ -206,7 +207,7 @@ class TestPowerIteration:
         grid = build_grid(240, s)
         lat = GaborLattice(grid, a, b)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
-        assert invert._block_size(lat) == p
+        assert frame_op._block_size(lat) == p
         fp = frame_bounds(g, lat, method="power_iteration")
         ff = frame_bounds(g, lat)
         A, B = _time_domain_bounds(g, lat)
@@ -410,7 +411,7 @@ class TestTightWindow:
         grid = build_grid(L, s)
         lat = GaborLattice(grid, a, b)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
-        assert invert._block_size(lat) == p
+        assert frame_op._block_size(lat) == p
         gt_c = tight_window(g, lat, method="contour", tol=1e-10)
         gt_f = tight_window(g, lat)
         assert np.linalg.norm(gt_c.samples - gt_f.samples) / \
@@ -607,9 +608,12 @@ class TestInverseWalnut:
         with pytest.raises(NotAFrameError):
             invert._inverse_walnut(
                 walnut_coefficients(g, GaborLattice(grid, 64, 64)))
-        monkeypatch.setattr(invert, "FIBER_LIMIT", 32)
+        # a fresh window: the fixture's may keep a stack built before the cap
+        g, lat = gauss64
+        monkeypatch.setattr(frame_op, "FIBER_LIMIT", 32)
         with pytest.raises(SizeError, match="got 64$"):
-            invert._inverse_walnut(walnut_coefficients(*gauss64))
+            invert._inverse_walnut(
+                walnut_coefficients(Signal(g.grid, g.samples), lat))
 
 
 class TestAboveDenseLimit:
@@ -670,7 +674,7 @@ class TestAboveDenseLimit:
                     GaborLattice(grid, 32, L // 128))
 
         g, lat = c268(65536)
-        assert lat.grid.L * lat.b > invert.FIBER_LIMIT
+        assert lat.grid.L * lat.b > frame_op.FIBER_LIMIT
         fb, ref = frame_bounds(g, lat), frame_bounds(*c268(4096))
         assert fb.method == "fiber" and fb.B / fb.A > 200
         assert fb.A == pytest.approx(ref.A, rel=1e-10)
@@ -693,34 +697,43 @@ class TestAboveDenseLimit:
 
 
 class TestFiberLimit:
+    """``WalnutCoeffs.fibers`` refuses a stack above ``FIBER_LIMIT`` before
+    it builds one.  A window keeps its table and the table its stack, which
+    is not checked again, so every refusal here reads a fresh window."""
+
     def test_defaults_and_contour_refused_above_cap(self, gauss64,
                                                     monkeypatch):
-        g, lat = gauss64  # p = 1, L*p = 64
+        g, lat = gauss64  # p = 1, L*p = 64, at most 3 nonzero rows r != 0
+
+        def fresh():
+            return Signal(g.grid, g.samples)
+
         fb = frame_bounds(g, lat)
         gd = inverse_solve(g, lat, g)[0]
-        monkeypatch.setattr(invert, "FIBER_LIMIT", 32)
+        monkeypatch.setattr(frame_op, "FIBER_LIMIT", 32)
         # every refusal names the cap and nothing else
         cap = r"^fiber blocks limited to L\*p <= 32, got 64$"
         for method in (None, "fiber"):
             with pytest.raises(SizeError, match=cap):
-                frame_bounds(g, lat, method=method)
+                frame_bounds(fresh(), lat, method=method)
             with pytest.raises(SizeError, match=cap):
-                inverse_solve(g, lat, g, method=method)
+                inverse_solve(fresh(), lat, g, method=method)
             with pytest.raises(SizeError, match=cap):
-                tight_window(g, lat, method=method)
+                tight_window(fresh(), lat, method=method)
         with pytest.raises(SizeError, match=cap):
-            dual_window(g, lat)
+            dual_window(fresh(), lat)
         with pytest.raises(SizeError, match=cap):
-            tight_window(g, lat, method="contour")
+            tight_window(fresh(), lat, method="contour")
         with pytest.raises(SizeError, match=cap):  # cg needs bounds from elsewhere
-            inverse_solve(g, lat, g, method="cg")
-        # the explicit cross-checks are not refused there
-        fp = frame_bounds(g, lat, method="power_iteration")
-        assert fp.method == "power_iteration"
-        assert fp.A == pytest.approx(fb.A, rel=1e-8)
-        assert fp.B == pytest.approx(fb.B, rel=1e-8)
-        gc, report = inverse_solve(g, lat, g, method="cg", bounds=fp)
+            inverse_solve(fresh(), lat, g, method="cg")
+        # power iteration steps on the same stack, so it is refused with it
+        with pytest.raises(SizeError, match=cap):
+            frame_bounds(fresh(), lat, method="power_iteration")
+        # cg with bounds runs: this table's apply sums its rows directly
+        h = fresh()
+        gc, report = inverse_solve(h, lat, g, method="cg", bounds=fb)
         assert report.method == "cg"
+        assert "_fibers" not in walnut_coefficients(h, lat).__dict__
         assert np.linalg.norm(gc.samples - gd.samples) / \
             np.linalg.norm(gd.samples) <= 1e-9
 
@@ -731,13 +744,68 @@ class TestFiberLimit:
             grid = build_grid(L, s)
             lat = GaborLattice(grid, a, b)
             g = build_window(WindowSpec.gaussian(width=1.0), grid)
-            assert invert._block_size(lat) == p and b > p
-            monkeypatch.setattr(invert, "FIBER_LIMIT", L * p)
+            assert frame_op._block_size(lat) == p and b > p
+            monkeypatch.setattr(frame_op, "FIBER_LIMIT", L * p)
             assert frame_bounds(g, lat).method == "fiber"
             assert inverse_solve(g, lat, g)[1].method == "fiber"
-            monkeypatch.setattr(invert, "FIBER_LIMIT", L * p - 1)
+            monkeypatch.setattr(frame_op, "FIBER_LIMIT", L * p - 1)
             with pytest.raises(SizeError):
-                tight_window(g, lat, method="fiber")
+                tight_window(Signal(grid, g.samples), lat, method="fiber")
+
+    @pytest.fixture
+    def no_stack(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("fiber stack built")
+
+        monkeypatch.setattr(frame_op, "_zak_blocks", built)
+
+    @staticmethod
+    def _p63(b):
+        # L = 262080, a = 63 and the width sqrt(a*M) at M = 64: p = 63
+        # whenever b = L/M with gcd(63, M) = 1
+        grid = build_grid(262080, 1)
+        g = build_window(WindowSpec.gaussian(width=math.sqrt(63 * 64)), grid)
+        return g, GaborLattice(grid, 63, b)
+
+    @pytest.mark.parametrize("call", [
+        lambda g, lat: frame_bounds(g, lat),
+        lambda g, lat: frame_bounds(g, lat, method="power_iteration"),
+        lambda g, lat: inverse_solve(g, lat, g),
+        lambda g, lat: inverse_solve(g, lat, g, method="cg"),
+        lambda g, lat: inverse_solve(
+            g, lat, g, method="cg",
+            bounds=invert.FrameBounds(1.0, 2.0, "cg", False)),
+        lambda g, lat: tight_window(g, lat),
+        lambda g, lat: tight_window(g, lat, method="contour"),
+        lambda g, lat: invert._inverse_walnut(walnut_coefficients(g, lat)),
+        lambda g, lat: walnut_coefficients(g, lat).apply(g.samples),
+    ], ids=["bounds", "power_iteration", "solve", "cg", "cg-bounds", "tight",
+            "contour", "inverse_walnut", "apply"])
+    def test_nothing_builds_the_stack_above_the_real_cap(self, no_stack,
+                                                         call):
+        # b = 4095: L*p = 16511040, four times the cap, and 42 nonzero rows
+        # r != 0, so the apply goes through the blocks too
+        with pytest.raises(SizeError, match=r"^fiber blocks limited to "
+                           r"L\*p <= 4194304, got 16511040$"):
+            call(*self._p63(4095))
+
+    def test_a_table_that_never_reads_the_stack_runs_above_the_cap(
+            self, no_stack):
+        # b = 126: M = 2080 exceeds the window's nonzero samples, so the
+        # table is painless, with p = 63 and L*p four times the cap
+        g, lat = self._p63(126)
+        W = walnut_coefficients(g, lat)
+        assert lat.grid.L * frame_op._block_size(lat) > frame_op.FIBER_LIMIT
+        assert not W.table[1:].any()
+        G0 = W.factor * W.table[0].real
+        assert np.array_equal(W.apply(g.samples),
+                              np.tile(W.factor * W.table[0], lat.N)
+                              * g.samples)
+        gd, report = inverse_solve(
+            g, lat, g, method="cg",
+            bounds=invert.FrameBounds(G0.min(), G0.max(), "cg", False))
+        assert report.converged and report.residuals[-1] <= 1e-10
+        assert "_fibers" not in W.__dict__
 
 
 def _oracle_windows(grid, seed):
