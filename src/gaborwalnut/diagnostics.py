@@ -42,7 +42,6 @@ from .errors import (
 from .frame_op import (
     DENSE_LIMIT,
     WalnutCoeffs,
-    _coset_blocks,
     analysis,
     frame_operator_walnut,
     walnut_coefficients,
@@ -76,10 +75,9 @@ class SummabilityReport:
     signed order; ``tail_profile`` holds the running partial sums, ending at
     ``weighted_sum``.  ``cross_check_error`` is the largest absolute
     difference, over the table's entries, between the block-inverse
-    multipliers and those read off LU solves of the ``b x b`` blocks of the
-    dense matrix on the cosets that hold the ``a`` columns the extraction
-    reads (``None`` above ``DENSE_LIMIT``); it is not scaled by the size of
-    the multipliers.
+    multipliers and those read off LU solves of the dense oracle's first
+    ``a`` coset blocks (``None`` above ``DENSE_LIMIT``); it is not scaled by
+    the size of the multipliers.
     """
 
     lattice: GaborLattice
@@ -151,31 +149,28 @@ def extract_walnut_from_matrix(
 
 
 def _dense_inverse_table(W: WalnutCoeffs) -> np.ndarray:
-    """Multiplier table of ``S^-1`` from LU solves of ``b x b`` blocks of
-    the dense frame matrix ``S`` of ``W``'s table, gathered from the table
-    by the formula ``_Dense`` assembles ``S`` by
-    (:func:`frame_op._coset_blocks`); ``S`` itself is not assembled, and
-    the fiber stack and its decomposition are not read.
+    """Multiplier table of ``S^-1`` from LU solves of the first ``a`` coset
+    blocks of the dense oracle's value ``W._dense`` (``frame_op._Dense``,
+    the ``b x b`` blocks of the dense frame matrix ``S``); neither the
+    ``L x L`` matrix nor the fiber stack and its decomposition are read.
 
-    ``S`` couples sample ``j`` only with ``j - r*M``, so column ``c`` of
-    ``S^-1`` is the solution, against ``e_0``, of the ``b x b`` block of
-    ``S`` on the coset ``c + k*M (mod L)``, ``k < b``; the ``a`` columns
-    ``c < a <= M`` lie in ``a`` different cosets and are solved as one
+    Column ``c`` of ``S^-1`` is the solution, against ``e_0``, of the block
+    of ``S`` on the coset ``c + k*M (mod L)``, ``k < b``; the ``a`` columns
+    ``c < a <= M`` lie in the first ``a`` cosets and are solved as one
     stack.  Column ``c`` meets strided diagonal ``r`` in row
     ``(c + r*M) mod L``, entry ``k = r mod b`` of its solution, which is
     entry ``(c + k*M) mod a`` of ``G~_r``; as ``c`` runs over one period
     those entries fill the row.
     """
-    lat = W.lat
-    a, b = lat.a, lat.b
+    a, b, M = W.lat.a, W.lat.b, W.lat.M
     k = np.arange(b)[:, None]
-    blocks = _coset_blocks(W, np.arange(a))  # (a, b, b)
     # e_0 as a (1, b, 1) stack: NumPy < 2 reads a 2-d right-hand side as a
     # stack of vectors
-    X = np.linalg.solve(blocks, np.eye(b, 1, dtype=complex)[None])
+    X = np.linalg.solve(W._dense.fibers()[:a],
+                        np.eye(b, 1, dtype=complex)[None])
     table = np.empty((b, a), dtype=complex)
-    table[k, (np.arange(a) + k * lat.M) % a] = X[..., 0].T
-    return table / (lat.M / lat.grid.s)
+    table[k, (np.arange(a) + k * M) % a] = X[..., 0].T
+    return table / W.factor
 
 
 def dual_summability_report(
@@ -189,12 +184,11 @@ def dual_summability_report(
     The multipliers are read off the inverted fiber blocks of ``S``
     (:func:`invert._inverse_walnut`): nothing is solved, and ``tol`` is only
     validated.  At ``L <= DENSE_LIMIT`` they are always cross-checked
-    against those read off LU solves of the ``b x b`` blocks of the dense
-    frame matrix on the cosets that hold the ``a`` columns the extraction
-    reads (:func:`_dense_inverse_table`), an independent route to the same
-    operator; ``cross_check_error`` is the largest absolute difference.
-    It reads the table ``g`` keeps, whose one eigendecomposition the
-    solvers after it read too.
+    against those read off LU solves of the dense oracle's first ``a``
+    coset blocks (:func:`_dense_inverse_table`), an independent route to
+    the same operator; ``cross_check_error`` is the largest absolute
+    difference.  It reads the table ``g`` keeps, whose eigendecomposition
+    and dense value the solvers after it read too.
     """
     _check_tol(tol)
     W = walnut_coefficients(g, lat)

@@ -117,7 +117,7 @@ def _zak_solve(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``S^-1 z`` for ``S`` and ``z`` as in :func:`_zak_product`.
 
     At ``p = 1`` one elementwise division; otherwise one batched LU solve,
-    which the dense value's one ``L x L`` block takes too.
+    which the dense value's ``b x b`` coset blocks take too.
     """
     if blocks.shape[-1] == 1:
         return z / blocks[..., 0]
@@ -167,7 +167,7 @@ def _zak_table(blocks: np.ndarray, lat: GaborLattice) -> np.ndarray:
     return np.fft.ifft(F, axis=0) * (p / (M / lat.grid.s))
 
 
-# Largest grid whose L x L frame matrix the dense oracle assembles: 16 MiB.
+# Sizes with a dense oracle; dense_frame_matrix's L x L array is 16 MiB.
 DENSE_LIMIT = 1024
 # Entries of the fiber block stack, L*p: 2**22 complex values are 64 MiB.
 FIBER_LIMIT = 2**22
@@ -206,9 +206,9 @@ def _row_sum_max(p: int) -> int:
 
 class _Spectral:
     """The eigendecomposition ``_eigh = (ev, V)``, ``fibers() = V diag(ev)
-    V^H``, of an operator value's Hermitian block stack, built at most once
-    and read-only.  ``_spectrum`` is the eigenvalues alone: ``ev`` when it is
-    held, else one ``eigvalsh``, so bounds alone never pay for ``V``.
+    V^H``, of a fiber or coset block stack, built at most once and read-only.
+    ``_spectrum`` is the eigenvalues alone: ``ev`` when it is held, else one
+    ``eigvalsh``, so bounds alone never pay for ``V``.
     """
 
     @cached_property
@@ -237,8 +237,8 @@ class WalnutCoeffs(_Frozen, _Spectral):
     reads it once as ``p x p`` Zak-domain blocks, whose eigendecomposition
     is cached beside them (:class:`_Spectral`), and :meth:`apply` either
     sums its few nonzero rows directly or multiplies by those blocks (see
-    the module docstring); the dense oracle's matrix, ``_dense``, is built
-    once too.  The rule of ``core._Frozen`` applies; a table
+    the module docstring); the dense oracle's coset blocks, ``_dense``, are
+    built once too.  The rule of ``core._Frozen`` applies; a table
     that is not ``(b, a)`` raises ``LatticeError``.
     """
 
@@ -548,7 +548,7 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
 
     ``g`` keeps the table for the last lattice asked for, so every caller
     on one ``(g, lat)`` reads one value, whose stack, decomposition and
-    dense matrix are built at most once.  The table holds no reference to
+    dense value are built at most once.  The table holds no reference to
     ``g`` and is freed with it.
     """
     _same_grid(lat.grid, g)
@@ -581,7 +581,7 @@ def _coset_blocks(W: WalnutCoeffs, c: np.ndarray) -> np.ndarray:
     entry ``[i, k, k']`` is ``S[c_i + k*M, c_i + k'*M] =
     factor * G_{(k-k') mod b}((c_i + k*M) mod a)``.  ``S`` couples ``j``
     only with ``j - r*M``, so these blocks over all ``M`` cosets are all of
-    its nonzero entries."""
+    its nonzero entries: :class:`_Dense` holds them."""
     lat = W.lat
     k = np.arange(lat.b)
     cols = (c[:, None] + k * lat.M) % lat.a
@@ -589,26 +589,31 @@ def _coset_blocks(W: WalnutCoeffs, c: np.ndarray) -> np.ndarray:
 
 
 class _Dense(_Spectral):
-    """The dense oracle's own operator value: the read-only ``L x L`` matrix
-    ``S``, its coset blocks (:func:`_coset_blocks`) scattered into place,
-    as one block on the samples, with its own eigen-cache.  It reads the
-    table only, never its fiber stack; above ``DENSE_LIMIT`` it raises
-    ``SizeError`` first."""
+    """The dense oracle's own operator value: the dense matrix ``S`` as its
+    read-only ``(M, b, b)`` stack of coset blocks (:func:`_coset_blocks`),
+    block ``c`` on the samples ``c + k*M``, with its own eigen-cache.  It
+    reads the table only, never its fiber stack, and uses no FFT; above
+    ``DENSE_LIMIT`` it raises ``SizeError`` first."""
 
     def __init__(self, W: WalnutCoeffs):
         lat, L = W.lat, W.lat.grid.L
         if L > DENSE_LIMIT:
             raise SizeError(f"dense path limited to L <= {DENSE_LIMIT}, got {L}")
-        c = np.arange(lat.M)
-        rows = c[:, None] + lat.M * np.arange(lat.b)  # rows[c, k] = c + k*M
-        self.S = S = np.zeros((L, L), dtype=complex)
-        S[rows[:, :, None], rows[:, None, :]] = _coset_blocks(W, c)
-        S.flags.writeable = False
-        self.fibers, self.apply = (lambda: S[None]), (lambda v: S @ v)
-        self._to, self._back = (lambda v: v[None]), (lambda z: z[0])
+        B = _coset_blocks(W, np.arange(lat.M))
+        B.flags.writeable = False
+        to = lambda v: v.reshape(lat.b, lat.M).T  # block c reads v[c + k*M]
+        back = lambda z: z.T.reshape(L)
+        self.fibers, self._to, self._back = (lambda: B), to, back
+        self.apply = lambda v: back(np.einsum("nij,nj->ni", B, to(v)))
 
 
 def dense_frame_matrix(g: Signal, lat: GaborLattice) -> np.ndarray:
-    """Read-only dense matrix of the frame operator, assembled from its
-    multiplier form (:class:`_Dense`; ``SizeError`` above ``DENSE_LIMIT``)."""
-    return walnut_coefficients(g, lat)._dense.S
+    """Read-only dense ``L x L`` matrix of the frame operator: the coset
+    blocks of its dense value (:class:`_Dense`; ``SizeError`` above
+    ``DENSE_LIMIT``) scattered into place, the one place it is assembled."""
+    blocks = walnut_coefficients(g, lat)._dense.fibers()
+    rows = np.arange(lat.M)[:, None] + lat.M * np.arange(lat.b)  # c + k*M
+    S = np.zeros((lat.grid.L,) * 2, dtype=complex)
+    S[rows[:, :, None], rows[:, None, :]] = blocks
+    S.flags.writeable = False
+    return S

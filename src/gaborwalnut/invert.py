@@ -12,11 +12,11 @@ Every solver reads one operator value, which :func:`_operator` picks for
 its method: the table ``W = walnut_coefficients(g, lat)``, which ``g``
 keeps, so every call on the same ``(g, lat)`` reads one stack and one
 eigendecomposition, each built at most once; or for ``dense``
-``W._dense``, the matrix assembled once from the table
-(``frame_op._Dense``) with its own.  Bounds alone come from a value's
-decomposition when it holds one, else from one ``eigvalsh``, and every
-residual from the value's apply.  So the ``dense`` oracle's bounds,
-verdict and residual are its own.
+``W._dense``, the ``M`` coset blocks ``b x b`` of the dense matrix
+gathered once from the table (``frame_op._Dense``), with its own.  Both
+are block stacks, read by the same batched algebra.  Bounds alone come from
+a value's eigenvalues, and every residual from the value's apply, so the
+``dense`` oracle's bounds, verdict and residual are its own.
 ``contour`` is quadrature on the fiber blocks; power iteration and
 conjugate gradients are explicit cross-checks.  ``S^-1`` in
 Walnut form is the inverted fiber blocks mapped back to a table
@@ -189,7 +189,7 @@ def frame_bounds(
     """Lower and upper frame bounds of the system generated by ``g`` on ``lat``.
 
     ``fiber`` (the default) takes the extreme eigenvalues of the fiber
-    blocks; ``dense`` those of the full matrix as one block (``SizeError``
+    blocks; ``dense`` those of the dense matrix's coset blocks (``SizeError``
     above ``DENSE_LIMIT``); ``power_iteration`` iterates on the operator and
     on its reflection below a row-sum upper estimate (``POWER_MAX_ITER``
     steps each, start vectors seeded by ``POWER_SEEDS``), on the stack
@@ -270,18 +270,17 @@ def inverse_solve(
 ) -> tuple[Signal, SolverReport]:
     """Solve ``S x = rhs`` for the frame operator of ``g``; returns the report too.
 
-    ``fiber`` (the default) solves each fiber block; ``dense`` solves the
-    full matrix as one block by LU; ``cg`` is matrix-free on the table.
+    ``fiber`` (the default) solves each fiber block; ``dense`` each coset
+    block of the dense matrix, by LU; ``cg`` is matrix-free on the table.
     Each report ends in the solution's true relative residual (``dense``
-    through its own matrix, the others through ``W.apply``; for ``cg`` in
+    through its own blocks, the others through ``W.apply``; for ``cg`` in
     place of the recurrence's), and ``converged`` is that ``<= tol``.
     Without ``bounds`` the not-a-frame verdict comes from the eigenvalues of
     the value's blocks (``fiber`` and ``cg``: the fiber blocks ``W`` caches;
-    ``dense``: its own matrix's), the decomposition held when a reader
-    before it built one, else one ``eigvalsh``; supplied ``bounds`` skip
-    that and decide the verdict.  Above ``frame_op.FIBER_LIMIT`` only ``cg``
-    with ``bounds``, on a table whose apply sums its rows directly, escapes
-    the stack's ``SizeError``.  Raises
+    ``dense``: its own), held or from one ``eigvalsh``; supplied ``bounds``
+    skip that and decide the verdict.  Above ``frame_op.FIBER_LIMIT`` only
+    ``cg`` with ``bounds``, on a table whose apply sums its rows directly,
+    escapes the stack's ``SizeError``.  Raises
     ``GridMismatchError`` when ``rhs`` lives on another grid,
     ``DomainError`` for a tolerance that is not finite and positive,
     ``NotAFrameError`` when the lower frame bound vanishes and
@@ -388,7 +387,8 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     ``fiber`` (the default) diagonalizes each fiber block once (the
     decomposition ``W`` caches), takes the frame bounds from those
     eigenvalues and maps them through ``ev**-0.5``; ``dense`` does the same
-    on the full matrix as one block (the oracle).  ``contour`` takes the same bounds from the fiber blocks and evaluates
+    on the dense matrix's coset blocks (the oracle).  ``contour`` takes the
+    bounds from the fiber eigenvalues alone, no eigenvectors, and evaluates
     ``blocks**-0.5`` as a circle integral around the spectrum with the
     trapezoid rule, one batched block solve per node (see
     :func:`_contour_inverse_sqrt`).  ``fiber`` and ``contour`` raise
@@ -397,7 +397,8 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     """
     _check_tol(tol)
     method, op = _operator(walnut_coefficients(g, lat), method, "contour")
-    ev, V = op._eigh
+    # contour reads the eigenvalues alone, so it never pays for V
+    ev, V = (op._spectrum, None) if method == "contour" else op._eigh
     bounds = _frame_or_raise(_bounds(ev, method))
     z = op._to(g.samples)
     if method == "contour":

@@ -77,9 +77,13 @@ def corpus_with_duals(corpus):
     ]
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def gauss64():
-    """Smooth moderate-size instance used for functional-calculus checks."""
+    """Smooth moderate-size instance used for functional-calculus checks.
+
+    A fresh window per test: a window keeps its table, fiber stack and dense
+    value, so one shared across tests would let a test that lowers a size
+    cap pass without the cap being asked."""
     grid = build_grid(64, 8)
     g = build_window(WindowSpec.gaussian(width=1.0), grid)
     return g, GaborLattice(grid, 4, 4)

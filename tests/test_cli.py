@@ -311,22 +311,28 @@ def test_each_command_builds_one_operator_value(tmp_path, monkeypatch,
                                             ("tight", "dense"),
                                             ("dual", None)])
 def test_dense_matrix_assembled_once(tmp_path, monkeypatch, command, method):
-    # a dense method assembles its matrix, W._dense, once; the default
-    # dual's S^-1 cross-check gathers its coset blocks from the table and
-    # assembles none
+    # the dense value, W._dense, is built once, by the dense method or by
+    # the default dual's S^-1 cross-check, and holds the (M, b, b) coset
+    # blocks; no command assembles the L x L matrix of dense_frame_matrix
+    import gaborwalnut
     from gaborwalnut import frame_op
-    builds = []
+    built = []
     init = frame_op._Dense.__init__
 
     def counted(self, W):
-        builds.append(W.lat)
         init(self, W)
+        built.append(self)
+
+    def refuse(g, lat):
+        raise AssertionError("a command assembled the L x L matrix")
 
     monkeypatch.setattr(frame_op._Dense, "__init__", counted)
+    for module in (gaborwalnut, frame_op):
+        monkeypatch.setattr(module, "dense_frame_matrix", refuse)
     cfg, _ = _gauss256_config(
         tmp_path, "out", f"[{command}]\nmethod = {method}" if method else "")
     assert main([command, "--config", cfg]) == 0
-    assert len(builds) == (1 if method else 0)
+    assert [D.fibers().shape for D in built] == [(32, 8, 8)]  # M = 32, b = 8
 
 
 def test_conjecture_reads_the_summability_series(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import math
 import re
+import tracemalloc
 import warnings
 import weakref
 
@@ -132,7 +133,8 @@ class TestFrameBounds:
         with pytest.raises(SizeError, match=r"^dense path limited to "
                                             r"L <= 1024, got 2048$"):
             dense_frame_matrix(g, GaborLattice(grid, 16, 16))
-        # below it the matrix is the dense value's own, read-only
+        # below it the matrix, scattered from the dense value's blocks, is
+        # read-only
         grid = build_grid(64, 8)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
         assert not dense_frame_matrix(g, GaborLattice(grid, 4, 4)).flags.writeable
@@ -378,6 +380,15 @@ class TestTightWindow:
         assert np.linalg.norm(gt_c.samples - gt_d.samples) / \
             np.linalg.norm(gt_d.samples) < 1e-8
 
+    @pytest.mark.parametrize("L,s,a,b", [(64, 8, 4, 4), (144, 8, 9, 12)])
+    def test_contour_builds_no_eigenvectors(self, L, s, a, b):
+        # contour takes its bounds from the eigenvalues alone
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        tight_window(g, lat, method="contour")
+        assert "_eigh" not in walnut_coefficients(g, lat).__dict__
+
     def test_tight_window_has_unit_bounds(self, gauss64):
         g, lat = gauss64
         gt = tight_window(g, lat, method="contour", tol=1e-10)
@@ -608,12 +619,10 @@ class TestInverseWalnut:
         with pytest.raises(NotAFrameError):
             invert._inverse_walnut(
                 walnut_coefficients(g, GaborLattice(grid, 64, 64)))
-        # a fresh window: the fixture's may keep a stack built before the cap
-        g, lat = gauss64
+        g, lat = gauss64  # a fresh window per test, with no stack yet
         monkeypatch.setattr(frame_op, "FIBER_LIMIT", 32)
         with pytest.raises(SizeError, match="got 64$"):
-            invert._inverse_walnut(
-                walnut_coefficients(Signal(g.grid, g.samples), lat))
+            invert._inverse_walnut(walnut_coefficients(g, lat))
 
 
 class TestAboveDenseLimit:
@@ -967,8 +976,9 @@ class TestRhsGrid:
 
 
 class TestDenseOracleIndependent:
-    """``dense`` takes its spectrum, verdict and solutions from the full
-    matrix and never builds the fiber blocks it is meant to check."""
+    """``dense`` takes its spectrum, verdict and solutions from the dense
+    matrix's coset blocks and never builds the fiber blocks it is meant to
+    check."""
 
     @pytest.fixture(autouse=True)
     def no_fibers(self, monkeypatch):
@@ -996,6 +1006,56 @@ class TestDenseOracleIndependent:
             inverse_solve(g, lat, g, method="dense")
         with pytest.raises(NotAFrameError):
             tight_window(g, lat, method="dense")
+
+
+class TestDenseCosetValue:
+    """The dense value ``W._dense`` is the dense matrix's ``(M, b, b)``
+    stack of coset blocks; the whole-matrix decomposition of
+    ``dense_frame_matrix`` is its reference here."""
+
+    @staticmethod
+    def _cases(corpus):
+        cases = [(g, lat) for _, g, lat, _ in corpus]
+        for L, s, a, b in [(960, 16, 12, 60),  # p = 3
+                           (48, 4, 12, 2)]:  # B/A = 6.9e5
+            grid = build_grid(L, s)
+            cases.append((build_window(WindowSpec.gaussian(width=1.0), grid),
+                          GaborLattice(grid, a, b)))
+        return cases
+
+    def test_spectrum_and_apply_match_the_matrix(self, corpus):
+        for g, lat in self._cases(corpus):
+            D = walnut_coefficients(g, lat)._dense
+            assert D.fibers().shape == (lat.M, lat.b, lat.b)
+            S = dense_frame_matrix(g, lat)
+            ref = np.linalg.eigvalsh(S)
+            got = np.sort(D._spectrum, axis=None)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * ref[-1], lat
+            v = rand_signal(lat.grid, lat.grid.L).samples
+            Sv = S @ v
+            assert np.linalg.norm(D.apply(v) - Sv) <= \
+                1e-14 * np.linalg.norm(Sv), lat
+
+    def test_dense_tight_window_holds_no_matrix(self):
+        # at the dense limit the L x L matrix alone is 16 MiB
+        g, lat = gauss_lattice(1024, 32, 16)
+        tracemalloc.start()
+        try:
+            tight_window(g, lat, method="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_dense_tight_window_is_the_fiber_one(self):
+        grid = build_grid(48, 4)
+        lat = GaborLattice(grid, 12, 2)
+        g = build_window(WindowSpec.gaussian(width=1.0), grid)
+        fb = frame_bounds(g, lat)
+        assert fb.B / fb.A > 6e5
+        gap = tight_window(g, lat, method="dense").samples - \
+            tight_window(g, lat).samples
+        assert np.max(np.abs(gap)) <= 1e-15
 
 
 class TestSharedStack:
@@ -1127,7 +1187,7 @@ class TestWindowKeepsItsTable:
 
     def test_held_table_goes_with_the_window(self):
         # no reference cycle: the table, its stack, decomposition and dense
-        # matrix are freed with the window, without the cyclic collector.
+        # value are freed with the window, without the cyclic collector.
         # The window is built here: pytest holds a fixture's value
         grid = build_grid(240, 16)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
@@ -1151,7 +1211,8 @@ class TestWindowKeepsItsTable:
 
 
 class TestDenseResidual:
-    """``dense`` checks its solve on its own matrix, not on ``W.apply``."""
+    """``dense`` checks its solve on its own coset blocks, not on
+    ``W.apply``."""
 
     def test_residual_from_the_matrix(self, monkeypatch, gauss64):
         g, lat = gauss64
@@ -1162,9 +1223,8 @@ class TestDenseResidual:
         monkeypatch.setattr(invert.WalnutCoeffs, "apply", refuse)
         rhs = rand_signal(lat.grid, 9)
         x, rep = inverse_solve(g, lat, rhs, method="dense")
-        S = dense_frame_matrix(g, lat)
-        rel = np.linalg.norm(S @ x.samples - rhs.samples) / \
-            np.linalg.norm(rhs.samples)
+        Sx = walnut_coefficients(g, lat)._dense.apply(x.samples)
+        rel = np.linalg.norm(Sx - rhs.samples) / np.linalg.norm(rhs.samples)
         assert rep.residuals.tolist() == [rel]
         assert rel <= 1e-12 and rep.converged
 
