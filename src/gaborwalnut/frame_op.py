@@ -8,17 +8,18 @@ multiplier terms,
 
     ``S f(j) = (M/s) * sum_r G_r(j) * f(j - r*M)``.
 
-Restricted to one coset ``j0 + M*Z_L`` this is a ``b x b`` matrix whose
-row ``k`` reads the multipliers at ``(j0 + k*M) mod a``, which repeat with
-period ``p = a / gcd(a, M)`` in ``k``; ``p`` divides ``b``.  A length-``b``
-DFT along each coset (the Zak domain) therefore splits the operator into
-``L/p`` Hermitian ``p x p`` blocks, ``L*p`` entries in all (Zibulski &
-Zeevi, ACHA 4, 1997).  With ``a | M`` the blocks are ``1 x 1``: the
-spectrum is the DFT of the multiplier table along ``r``.  The blocks give
-the bounds, inverse and inverse square root (``invert``) and every
-``apply`` that is not a short row sum; a ``WalnutCoeffs`` builds them and
-their eigendecomposition at most once.  ``_zak_table`` maps blocks back to a
-table.
+On one coset ``j0 + M*Z_L`` this is a ``b x b`` matrix whose row ``k``
+reads the multipliers at ``(j0 + k*M) mod a``, of period ``p = a / gcd(a,
+M)`` in ``k``.  A length-``b`` DFT along each coset (the Zak domain) splits
+it into ``p x p`` Hermitian blocks (Zibulski & Zeevi, ACHA 4, 1997), and
+since ``S`` commutes with ``T_a`` the ``P = M/c`` cosets of one orbit,
+``c = gcd(a, M)``, hold unitarily equivalent blocks: the ``c*(b/p)``
+blocks of the cosets ``j0 < c`` are kept, ``a*b`` entries, and the orbit
+phase rides on the map to the Zak domain.  At ``a | M`` they are scalars,
+the DFT of the table along ``r``.  They give the bounds, inverse and
+inverse square root (``invert``) and every ``apply`` that is not a short
+row sum; a ``WalnutCoeffs`` builds them and their eigendecomposition at
+most once, and ``_zak_table`` maps blocks back to a table.
 
 The multipliers are brackets ``G_r = [g, T_{r*M} g]_a`` formed by direct
 products over the window's support run (``_pair_rows``), so a window whose
@@ -30,11 +31,12 @@ Anal. Appl. 165, 1992), and for a well-localized one only the few rows
 ``r`` whose translated support meets its own are nonzero at all.
 ``apply`` sums those rows directly, ``O(k*L)`` for ``k`` of them, and
 multiplies by the blocks, ``O(L*p + L*log b)``, only when there are more
-than 5 to 7 (``_row_sum_max``).  At ``n <= M`` every ``G_r`` with
-``r != 0`` is zero and the operator is painless (Daubechies, Grossmann &
-Meyer, J. Math. Phys. 27, 1986): ``apply`` is one product.  The same rows for a pair of
-windows, ``[gd, T_{r*M} g]_a``, are the mixed multipliers of
-``S_{gd,g}``; they give the exact duality check ``invert.duality_defect``.
+than 5 to 7 (``_row_sum_max``) and the stack fits ``FIBER_LIMIT``.  At
+``n <= M`` every ``G_r`` with ``r != 0`` is zero and the operator is
+painless (Daubechies, Grossmann & Meyer, J. Math. Phys. 27, 1986):
+``apply`` is one product.  The same rows for a pair of windows,
+``[gd, T_{r*M} g]_a``, are the mixed multipliers of ``S_{gd,g}``; they
+give the exact duality check ``invert.duality_defect``.
 """
 
 from __future__ import annotations
@@ -83,80 +85,100 @@ def _block_size(lat: GaborLattice) -> int:
     return lat.a // math.gcd(lat.a, lat.M)
 
 
-def _to_zak(v: np.ndarray, lat: GaborLattice) -> np.ndarray:
-    """Samples to ``(L/p, p)`` block coordinates.
+def _orbit_phase(lat: GaborLattice) -> np.ndarray:
+    """The ``(p, 1, M)`` phases ``exp(-2*pi*i*t*w/p)`` that carry block
+    ``(nu0, j_rep)`` of :func:`_zak_blocks` to coset ``j0 = m*c + j_rep``.
 
-    A length-``b`` DFT along each coset ``j0 + M*Z_L``; frequency
-    ``nu0 + t*b/p`` of coset ``j0`` is entry ``t`` of block ``(nu0, j0)``.
+    ``T_{k*a}``, ``k = m * p^-1 mod P``, maps coset ``j_rep`` to ``j0``,
+    wrapping ``w = (k*a - m*c)/M`` times, which in Zak coordinates is
+    ``D = diag(exp(-2*pi*i*nu*w/b))``, ``nu = nu0 + t*b/p``; so block
+    ``(nu0, j0)`` is ``D B(nu0, j_rep) D^H``, and ``D`` is this phase up to
+    one common to the block.
     """
+    c = math.gcd(lat.a, lat.M)
+    p, P = lat.a // c, lat.M // c
+    m = np.arange(P)
+    w = np.repeat((m * pow(p, -1, P) % P * lat.a - m * c) // lat.M, c)
+    return np.exp(-2j * np.pi / p * (np.outer(np.arange(p), w) % p))[:, None]
+
+
+def _to_zak(v: np.ndarray, lat: GaborLattice) -> np.ndarray:
+    """Samples to ``(b/p, P, c, p)`` orbit coordinates: a length-``b`` DFT
+    along each coset, frequency ``nu0 + t*b/p`` of coset ``j0 = m*c + j_rep``
+    as entry ``t`` of vector ``(nu0, m, j_rep)`` times the conjugate orbit
+    phase (skipped at ``p = 1``), on which block ``(nu0, j_rep)`` acts."""
     p = _block_size(lat)
-    z = np.fft.fft(v.reshape(lat.b, lat.M), axis=0)
-    return z.reshape(p, lat.b // p, lat.M).transpose(1, 2, 0).reshape(-1, p)
+    z = np.fft.fft(v.reshape(lat.b, lat.M), axis=0).reshape(p, lat.b // p, -1)
+    if p > 1:
+        z *= np.conj(_orbit_phase(lat))
+    return z.transpose(1, 2, 0).reshape(lat.b // p, -1, lat.a // p, p)
 
 
 def _from_zak(z: np.ndarray, lat: GaborLattice) -> np.ndarray:
     """Inverse of :func:`_to_zak`."""
     p = z.shape[-1]
-    y = z.reshape(lat.b // p, lat.M, p).transpose(2, 0, 1).reshape(lat.b, lat.M)
-    return np.fft.ifft(y, axis=0).reshape(lat.grid.L)
+    y = z.reshape(lat.b // p, lat.M, p).transpose(2, 0, 1)
+    if p > 1:
+        y = np.multiply(y, _orbit_phase(lat), order="C")
+    return np.fft.ifft(y.reshape(lat.b, lat.M), axis=0).reshape(lat.grid.L)
 
 
 def _zak_product(blocks: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = S z`` in the coordinates of :func:`_to_zak`, for ``S`` as an
-    ``(L/p, p, p)`` block stack and ``z``, ``out`` of shape ``(L/p, p)``.
-
-    At ``p = 1`` the blocks are the spectrum and the product is one
-    elementwise multiply; otherwise one batched ``p x p`` product.
+    """``out = S z`` for ``S`` as a ``(..., c, p, p)`` block stack and
+    ``z``, ``out`` in the ``(..., P, c, p)`` coordinates of :func:`_to_zak`,
+    each block on the ``P`` vectors of its orbit: a broadcast multiply at
+    ``p = 1``, one per block entry at ``p <= 3``, else a ``p x P`` product
+    per block, which costs about 0.3 us each (at L = 49152, p = 2: 2.1 ms
+    against 0.34 ms by entries; the faster at p = 4 and 16).
     """
-    if blocks.shape[-1] == 1:
-        return np.multiply(blocks[..., 0], z, out=out)
-    return np.einsum("nij,nj->ni", blocks, z, out=out)
+    p = blocks.shape[-1]
+    if p == 1:
+        return np.multiply(blocks[..., None, :, :, 0], z, out=out)
+    if p > 3:
+        np.matmul(blocks, np.moveaxis(z, -3, -1), out=np.moveaxis(out, -3, -1))
+        return out
+    term = np.empty(z.shape[:-1], dtype=complex)
+    for i in range(p):
+        np.multiply(blocks[..., None, :, i, 0], z[..., 0], out=out[..., i])
+        for j in range(1, p):
+            out[..., i] += np.multiply(blocks[..., None, :, i, j], z[..., j],
+                                       out=term)
+    return out
 
 
 def _zak_solve(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``S^-1 z`` for ``S`` and ``z`` as in :func:`_zak_product`.
-
-    At ``p = 1`` one elementwise division; otherwise one batched LU solve,
-    which the dense value's ``b x b`` coset blocks take too.
-    """
+    """``S^-1 z`` for ``S`` and ``z`` as in :func:`_zak_product`: a division
+    at ``p = 1``, else one LU solve per block with the ``P`` vectors of its
+    orbit as right-hand sides (the dense value's blocks: orbits of one)."""
     if blocks.shape[-1] == 1:
-        return z / blocks[..., 0]
-    return np.linalg.solve(blocks, z[..., None])[..., 0]
+        return z / blocks[..., None, :, :, 0]
+    return np.moveaxis(np.linalg.solve(blocks, np.moveaxis(z, -3, -1)), -1, -3)
 
 
 def _zak_blocks(table: np.ndarray, lat: GaborLattice) -> np.ndarray:
-    """The operator of a ``(b, a)`` multiplier table as ``(L/p, p, p)`` blocks.
+    """The operator of a ``(b, a)`` multiplier table as its ``(b/p, c, p, p)``
+    stack of blocks of the cosets ``j_rep < c = gcd(a, M)``, ``a*b`` entries.
 
-    In the coordinates of :func:`_to_zak`, block ``(nu0, j0)`` has entry
-    ``[t, t'] = D[nu0 + t'*b/p, (t - t') mod p, j0]``, where ``D`` is the
-    DFT of the table along ``r`` read at the ``p`` columns
-    ``(j0 + rho*M) mod a`` and then along ``rho``, scaled by ``M/(s*p)``.
+    Block ``(nu0, j_rep)`` has entry ``[t, t'] = D[nu0 + t'*b/p, (t - t')
+    mod p, j_rep]``, where ``D`` is the DFT of the table along ``r`` read at
+    the ``p`` columns ``(j_rep + rho*M) mod a`` and then along ``rho``,
+    scaled by ``M/(s*p)``.
     """
     b, M, s = lat.b, lat.M, lat.grid.s
     p = _block_size(lat)
-    cols = (np.arange(M) + M * np.arange(p)[:, None]) % lat.a
+    c = lat.a // p
+    cols = (np.arange(c) + M * np.arange(p)[:, None]) % lat.a
     D = np.fft.fft(np.fft.fft(table, axis=0)[:, cols], axis=1) * (M / s / p)
     t = np.arange(p)
-    D = D.reshape(p, b // p, p, M)[t, :, (t[:, None] - t) % p]
-    return D.transpose(2, 3, 0, 1).reshape(-1, p, p)
-
-
-def _table_cosets(x: np.ndarray, lat: GaborLattice) -> np.ndarray:
-    """The part of a per-block array (a stack, or its eigenvalues) for the
-    blocks of cosets ``j0 < gcd(a, M)``, the only ones :func:`_zak_table`
-    reads: a ``(b/p, gcd(a, M), ...)`` view, ``1/P`` of the stack."""
-    p = _block_size(lat)
-    return x.reshape(lat.b // p, lat.M, *x.shape[1:])[:, :lat.a // p]
+    D = D.reshape(p, b // p, p, c)[t, :, (t[:, None] - t) % p]
+    return np.ascontiguousarray(D.transpose(2, 3, 0, 1))
 
 
 def _zak_table(blocks: np.ndarray, lat: GaborLattice) -> np.ndarray:
-    """Inverse of :func:`_zak_blocks`: the ``(b, a)`` table of a block stack,
-    from its blocks of cosets ``j0 < gcd(a, M)`` (:func:`_table_cosets`).
-
-    Each entry of ``D`` is read back from its one block; the inverse DFT
-    along ``rho`` at the columns ``(j0 + rho*M) mod a`` with
-    ``j0 < gcd(a, M)``, which cover each column once, is the table's DFT.
-    """
+    """Inverse of :func:`_zak_blocks`: each entry of ``D`` is read back from
+    its one block; the inverse DFT along ``rho`` at the columns
+    ``(j_rep + rho*M) mod a``, which cover each column once, is the table's
+    DFT."""
     a, b, M = lat.a, lat.b, lat.M
     p = _block_size(lat)
     t = np.arange(p)
@@ -169,7 +191,7 @@ def _zak_table(blocks: np.ndarray, lat: GaborLattice) -> np.ndarray:
 
 # Sizes with a dense oracle; dense_frame_matrix's L x L array is 16 MiB.
 DENSE_LIMIT = 1024
-# Entries of the fiber block stack, L*p: 2**22 complex values are 64 MiB.
+# Entries of the fiber stack, c*(b/p) blocks of p x p, a*b: 2**22 are 64 MiB.
 FIBER_LIMIT = 2**22
 # Output samples per chunk of the direct row sum in WalnutCoeffs.apply, and
 # the length its multipliers are tiled to: 64 KiB per array, which stays in
@@ -189,17 +211,16 @@ def _row_sum_max(p: int) -> int:
     """Most nonzero rows ``r != 0`` that :meth:`WalnutCoeffs.apply` sums
     directly at block size ``p``: 5 at ``p = 1``, 7 above.
 
-    Measured on random tables with ``k`` nonzero rows at L = 16384 and
-    65536, b = 64 to 1024, p = 1 and 2 (one BLAS thread, 2-vCPU VM, best
-    of 25 interleaved runs each).  On the flat kernel each row adds about
-    25 us at L = 16384 and 85-100 us at L = 65536, where the product on
-    the cached blocks takes 0.21-0.26 ms and 0.97-1.3 ms at p = 1,
-    0.31-0.40 ms and 1.2-1.8 ms at p = 2.  The direct sum wins up to
-    k = 7-9 (L = 16384) and 8-12 (L = 65536) at p = 1, and k = 11-13 and
-    14 or more at p = 2, with no trend in b.  The rule was set when a row
-    cost about twice as much and the direct sum won up to k = 4-6 and 6-8;
-    it stays, since moving it would send tables of 6 to 9 rows through the
-    other path and change their outputs by rounding.
+    On random tables with ``k`` rows at L = 16384 and 65536, b = 64 to
+    2048, p = 1 and 2, and L = 49152, p = 3 (one BLAS thread, 2-vCPU VM,
+    best of 25 interleaved runs, three sweeps) a row adds 30-38 us and
+    115-180 us, and the product on one block per orbit 0.20-0.31 and
+    0.8-1.7 ms at p = 1, 0.38-0.42 and 1.9-2.4 ms at p = 2, 1.2-1.6 ms at
+    p = 3 (one block per coset: 0.20-0.21, 0.8-1.3, 0.37-0.39, 1.55-1.66
+    and 1.1-1.2 ms).  The direct sum wins up to k = 5-9 and 6-14 at p = 1,
+    10-15 at p = 2 and 12-13 at p = 3.  The rule stays: moving it would
+    send tables of 6 to 9 rows through the blocks and change their outputs
+    by rounding.
     """
     return 5 if p == 1 else 7
 
@@ -234,12 +255,11 @@ class WalnutCoeffs(_Frozen, _Spectral):
     sample, ``M/s`` of ``lat`` (the discrete inverse frequency step), so a
     table cannot disagree with its lattice about its scale.  The table is
     the one value of the operator that every layer reads: :meth:`fibers`
-    reads it once as ``p x p`` Zak-domain blocks, whose eigendecomposition
-    is cached beside them (:class:`_Spectral`), and :meth:`apply` either
-    sums its few nonzero rows directly or multiplies by those blocks (see
-    the module docstring); the dense oracle's coset blocks, ``_dense``, are
-    built once too.  The rule of ``core._Frozen`` applies; a table
-    that is not ``(b, a)`` raises ``LatticeError``.
+    reads it once as ``p x p`` Zak-domain blocks, with their cached
+    eigendecomposition (:class:`_Spectral`), :meth:`apply` sums its rows or
+    multiplies by the blocks, and the dense oracle's coset blocks,
+    ``_dense``, are built once too.  The rule of ``core._Frozen`` applies;
+    a table that is not ``(b, a)`` raises ``LatticeError``.
     """
 
     lat: GaborLattice
@@ -255,18 +275,17 @@ class WalnutCoeffs(_Frozen, _Spectral):
     @cached_property
     def _split(self) -> tuple[np.ndarray, list] | None:
         """``(G0, rows)`` for the direct row sum of :meth:`apply`, or None
-        when more than ``_row_sum_max(p)`` rows ``r != 0`` are nonzero.
-
-        One scan finds those rows.  ``G0`` is ``factor * G_0`` and ``rows``
-        lists ``(r*M mod L, factor * G_r)`` per nonzero row, each tiled once
-        to the chunk length ``C`` (:func:`_tiled`): ``(k+1)*C`` entries for
-        ``k`` rows.  A painless table (``k = 0``) keeps its length-``a`` row,
-        which :meth:`apply` tiles per call.
+        when more than ``_row_sum_max(p)`` rows ``r != 0`` are nonzero and
+        the block stack fits ``FIBER_LIMIT``.  ``G0`` is ``factor * G_0`` and
+        ``rows`` lists ``(r*M mod L, factor * G_r)`` per nonzero row, each
+        tiled once to the chunk length ``C`` (:func:`_tiled`).  A painless
+        table (``k = 0``) keeps its length-``a`` row, tiled per call.
         """
         lat = self.lat
         M, L = lat.M, lat.grid.L
         nz = (np.flatnonzero(self.table[1:].any(axis=1)) + 1).tolist()
-        if len(nz) > _row_sum_max(_block_size(lat)):
+        if len(nz) > _row_sum_max(_block_size(lat)) and \
+                lat.a * lat.b <= FIBER_LIMIT:
             return None
         if not nz:
             return self.factor * self.table[0], []
@@ -280,9 +299,9 @@ class WalnutCoeffs(_Frozen, _Spectral):
 
     @cached_property
     def _fibers(self) -> np.ndarray:
-        entries = self.lat.grid.L * _block_size(self.lat)
+        entries = self.lat.a * self.lat.b
         if entries > FIBER_LIMIT:
-            raise SizeError(f"fiber blocks limited to L*p <= {FIBER_LIMIT}, "
+            raise SizeError(f"fiber blocks limited to a*b <= {FIBER_LIMIT}, "
                             f"got {entries}")
         blocks = _zak_blocks(self.table, self.lat)
         blocks.flags.writeable = False
@@ -291,20 +310,15 @@ class WalnutCoeffs(_Frozen, _Spectral):
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``factor * sum_r G_r * T_{r*M} v`` on a length-``L`` array.
 
-        A table with at most :func:`_row_sum_max` nonzero rows ``r != 0``
-        is summed in the time domain, one chunk of ``C`` output samples at
-        a time (:attr:`_split`): the exact product of the tiled
-        ``factor * G_0`` with ``v``, then per row one product of the tiled
-        ``factor * G_r`` with the read of ``v`` translated by ``r*M`` and
-        one add, each on flat contiguous arrays.  That is ``O(k*L)`` for
-        ``k`` rows, with no FFT, no full-length temporary and a cache of
-        ``(k+1)*C`` entries.  A painless operator (``G_r = 0`` for all
-        ``r != 0``, window support at most ``M``) is the case ``k = 0``:
-        ``factor * G_0 * v``, exact, with ``G_0`` tiled per call.  Any other
-        table is the block product on :meth:`fibers`, ``r = 0`` term
-        included: one length-``b`` FFT along each coset, one product per
-        block, one inverse FFT; above ``FIBER_LIMIT`` that stack is refused
-        (``SizeError``), while a direct row sum runs at any size.
+        A table with at most :func:`_row_sum_max` nonzero rows ``r != 0``,
+        or whose block stack exceeds ``FIBER_LIMIT``, is summed in the time
+        domain a chunk of ``C`` outputs at a time (:attr:`_split`): the
+        exact product of the tiled ``factor * G_0`` with ``v``, then per row
+        a product of the tiled ``factor * G_r`` with ``v`` read ``r*M``
+        back and one add, on flat arrays: ``O(k*L)`` for ``k`` rows, no FFT
+        and no full-length temporary.  A painless operator is ``k = 0``,
+        exact.  Any other table is the block product on :meth:`fibers`,
+        ``r = 0`` term included, between two FFTs along the cosets.
         """
         split = self._split
         if split is None:
@@ -312,10 +326,8 @@ class WalnutCoeffs(_Frozen, _Spectral):
             return self._back(_zak_product(self.fibers(), z, np.empty_like(z)))
         # C is a multiple of a, so sample t of a chunk and of each
         # translated read of v meets G_r(t mod a) at entry t of the tiles.
-        # A painless table holds no tile that outlives the call: one kept
-        # beside the outputs of 32 painless applies at L = 65536 made them
-        # take 10-13 ms instead of 7 ms in some heap layouts, as glibc gave
-        # pages back and faulted them in again
+        # A painless table keeps no tile: one kept beside 32 outputs at
+        # L = 65536 made glibc fault pages in again (10-13 ms, not 7)
         G0, rows = split
         L = v.shape[0]
         if not rows:
@@ -333,19 +345,17 @@ class WalnutCoeffs(_Frozen, _Spectral):
         return out
 
     def fibers(self) -> np.ndarray:
-        """The operator as ``L/p`` independent Hermitian ``p x p`` blocks.
-
-        Returns the ``(L/p, p, p)`` stack, ``L*p`` entries, with
-        ``p = a / gcd(a, M)``; in the coordinates of ``_to_zak`` the operator
-        acts block by block, so ``S v = _from_zak(blocks @ _to_zak(v))``.
-        The eigenvalues of the stack are the spectrum of the operator.  The
-        stack is built once per table and is read-only: :meth:`apply` and
-        every solver in ``invert`` read this one array.  Above
+        """The operator as ``c*(b/p)`` Hermitian ``p x p`` blocks, one per
+        orbit of ``T_a``: the read-only ``(b/p, c, p, p)`` stack, ``a*b``
+        entries, ``c = gcd(a, M)``, built once per table.  Block
+        ``(nu0, j_rep)`` acts on the ``P = M/c`` vectors ``(nu0, m, j_rep)``
+        of :meth:`_to`, ``S v = _back(_zak_product(blocks, _to(v)))``, and
+        its eigenvalues, each ``P`` times, are the spectrum.  Above
         ``FIBER_LIMIT`` entries it raises ``SizeError`` before it allocates.
         """
         return self._fibers
 
-    def _to(self, v: np.ndarray) -> np.ndarray:  # to the blocks' coordinates
+    def _to(self, v: np.ndarray) -> np.ndarray:  # to the orbit coordinates
         return _to_zak(v, self.lat)
 
     def _back(self, z: np.ndarray) -> np.ndarray:
@@ -593,7 +603,8 @@ class _Dense(_Spectral):
     read-only ``(M, b, b)`` stack of coset blocks (:func:`_coset_blocks`),
     block ``c`` on the samples ``c + k*M``, with its own eigen-cache.  It
     reads the table only, never its fiber stack, and uses no FFT; above
-    ``DENSE_LIMIT`` it raises ``SizeError`` first."""
+    ``DENSE_LIMIT`` it raises ``SizeError`` first.  In its ``(1, M, b)``
+    coordinates each block is its own orbit."""
 
     def __init__(self, W: WalnutCoeffs):
         lat, L = W.lat, W.lat.grid.L
@@ -601,10 +612,10 @@ class _Dense(_Spectral):
             raise SizeError(f"dense path limited to L <= {DENSE_LIMIT}, got {L}")
         B = _coset_blocks(W, np.arange(lat.M))
         B.flags.writeable = False
-        to = lambda v: v.reshape(lat.b, lat.M).T  # block c reads v[c + k*M]
+        to = lambda v: v.reshape(lat.b, lat.M).T[None]  # block c: v[c + k*M]
         back = lambda z: z.T.reshape(L)
         self.fibers, self._to, self._back = (lambda: B), to, back
-        self.apply = lambda v: back(np.einsum("nij,nj->ni", B, to(v)))
+        self.apply = lambda v: back(np.einsum("nij,nj->ni", B, to(v)[0]))
 
 
 def dense_frame_matrix(g: Signal, lat: GaborLattice) -> np.ndarray:

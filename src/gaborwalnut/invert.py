@@ -1,32 +1,29 @@
 """Frame bounds, canonical dual and tight windows, inverse application.
 
 The one default engine is ``fiber``: in the Zak domain the frame operator
-splits into ``L/p`` Hermitian ``p x p`` blocks with ``p = a / gcd(a, M)``
-(:meth:`WalnutCoeffs.fibers`), so its bounds, inverse and inverse square
-root are exact batched eigen- and linear-algebra at ``O(L * p**2)``, plus
-one length-``b`` FFT per coset on the way in and out; at ``a | M`` the
-blocks are scalars.  The stack holds ``L*p`` entries, capped where it is
-built by ``frame_op.FIBER_LIMIT``: above it every reader raises ``SizeError``.
+splits into Hermitian ``p x p`` blocks, ``p = a / gcd(a, M)``, one per
+orbit of ``T_a`` kept, ``c*(b/p)`` of them with ``c = gcd(a, M)``
+(:meth:`WalnutCoeffs.fibers`).  Its bounds, inverse and inverse square
+root are exact batched eigen- and linear-algebra at ``O(a*b*p)``, each
+block applied to the ``P = M/c`` vectors of its orbit, between FFTs along
+the cosets.  The stack holds ``a*b`` entries, capped where it is built by
+``frame_op.FIBER_LIMIT``: above it every reader raises ``SizeError``.
 
 Every solver reads one operator value, which :func:`_operator` picks for
 its method: the table ``W = walnut_coefficients(g, lat)``, which ``g``
-keeps, so every call on the same ``(g, lat)`` reads one stack and one
-eigendecomposition, each built at most once; or for ``dense``
-``W._dense``, the ``M`` coset blocks ``b x b`` of the dense matrix
-gathered once from the table (``frame_op._Dense``), with its own.  Both
-are block stacks, read by the same batched algebra.  Bounds alone come from
-a value's eigenvalues, and every residual from the value's apply, so the
-``dense`` oracle's bounds, verdict and residual are its own.
-``contour`` is quadrature on the fiber blocks; power iteration and
-conjugate gradients are explicit cross-checks.  ``S^-1`` in
-Walnut form is the inverted fiber blocks mapped back to a table
-(``_inverse_walnut``); no dual is solved for it.
+keeps, with one stack and one eigendecomposition, each built at most once;
+or for ``dense`` ``W._dense``, the ``M`` coset blocks ``b x b`` of the
+dense matrix gathered from the table (``frame_op._Dense``), with its own.
+Both are block stacks, read by the same batched algebra, and each gives
+its own bounds, verdict and residual.  ``contour`` is quadrature on the
+fiber blocks; power iteration and conjugate gradients are cross-checks.
+``S^-1`` in Walnut form is the inverted fiber blocks mapped back to a
+table (``_inverse_walnut``); no dual is solved for it.
 
-A computed dual or tight window is checked exactly by
-``duality_defect``, the Walnut-form biorthogonality defect of the pair at
-``O(b*n)`` for a shorter support run of ``n``; ``verify_reconstruction``
-reconstructs random signals through analysis and synthesis and stays as its
-independent oracle.
+A computed dual or tight window is checked exactly by ``duality_defect``,
+the Walnut-form biorthogonality defect at ``O(b*n)`` for a shorter support
+run of ``n``; ``verify_reconstruction`` reconstructs random signals
+through analysis and synthesis and stays as its independent oracle.
 """
 
 from __future__ import annotations
@@ -48,8 +45,6 @@ from .frame_op import (
     DENSE_LIMIT,  # also read as invert.DENSE_LIMIT
     WalnutCoeffs,
     _pair_rows,
-    _table_cosets,
-    _to_zak,
     _zak_product,
     _zak_solve,
     _zak_table,
@@ -121,24 +116,23 @@ def _gershgorin_upper(W: WalnutCoeffs) -> float:
     return float(W.factor * np.abs(W.table).sum(axis=0).max())
 
 
-def _power_extreme(blocks: np.ndarray, lat: GaborLattice, tol: float,
+def _power_extreme(blocks: np.ndarray, W: WalnutCoeffs, tol: float,
                    seed: int) -> float:
     """Largest eigenvalue of a Hermitian PSD block stack by power iteration.
 
-    The iterate lives in the coordinates of :func:`frame_op._to_zak`, a
-    scaled unitary map, so the Rayleigh quotients and eigen-residuals are
-    those of the operator on samples.  Only the seeded start vector is
-    mapped; each step is one :func:`frame_op._zak_product` (elementwise at
-    ``p = 1``), with norms and inner products as dots over float views.
-    Stops when the Rayleigh quotient is stationary to ``tol`` (relative
-    change) and the eigen-residual is below ``10*tol`` relative to the
-    estimate; for Hermitian operators the residual bounds the eigenvalue
-    error directly, which keeps clustered spectra honest.
+    The full-length iterate lives in the orbit coordinates of ``W._to``, a
+    scaled unitary map, shaped ``(n, P, c, p)`` for an ``(n, c, p, p)``
+    stack; only the seeded start vector is mapped, and each step is one
+    :func:`frame_op._zak_product` with dots over float views.  Stops when
+    the Rayleigh quotient is stationary to ``tol`` (relative) and the
+    eigen-residual, which bounds the eigenvalue error of a Hermitian
+    operator, is below ``10*tol`` relative to the estimate.
     """
     rng = np.random.default_rng(seed)
-    L = lat.grid.L
+    L = W.lat.grid.L
     v = np.ascontiguousarray(
-        _to_zak(rng.standard_normal(L) + 1j * rng.standard_normal(L), lat))
+        W._to(rng.standard_normal(L) + 1j * rng.standard_normal(L))
+        .reshape(blocks.shape[0], -1, *blocks.shape[1:-1]))
     w, res = np.empty_like(v), np.empty_like(v)
     vf, wf, rf = (x.reshape(-1).view(float) for x in (v, w, res))
     vf *= 1.0 / math.sqrt(np.dot(vf, vf))
@@ -192,12 +186,12 @@ def frame_bounds(
     blocks; ``dense`` those of the dense matrix's coset blocks (``SizeError``
     above ``DENSE_LIMIT``); ``power_iteration`` iterates on the operator and
     on its reflection below a row-sum upper estimate (``POWER_MAX_ITER``
-    steps each, start vectors seeded by ``POWER_SEEDS``), on the stack
-    ``W.fibers()`` and a reflected copy: at L = 49152, p = 2 its tracemalloc
-    peak is twice that of ``fiber`` (7.3 against 3.6 MiB) and it takes
-    hundreds of times as long.  Both stack readers raise ``SizeError`` above
-    ``frame_op.FIBER_LIMIT``.  A tolerance that is not finite and positive
-    raises ``DomainError``.
+    steps each, seeded by ``POWER_SEEDS``) on ``W.fibers()`` and a
+    reflected copy, hundreds of times as long.  At ``p = 1`` it expands the
+    spectrum to length ``L`` once per call, so a step is one flat product:
+    the one length-``L`` spectrum left, which goes with power iteration.
+    Both stack readers raise ``SizeError`` above ``frame_op.FIBER_LIMIT``,
+    and a tolerance that is not finite and positive ``DomainError``.
     """
     _check_tol(tol)
     W = walnut_coefficients(g, lat)
@@ -206,11 +200,14 @@ def frame_bounds(
         bounds = _bounds(op._spectrum, method)
     else:
         blocks = W.fibers()
-        B = _power_extreme(blocks, lat, tol, POWER_SEEDS[0])
+        if blocks.shape[-1] == 1:
+            # the spectrum of every coset, so each step is a flat product
+            blocks = np.tile(blocks, (1, lat.M // blocks.shape[1], 1, 1))
+        B = _power_extreme(blocks, W, tol, POWER_SEEDS[0])
         # A from the reflection mu - S, a new stack beside the read-only one
         mu = _gershgorin_upper(W)
         reflected = mu * np.eye(blocks.shape[-1]) - blocks
-        A = mu - _power_extreme(reflected, lat, tol, POWER_SEEDS[1])
+        A = mu - _power_extreme(reflected, W, tol, POWER_SEEDS[1])
         bounds = _bounds((A, B), method)
     if bounds.not_a_frame:
         warnings.warn(
@@ -272,15 +269,13 @@ def inverse_solve(
 
     ``fiber`` (the default) solves each fiber block; ``dense`` each coset
     block of the dense matrix, by LU; ``cg`` is matrix-free on the table.
-    Each report ends in the solution's true relative residual (``dense``
-    through its own blocks, the others through ``W.apply``; for ``cg`` in
-    place of the recurrence's), and ``converged`` is that ``<= tol``.
-    Without ``bounds`` the not-a-frame verdict comes from the eigenvalues of
-    the value's blocks (``fiber`` and ``cg``: the fiber blocks ``W`` caches;
-    ``dense``: its own), held or from one ``eigvalsh``; supplied ``bounds``
-    skip that and decide the verdict.  Above ``frame_op.FIBER_LIMIT`` only
-    ``cg`` with ``bounds``, on a table whose apply sums its rows directly,
-    escapes the stack's ``SizeError``.  Raises
+    Each report ends in the solution's true relative residual through its
+    value's apply (for ``cg`` in place of the recurrence's), and
+    ``converged`` is that ``<= tol``.  Without ``bounds`` the not-a-frame
+    verdict comes from the eigenvalues of the value's blocks (for ``cg`` the
+    fiber blocks); supplied ``bounds`` decide it instead.  Above
+    ``frame_op.FIBER_LIMIT`` only ``cg`` with ``bounds`` escapes the
+    stack's ``SizeError``: there every apply sums its rows.  Raises
     ``GridMismatchError`` when ``rhs`` lives on another grid,
     ``DomainError`` for a tolerance that is not finite and positive,
     ``NotAFrameError`` when the lower frame bound vanishes and
@@ -336,15 +331,12 @@ CONTOUR_NODES_MAX = 4096
 def _contour_inverse_sqrt(blocks: np.ndarray, rhs: np.ndarray, A: float,
                           B: float, tol: float) -> np.ndarray:
     """Contour quadrature of ``blocks**-0.5 @ rhs`` for a stack of Hermitian
-    blocks whose spectrum lies inside ``[A, B]``, ``rhs`` one vector per
-    block.
-
-    Every node ``lam`` is one batched solve ``(lam I - blocks) x = rhs``
-    (:func:`frame_op._zak_solve`).
-    Trapezoid rule on the circle around ``[A, B]``, doubling the node count
-    from ``CONTOUR_NODES_START`` (a level halves the sum of the one before
-    and adds its new nodes) until two levels agree to ``tol`` (cap
-    ``CONTOUR_NODES_MAX``).
+    blocks with spectrum inside ``[A, B]`` and ``rhs`` in the coordinates of
+    :func:`frame_op._zak_solve`, one batched solve ``(lam I - blocks) x =
+    rhs`` per node ``lam``.  Trapezoid rule on the circle around ``[A, B]``,
+    doubling the nodes from ``CONTOUR_NODES_START`` (a level halves the sum
+    of the one before and adds its new nodes) until two levels agree to
+    ``tol`` (cap ``CONTOUR_NODES_MAX``).
     """
     eye = np.eye(blocks.shape[-1])
     prev = None
@@ -370,13 +362,11 @@ def _contour_inverse_sqrt(blocks: np.ndarray, rhs: np.ndarray, A: float,
 def _inverse_walnut(W: WalnutCoeffs) -> WalnutCoeffs:
     """Table of ``S^-1 = S_{gd,gd}`` without solving for ``gd``: the fiber
     blocks' ``V diag(1/ev) V^H`` from ``W``'s one decomposition, mapped back
-    by ``frame_op._zak_table``, which reads ``1/P`` of the blocks; only
-    those are inverted."""
-    lat = W.lat
-    _frame_or_raise(_bounds(W._eigh[0], "fiber"))
-    ev, V = (_table_cosets(x, lat) for x in W._eigh)
-    inv = _zak_table((V / ev[..., None, :]) @ V.conj().swapaxes(-1, -2), lat)
-    return _adopt(WalnutCoeffs, lat=lat, table=inv)
+    by ``frame_op._zak_table``."""
+    ev, V = W._eigh
+    _frame_or_raise(_bounds(ev, "fiber"))
+    inv = _zak_table((V / ev[..., None, :]) @ V.conj().swapaxes(-1, -2), W.lat)
+    return _adopt(WalnutCoeffs, lat=W.lat, table=inv)
 
 
 def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
@@ -384,16 +374,14 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     """Canonical tight window: the inverse square root of the frame operator
     applied to ``g``.
 
-    ``fiber`` (the default) diagonalizes each fiber block once (the
-    decomposition ``W`` caches), takes the frame bounds from those
-    eigenvalues and maps them through ``ev**-0.5``; ``dense`` does the same
-    on the dense matrix's coset blocks (the oracle).  ``contour`` takes the
-    bounds from the fiber eigenvalues alone, no eigenvectors, and evaluates
-    ``blocks**-0.5`` as a circle integral around the spectrum with the
-    trapezoid rule, one batched block solve per node (see
-    :func:`_contour_inverse_sqrt`).  ``fiber`` and ``contour`` raise
-    ``SizeError`` above ``frame_op.FIBER_LIMIT``.  A tolerance that is not
-    finite and positive raises ``DomainError``.
+    ``fiber`` (the default) maps the eigenvalues of the decomposition ``W``
+    caches through ``ev**-0.5``, after the bounds they give; ``dense`` does
+    the same on the dense matrix's coset blocks (the oracle).  ``contour``
+    takes the bounds from the fiber eigenvalues alone and evaluates
+    ``blocks**-0.5`` as a circle integral around the spectrum
+    (:func:`_contour_inverse_sqrt`).  ``fiber`` and ``contour`` raise
+    ``SizeError`` above ``frame_op.FIBER_LIMIT``, and a tolerance that is
+    not finite and positive ``DomainError``.
     """
     _check_tol(tol)
     method, op = _operator(walnut_coefficients(g, lat), method, "contour")
@@ -404,8 +392,9 @@ def tight_window(g: Signal, lat: GaborLattice, method: str | None = None,
     if method == "contour":
         y = _contour_inverse_sqrt(op.fibers(), z, bounds.A, bounds.B, tol)
     else:
-        y = (V @ ((V.conj().swapaxes(1, 2) @ z[..., None])
-                  / np.sqrt(ev)[..., None]))[..., 0]
+        z = np.moveaxis(z, -3, -1)  # each block's orbit vectors as columns
+        y = np.moveaxis(V @ ((V.conj().swapaxes(-1, -2) @ z)
+                             / np.sqrt(ev)[..., None]), -1, -3)
     return _adopt(Signal, grid=lat.grid, samples=op._back(y))
 
 

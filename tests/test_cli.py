@@ -822,7 +822,7 @@ def test_tight_not_a_frame_above_dense_limit_exits_3(tmp_path, capsys):
 
 def test_fiber_above_its_limit_exits_2(tmp_path, capsys, monkeypatch):
     from gaborwalnut import frame_op
-    monkeypatch.setattr(frame_op, "FIBER_LIMIT", 8)  # the instance has L*p = 16
+    monkeypatch.setattr(frame_op, "FIBER_LIMIT", 3)  # the instance has a*b = 4
     cfg = write_config(tmp_path / "run.cfg", L=16, out=tmp_path / "out",
                        extra="[dual]\nmethod = fiber")
     assert main(["dual", "--config", cfg]) == 2
@@ -837,11 +837,11 @@ def test_default_dual_above_fiber_limit_exits_2(tmp_path, capsys,
     # a library method (power_iteration) or argument (bounds=) that the CLI
     # cannot pass
     from gaborwalnut import frame_op
-    monkeypatch.setattr(frame_op, "FIBER_LIMIT", 8)  # the instance has L*p = 16
+    monkeypatch.setattr(frame_op, "FIBER_LIMIT", 3)  # the instance has a*b = 4
     cfg = write_config(tmp_path / "run.cfg", L=16, out=tmp_path / "out")
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "SizeError" in err and "L*p <= 8" in err
+    assert "SizeError" in err and "a*b <= 3, got 4" in err
     assert "power_iteration" not in err and "bounds=" not in err
 
 

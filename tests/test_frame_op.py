@@ -347,8 +347,7 @@ class TestWalnut:
     def test_zak_table_inverts_zak_blocks(self):
         # table -> blocks -> table on every divisor lattice, p = 2, 3 and 8
         # among them; a random table uses every entry of the block stack
-        from gaborwalnut.frame_op import (_block_size, _table_cosets,
-                                          _zak_blocks, _zak_table)
+        from gaborwalnut.frame_op import _block_size, _zak_blocks, _zak_table
         rng = np.random.default_rng(7)
         seen = set()
         for L, s in ((24, 4), (36, 6), (32, 8)):
@@ -359,8 +358,7 @@ class TestWalnut:
                     lat = GaborLattice(grid, a, b)
                     T = rng.standard_normal((b, a)) \
                         + 1j * rng.standard_normal((b, a))
-                    blocks = _table_cosets(_zak_blocks(T, lat), lat)
-                    back = _zak_table(blocks, lat)
+                    back = _zak_table(_zak_blocks(T, lat), lat)
                     assert np.abs(back - T).max() <= 1e-15 * np.abs(T).max(), \
                         (L, a, b)
                     seen.add(_block_size(lat))
@@ -647,7 +645,7 @@ class TestRowSum:
         # takes; chunks of a and 3a samples put chunk edges and wrapped
         # reads everywhere
         from gaborwalnut import frame_op
-        from gaborwalnut.frame_op import _block_size, _from_zak, _to_zak
+        from gaborwalnut.frame_op import _block_size
         if periods:
             monkeypatch.setattr(frame_op, "_CHUNK", periods * a)
         grid = build_grid(L, s)
@@ -665,9 +663,101 @@ class TestRowSum:
         ref, scale = _roll_loop(W, f)
         assert np.linalg.norm(out - W.factor * ref) <= \
             1e-13 * W.factor * np.linalg.norm(scale)
-        blocks = np.einsum("nij,nj->ni", W.fibers(), _to_zak(f, lat))
-        zak = _from_zak(blocks, lat)
+        # each representative block acts on the P vectors of its orbit
+        blocks = np.einsum("ncij,nmcj->nmci", W.fibers(), W._to(f))
+        zak = W._back(blocks)
         assert np.linalg.norm(out - zak) <= 1e-13 * np.linalg.norm(zak)
+
+    @pytest.mark.parametrize("L,s,a,b,p", [(64, 8, 4, 8, 1), (240, 16, 16, 10, 2),
+                                           (144, 8, 9, 12, 3)])
+    def test_rows_summed_above_the_cap(self, monkeypatch, L, s, a, b, p):
+        # full-support windows, every row r != 0 nonzero: more than the
+        # direct sum takes, so below the cap the apply reads the blocks.
+        # With the cap below the stack's a*b entries it sums the rows
+        from gaborwalnut import frame_op
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        assert frame_op._block_size(lat) == p
+        monkeypatch.setattr(frame_op, "FIBER_LIMIT", a * b - 1)
+        W = walnut_coefficients(rand_signal(grid, 15), lat)
+        assert W.table[1:].all(axis=1).all()
+        assert b - 1 > frame_op._row_sum_max(p)
+        f = rand_signal(grid, 16)
+        out = frame_operator_walnut(W, f).samples
+        ref = W.factor * _roll_loop(W, f.samples)[0]
+        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert W._split is not None and "_fibers" not in W.__dict__
+
+
+def _coset_stack(T, lat):
+    """The ``(b/p, M, p, p)`` block of every coset ``j0 < M``: the formula of
+    ``frame_op._zak_blocks`` with its columns over all ``M`` cosets, as the
+    stack was built before it kept one block per orbit."""
+    b, M = lat.b, lat.M
+    p = lat.a // math.gcd(lat.a, M)
+    cols = (np.arange(M) + M * np.arange(p)[:, None]) % lat.a
+    D = np.fft.fft(np.fft.fft(T, axis=0)[:, cols], axis=1) * (M / lat.grid.s / p)
+    t = np.arange(p)
+    D = D.reshape(p, b // p, p, M)[t, :, (t[:, None] - t) % p]
+    return D.transpose(2, 3, 0, 1)
+
+
+class TestOrbits:
+    """``W.fibers()`` keeps one block per orbit of ``T_a``; ``W._to`` and
+    ``W._back`` carry the orbit phase to every other coset."""
+
+    LATTICES = [(64, 8, 4, 8, 1), (240, 16, 16, 10, 2), (144, 8, 9, 12, 3)]
+
+    @pytest.mark.parametrize("L,s,a,b,p", LATTICES)
+    def test_every_coset_has_its_representatives_spectrum(self, L, s, a, b, p):
+        from gaborwalnut.frame_op import _block_size
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        assert _block_size(lat) == p
+        c = math.gcd(a, lat.M)
+        for g in (rand_signal(grid, 17), build_window(WindowSpec.gaussian(1.0), grid)):
+            W = walnut_coefficients(g, lat)
+            reps = W.fibers()
+            assert reps.shape == (b // p, c, p, p) and lat.M // c > 1
+            full = np.linalg.eigvalsh(_coset_stack(W.table, lat))
+            ref = np.linalg.eigvalsh(reps)[:, np.arange(lat.M) % c]
+            if p == 1:
+                assert np.array_equal(full, ref)
+            else:
+                assert np.abs(full - ref).max() <= 5e-15 * ref.max()
+
+    @pytest.mark.parametrize("L,s,a,b,p", LATTICES)
+    def test_orbit_map_round_trip(self, L, s, a, b, p):
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        W = walnut_coefficients(rand_signal(grid, 18), lat)
+        v = rand_signal(grid, 19).samples
+        z = W._to(v)
+        assert z.shape == (b // p, lat.M * p // a, a // p, p)
+        assert np.linalg.norm(W._back(z) - v) <= 1e-15 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("L,s,a,b,p", LATTICES + [(4032, 1, 63, 63, 63)])
+    def test_extreme_eigenvectors_through_the_orbit_map(self, L, s, a, b, p):
+        # each representative's extreme eigenvector, placed on every copy
+        # m of its orbit and mapped back to samples, is an eigenvector of
+        # S; S is a roll loop over the nonzero rows and never reads the
+        # stack.  p = 63: a = 63, M = 64 and the width sqrt(a*M)
+        grid = build_grid(L, s)
+        lat = GaborLattice(grid, a, b)
+        g = build_window(WindowSpec.gaussian(math.sqrt(a * lat.M) / s), grid) \
+            if p == 63 else rand_signal(grid, 20)
+        W = walnut_coefficients(g, lat)
+        ev, V = W._eigh
+        B = ev.max()
+        for pick in (np.argmin, np.argmax):
+            n, j, k = np.unravel_index(pick(ev), ev.shape)
+            for m in range(lat.M * p // a):
+                z = np.zeros((b // p, lat.M * p // a, a // p, p), dtype=complex)
+                z[n, m, j] = V[n, j, :, k]
+                v = W._back(z)
+                v /= np.linalg.norm(v)
+                Sv = W.factor * _roll_loop(W, v)[0]
+                assert np.linalg.norm(Sv - ev[n, j, k] * v) <= 1e-13 * B, (m, pick)
 
 
 def _broadcast_apply(W, v):

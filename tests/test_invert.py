@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaborwalnut import frame_op, invert
-from gaborwalnut.frame_op import _from_zak, _pair_rows, _to_zak
+from gaborwalnut.frame_op import _pair_rows
 from gaborwalnut import (
     ConvergenceError,
     DomainError,
@@ -33,6 +33,7 @@ from gaborwalnut import (
     frame_bounds,
     frame_operator_walnut,
     inverse_solve,
+    signed_range,
     synthesis,
     tight_window,
     verify_reconstruction,
@@ -231,11 +232,10 @@ class TestPowerIteration:
                 return real(*args, **kwargs)
             return wrapper
 
-        to_zak = counted("to", frame_op._to_zak)
-        from_zak = counted("from", frame_op._from_zak)
-        for module in (frame_op, invert):
-            monkeypatch.setattr(module, "_to_zak", to_zak)
-        monkeypatch.setattr(frame_op, "_from_zak", from_zak)
+        monkeypatch.setattr(frame_op, "_to_zak",
+                            counted("to", frame_op._to_zak))
+        monkeypatch.setattr(frame_op, "_from_zak",
+                            counted("from", frame_op._from_zak))
         monkeypatch.setattr(invert, "_zak_product",
                             counted("steps", frame_op._zak_product))
         frame_bounds(g, lat, method="power_iteration")
@@ -620,8 +620,8 @@ class TestInverseWalnut:
             invert._inverse_walnut(
                 walnut_coefficients(g, GaborLattice(grid, 64, 64)))
         g, lat = gauss64  # a fresh window per test, with no stack yet
-        monkeypatch.setattr(frame_op, "FIBER_LIMIT", 32)
-        with pytest.raises(SizeError, match="got 64$"):
+        monkeypatch.setattr(frame_op, "FIBER_LIMIT", 8)
+        with pytest.raises(SizeError, match="got 16$"):
             invert._inverse_walnut(walnut_coefficients(g, lat))
 
 
@@ -712,16 +712,16 @@ class TestFiberLimit:
 
     def test_defaults_and_contour_refused_above_cap(self, gauss64,
                                                     monkeypatch):
-        g, lat = gauss64  # p = 1, L*p = 64, at most 3 nonzero rows r != 0
+        g, lat = gauss64  # p = 1, a*b = 16, at most 3 nonzero rows r != 0
 
         def fresh():
             return Signal(g.grid, g.samples)
 
         fb = frame_bounds(g, lat)
         gd = inverse_solve(g, lat, g)[0]
-        monkeypatch.setattr(frame_op, "FIBER_LIMIT", 32)
-        # every refusal names the cap and nothing else
-        cap = r"^fiber blocks limited to L\*p <= 32, got 64$"
+        monkeypatch.setattr(frame_op, "FIBER_LIMIT", 8)
+        # every refusal names the cap and the count it checks
+        cap = r"^fiber blocks limited to a\*b <= 8, got 16$"
         for method in (None, "fiber"):
             with pytest.raises(SizeError, match=cap):
                 frame_bounds(fresh(), lat, method=method)
@@ -747,17 +747,19 @@ class TestFiberLimit:
             np.linalg.norm(gd.samples) <= 1e-9
 
     def test_cap_counts_block_entries(self, monkeypatch):
-        # a cap of exactly L*p admits the blocks though L*b is above it
+        # a cap of exactly a*b, the entries of one block per orbit, admits
+        # the blocks though L*p, the entries of a block per coset, is above
         for L, s, a, b, p in ((48, 4, 4, 8, 2), (160, 16, 16, 8, 4),
                               (144, 8, 9, 12, 3)):
             grid = build_grid(L, s)
             lat = GaborLattice(grid, a, b)
             g = build_window(WindowSpec.gaussian(width=1.0), grid)
-            assert frame_op._block_size(lat) == p and b > p
-            monkeypatch.setattr(frame_op, "FIBER_LIMIT", L * p)
+            assert frame_op._block_size(lat) == p and b > p and L * p > a * b
+            monkeypatch.setattr(frame_op, "FIBER_LIMIT", a * b)
             assert frame_bounds(g, lat).method == "fiber"
             assert inverse_solve(g, lat, g)[1].method == "fiber"
-            monkeypatch.setattr(frame_op, "FIBER_LIMIT", L * p - 1)
+            assert walnut_coefficients(g, lat).fibers().size == a * b
+            monkeypatch.setattr(frame_op, "FIBER_LIMIT", a * b - 1)
             with pytest.raises(SizeError):
                 tight_window(Signal(grid, g.samples), lat, method="fiber")
 
@@ -769,42 +771,56 @@ class TestFiberLimit:
         monkeypatch.setattr(frame_op, "_zak_blocks", built)
 
     @staticmethod
-    def _p63(b):
-        # L = 262080, a = 63 and the width sqrt(a*M) at M = 64: p = 63
+    def _p63(b, a=63):
+        # L = 262080 and the width sqrt(63*M) at M = 64: p = 63 at a = 63
         # whenever b = L/M with gcd(63, M) = 1
         grid = build_grid(262080, 1)
         g = build_window(WindowSpec.gaussian(width=math.sqrt(63 * 64)), grid)
-        return g, GaborLattice(grid, 63, b)
+        return g, GaborLattice(grid, a, b)
 
     @pytest.mark.parametrize("call", [
         lambda g, lat: frame_bounds(g, lat),
         lambda g, lat: frame_bounds(g, lat, method="power_iteration"),
         lambda g, lat: inverse_solve(g, lat, g),
         lambda g, lat: inverse_solve(g, lat, g, method="cg"),
-        lambda g, lat: inverse_solve(
-            g, lat, g, method="cg",
-            bounds=invert.FrameBounds(1.0, 2.0, "cg", False)),
         lambda g, lat: tight_window(g, lat),
         lambda g, lat: tight_window(g, lat, method="contour"),
         lambda g, lat: invert._inverse_walnut(walnut_coefficients(g, lat)),
-        lambda g, lat: walnut_coefficients(g, lat).apply(g.samples),
-    ], ids=["bounds", "power_iteration", "solve", "cg", "cg-bounds", "tight",
-            "contour", "inverse_walnut", "apply"])
+    ], ids=["bounds", "power_iteration", "solve", "cg", "tight", "contour",
+            "inverse_walnut"])
     def test_nothing_builds_the_stack_above_the_real_cap(self, no_stack,
                                                          call):
-        # b = 4095: L*p = 16511040, four times the cap, and 42 nonzero rows
-        # r != 0, so the apply goes through the blocks too
+        # a = 1040, b = 4095 (M = 64, p = 65, 16 times undersampled): a*b
+        # is just above the cap.  At a = 63 the same b now fits
         with pytest.raises(SizeError, match=r"^fiber blocks limited to "
-                           r"L\*p <= 4194304, got 16511040$"):
-            call(*self._p63(4095))
+                           r"a\*b <= 4194304, got 4258800$"):
+            call(*self._p63(4095, a=1040))
+
+    def test_apply_sums_its_rows_above_the_real_cap(self, no_stack):
+        # the input above: more nonzero rows r != 0 than the direct sum
+        # takes below the cap, summed directly above it, and equal to a
+        # roll loop over the nonzero rows
+        g, lat = self._p63(4095, a=1040)
+        W = walnut_coefficients(g, lat)
+        L, a, M = lat.grid.L, lat.a, lat.M
+        rows = [r for r in signed_range(lat.b) if W.table[r].any()]
+        assert len(rows) - 1 > frame_op._row_sum_max(frame_op._block_size(lat))
+        f = rand_signal(lat.grid, 9).samples
+        ref = W.factor * sum(np.tile(W.table[r], L // a) * np.roll(f, r * M)
+                             for r in rows)
+        out = frame_operator_walnut(W, Signal(lat.grid, f)).samples
+        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert "_fibers" not in W.__dict__
 
     def test_a_table_that_never_reads_the_stack_runs_above_the_cap(
-            self, no_stack):
+            self, no_stack, monkeypatch):
         # b = 126: M = 2080 exceeds the window's nonzero samples, so the
-        # table is painless, with p = 63 and L*p four times the cap
+        # table is painless, with p = 63, and the cap lowered below its
+        # a*b = 7938
         g, lat = self._p63(126)
+        monkeypatch.setattr(frame_op, "FIBER_LIMIT", lat.a * lat.b - 1)
         W = walnut_coefficients(g, lat)
-        assert lat.grid.L * frame_op._block_size(lat) > frame_op.FIBER_LIMIT
+        assert frame_op._block_size(lat) == 63
         assert not W.table[1:].any()
         G0 = W.factor * W.table[0].real
         assert np.array_equal(W.apply(g.samples),
@@ -888,10 +904,12 @@ class TestFiberOnce:
         x, rep = inverse_solve(g, lat, f)
         assert len(fiber_calls) == 1 and rep.method == "fiber"
         # the bounds come from the same blocks that are solved
-        blocks = walnut_coefficients(g, lat).fibers()
-        assert blocks.shape == (64, 1, 1)  # a | M: p = 1
-        z = np.linalg.solve(blocks, _to_zak(f.samples, lat)[..., None])
-        assert np.array_equal(x.samples, _from_zak(z[..., 0], lat))
+        W = walnut_coefficients(g, lat)
+        blocks = W.fibers()
+        # a | M: p = 1, and one block per coset j0 < gcd(a, M) = 4
+        assert blocks.shape == (8, 4, 1, 1)
+        z = np.linalg.solve(blocks[:, None], W._to(f.samples)[..., None])
+        assert np.array_equal(x.samples, W._back(z[..., 0]))
         # the dual of the same window reads that stack; a new window's
         # dual builds its own
         dual_window(g, lat)
@@ -903,24 +921,27 @@ class TestFiberOnce:
         g, lat = self.gauss64()
         gt = tight_window(g, lat)
         assert len(fiber_calls) == 1
-        ev, V = np.linalg.eigh(walnut_coefficients(g, lat).fibers())
+        W = walnut_coefficients(g, lat)
+        ev, V = np.linalg.eigh(W.fibers())
         assert len(fiber_calls) == 1
-        c = V.conj().swapaxes(1, 2) @ _to_zak(g.samples, lat)[..., None]
+        # each representative block acts on the P vectors of its orbit
+        ev, V = ev[:, None], V[:, None]
+        c = V.conj().swapaxes(-1, -2) @ W._to(g.samples)[..., None]
         y = V @ (c / np.sqrt(ev)[..., None])
-        assert np.array_equal(gt.samples, _from_zak(y[..., 0], lat))
+        assert np.array_equal(gt.samples, W._back(y[..., 0]))
 
     def test_one_stack_of_two_by_two_blocks(self, fiber_calls):
-        # L = 240, a = 16, b = 10: M = 24, so p = 2 and 120 blocks; nine
-        # nonzero rows r != 0 send the residual through the Zak domain,
-        # which once built a second stack
+        # L = 240, a = 16, b = 10: M = 24, so p = 2 and gcd(a, M) = 8, 40
+        # blocks; nine nonzero rows r != 0 send the residual through the
+        # Zak domain, which once built a second stack
         grid = build_grid(240, 16)
         lat = GaborLattice(grid, 16, 10)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
         W = walnut_coefficients(g, lat)
         assert W._split is None
         blocks = W.fibers()
-        assert blocks.shape == (120, 2, 2)
-        assert np.allclose(blocks, blocks.conj().swapaxes(1, 2), atol=1e-15)
+        assert blocks.shape == (5, 8, 2, 2)
+        assert np.allclose(blocks, blocks.conj().swapaxes(-1, -2), atol=1e-15)
         # the solves, the dual and the tight window all read that stack
         _, rep = inverse_solve(g, lat, g)
         assert rep.residuals[-1] <= 1e-14
