@@ -175,10 +175,10 @@ def _zak_blocks(table: np.ndarray, lat: GaborLattice) -> np.ndarray:
 
 
 def _zak_table(blocks: np.ndarray, lat: GaborLattice) -> np.ndarray:
-    """Inverse of :func:`_zak_blocks`: each entry of ``D`` is read back from
-    its one block; the inverse DFT along ``rho`` at the columns
-    ``(j_rep + rho*M) mod a``, which cover each column once, is the table's
-    DFT."""
+    """Inverse of :func:`_zak_blocks`, from its ``c*(b/p)`` blocks, ``a*b``
+    entries: each entry of ``D`` is read back from its one block, and the
+    inverse DFT along ``rho`` at the columns ``(j_rep + rho*M) mod a``, which
+    cover each column once, is the table's DFT."""
     a, b, M = lat.a, lat.b, lat.M
     p = _block_size(lat)
     t = np.arange(p)
