@@ -120,9 +120,13 @@ def _power_extreme(blocks: np.ndarray, W: WalnutCoeffs, tol: float,
                    seed: int) -> float:
     """Largest eigenvalue of a Hermitian PSD block stack by power iteration.
 
-    The full-length iterate lives in the orbit coordinates of ``W._to``, a
-    scaled unitary map, shaped ``(n, P, c, p)`` for an ``(n, c, p, p)``
-    stack; only the seeded start vector is mapped, and each step is one
+    The seeded start vector is mapped once by ``W._to``, a scaled unitary
+    map, to the ``P`` vectors of each block's orbit, the columns of a
+    ``p x P`` matrix ``V``.  The loop reads ``V`` only through ``V V^H``
+    (norms, ``Re tr(V^H B V)``, residuals), so ``V`` becomes ``R^T`` for
+    ``V^T = Q R``, one batched QR: ``min(p, P)`` columns with the same
+    ``V V^H``, an ``(n, min(p, P), c, p)`` iterate of at most ``a*b``
+    entries for an ``(n, c, p, p)`` stack.  Each step is one
     :func:`frame_op._zak_product` with dots over float views.  Stops when
     the Rayleigh quotient is stationary to ``tol`` (relative) and the
     eigen-residual, which bounds the eigenvalue error of a Hermitian
@@ -130,9 +134,8 @@ def _power_extreme(blocks: np.ndarray, W: WalnutCoeffs, tol: float,
     """
     rng = np.random.default_rng(seed)
     L = W.lat.grid.L
-    v = np.ascontiguousarray(
-        W._to(rng.standard_normal(L) + 1j * rng.standard_normal(L))
-        .reshape(blocks.shape[0], -1, *blocks.shape[1:-1]))
+    v = W._to(rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    v = np.linalg.qr(v.swapaxes(1, 2), mode="r").swapaxes(1, 2).copy()
     w, res = np.empty_like(v), np.empty_like(v)
     vf, wf, rf = (x.reshape(-1).view(float) for x in (v, w, res))
     vf *= 1.0 / math.sqrt(np.dot(vf, vf))
@@ -187,9 +190,9 @@ def frame_bounds(
     above ``DENSE_LIMIT``); ``power_iteration`` iterates on the operator and
     on its reflection below a row-sum upper estimate (``POWER_MAX_ITER``
     steps each, seeded by ``POWER_SEEDS``) on ``W.fibers()`` and a
-    reflected copy, hundreds of times as long.  At ``p = 1`` it expands the
-    spectrum to length ``L`` once per call, so a step is one flat product:
-    the one length-``L`` spectrum left, which goes with power iteration.
+    reflected copy, hundreds of times as long, each step on at most ``a*b``
+    entries: a start vector's ``P`` orbit copies fold into ``min(p, P)``
+    columns with the same Gram matrix and iterates (:func:`_power_extreme`).
     Both stack readers raise ``SizeError`` above ``frame_op.FIBER_LIMIT``,
     and a tolerance that is not finite and positive ``DomainError``.
     """
@@ -200,9 +203,6 @@ def frame_bounds(
         bounds = _bounds(op._spectrum, method)
     else:
         blocks = W.fibers()
-        if blocks.shape[-1] == 1:
-            # the spectrum of every coset, so each step is a flat product
-            blocks = np.tile(blocks, (1, lat.M // blocks.shape[1], 1, 1))
         B = _power_extreme(blocks, W, tol, POWER_SEEDS[0])
         # A from the reflection mu - S, a new stack beside the read-only one
         mu = _gershgorin_upper(W)

@@ -164,18 +164,19 @@ class TestFrameBounds:
 
 
 def _time_domain_extreme(apply_op, L, tol, seed):
-    """Power iteration on samples through ``apply_op``, with the library's
-    seeds, flush and stopping rule: the reference for the Zak-coordinate
-    loop, which must give the same eigenvalue up to rounding."""
+    """``(eigenvalue, steps)`` of power iteration on samples through
+    ``apply_op``, with the library's seeds, flush and stopping rule: the
+    reference for the Zak-coordinate loop, which must give the same
+    eigenvalue up to rounding in as many steps."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
     v /= np.linalg.norm(v)
     lam_old = None
-    for _ in range(invert.POWER_MAX_ITER):
+    for step in range(1, invert.POWER_MAX_ITER + 1):
         w = apply_op(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return 0.0
+            return 0.0, step
         lam = float(np.real(np.vdot(v, w)))
         resid = float(np.linalg.norm(w - lam * v))
         v = w / nw
@@ -184,21 +185,21 @@ def _time_domain_extreme(apply_op, L, tol, seed):
         scale = max(abs(lam), 1e-300)
         if (lam_old is not None and abs(lam - lam_old) <= tol * scale
                 and resid <= 10.0 * tol * scale):
-            return lam
+            return lam, step
         lam_old = lam
     raise AssertionError("reference power iteration did not converge")
 
 
 def _time_domain_bounds(g, lat, tol=1e-10):
-    """``(A, B)`` by :func:`_time_domain_extreme` on ``W.apply`` and on its
-    reflection below the row-sum bound, summed row by row."""
+    """``(A, B, steps)`` by :func:`_time_domain_extreme` on ``W.apply`` and
+    on its reflection below the row-sum bound, summed row by row."""
     W = walnut_coefficients(g, lat)
     L = lat.grid.L
-    B = _time_domain_extreme(W.apply, L, tol, invert.POWER_SEEDS[0])
+    B, steps_B = _time_domain_extreme(W.apply, L, tol, invert.POWER_SEEDS[0])
     mu = float(W.factor * sum(np.abs(W.table[r]) for r in range(lat.b)).max())
-    A = mu - _time_domain_extreme(lambda v: mu * v - W.apply(v), L, tol,
-                                  invert.POWER_SEEDS[1])
-    return A, B
+    top, steps_A = _time_domain_extreme(lambda v: mu * v - W.apply(v), L,
+                                        tol, invert.POWER_SEEDS[1])
+    return mu - top, B, steps_B + steps_A
 
 
 class TestPowerIteration:
@@ -206,17 +207,31 @@ class TestPowerIteration:
 
     @pytest.mark.parametrize("s, a, b, p", [(16, 12, 10, 1), (8, 12, 8, 2),
                                             (8, 12, 12, 3)])
-    def test_blocks_agree_with_fiber_and_time_domain(self, s, a, b, p):
+    def test_blocks_agree_with_fiber_and_time_domain(self, monkeypatch,
+                                                     s, a, b, p):
+        # each orbit's P > p start vectors are folded into p columns with
+        # their Gram matrix, which leaves every iterate's norm and Rayleigh
+        # quotient, and so the step count, that of the loop on samples
         grid = build_grid(240, s)
         lat = GaborLattice(grid, a, b)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
         assert frame_op._block_size(lat) == p
+        assert lat.M // math.gcd(a, lat.M) > p
+        steps = 0
+
+        def counted(blocks, z, out):
+            nonlocal steps
+            steps += 1
+            return frame_op._zak_product(blocks, z, out)
+
+        monkeypatch.setattr(invert, "_zak_product", counted)
         fp = frame_bounds(g, lat, method="power_iteration")
         ff = frame_bounds(g, lat)
-        A, B = _time_domain_bounds(g, lat)
+        A, B, ref_steps = _time_domain_bounds(g, lat)
         for ref_A, ref_B in ((ff.A, ff.B), (A, B)):
             assert fp.A == pytest.approx(ref_A, rel=1e-9)
             assert fp.B == pytest.approx(ref_B, rel=1e-9)
+        assert steps == ref_steps
 
     def test_only_the_start_vectors_are_mapped(self, monkeypatch):
         # c268-type lattice: thousands of steps, one _to_zak per seed and
@@ -236,12 +251,19 @@ class TestPowerIteration:
                             counted("to", frame_op._to_zak))
         monkeypatch.setattr(frame_op, "_from_zak",
                             counted("from", frame_op._from_zak))
-        monkeypatch.setattr(invert, "_zak_product",
-                            counted("steps", frame_op._zak_product))
+        sizes = set()
+
+        def step(blocks, z, out):
+            sizes.add(z.size)
+            return frame_op._zak_product(blocks, z, out)
+
+        monkeypatch.setattr(invert, "_zak_product", counted("steps", step))
         frame_bounds(g, lat, method="power_iteration")
         assert calls["steps"] > 1000
         assert calls["to"] <= len(invert.POWER_SEEDS)
         assert calls["from"] == 0
+        # every iterate holds a*b = 64 entries, not one per sample (L = 256)
+        assert sizes == {lat.a * lat.b}
 
     def test_exhausted_budget_names_its_state(self, monkeypatch, gauss64):
         g, lat = gauss64
