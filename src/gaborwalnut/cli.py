@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration or validation error, 3 not a frame,
 import argparse
 import configparser
 import math
+import statistics
 import sys
 import time
 import warnings
@@ -482,8 +483,8 @@ def cmd_bench(cfg: RunConfig) -> Outputs:
                 raise ContractViolationError(
                     f"walnut/direct mismatch {rel:.3e} at L={L}, a={a}, b={b}"
                 )
-        med_d = sorted(t_direct)[reps // 2]
-        med_w = sorted(t_walnut)[reps // 2]
+        med_d = statistics.median(t_direct)
+        med_w = statistics.median(t_walnut)
         rows.append((L, a, b, med_d, med_w, med_d / med_w))
     return Outputs({
         "bench.csv": _csv((f"# seed={cfg.seed} reps={reps}",),

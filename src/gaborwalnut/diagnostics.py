@@ -42,6 +42,7 @@ from .errors import (
 from .frame_op import (
     DENSE_LIMIT,
     WalnutCoeffs,
+    _coset_blocks,
     analysis,
     frame_operator_walnut,
     walnut_coefficients,
@@ -150,8 +151,8 @@ def extract_walnut_from_matrix(
 
 def _dense_inverse_table(W: WalnutCoeffs) -> np.ndarray:
     """Multiplier table of ``S^-1`` from LU solves of the first ``a`` coset
-    blocks of the dense oracle's value ``W._dense`` (``frame_op._Dense``,
-    the ``b x b`` blocks of the dense frame matrix ``S``); neither the
+    blocks ``b x b`` of the dense frame matrix ``S``, gathered here from the
+    table (``frame_op._coset_blocks``, ``a*b**2`` entries); neither the
     ``L x L`` matrix nor the fiber stack and its decomposition are read.
 
     Column ``c`` of ``S^-1`` is the solution, against ``e_0``, of the block
@@ -166,7 +167,7 @@ def _dense_inverse_table(W: WalnutCoeffs) -> np.ndarray:
     k = np.arange(b)[:, None]
     # e_0 as a (1, b, 1) stack: NumPy < 2 reads a 2-d right-hand side as a
     # stack of vectors
-    X = np.linalg.solve(W._dense.fibers()[:a],
+    X = np.linalg.solve(_coset_blocks(W, np.arange(a)),
                         np.eye(b, 1, dtype=complex)[None])
     table = np.empty((b, a), dtype=complex)
     table[k, (np.arange(a) + k * M) % a] = X[..., 0].T
@@ -188,7 +189,7 @@ def dual_summability_report(
     coset blocks (:func:`_dense_inverse_table`), an independent route to
     the same operator; ``cross_check_error`` is the largest absolute
     difference.  It reads the table ``g`` keeps, whose eigendecomposition
-    and dense value the solvers after it read too.
+    the solvers after it read too.
     """
     _check_tol(tol)
     W = walnut_coefficients(g, lat)

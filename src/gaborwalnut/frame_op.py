@@ -214,13 +214,12 @@ def _row_sum_max(p: int) -> int:
     On random tables with ``k`` rows at L = 16384 and 65536, b = 64 to
     2048, p = 1 and 2, and L = 49152, p = 3 (one BLAS thread, 2-vCPU VM,
     best of 25 interleaved runs, three sweeps) a row adds 30-38 us and
-    115-180 us, and the product on one block per orbit 0.20-0.31 and
-    0.8-1.7 ms at p = 1, 0.38-0.42 and 1.9-2.4 ms at p = 2, 1.2-1.6 ms at
-    p = 3 (one block per coset: 0.20-0.21, 0.8-1.3, 0.37-0.39, 1.55-1.66
-    and 1.1-1.2 ms).  The direct sum wins up to k = 5-9 and 6-14 at p = 1,
-    10-15 at p = 2 and 12-13 at p = 3.  The rule stays: moving it would
-    send tables of 6 to 9 rows through the blocks and change their outputs
-    by rounding.
+    115-180 us, and the block product 0.20-0.31 and 0.8-1.7 ms at p = 1,
+    0.38-0.42 and 1.9-2.4 ms at p = 2, 1.2-1.6 ms at p = 3.  The direct
+    sum wins up to k = 5-9 and 6-14 at p = 1, 10-15 at p = 2 and 12-13 at
+    p = 3.  The rule stays: tables of 6 to 9 rows go through the blocks,
+    and raising it would send them through the row sum and change their
+    outputs by rounding.
     """
     return 5 if p == 1 else 7
 
@@ -256,10 +255,10 @@ class WalnutCoeffs(_Frozen, _Spectral):
     table cannot disagree with its lattice about its scale.  The table is
     the one value of the operator that every layer reads: :meth:`fibers`
     reads it once as ``p x p`` Zak-domain blocks, with their cached
-    eigendecomposition (:class:`_Spectral`), :meth:`apply` sums its rows or
-    multiplies by the blocks, and the dense oracle's coset blocks,
-    ``_dense``, are built once too.  The rule of ``core._Frozen`` applies;
-    a table that is not ``(b, a)`` raises ``LatticeError``.
+    eigendecomposition (:class:`_Spectral`), and :meth:`apply` sums its rows
+    or multiplies by the blocks; the dense oracle (:class:`_Dense`) is not
+    kept on it.  The rule of ``core._Frozen`` applies; a table that is not
+    ``(b, a)`` raises ``LatticeError``.
     """
 
     lat: GaborLattice
@@ -291,11 +290,6 @@ class WalnutCoeffs(_Frozen, _Spectral):
             return self.factor * self.table[0], []
         G = [_tiled(self.factor * self.table[r], L) for r in [0, *nz]]
         return G[0], [(r * M % L, Gr) for r, Gr in zip(nz, G[1:])]
-
-    @cached_property
-    def _dense(self) -> _Dense:
-        """The dense oracle's value of this table (:class:`_Dense`)."""
-        return _Dense(self)
 
     @cached_property
     def _fibers(self) -> np.ndarray:
@@ -557,9 +551,9 @@ def walnut_coefficients(g: Signal, lat: GaborLattice) -> WalnutCoeffs:
     exact zero; a table that is not finite raises ``DomainError``.
 
     ``g`` keeps the table for the last lattice asked for, so every caller
-    on one ``(g, lat)`` reads one value, whose stack, decomposition and
-    dense value are built at most once.  The table holds no reference to
-    ``g`` and is freed with it.
+    on one ``(g, lat)`` reads one value, whose stack and decomposition are
+    built at most once.  The table holds no reference to ``g`` and is freed
+    with it.
     """
     _same_grid(lat.grid, g)
     held = g.__dict__.get("_walnut")
@@ -599,10 +593,11 @@ def _coset_blocks(W: WalnutCoeffs, c: np.ndarray) -> np.ndarray:
 
 
 class _Dense(_Spectral):
-    """The dense oracle's own operator value: the dense matrix ``S`` as its
-    read-only ``(M, b, b)`` stack of coset blocks (:func:`_coset_blocks`),
-    block ``c`` on the samples ``c + k*M``, with its own eigen-cache.  It
-    reads the table only, never its fiber stack, and uses no FFT; above
+    """The dense oracle's own operator value, built by the call that reads
+    it and kept by no table: the dense matrix ``S`` as its read-only
+    ``(M, b, b)`` stack of coset blocks (:func:`_coset_blocks`), block ``c``
+    on the samples ``c + k*M``, with its own eigen-cache.  It reads the
+    table only, never its fiber stack, and uses no FFT; above
     ``DENSE_LIMIT`` it raises ``SizeError`` first.  In its ``(1, M, b)``
     coordinates each block is its own orbit."""
 
@@ -620,9 +615,9 @@ class _Dense(_Spectral):
 
 def dense_frame_matrix(g: Signal, lat: GaborLattice) -> np.ndarray:
     """Read-only dense ``L x L`` matrix of the frame operator: the coset
-    blocks of its dense value (:class:`_Dense`; ``SizeError`` above
+    blocks of a dense value built here (:class:`_Dense`; ``SizeError`` above
     ``DENSE_LIMIT``) scattered into place, the one place it is assembled."""
-    blocks = walnut_coefficients(g, lat)._dense.fibers()
+    blocks = _Dense(walnut_coefficients(g, lat)).fibers()
     rows = np.arange(lat.M)[:, None] + lat.M * np.arange(lat.b)  # c + k*M
     S = np.zeros((lat.grid.L,) * 2, dtype=complex)
     S[rows[:, :, None], rows[:, None, :]] = blocks

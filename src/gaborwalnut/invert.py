@@ -12,8 +12,8 @@ the cosets.  The stack holds ``a*b`` entries, capped where it is built by
 Every solver reads one operator value, which :func:`_operator` picks for
 its method: the table ``W = walnut_coefficients(g, lat)``, which ``g``
 keeps, with one stack and one eigendecomposition, each built at most once;
-or for ``dense`` ``W._dense``, the ``M`` coset blocks ``b x b`` of the
-dense matrix gathered from the table (``frame_op._Dense``), with its own.
+or for ``dense`` a ``frame_op._Dense`` built for the call: the ``M`` coset
+blocks ``b x b`` of the dense matrix gathered from the table, with its own.
 Both are block stacks, read by the same batched algebra, and each gives
 its own bounds, verdict and residual.  ``contour`` is quadrature on the
 fiber blocks; power iteration and conjugate gradients are cross-checks.
@@ -44,6 +44,7 @@ from .errors import (
 from .frame_op import (
     DENSE_LIMIT,  # also read as invert.DENSE_LIMIT
     WalnutCoeffs,
+    _Dense,
     _pair_rows,
     _zak_product,
     _zak_solve,
@@ -104,11 +105,11 @@ def _check_tol(tol: float) -> None:
 def _operator(W: WalnutCoeffs, method: str | None, *others: str):
     """``(method, op)``: ``method`` resolved (``fiber`` when None; ``others``
     are the caller's besides ``fiber`` and ``dense``) and the value it reads,
-    ``W._dense`` for ``dense``, else ``W``; each caps the array it builds."""
+    a new ``_Dense(W)`` for ``dense``, else ``W``; each caps its array."""
     method = "fiber" if method is None else method
     if method not in ("fiber", "dense", *others):
         raise ValueError(f"unknown method {method!r}")
-    return method, W._dense if method == "dense" else W
+    return method, _Dense(W) if method == "dense" else W
 
 
 def _gershgorin_upper(W: WalnutCoeffs) -> float:

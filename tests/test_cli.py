@@ -311,9 +311,9 @@ def test_each_command_builds_one_operator_value(tmp_path, monkeypatch,
                                             ("tight", "dense"),
                                             ("dual", None)])
 def test_dense_matrix_assembled_once(tmp_path, monkeypatch, command, method):
-    # the dense value, W._dense, is built once, by the dense method or by
-    # the default dual's S^-1 cross-check, and holds the (M, b, b) coset
-    # blocks; no command assembles the L x L matrix of dense_frame_matrix
+    # the dense value is built once, by the dense method, and holds the
+    # (M, b, b) coset blocks; the default dual's S^-1 cross-check builds
+    # none.  No command assembles the L x L matrix of dense_frame_matrix
     import gaborwalnut
     from gaborwalnut import frame_op
     built = []
@@ -332,7 +332,42 @@ def test_dense_matrix_assembled_once(tmp_path, monkeypatch, command, method):
     cfg, _ = _gauss256_config(
         tmp_path, "out", f"[{command}]\nmethod = {method}" if method else "")
     assert main([command, "--config", cfg]) == 0
-    assert [D.fibers().shape for D in built] == [(32, 8, 8)]  # M = 32, b = 8
+    expect = [(32, 8, 8)] if method == "dense" else []  # M = 32, b = 8
+    assert [D.fibers().shape for D in built] == expect
+
+
+@pytest.mark.parametrize("method", [None, "dense"])
+@pytest.mark.parametrize("command", ["dual", "tight"])
+@pytest.mark.parametrize("L,a,b", [(256, 8, 8), (1024, 32, 16)])
+def test_no_table_keeps_a_dense_value(tmp_path, monkeypatch, L, a, b, command,
+                                      method):
+    # the default method's S^-1 cross-check gathers its own first a coset
+    # blocks and builds no dense value; the dense method builds one for its
+    # solve.  The window's table keeps none either way
+    from gaborwalnut import cli, frame_op
+    built, configs = [], []
+    init, load = frame_op._Dense.__init__, cli.load_config
+
+    def counted(self, W):
+        init(self, W)
+        built.append(self)
+
+    def loaded(*args):
+        configs.append(load(*args))
+        return configs[-1]
+
+    monkeypatch.setattr(frame_op._Dense, "__init__", counted)
+    monkeypatch.setattr(cli, "load_config", loaded)
+    cfg = write_config(tmp_path / "run.cfg", L=L, s=16, a=a, b=b,
+                       window="gaussian", window_extra="width = 1.0",
+                       weight="polynomial", weight_extra="t = 2",
+                       out=tmp_path / "out",
+                       extra=f"[{command}]\nmethod = {method}" if method
+                       else "")
+    assert main([command, "--config", cfg]) == 0
+    assert len(built) == (method == "dense")
+    W = configs[0].window.__dict__["_walnut"]
+    assert W.lat.grid.L == L and "_dense" not in W.__dict__
 
 
 def test_conjecture_reads_the_summability_series(tmp_path):
@@ -603,6 +638,27 @@ def test_bench_single_case(tmp_path):
     assert lines[1] == "L,a,b,t_direct,t_walnut,speedup"
     assert len(lines) == 3
     assert lines[2].startswith("64,4,4,")
+
+
+def test_bench_median_of_an_even_count(tmp_path, monkeypatch):
+    # with reps = 4 the median is the mean of the two middle times: direct
+    # 4, 1, 3, 2 s and walnut 0.5, 0.25, 0.75, 1 s give 2.5 and 0.625 s
+    from types import SimpleNamespace
+    from gaborwalnut import cli
+    ticks = iter([0.0, 4.0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.25,
+                  0.0, 3.0, 0.0, 0.75, 0.0, 2.0, 0.0, 1.0])
+    monkeypatch.setattr(cli, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", L=64, s=8, a=4, b=4,
+                       window="gaussian", window_extra="width = 1.0", out=out,
+                       extra="[bench]\nreps = 4")
+    assert main(["bench", "--config", cfg]) == 0
+    with open(out / "bench.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh.readlines()[1:]))
+    assert [(r["t_direct"], r["t_walnut"], r["speedup"]) for r in rows] == \
+        [("2.5", "0.625", "4.0")]
+    assert next(ticks, None) is None
 
 
 def test_bench_zero_window_passes_without_warning(tmp_path, capsys):

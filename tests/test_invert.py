@@ -1052,8 +1052,8 @@ class TestDenseOracleIndependent:
 
 
 class TestDenseCosetValue:
-    """The dense value ``W._dense`` is the dense matrix's ``(M, b, b)``
-    stack of coset blocks; the whole-matrix decomposition of
+    """The dense value ``frame_op._Dense(W)`` is the dense matrix's
+    ``(M, b, b)`` stack of coset blocks; the whole-matrix decomposition of
     ``dense_frame_matrix`` is its reference here."""
 
     @staticmethod
@@ -1068,7 +1068,7 @@ class TestDenseCosetValue:
 
     def test_spectrum_and_apply_match_the_matrix(self, corpus):
         for g, lat in self._cases(corpus):
-            D = walnut_coefficients(g, lat)._dense
+            D = frame_op._Dense(walnut_coefficients(g, lat))
             assert D.fibers().shape == (lat.M, lat.b, lat.b)
             S = dense_frame_matrix(g, lat)
             ref = np.linalg.eigvalsh(S)
@@ -1229,8 +1229,8 @@ class TestWindowKeepsItsTable:
         assert np.array_equal(dual_window(g, lat).samples, gd.samples)
 
     def test_held_table_goes_with_the_window(self):
-        # no reference cycle: the table, its stack, decomposition and dense
-        # value are freed with the window, without the cyclic collector.
+        # no reference cycle: the table, its stack and decomposition are
+        # freed with the window, without the cyclic collector.
         # The window is built here: pytest holds a fixture's value
         grid = build_grid(240, 16)
         g = build_window(WindowSpec.gaussian(width=1.0), grid)
@@ -1239,7 +1239,7 @@ class TestWindowKeepsItsTable:
         tight_window(g, lat)
         frame_bounds(g, lat, method="dense")
         W = walnut_coefficients(g, lat)
-        assert {"_fibers", "_eigh", "_spectrum", "_dense"} <= W.__dict__.keys()
+        assert {"_fibers", "_eigh", "_spectrum"} <= W.__dict__.keys()
         held = weakref.ref(W)
         del W
         enabled = gc.isenabled()
@@ -1266,7 +1266,7 @@ class TestDenseResidual:
         monkeypatch.setattr(invert.WalnutCoeffs, "apply", refuse)
         rhs = rand_signal(lat.grid, 9)
         x, rep = inverse_solve(g, lat, rhs, method="dense")
-        Sx = walnut_coefficients(g, lat)._dense.apply(x.samples)
+        Sx = frame_op._Dense(walnut_coefficients(g, lat)).apply(x.samples)
         rel = np.linalg.norm(Sx - rhs.samples) / np.linalg.norm(rhs.samples)
         assert rep.residuals.tolist() == [rel]
         assert rel <= 1e-12 and rep.converged
